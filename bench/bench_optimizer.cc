@@ -1,36 +1,29 @@
-// E10: the optimizer race — the legacy branch-and-bound (LIFO, full LP
-// copy per node, no warm start, no oracle) against the wave engine with
-// the whole pruning stack (scratch LP, best-bound order, greedy/rounding
-// warm start, combinatorial safety oracle), sequentially and in parallel,
-// on the hundred-module layered-DAG workflow family the generator grows
-// for this experiment. Cover-based approximations ride along so the gap
-// they leave on the table is recorded next to the speedup.
+// E10: the optimizer — the wave branch-and-bound with its whole pruning
+// stack (scratch LP, best-bound order, greedy/rounding warm start,
+// combinatorial safety oracle), sequentially and in parallel, on the
+// hundred-module layered-DAG workflow family the generator grows for this
+// experiment. Cover-based approximations ride along so the gap they leave
+// on the table is recorded next to the timings.
 //
 // Summary lines, recorded by run_benches.sh into
 // BENCH_possible_worlds.json:
 //
 //   E10 optimizer: instances=3 modules=120 attrs=412 threads=8
-//   E10 optimizer: legacy_ms=5210.4 pruned_ms=301.2 parallel_ms=120.8
-//   E10 optimizer: bnb_prune_speedup_x=17.30 bnb_parallel_speedup_x=2.49
-//       bnb_total_speedup_x=43.13
+//   E10 optimizer: pruned_ms=301.2 parallel_ms=120.8
+//   E10 optimizer: bnb_parallel_speedup_x=2.49
 //   E10 optimizer: greedy_ratio=1.18 rounding_ratio=1.07
 //       threshold_ratio=1.24 exact_cost=193.4
 //
-//   * bnb_prune_speedup_x    — legacy over pruned, both single-threaded:
-//                              what the scratch LP + ordering + warm start
-//                              + oracle buy before any parallelism.
-//   * bnb_parallel_speedup_x — pruned single-thread over pruned at
-//                              hardware threads: wave-engine scaling.
-//   * bnb_total_speedup_x    — legacy over the full stack (the product).
+//   * bnb_parallel_speedup_x — single thread over hardware threads:
+//                              wave-engine scaling.
 //   * *_ratio                — approximation cost over the exact optimum.
 //
-// All ratios are minima over the instances (the conservative trajectory
-// number, like every other bench here). The pruned sequential and parallel
-// runs are PV_CHECKed to the SAME optimum bit-for-bit (the wave engine's
-// determinism contract); the legacy run must match whenever its node
-// budget did not trip. Wall-clock timing (CLOCK_MONOTONIC), not process
-// CPU: parallel speedup is precisely the thing CPU time cannot see.
-// PODS_BENCH_SHORT=1 shrinks the family for CI smoke runs.
+// Approximation ratios are minima over the instances (the conservative
+// trajectory number, like every other bench here). The sequential and
+// parallel runs are PV_CHECKed to the SAME optimum bit-for-bit (the wave
+// engine's determinism contract). Wall-clock timing (CLOCK_MONOTONIC), not
+// process CPU: parallel speedup is precisely the thing CPU time cannot
+// see. PODS_BENCH_SHORT=1 shrinks the family for CI smoke runs.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -40,7 +33,7 @@
 
 #include "common/rng.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
+#include "common/task_graph.h"
 #include "generators/random_workflow.h"
 #include "secureview/feasibility.h"
 #include "secureview/from_workflow.h"
@@ -58,8 +51,7 @@ double WallMs() {
 }
 
 struct RaceRow {
-  double legacy_ms = 0, pruned_ms = 0, parallel_ms = 0;
-  bool legacy_tripped = false;
+  double pruned_ms = 0, parallel_ms = 0;
   double exact_cost = 0;
   double greedy_ratio = 0, rounding_ratio = 0, threshold_ratio = 0;
 };
@@ -67,7 +59,7 @@ struct RaceRow {
 RandomWorkflowOptions FamilyOptions(int num_modules, int num_layers) {
   // The E10 family: hundred-module layered DAGs with enough attribute
   // sharing (gamma_bound 3, reuse 0.8) that requirement options overlap
-  // across modules — the LP relaxation goes fractional and the race is
+  // across modules — the LP relaxation goes fractional and the solve is
   // about tree size, not about one lucky integral root.
   RandomWorkflowOptions wopt;
   wopt.num_modules = num_modules;
@@ -112,27 +104,6 @@ RaceRow RaceOne(uint64_t seed, int num_modules, int num_layers, int threads) {
   PV_CHECK_MSG(par.cost == pruned.cost,
                "parallel wave engine diverged from sequential optimum");
 
-  // Legacy engine: per-node LP rebuild, LIFO, nothing warm, no oracle. A
-  // node budget keeps a pathological instance from running for hours; a
-  // tripped budget makes the measured time a LOWER bound on the legacy
-  // cost (the speedups only get more conservative... larger, so the trip
-  // is surfaced in the summary and the cost cross-check is relaxed to >=).
-  BnbOptions legacy_opt;
-  legacy_opt.use_scratch_lp = false;
-  legacy_opt.best_bound = false;
-  legacy_opt.cost_branching = false;
-  legacy_opt.wave_width = 1;
-  legacy_opt.num_threads = 1;
-  legacy_opt.max_nodes = ShortMode() ? 2000 : 600;
-  t0 = WallMs();
-  SvResult legacy = SolveExact(inst, legacy_opt);
-  row.legacy_ms = WallMs() - t0;
-  row.legacy_tripped = !legacy.status.ok();
-  if (!row.legacy_tripped) {
-    PV_CHECK_MSG(std::abs(legacy.cost - pruned.cost) < 1e-6,
-                 "legacy engine found a different optimum");
-  }
-
   // The cover-based approximations on the same instance.
   SvResult greedy = SolveGreedyPerModule(inst);
   PV_CHECK_MSG(greedy.status.ok() && IsFeasible(inst, greedy.solution),
@@ -151,10 +122,9 @@ RaceRow RaceOne(uint64_t seed, int num_modules, int num_layers, int threads) {
   row.threshold_ratio = thresh.cost / denom;
 
   std::printf(
-      "E10 row: seed=%llu modules=%d attrs=%d legacy_ms=%.1f%s "
-      "pruned_ms=%.1f parallel_ms=%.1f cost=%.2f\n",
+      "E10 row: seed=%llu modules=%d attrs=%d pruned_ms=%.1f "
+      "parallel_ms=%.1f cost=%.2f\n",
       static_cast<unsigned long long>(seed), num_modules, inst.num_attrs,
-      row.legacy_ms, row.legacy_tripped ? " (node budget tripped)" : "",
       row.pruned_ms, row.parallel_ms, row.exact_cost);
   return row;
 }
@@ -163,12 +133,13 @@ void OptimizerRace() {
   const int num_modules = ShortMode() ? 60 : 100;
   const int num_layers = ShortMode() ? 4 : 6;
   const int instances = 3;
-  const int threads = std::max(2, ThreadPool::DefaultThreads());
+  const int threads = std::max(2, DefaultThreads());
 
-  // Speedups are computed over the family's TOTAL wall clock (one shallow
-  // seed must not mask the improvement on the deep ones); approximation
-  // ratios stay per-instance minima, the conservative gap number.
-  double legacy_total = 0, pruned_total = 0, parallel_total = 0;
+  // The speedup is computed over the family's TOTAL wall clock (one
+  // shallow seed must not mask the scaling on the deep ones);
+  // approximation ratios stay per-instance minima, the conservative gap
+  // number.
+  double pruned_total = 0, parallel_total = 0;
   double greedy_ratio = std::numeric_limits<double>::infinity();
   double rounding_ratio = std::numeric_limits<double>::infinity();
   double threshold_ratio = std::numeric_limits<double>::infinity();
@@ -177,7 +148,6 @@ void OptimizerRace() {
   for (int i = 0; i < instances; ++i) {
     RaceRow row = RaceOne(0xe10u + static_cast<uint64_t>(i) * 142, num_modules,
                           num_layers, threads);
-    legacy_total += row.legacy_ms;
     pruned_total += row.pruned_ms;
     parallel_total += row.parallel_ms;
     greedy_ratio = std::min(greedy_ratio, row.greedy_ratio);
@@ -185,10 +155,8 @@ void OptimizerRace() {
     threshold_ratio = std::min(threshold_ratio, row.threshold_ratio);
     exact_cost = row.exact_cost;
   }
-  const double prune_speedup = legacy_total / std::max(pruned_total, 1e-3);
   const double parallel_speedup =
       pruned_total / std::max(parallel_total, 1e-3);
-  const double total_speedup = legacy_total / std::max(parallel_total, 1e-3);
   {
     // attrs of the first instance, for the header line.
     Rng rng(0xe10u);
@@ -198,12 +166,10 @@ void OptimizerRace() {
 
   std::printf("E10 optimizer: instances=%d modules=%d attrs=%d threads=%d\n",
               instances, num_modules, attrs, threads);
-  std::printf("E10 optimizer: legacy_ms=%.1f pruned_ms=%.1f parallel_ms=%.1f\n",
-              legacy_total, pruned_total, parallel_total);
-  std::printf(
-      "E10 optimizer: bnb_prune_speedup_x=%.2f bnb_parallel_speedup_x=%.2f "
-      "bnb_total_speedup_x=%.2f\n",
-      prune_speedup, parallel_speedup, total_speedup);
+  std::printf("E10 optimizer: pruned_ms=%.1f parallel_ms=%.1f\n",
+              pruned_total, parallel_total);
+  std::printf("E10 optimizer: bnb_parallel_speedup_x=%.2f\n",
+              parallel_speedup);
   std::printf(
       "E10 optimizer: greedy_ratio=%.3f rounding_ratio=%.3f "
       "threshold_ratio=%.3f exact_cost=%.2f\n",

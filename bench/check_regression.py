@@ -20,11 +20,8 @@ METRICS = [
     ("sharded_search_speedup_x", ("sharded_search_speedup_x",)),
     ("podsd_throughput_rps", ("podsd_throughput_rps",)),
     ("podsd_idle_conns_supported", ("podsd_idle_conns_supported",)),
-    ("taskgraph_search_speedup_x", ("taskgraph_search_speedup_x",)),
-    ("taskgraph_batch_speedup_x", ("taskgraph_batch_speedup_x",)),
     ("verdict_cache_hit_rate", ("verdict_cache_hit_rate",)),
     ("cache_batch_speedup_x", ("cache_batch_speedup_x",)),
-    ("bnb_prune_speedup_x", ("bnb_prune_speedup_x",)),
     ("bnb_parallel_speedup_x", ("bnb_parallel_speedup_x",)),
 ]
 
@@ -38,34 +35,24 @@ METRICS = [
 THREAD_SENSITIVE = {
     "sharded_search_speedup_x",
     "podsd_throughput_rps",
-    "taskgraph_search_speedup_x",
-    "taskgraph_batch_speedup_x",
     "cache_batch_speedup_x",
-    "bnb_prune_speedup_x",
     "bnb_parallel_speedup_x",
 }
 # Per-metric fallback floor used on mismatched hosts. 0.5x is the sharding
 # bound; 50 rps is the daemon floor — any functioning podsd clears it by
 # orders of magnitude, while a deadlocked accept loop or a per-request
-# engine rebuild would not. The task-graph A/B ratios must likewise never
-# fall below 0.5x the barrier path on any host.
+# engine rebuild would not.
 # The warm-over-cold cache ratio shrinks with the short-mode workload (less
 # cold checker work to amortize), so on mismatched hosts it only has to
 # clear 2x — a cache that stops reusing verdicts across batches reads ~1x.
-# The branch-and-bound race ratios shrink with the short-mode family (the
-# smoke instances have shallower trees, so the pruning stack's fixed warm-
-# start cost weighs more) and the parallel ratio is meaningless on one
-# core: on mismatched hosts both only have to clear 0.5x — a pruned engine
-# that somehow runs at less than half the legacy speed, or a wave engine
-# that loses half its single-thread throughput when threaded, is a real
-# regression anywhere.
+# The branch-and-bound parallel ratio is meaningless on one core: on
+# mismatched hosts it only has to clear 0.5x — a wave engine that loses
+# half its single-thread throughput when threaded is a real regression
+# anywhere.
 ABSOLUTE_FLOORS = {
     "sharded_search_speedup_x": 0.5,
     "podsd_throughput_rps": 50.0,
-    "taskgraph_search_speedup_x": 0.5,
-    "taskgraph_batch_speedup_x": 0.5,
     "cache_batch_speedup_x": 2.0,
-    "bnb_prune_speedup_x": 0.5,
     "bnb_parallel_speedup_x": 0.5,
 }
 

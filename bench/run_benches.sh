@@ -11,7 +11,7 @@ OUT="${2:-BENCH_possible_worlds.json}"
 REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "${REPO_ROOT}"
 
-for bin in bench_possible_worlds bench_standalone bench_podsd bench_taskgraph bench_memo bench_optimizer; do
+for bin in bench_possible_worlds bench_standalone bench_podsd bench_memo bench_optimizer; do
   if [[ ! -x "${BUILD_DIR}/${bin}" ]]; then
     echo "error: ${BUILD_DIR}/${bin} not built (run: cmake -B ${BUILD_DIR} -S . && cmake --build ${BUILD_DIR} -j)" >&2
     exit 1
@@ -81,17 +81,6 @@ PODSD_REACTOR_P95="$(grep -o 'reactor_p95_ms=[0-9.]*' "${PODSD_LOG}" | awk -F= '
 PODSD_REACTOR_P99="$(grep -o 'reactor_p99_ms=[0-9.]*' "${PODSD_LOG}" | awk -F= '{print $2}' | head -1 || true)"
 rm -f "${PODSD_LOG}"
 
-echo "== bench_taskgraph (task graph vs fork-join barriers) =="
-TG_LOG="$(mktemp)"
-"${BUILD_DIR}/bench_taskgraph" | tee "${TG_LOG}"
-# "E8 taskgraph search: k=24 ... taskgraph_search_speedup=1.17"
-# "E8 taskgraph batch: requests=16 ... taskgraph_batch_speedup=1.34"
-TG_SEARCH_SPEEDUP="$(grep -o 'taskgraph_search_speedup=[0-9.]*' "${TG_LOG}" | awk -F= '{print $2}' | head -1 || true)"
-TG_BATCH_SPEEDUP="$(grep -o 'taskgraph_batch_speedup=[0-9.]*' "${TG_LOG}" | awk -F= '{print $2}' | head -1 || true)"
-TG_SEARCH_ON_MS="$(grep 'E8 taskgraph search' "${TG_LOG}" | grep -o 'on_ms=[0-9.]*' | awk -F= '{print $2}' | head -1 || true)"
-TG_BATCH_ON_MS="$(grep 'E8 taskgraph batch' "${TG_LOG}" | grep -o 'on_ms=[0-9.]*' | awk -F= '{print $2}' | head -1 || true)"
-rm -f "${TG_LOG}"
-
 echo "== bench_memo (shared verdict cache, cross-request reuse) =="
 MEMO_LOG="$(mktemp)"
 "${BUILD_DIR}/bench_memo" | tee "${MEMO_LOG}"
@@ -104,16 +93,13 @@ MEMO_WARM_MS="$(grep -o 'warm_ms=[0-9.]*' "${MEMO_LOG}" | awk -F= '{print $2}' |
 MEMO_CACHE_BYTES="$(grep -o 'cache_bytes=[0-9]*' "${MEMO_LOG}" | awk -F= '{print $2}' | head -1 || true)"
 rm -f "${MEMO_LOG}"
 
-echo "== bench_optimizer (branch-and-bound race, E10) =="
+echo "== bench_optimizer (wave branch-and-bound, E10) =="
 OPT_LOG="$(mktemp)"
 "${BUILD_DIR}/bench_optimizer" | tee "${OPT_LOG}"
-# "E10 optimizer: legacy_ms=5210.4 pruned_ms=301.2 parallel_ms=120.8"
-# "E10 optimizer: bnb_prune_speedup_x=17.30 bnb_parallel_speedup_x=2.49 bnb_total_speedup_x=43.13"
+# "E10 optimizer: pruned_ms=301.2 parallel_ms=120.8"
+# "E10 optimizer: bnb_parallel_speedup_x=2.49"
 # "E10 optimizer: greedy_ratio=1.18 rounding_ratio=1.07 threshold_ratio=1.24 exact_cost=193.4"
-OPT_PRUNE_SPEEDUP="$(grep -o 'bnb_prune_speedup_x=[0-9.]*' "${OPT_LOG}" | awk -F= '{print $2}' | head -1 || true)"
 OPT_PAR_SPEEDUP="$(grep -o 'bnb_parallel_speedup_x=[0-9.]*' "${OPT_LOG}" | awk -F= '{print $2}' | head -1 || true)"
-OPT_TOTAL_SPEEDUP="$(grep -o 'bnb_total_speedup_x=[0-9.]*' "${OPT_LOG}" | awk -F= '{print $2}' | head -1 || true)"
-OPT_LEGACY_MS="$(grep -o 'legacy_ms=[0-9.]*' "${OPT_LOG}" | awk -F= '{print $2}' | tail -1 || true)"
 OPT_PRUNED_MS="$(grep -o 'pruned_ms=[0-9.]*' "${OPT_LOG}" | awk -F= '{print $2}' | tail -1 || true)"
 OPT_PARALLEL_MS="$(grep -o 'parallel_ms=[0-9.]*' "${OPT_LOG}" | awk -F= '{print $2}' | tail -1 || true)"
 OPT_GREEDY_RATIO="$(grep -o 'greedy_ratio=[0-9.]*' "${OPT_LOG}" | awk -F= '{print $2}' | head -1 || true)"
@@ -163,21 +149,14 @@ cat >"${LATEST_JSON}" <<EOF
   "podsd_reactor_p50_ms": ${PODSD_REACTOR_P50:-null},
   "podsd_reactor_p95_ms": ${PODSD_REACTOR_P95:-null},
   "podsd_reactor_p99_ms": ${PODSD_REACTOR_P99:-null},
-  "taskgraph_search_on_ms": ${TG_SEARCH_ON_MS:-null},
-  "taskgraph_batch_on_ms": ${TG_BATCH_ON_MS:-null},
-  "taskgraph_search_speedup_x": ${TG_SEARCH_SPEEDUP:-null},
-  "taskgraph_batch_speedup_x": ${TG_BATCH_SPEEDUP:-null},
   "memo_cold_ms": ${MEMO_COLD_MS:-null},
   "memo_warm_ms": ${MEMO_WARM_MS:-null},
   "verdict_cache_bytes": ${MEMO_CACHE_BYTES:-null},
   "verdict_cache_hit_rate": ${MEMO_HIT_RATE:-null},
   "cache_batch_speedup_x": ${MEMO_SPEEDUP:-null},
-  "bnb_legacy_ms": ${OPT_LEGACY_MS:-null},
   "bnb_pruned_ms": ${OPT_PRUNED_MS:-null},
   "bnb_parallel_ms": ${OPT_PARALLEL_MS:-null},
-  "bnb_prune_speedup_x": ${OPT_PRUNE_SPEEDUP:-null},
   "bnb_parallel_speedup_x": ${OPT_PAR_SPEEDUP:-null},
-  "bnb_total_speedup_x": ${OPT_TOTAL_SPEEDUP:-null},
   "bnb_greedy_ratio": ${OPT_GREEDY_RATIO:-null},
   "bnb_rounding_ratio": ${OPT_ROUNDING_RATIO:-null},
   "bnb_threshold_ratio": ${OPT_THRESHOLD_RATIO:-null}
@@ -197,9 +176,8 @@ HIST_KEYS = [
     "podsd_p50_ms", "podsd_p95_ms", "podsd_p99_ms",
     "podsd_idle_conns_supported", "podsd_idle_rps",
     "podsd_reactor_p50_ms", "podsd_reactor_p95_ms", "podsd_reactor_p99_ms",
-    "taskgraph_search_speedup_x", "taskgraph_batch_speedup_x",
     "verdict_cache_hit_rate", "cache_batch_speedup_x",
-    "bnb_prune_speedup_x", "bnb_parallel_speedup_x", "bnb_total_speedup_x",
+    "bnb_parallel_speedup_x",
     "bnb_greedy_ratio", "bnb_rounding_ratio", "bnb_threshold_ratio",
 ]
 

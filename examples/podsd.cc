@@ -1,8 +1,7 @@
 // podsd — the certification daemon, as a standalone binary.
 //
-//   podsd [--port=N] [--engine-threads=N] [--no-task-graph]
-//         [--cache-bytes=N] [--reactor-threads=N] [--no-reactor]
-//         [--memory-budget=N] [--max-pending=N]
+//   podsd [--port=N] [--engine-threads=N] [--cache-bytes=N]
+//         [--reactor-threads=N] [--memory-budget=N] [--max-pending=N]
 //
 // Binds 127.0.0.1 (port 0 = kernel-assigned, printed on stdout), serves the
 // built-in workflow registry, and runs until SIGINT/SIGTERM. Pair with
@@ -15,9 +14,10 @@
 //
 // --cache-bytes=N caps the shared verdict cache (measured bytes across all
 // registered workflows; eviction only forgets verdicts). 0 = unbounded.
+// --engine-threads=N sizes the shared engine executor (default: hardware
+// concurrency minus one; a single-core host runs requests inline).
 // --reactor-threads=N sizes the epoll front-end (default 2; thread count
-// stays bounded no matter how many clients connect); --no-reactor selects
-// the legacy thread-per-connection front-end. --max-pending=N and
+// stays bounded no matter how many clients connect). --max-pending=N and
 // --memory-budget=N size the request-level admission gate (depth units and
 // shared engine bytes; 0 bytes = unbounded).
 #include <csignal>
@@ -50,8 +50,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       options.engine_threads = static_cast<int>(v);
-    } else if (std::strcmp(arg, "--no-task-graph") == 0) {
-      options.use_task_graph = false;
     } else if (std::strncmp(arg, "--cache-bytes=", 14) == 0) {
       cache_bytes = std::strtoll(arg + 14, nullptr, 10);
       if (cache_bytes < 0) {
@@ -67,8 +65,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       options.reactor_threads = static_cast<int>(v);
-    } else if (std::strcmp(arg, "--no-reactor") == 0) {
-      options.use_reactor = false;
     } else if (std::strncmp(arg, "--memory-budget=", 16) == 0) {
       options.memory_budget = std::strtoll(arg + 16, nullptr, 10);
       if (options.memory_budget < 0) {
@@ -84,8 +80,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: podsd [--port=N] [--engine-threads=N] "
-                   "[--no-task-graph] [--cache-bytes=N] "
-                   "[--reactor-threads=N] [--no-reactor] "
+                   "[--cache-bytes=N] [--reactor-threads=N] "
                    "[--memory-budget=N] [--max-pending=N]\n");
       return 2;
     }

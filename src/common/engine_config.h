@@ -1,12 +1,10 @@
-// Shared execution knobs of the privacy engines. Every engine used to
-// re-declare its own num_threads / use_task_graph / materialize_threshold
-// triplet, which drifted (different defaults, different doc comments) and
-// made it impossible to thread one configuration through a pipeline of
-// engine calls. EngineConfig is the single definition; the per-engine
+// Shared execution knobs of the privacy engines, defined once so one
+// configuration threads through a pipeline of engine calls. The per-engine
 // option structs (WorkflowTablesOptions, SubsetSearchOptions,
-// WorkflowEnumerationOptions, WorkflowBatchOptions) embed it as a base, so
-// the historical field names (`opts.num_threads`, ...) keep working as
-// aliases for one release while call sites migrate.
+// WorkflowEnumerationOptions, WorkflowBatchOptions) embed it as a base.
+// Parallel work always runs as a TaskGraph: inline when num_threads
+// resolves to 1, otherwise on `executor` or a private executor per call
+// (see EngineExecutor in common/task_graph.h).
 #ifndef PROVVIEW_COMMON_ENGINE_CONFIG_H_
 #define PROVVIEW_COMMON_ENGINE_CONFIG_H_
 
@@ -23,12 +21,6 @@ class TaskGraphExecutor;
 struct EngineConfig {
   /// Worker threads. 0 = hardware concurrency, 1 = fully sequential.
   int num_threads = 1;
-
-  /// Run sharded work on the dependency-aware task-graph executor
-  /// (default). Off = the historical fork-join path, kept for A/B
-  /// equivalence and bench races. Engines without a task-graph mode yet
-  /// (world enumeration) accept but ignore the flag.
-  bool use_task_graph = true;
 
   /// Module domains of at most this many rows use the materialized
   /// relation fast path; larger domains stream rows from the module's

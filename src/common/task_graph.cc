@@ -15,6 +15,30 @@ thread_local int tls_slot = -1;
 
 }  // namespace
 
+int DefaultThreads() {
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+int ResolveThreads(int requested) {
+  return std::max(1, requested == 0 ? DefaultThreads() : requested);
+}
+
+std::pair<int64_t, int64_t> TaskRange(int64_t total, int tasks, int index) {
+  const int64_t chunk = (total + tasks - 1) / tasks;
+  const int64_t begin = std::min<int64_t>(total, chunk * index);
+  const int64_t end = std::min<int64_t>(total, begin + chunk);
+  return {begin, end};
+}
+
+EngineExecutor::EngineExecutor(TaskGraphExecutor* shared, int threads) {
+  if (threads <= 1) return;
+  if (shared == nullptr) {
+    owned_ = std::make_unique<TaskGraphExecutor>(threads - 1);
+    shared = owned_.get();
+  }
+  executor_ = shared;
+}
+
 // ----------------------------------------------------------------- graph --
 
 TaskGraph::TaskId TaskGraph::Add(std::function<void()> fn,

@@ -1,5 +1,4 @@
-// Dependency-aware task executor replacing the fork-join barriers of
-// thread_pool.h on the engine hot paths. A TaskGraph is a one-shot DAG of
+// The library's one executor. A TaskGraph is a one-shot DAG of
 // void() tasks with explicit predecessor edges; a TaskGraphExecutor is a
 // long-lived set of workers with per-worker deques and steal-on-empty, in
 // the spirit of concurrencpp's thread-pool executor but with dependency
@@ -30,7 +29,8 @@
 // disjoint slots and dedicated merge/absorb tasks combine them in a fixed
 // order (see safe_subset_search.cc and docs/task_graph.md). RunInline()
 // executes the same graph fully sequentially in task-id-seeded FIFO order:
-// the zero-overhead path for resolved num_threads == 1.
+// the zero-overhead path for resolved num_threads == 1. EngineExecutor picks
+// between the two for an engine call.
 #ifndef PROVVIEW_COMMON_TASK_GRAPH_H_
 #define PROVVIEW_COMMON_TASK_GRAPH_H_
 
@@ -44,6 +44,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/exec_control.h"
@@ -52,6 +53,19 @@
 namespace provview {
 
 class TaskGraphExecutor;
+
+/// std::thread::hardware_concurrency() with a floor of 1.
+int DefaultThreads();
+
+/// Resolves an options-style thread count: 0 means auto (hardware
+/// concurrency), anything else is clamped to >= 1. The single policy shared
+/// by every `num_threads` knob in the library.
+int ResolveThreads(int requested);
+
+/// Range `index` of `tasks` contiguous ceil-divided [begin, end) ranges
+/// partitioning [0, total). Trailing ranges may be empty when `tasks` does
+/// not divide `total` evenly.
+std::pair<int64_t, int64_t> TaskRange(int64_t total, int tasks, int index);
 
 /// One-shot dependency DAG of void() tasks. Build with Add()/AddDep(), then
 /// Run() exactly once. Not thread-safe during construction; tasks must not
@@ -185,6 +199,22 @@ class TaskGraphExecutor {
 
   const int64_t max_pending_;
   std::atomic<int64_t> admitted_{0};
+};
+
+/// Where an engine call runs its task graph: nullptr (TaskGraph::Run runs it
+/// inline) when `threads` <= 1; otherwise the caller's `shared` executor,
+/// or — when there is none — a private executor of threads - 1 workers
+/// owned by this object (the Run() caller helps, so `threads` runners
+/// total).
+class EngineExecutor {
+ public:
+  EngineExecutor(TaskGraphExecutor* shared, int threads);
+
+  TaskGraphExecutor* get() const { return executor_; }
+
+ private:
+  std::unique_ptr<TaskGraphExecutor> owned_;
+  TaskGraphExecutor* executor_ = nullptr;
 };
 
 /// RAII for the admission gate: admitted units are released on every exit

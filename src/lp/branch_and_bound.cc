@@ -56,44 +56,6 @@ struct Outcome {
   Status error;               // kError
 };
 
-// Historical per-node path: rebuilds a full copy of the LP with the node's
-// bounds folded in. Kept (behind BnbOptions::use_scratch_lp == false) as
-// the baseline of the scratch-LP A/B bench row.
-LinearProgram WithBounds(const LinearProgram& base,
-                         const std::vector<std::tuple<int, double, double>>&
-                             bounds) {
-  LinearProgram lp;
-  std::vector<double> lb(static_cast<size_t>(base.num_vars()));
-  std::vector<double> ub(static_cast<size_t>(base.num_vars()));
-  for (int v = 0; v < base.num_vars(); ++v) {
-    lb[static_cast<size_t>(v)] = base.lower_bound(v);
-    ub[static_cast<size_t>(v)] = base.upper_bound(v);
-  }
-  for (const auto& [var, new_lb, new_ub] : bounds) {
-    lb[static_cast<size_t>(var)] =
-        std::max(lb[static_cast<size_t>(var)], new_lb);
-    ub[static_cast<size_t>(var)] =
-        std::min(ub[static_cast<size_t>(var)], new_ub);
-  }
-  for (int v = 0; v < base.num_vars(); ++v) {
-    if (lb[static_cast<size_t>(v)] > ub[static_cast<size_t>(v)]) {
-      // Empty box; encode as an infeasible bound pair the simplex will
-      // reject via an unsatisfiable constraint.
-      lp.AddVariable(lb[static_cast<size_t>(v)], lb[static_cast<size_t>(v)],
-                     base.objective_coeff(v), base.var_name(v));
-      lp.AddConstraint({{v, 1.0}}, ConstraintSense::kLe,
-                       ub[static_cast<size_t>(v)]);
-    } else {
-      lp.AddVariable(lb[static_cast<size_t>(v)], ub[static_cast<size_t>(v)],
-                     base.objective_coeff(v), base.var_name(v));
-    }
-  }
-  for (const LpConstraint& c : base.constraints()) {
-    lp.AddConstraint(c.terms, c.sense, c.rhs);
-  }
-  return lp;
-}
-
 class Engine {
  public:
   Engine(const LinearProgram& lp, const std::vector<int>& integer_vars,
@@ -116,14 +78,7 @@ class Engine {
     const int buckets =
         std::max(1, std::min(opt_.num_threads, std::max(1, opt_.wave_width)));
     scratch_.resize(static_cast<size_t>(buckets));
-    std::unique_ptr<TaskGraphExecutor> owned;
-    TaskGraphExecutor* executor = opt_.executor;
-    if (buckets > 1 && executor == nullptr) {
-      // The Run() caller helps drain the graph, so num_threads - 1 workers
-      // plus the caller are num_threads runners.
-      owned = std::make_unique<TaskGraphExecutor>(buckets - 1);
-      executor = owned.get();
-    }
+    const EngineExecutor executor(opt_.executor, buckets);
 
     std::vector<Node> wave;
     std::vector<Outcome> outcomes;
@@ -165,7 +120,7 @@ class Engine {
             }
           });
         }
-        wave_status = graph.Run(executor, opt_.control);
+        wave_status = graph.Run(executor.get(), opt_.control);
       }
 
       // ---- Merge phase: sequential, in pop order. The only place the
@@ -210,20 +165,14 @@ class Engine {
             Node up{node.bounds, out.relax_obj, 0};
             up.bounds.emplace_back(out.branch_var, std::ceil(val), kInf);
             // Explore the branch closer to the fractional value first: it
-            // gets the smaller id (best-bound tie-break) and, in LIFO
-            // mode, the later push.
+            // gets the smaller id, the best-bound tie-break.
             bool down_first = val - std::floor(val) <= 0.5;
             Node& first = down_first ? down : up;
             Node& second = down_first ? up : down;
             first.id = next_id_++;
             second.id = next_id_++;
-            if (opt_.best_bound) {
-              Push(std::move(first));
-              Push(std::move(second));
-            } else {
-              Push(std::move(second));
-              Push(std::move(first));
-            }
+            Push(std::move(first));
+            Push(std::move(second));
             break;
           }
         }
@@ -235,15 +184,11 @@ class Engine {
  private:
   void Push(Node node) {
     open_.push_back(std::move(node));
-    if (opt_.best_bound) {
-      std::push_heap(open_.begin(), open_.end(), WorseThan{});
-    }
+    std::push_heap(open_.begin(), open_.end(), WorseThan{});
   }
 
   Node Pop() {
-    if (opt_.best_bound) {
-      std::pop_heap(open_.begin(), open_.end(), WorseThan{});
-    }
+    std::pop_heap(open_.begin(), open_.end(), WorseThan{});
     Node node = std::move(open_.back());
     open_.pop_back();
     return node;
@@ -308,25 +253,21 @@ class Engine {
       }
     }
 
-    LpSolution relax;
-    if (opt_.use_scratch_lp) {
-      LinearProgram* scratch = scratch_[static_cast<size_t>(bucket)].get();
-      if (scratch == nullptr) {
-        scratch_[static_cast<size_t>(bucket)] =
-            std::make_unique<LinearProgram>(lp_);
-        scratch = scratch_[static_cast<size_t>(bucket)].get();
-      }
-      for (const auto& [var, box] : touched) {
-        scratch->SetVarBounds(var, box.first, box.second);
-      }
-      relax = SolveLp(*scratch, simplex_);
-      for (const auto& [var, box] : touched) {
-        scratch->SetVarBounds(var, base_lb_[static_cast<size_t>(var)],
-                              base_ub_[static_cast<size_t>(var)]);
-      }
-    } else {
-      LinearProgram node_lp = WithBounds(lp_, node.bounds);
-      relax = SolveLp(node_lp, simplex_);
+    // Solve on this bucket's scratch LP: apply the node's bounds in place,
+    // solve, undo — no per-node copy of variables or constraints.
+    LinearProgram* scratch = scratch_[static_cast<size_t>(bucket)].get();
+    if (scratch == nullptr) {
+      scratch_[static_cast<size_t>(bucket)] =
+          std::make_unique<LinearProgram>(lp_);
+      scratch = scratch_[static_cast<size_t>(bucket)].get();
+    }
+    for (const auto& [var, box] : touched) {
+      scratch->SetVarBounds(var, box.first, box.second);
+    }
+    LpSolution relax = SolveLp(*scratch, simplex_);
+    for (const auto& [var, box] : touched) {
+      scratch->SetVarBounds(var, base_lb_[static_cast<size_t>(var)],
+                            base_ub_[static_cast<size_t>(var)]);
     }
     out->lp_solved = true;
     if (relax.status.code() == StatusCode::kInfeasible) return;
@@ -337,9 +278,9 @@ class Engine {
     }
     if (relax.objective >= frozen_best - opt_.obj_eps) return;
 
-    // Branching variable: most fractional, optionally weighted by the
-    // objective coefficient (fixing an expensive variable moves the child
-    // bounds furthest). Deterministic: first maximum in variable order.
+    // Branching variable: fractionality weighted by the objective
+    // coefficient (fixing an expensive variable moves the child bounds
+    // furthest). Deterministic: first maximum in variable order.
     int branch_var = -1;
     double best_score = -1.0;
     for (int v : ivars_) {
@@ -347,10 +288,8 @@ class Engine {
       double frac = value - std::floor(value);
       double dist = std::min(frac, 1.0 - frac);
       if (dist <= opt_.int_tol) continue;
-      double score = dist;
-      if (opt_.cost_branching) {
-        score *= std::max(std::abs(lp_.objective_coeff(v)), 1e-3);
-      }
+      const double score =
+          dist * std::max(std::abs(lp_.objective_coeff(v)), 1e-3);
       if (score > best_score) {
         best_score = score;
         branch_var = v;
@@ -405,7 +344,7 @@ class Engine {
 
   std::vector<double> base_lb_, base_ub_;
   std::vector<std::unique_ptr<LinearProgram>> scratch_;  // one per bucket
-  std::vector<Node> open_;  // heap (best_bound) or LIFO stack
+  std::vector<Node> open_;  // best-bound heap
   int64_t next_id_ = 0;
   double best_obj_ = kInf;
   BnbResult result_;

@@ -6,12 +6,11 @@
 //
 // The engine is a deterministic *wave* search (docs/optimizer.md):
 //
-//   * Open nodes live in a best-bound priority queue (LIFO depth-first
-//     order behind best_bound=false, the historical traversal). Each round
-//     pops up to wave_width nodes, resolves their relaxations — oracle
-//     fathoming first, then the simplex — and only then merges the
-//     outcomes back sequentially in pop order: incumbent updates, pruning,
-//     child creation.
+//   * Open nodes live in a best-bound priority queue. Each round pops up
+//     to wave_width nodes, resolves their relaxations — oracle fathoming
+//     first, then the simplex — and only then merges the outcomes back
+//     sequentially in pop order: incumbent updates, pruning, child
+//     creation.
 //   * The wave's composition and every per-node decision depend only on
 //     state fixed at the start of the wave (the open queue and the
 //     incumbent), never on which worker resolved a node first — so
@@ -20,9 +19,10 @@
 //     any thread count, including 1.
 //   * Node relaxations are solved on a per-worker scratch LinearProgram:
 //     the node's path bounds are applied in place and undone after the
-//     solve, so no variables or constraints are ever copied per node. The
-//     historical rebuild-the-LP path is kept behind use_scratch_lp=false
-//     for the A/B bench row.
+//     solve, so no variables or constraints are ever copied per node.
+//   * Branching picks the fractional variable with the largest
+//     objective-coefficient × fractionality score, which drives the child
+//     bounds apart fastest on weighted covering LPs.
 //   * A warm-start objective (from any feasible solution the caller
 //     already has) prunes from the first node; an oracle hook lets domain
 //     layers fathom or even resolve whole subtrees without touching the
@@ -75,18 +75,6 @@ struct BnbOptions {
   double int_tol = 1e-6;      ///< integrality tolerance
   double obj_eps = 1e-7;      ///< pruning slack
 
-  /// Solve node relaxations on a reusable scratch LP with in-place bound
-  /// deltas (apply / solve / undo). false = rebuild a full copy of the LP
-  /// per node, the historical path kept for the A/B bench row.
-  bool use_scratch_lp = true;
-  /// Pop the open node with the smallest parent relaxation bound first;
-  /// false = LIFO depth-first, the historical order.
-  bool best_bound = true;
-  /// Branch on the fractional variable with the largest
-  /// objective-coefficient × fractionality score (drives the child bounds
-  /// apart fastest on weighted covering LPs); false = most-fractional,
-  /// the historical rule.
-  bool cost_branching = true;
   /// Nodes resolved per wave. Fixed independently of num_threads so the
   /// search tree — and therefore BnbResult — is a function of the options
   /// alone, never of the worker count.

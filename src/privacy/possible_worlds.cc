@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <limits>
 #include <mutex>
 #include <numeric>
@@ -10,7 +11,6 @@
 #include "common/combinatorics.h"
 #include "common/interner.h"
 #include "common/task_graph.h"
-#include "common/thread_pool.h"
 #include "privacy/feasible_sets.h"
 #include "workflow/execution_supplier.h"
 
@@ -30,6 +30,29 @@ std::vector<int> VisiblePositions(const std::vector<AttrId>& attrs,
     }
   }
   return pos;
+}
+
+// Runs fn(shard, begin, end) over the non-empty TaskRanges of `shards`
+// partitioning [0, total), as the independent tasks of one graph on
+// `shared` or a private executor of `shards` runners. The world walks
+// shard slot 0's feasible codes this way; each shard writes only its own
+// partial, merged by the caller. A single shard is a plain call: batch
+// ground truth runs one sequential walk per request, and a graph per walk
+// would be pure overhead there.
+void RunRanges(TaskGraphExecutor* shared, int64_t total, int shards,
+               const std::function<void(int, int64_t, int64_t)>& fn) {
+  if (shards <= 1) {
+    fn(0, 0, total);
+    return;
+  }
+  TaskGraph graph;
+  for (int s = 0; s < shards; ++s) {
+    const auto [begin, end] = TaskRange(total, shards, s);
+    if (begin >= end) break;
+    graph.Add([&fn, s, begin = begin, end = end] { fn(s, begin, end); });
+  }
+  const EngineExecutor executor(shared, shards);
+  (void)graph.Run(executor.get());
 }
 
 // ----------------------------------------------------------------------------
@@ -336,23 +359,18 @@ StandaloneWorlds EnumerateStandaloneWorlds(RowSupplier* rows,
 
   // Shard the walk over slot 0's feasible codes.
   const int64_t slot0 = static_cast<int64_t>(inst.codes[0].size());
-  int threads = ThreadPool::Resolve(opts.num_threads);
+  int threads = ResolveThreads(opts.num_threads);
   if (result.pruned_candidates <= opts.min_parallel_candidates) threads = 1;
   const int shards = static_cast<int>(std::min<int64_t>(threads, slot0));
 
   SeenUnion seen_union(inst, opts.gamma);
   std::atomic<bool> stop(false);
   std::vector<ShardResult> partials(static_cast<size_t>(shards));
-  if (shards <= 1) {
-    WalkShard(inst, 0, slot0, &seen_union, &stop, control, &partials[0]);
-  } else {
-    ThreadPool pool(shards);
-    pool.ShardedFor(slot0, shards,
-                    [&](int shard, int64_t begin, int64_t end) {
-                      WalkShard(inst, begin, end, &seen_union, &stop, control,
-                                &partials[static_cast<size_t>(shard)]);
-                    });
-  }
+  RunRanges(/*shared=*/nullptr, slot0, shards,
+            [&](int shard, int64_t begin, int64_t end) {
+              WalkShard(inst, begin, end, &seen_union, &stop, control,
+                        &partials[static_cast<size_t>(shard)]);
+            });
   for (const ShardResult& p : partials) result.num_worlds += p.num_worlds;
   result.early_stopped = stop.load();
   if (control != nullptr) result.status = control->Check();
@@ -560,9 +578,9 @@ std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
       return t;
     }
   }
-  // The fills, shared verbatim by both modes. The execution plan sweeps the
-  // module's domain in the same odometer order / little-endian output
-  // encoding original_fn needs, so one sweep serves both tables.
+  // The two per-module fills. The execution plan sweeps the module's
+  // domain in the same odometer order / little-endian output encoding
+  // original_fn needs, so one sweep serves both tables.
   auto fill_fn = [&, plan](int i) {
     const size_t si = static_cast<size_t>(i);
     ExecutionSupplier::TabulateModule(plan.get(), i);
@@ -641,7 +659,7 @@ std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
   }
 
   const int64_t chunk = std::max<int64_t>(1, opts.chunk_executions);
-  int threads = ThreadPool::Resolve(opts.num_threads);
+  const int threads = ResolveThreads(opts.num_threads);
   const int shards = static_cast<int>(
       std::min<int64_t>(threads, std::max<int64_t>(1, execs / chunk)));
   std::vector<std::vector<std::set<int32_t>>> shard_codes(
@@ -678,50 +696,28 @@ std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
       }
     }
   };
-  if (!opts.use_task_graph || threads <= 1) {
-    // Barrier mode: sweep every module, decode every output table, then
-    // scan — three strictly ordered phases.
-    for (int i = 0; i < n; ++i) {
-      fill_fn(i);
-      fill_out_values(i);
-    }
-    if (shards <= 1) {
-      scan(0, 0, execs);
-    } else {
-      ThreadPool pool(shards);
-      pool.ShardedFor(execs, shards, scan);
-    }
-  } else {
-    // Task-graph mode: per-module sweeps run as independent tasks, the
-    // scan shards depend only on the sweeps (which the streamed supplier
-    // reads), and the output-decode tables overlap the scan. Tables are
-    // identical to the barrier mode's — only the schedule changes.
-    TaskGraph graph;
-    std::vector<TaskGraph::TaskId> fn_tasks;
-    fn_tasks.reserve(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      const TaskGraph::TaskId fi = graph.Add([&fill_fn, i] { fill_fn(i); });
-      fn_tasks.push_back(fi);
-      graph.Add([&fill_out_values, i] { fill_out_values(i); }, {fi});
-    }
-    const int64_t shard_chunk = (execs + shards - 1) / shards;
-    for (int s = 0; s < shards; ++s) {
-      const int64_t begin = static_cast<int64_t>(s) * shard_chunk;
-      const int64_t end = std::min<int64_t>(execs, begin + shard_chunk);
-      if (begin >= end) break;
-      graph.Add([&scan, s, begin, end] { scan(s, begin, end); }, fn_tasks);
-    }
-    std::unique_ptr<TaskGraphExecutor> local_executor;
-    TaskGraphExecutor* executor = opts.executor;
-    if (executor == nullptr) {
-      // threads-1 workers: the calling thread helps, so `threads` run.
-      local_executor = std::make_unique<TaskGraphExecutor>(threads - 1);
-      executor = local_executor.get();
-    }
-    Status run = graph.Run(executor, control);
-    if (control == nullptr) {
-      PV_CHECK_MSG(run.ok(), "table build failed: " << run.message());
-    }
+  // Per-module sweeps run as independent tasks, the scan shards depend
+  // only on the sweeps (which the streamed supplier reads), and the
+  // output-decode tables overlap the scan. One thread runs the same graph
+  // inline.
+  TaskGraph graph;
+  std::vector<TaskGraph::TaskId> fn_tasks;
+  fn_tasks.reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const TaskGraph::TaskId fi = graph.Add([&fill_fn, i] { fill_fn(i); });
+    fn_tasks.push_back(fi);
+    graph.Add([&fill_out_values, i] { fill_out_values(i); }, {fi});
+  }
+  for (int s = 0; s < shards; ++s) {
+    const auto [begin, end] = TaskRange(execs, shards, s);
+    if (begin >= end) break;
+    graph.Add([&scan, s, begin = begin, end = end] { scan(s, begin, end); },
+              fn_tasks);
+  }
+  const EngineExecutor executor(opts.executor, threads);
+  Status run = graph.Run(executor.get(), control);
+  if (control == nullptr) {
+    PV_CHECK_MSG(run.ok(), "table build failed: " << run.message());
   }
   if (control != nullptr) {
     t->status = control->Check();
@@ -1505,7 +1501,7 @@ WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
       inst.slots.empty()
           ? 1
           : static_cast<int64_t>(inst.slots[0].codes->size());
-  int threads = ThreadPool::Resolve(opts.num_threads);
+  int threads = ResolveThreads(opts.num_threads);
   if (result.pruned_candidates <= opts.min_parallel_candidates) threads = 1;
   const int shards = static_cast<int>(std::min<int64_t>(threads, slot0));
 
@@ -1525,17 +1521,11 @@ WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
     result.status = control->Check();
     return result;
   }
-  if (shards <= 1) {
-    WfWalkShard(inst, 0, slot0, &seen_union, &stop, control, &partials[0]);
-  } else {
-    ThreadPool pool(shards);
-    pool.ShardedFor(slot0, shards,
-                    [&](int shard, int64_t begin, int64_t end) {
-                      WfWalkShard(inst, begin, end, &seen_union, &stop,
-                                  control,
-                                  &partials[static_cast<size_t>(shard)]);
-                    });
-  }
+  RunRanges(opts.executor, slot0, shards,
+            [&](int shard, int64_t begin, int64_t end) {
+              WfWalkShard(inst, begin, end, &seen_union, &stop, control,
+                          &partials[static_cast<size_t>(shard)]);
+            });
   if (control != nullptr) {
     control->Release(walk_bytes);
     result.status = control->Check();

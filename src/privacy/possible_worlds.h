@@ -12,7 +12,7 @@
 // from |Range|^N to ∏_i |feasible_i|), maintains the projected multiset
 // incrementally as the odometer advances one digit at a time, optionally
 // short-circuits once every input's OUT set has reached Γ, and can shard the
-// walk over the first slot's feasible codes on a thread pool. Both compute
+// walk over the first slot's feasible codes as TaskGraph tasks. Both compute
 // byte-identical num_worlds / out_sets on full runs.
 #ifndef PROVVIEW_PRIVACY_POSSIBLE_WORLDS_H_
 #define PROVVIEW_PRIVACY_POSSIBLE_WORLDS_H_
@@ -46,8 +46,8 @@ struct EnumerationOptions {
   /// results are merged by commutative sums/unions, so the outcome is
   /// deterministic regardless of thread count.
   int num_threads = 1;
-  /// Pruned spaces at or below this size always run sequentially (the pool
-  /// overhead would dominate).
+  /// Pruned spaces at or below this size always run sequentially (the
+  /// executor overhead would dominate).
   int64_t min_parallel_candidates = 4096;
   /// Optional deadline/cancellation/memory-budget token (service mode).
   /// When set, the walk polls it at chunk boundaries and a tripped control
@@ -156,12 +156,12 @@ struct WorkflowWorlds {
 };
 
 /// Tuning knobs of the optimized workflow enumerator. The shared execution
-/// knobs (num_threads, control, ...) come from the embedded EngineConfig.
-/// Sharded enumeration splits the first walked slot's feasible codes;
-/// results merge by commutative sums/unions, so the outcome is
-/// deterministic regardless of thread count. The enumeration walk has no
-/// task-graph mode yet — use_task_graph / executor / materialize_threshold
-/// are accepted (one config can drive a whole pipeline) but ignored here.
+/// knobs (num_threads, executor, control) come from the embedded
+/// EngineConfig; materialize_threshold is accepted (one config can drive a
+/// whole pipeline) but unused here. Sharded enumeration splits the first
+/// walked slot's feasible codes into contiguous ranges, run as TaskGraph
+/// tasks; results merge by commutative sums/unions, so the outcome is
+/// deterministic regardless of thread count.
 struct WorkflowEnumerationOptions : EngineConfig {
   /// Abort if the (pruned) walked joint space exceeds this.
   int64_t max_candidates = 40000000;
@@ -243,12 +243,11 @@ struct WorkflowTables {
 /// Knobs of the workflow-tables build. The shared execution knobs come
 /// from the embedded EngineConfig: num_threads shards the streamed scan
 /// (each shard owns its own ExecutionSupplier over a contiguous execution
-/// range; per-shard aggregates merge deterministically); use_task_graph
-/// runs the build on the dependency-aware executor — the per-module
-/// function sweeps and output-decode tables become independent tasks and
-/// the scan shards start the moment the sweeps settle, identical tables
-/// either way (engaged only when the resolved num_threads > 1);
-/// materialize_threshold bounds the execution logs that keep per-execution
+/// range; per-shard aggregates merge deterministically). The build is one
+/// TaskGraph — the per-module function sweeps and output-decode tables are
+/// independent tasks and the scan shards start the moment the sweeps
+/// settle — run inline at one resolved thread, else on `executor` or a
+/// private executor; materialize_threshold bounds the execution logs that keep per-execution
 /// arrays (required by world enumeration) — larger spaces stream the log
 /// and keep aggregates only; `control`'s memory budget is charged before
 /// the per-execution arrays allocate, a trip surfacing as
@@ -263,7 +262,7 @@ struct WorkflowTablesOptions : EngineConfig {
 
 /// Precomputes the shared tables, streaming the execution log from the
 /// initial-input odometer in chunk-sized blocks (one pass, optionally
-/// sharded over a thread pool).
+/// sharded into TaskGraph tasks).
 std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
     const Workflow& workflow, const WorkflowTablesOptions& opts);
 
@@ -287,7 +286,7 @@ std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
 /// changing any relation). The covered-target multiset is maintained
 /// incrementally across odometer steps, the Γ short-circuit can stop the
 /// walk early, and the walk is sharded over the first walked slot's
-/// feasible codes on a thread pool. Byte-identical results to
+/// feasible codes as TaskGraph tasks. Byte-identical results to
 /// EnumerateWorkflowWorldsNaive on full runs.
 WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
                                        const Bitset64& visible,

@@ -8,7 +8,6 @@
 
 #include "common/combinatorics.h"
 #include "common/task_graph.h"
-#include "common/thread_pool.h"
 #include "privacy/standalone_privacy.h"
 
 namespace provview {
@@ -57,15 +56,6 @@ int LatticeTaskCount(int64_t total, int threads, int64_t min_parallel) {
                 total}));
 }
 
-// Contiguous [begin, end) rank ranges, ceil-divided like
-// ThreadPool::ShardedFor so the two modes cut levels identically.
-std::pair<int64_t, int64_t> TaskRange(int64_t total, int tasks, int index) {
-  const int64_t chunk = (total + tasks - 1) / tasks;
-  const int64_t begin = std::min<int64_t>(total, chunk * index);
-  const int64_t end = std::min<int64_t>(total, begin + chunk);
-  return {begin, end};
-}
-
 // The explicit materialize_threshold parameter of the Module convenience
 // overloads wins when the caller moved it off the default; otherwise the
 // EngineConfig field applies.
@@ -88,7 +78,7 @@ std::vector<Bitset64> MinimalSafeHiddenSets(SafetyMemo* memo,
   PV_CHECK_MSG(k <= kMaxSubsetSearchAttrs,
                "subset search limited to k <= " << kMaxSubsetSearchAttrs
                                                 << ", got " << k);
-  const int threads = ThreadPool::Resolve(opts.num_threads);
+  const int threads = ResolveThreads(opts.num_threads);
   const ExecControl* control = opts.control;
 
   std::vector<Bitset64> minimal;
@@ -98,9 +88,8 @@ std::vector<Bitset64> MinimalSafeHiddenSets(SafetyMemo* memo,
   // minimal sets of the completed levels (same-size sets are incomparable,
   // so the in-flight level never has to see its own discoveries), then
   // safety-tested through a memo.
-  auto visit = [&](const Bitset64& combo, SafetyMemo* m, SafeSearchStats* s,
-                   std::vector<Bitset64>* safe) {
-    ++s->subsets_examined;
+  auto visit = [&](const Bitset64& combo, std::vector<Bitset64>* safe) {
+    ++stats->subsets_examined;
     Bitset64 hidden(universe);
     for (int local : combo.ToVector()) {
       hidden.Set(attrs[static_cast<size_t>(local)]);
@@ -108,10 +97,10 @@ std::vector<Bitset64> MinimalSafeHiddenSets(SafetyMemo* memo,
     for (const Bitset64& mset : minimal) {
       if (mset.IsSubsetOf(hidden)) return;  // safe but not minimal (Prop. 1)
     }
-    if (m->IsSafe(hidden, gamma, s)) safe->push_back(hidden);
+    if (memo->IsSafe(hidden, gamma, stats)) safe->push_back(hidden);
   };
 
-  // Fully sequential walk — the reference semantics every parallel mode
+  // Fully sequential walk — the reference semantics the task-graph walk
   // must match byte-for-byte, and the resolved-1-thread fast path: no
   // shard bookkeeping, no memo overlays, no executor.
   if (threads <= 1) {
@@ -120,7 +109,7 @@ std::vector<Bitset64> MinimalSafeHiddenSets(SafetyMemo* memo,
       std::vector<Bitset64> safe;
       ForEachSubsetOfSizeRangeWhile(k, size, 0, total,
                                     [&](const Bitset64& combo) {
-                                      visit(combo, memo, stats, &safe);
+                                      visit(combo, &safe);
                                       return control == nullptr ||
                                              !control->Expired();
                                     });
@@ -133,196 +122,113 @@ std::vector<Bitset64> MinimalSafeHiddenSets(SafetyMemo* memo,
     return minimal;
   }
 
-  if (opts.use_task_graph) {
-    // Task-graph walk. Per level: `prep` folds the previous level's staged
-    // results into the shared memo and `minimal`, then rank-range shard
-    // tasks walk their slice on O(1) overlays of the (now frozen) memo,
-    // each releasing an absorb task the moment it finishes. The absorb
-    // chain runs in rank order, replaying shard lookup logs into a staging
-    // overlay while later shards still compute — the barrier the fork-join
-    // path pays per level becomes a pipeline. Discoveries concatenate in
-    // rank order and log replay reproduces sequential accounting, so
-    // results, their order, and SafeSearchStats are all byte-identical to
-    // the sequential walk at any thread count.
-    TaskGraphExecutor* executor = opts.executor;
-    std::unique_ptr<TaskGraphExecutor> local_executor;
-    if (executor == nullptr) {
-      // The caller helps, so threads runners total — parity with the
-      // barrier path's pool of `threads` workers (whose caller blocks).
-      local_executor = std::make_unique<TaskGraphExecutor>(threads - 1);
-      executor = local_executor.get();
-    }
+  // Task-graph walk. Every level is an antichain, so its contiguous rank
+  // ranges are independent given the completed levels. Per level: `prep`
+  // folds the previous level's staged results into the shared memo and
+  // `minimal`, then rank-range shard tasks walk their slice on O(1)
+  // overlays of the (now frozen) memo, each releasing an absorb task the
+  // moment it finishes. The absorb chain runs in rank order, replaying
+  // shard lookup logs into a staging overlay while later shards still
+  // compute, so levels pipeline instead of meeting at a barrier.
+  // Discoveries concatenate in rank order and log replay reproduces
+  // sequential accounting, so results, their order, and SafeSearchStats
+  // are all byte-identical to the sequential walk at any thread count.
+  const EngineExecutor executor(opts.executor, threads);
 
-    struct Shard {
-      std::unique_ptr<SafetyMemo> memo;  // overlay, frozen base
-      SafetyMemo::LookupLog log;
-      std::vector<Bitset64> safe;
-      int64_t examined = 0;
-      int64_t begin = 0;
-      int64_t end = 0;
-    };
-    struct Level {
-      int64_t total = 0;
-      std::unique_ptr<SafetyMemo> staging;  // absorb target, overlay of memo
-      std::vector<Shard> shards;
-      std::vector<Bitset64> discoveries;  // rank-order concatenation
-    };
-    std::vector<Level> levels(static_cast<size_t>(k) + 1);
+  struct Shard {
+    std::unique_ptr<SafetyMemo> memo;  // overlay, frozen base
+    SafetyMemo::LookupLog log;
+    std::vector<Bitset64> safe;
+    int64_t examined = 0;
+    int64_t begin = 0;
+    int64_t end = 0;
+  };
+  struct Level {
+    int64_t total = 0;
+    std::unique_ptr<SafetyMemo> staging;  // absorb target, overlay of memo
+    std::vector<Shard> shards;
+    std::vector<Bitset64> discoveries;  // rank-order concatenation
+  };
+  std::vector<Level> levels(static_cast<size_t>(k) + 1);
 
-    TaskGraph graph;
-    TaskGraph::TaskId chain = -1;  // last absorb of the previous level
-    for (int size = 0; size <= k; ++size) {
-      Level* level = &levels[static_cast<size_t>(size)];
-      level->total = BinomialCoefficient(k, size);
-      const int tasks =
-          LatticeTaskCount(level->total, threads, opts.min_parallel_subsets);
-      level->shards.resize(static_cast<size_t>(tasks));
-      for (int s = 0; s < tasks; ++s) {
-        const auto [begin, end] = TaskRange(level->total, tasks, s);
-        level->shards[static_cast<size_t>(s)].begin = begin;
-        level->shards[static_cast<size_t>(s)].end = end;
-      }
-      Level* prev = size > 0 ? &levels[static_cast<size_t>(size) - 1] : nullptr;
-      const TaskGraph::TaskId prep = graph.Add(
-          [&, level, prev] {
-            if (prev != nullptr) {
-              memo->Absorb(*prev->staging);
-              minimal.insert(minimal.end(), prev->discoveries.begin(),
-                             prev->discoveries.end());
-            }
-            level->staging = memo->NewOverlay();
-            for (Shard& sh : level->shards) sh.memo = memo->NewOverlay();
-          },
-          chain >= 0 ? std::vector<TaskGraph::TaskId>{chain}
-                     : std::vector<TaskGraph::TaskId>{});
-      chain = prep;
-      for (int s = 0; s < tasks; ++s) {
-        Shard* sh = &level->shards[static_cast<size_t>(s)];
-        const TaskGraph::TaskId work = graph.Add(
-            [&, sh, size] {
-              ForEachSubsetOfSizeRangeWhile(
-                  k, size, sh->begin, sh->end, [&](const Bitset64& combo) {
-                    ++sh->examined;
-                    Bitset64 hidden(universe);
-                    for (int local : combo.ToVector()) {
-                      hidden.Set(attrs[static_cast<size_t>(local)]);
-                    }
-                    bool dominated = false;
-                    for (const Bitset64& mset : minimal) {
-                      if (mset.IsSubsetOf(hidden)) {
-                        dominated = true;
-                        break;
-                      }
-                    }
-                    if (!dominated &&
-                        sh->memo->IsSafe(hidden, gamma, nullptr, &sh->log)) {
-                      sh->safe.push_back(hidden);
-                    }
-                    return control == nullptr || !control->Expired();
-                  });
-            },
-            {prep});
-        chain = graph.Add(
-            [&, sh, level] {
-              stats->subsets_examined += sh->examined;
-              level->staging->AbsorbLog(sh->log, stats);
-              level->discoveries.insert(level->discoveries.end(),
-                                        sh->safe.begin(), sh->safe.end());
-              sh->memo.reset();  // drop shard scratch as the chain advances
-              sh->log = SafetyMemo::LookupLog{};
-            },
-            {work, chain});
-      }
-    }
-    graph.Add(
-        [&] {
-          Level* last = &levels[static_cast<size_t>(k)];
-          memo->Absorb(*last->staging);
-          minimal.insert(minimal.end(), last->discoveries.begin(),
-                         last->discoveries.end());
-        },
-        {chain});
-    // A tripped control skips all remaining bodies, so fold tasks stop
-    // merging at the first incomplete level: `minimal` holds exactly the
-    // completed levels, same contract as the walks above. The Status comes
-    // out of control->Check(); discard it here like the barrier path does.
-    (void)graph.Run(executor, control);
-    return minimal;
-  }
-
-  // Historical barrier fork-join walk (use_task_graph = false), kept for
-  // A/B equivalence and bench races. Enumerates by increasing cardinality;
-  // every level is an antichain, so its contiguous rank shards are
-  // independent given the completed levels. Shards work on O(1) overlays
-  // of the level-start memo with lookup logs (the retired Clone() path
-  // copied whole caches per shard per level); the level barrier replays
-  // the logs in shard (= lexicographic) order, so discoveries, their
-  // order, and SafeSearchStats are byte-identical to the sequential walk.
-  std::unique_ptr<ThreadPool> pool;
+  TaskGraph graph;
+  TaskGraph::TaskId chain = -1;  // last absorb of the previous level
   for (int size = 0; size <= k; ++size) {
-    const int64_t total = BinomialCoefficient(k, size);
-    const int shards = static_cast<int>(std::min<int64_t>(
-        total <= opts.min_parallel_subsets ? 1 : threads, total));
-    if (shards <= 1) {
-      std::vector<Bitset64> safe;
-      ForEachSubsetOfSizeRangeWhile(k, size, 0, total,
-                                    [&](const Bitset64& combo) {
-                                      visit(combo, memo, stats, &safe);
-                                      return control == nullptr ||
-                                             !control->Expired();
-                                    });
-      if (control != nullptr && control->ExpiredNow()) return minimal;
-      minimal.insert(minimal.end(), safe.begin(), safe.end());
-      continue;
+    Level* level = &levels[static_cast<size_t>(size)];
+    level->total = BinomialCoefficient(k, size);
+    const int tasks =
+        LatticeTaskCount(level->total, threads, opts.min_parallel_subsets);
+    level->shards.resize(static_cast<size_t>(tasks));
+    for (int s = 0; s < tasks; ++s) {
+      const auto [begin, end] = TaskRange(level->total, tasks, s);
+      level->shards[static_cast<size_t>(s)].begin = begin;
+      level->shards[static_cast<size_t>(s)].end = end;
     }
-    struct ShardOut {
-      std::unique_ptr<SafetyMemo> memo;  // overlay, frozen base
-      SafetyMemo::LookupLog log;
-      std::vector<Bitset64> safe;
-      int64_t examined = 0;
-    };
-    std::vector<ShardOut> outs(static_cast<size_t>(shards));
-    for (ShardOut& o : outs) o.memo = memo->NewOverlay();
-    if (pool == nullptr) pool = std::make_unique<ThreadPool>(threads);
-    pool->ShardedFor(
-        total, shards, [&](int shard, int64_t begin, int64_t end) {
-          ShardOut& o = outs[static_cast<size_t>(shard)];
-          ForEachSubsetOfSizeRangeWhile(
-              k, size, begin, end, [&](const Bitset64& combo) {
-                ++o.examined;
-                Bitset64 hidden(universe);
-                for (int local : combo.ToVector()) {
-                  hidden.Set(attrs[static_cast<size_t>(local)]);
-                }
-                bool dominated = false;
-                for (const Bitset64& mset : minimal) {
-                  if (mset.IsSubsetOf(hidden)) {
-                    dominated = true;
-                    break;
+    Level* prev = size > 0 ? &levels[static_cast<size_t>(size) - 1] : nullptr;
+    const TaskGraph::TaskId prep = graph.Add(
+        [&, level, prev] {
+          if (prev != nullptr) {
+            memo->Absorb(*prev->staging);
+            minimal.insert(minimal.end(), prev->discoveries.begin(),
+                           prev->discoveries.end());
+          }
+          level->staging = memo->NewOverlay();
+          for (Shard& sh : level->shards) sh.memo = memo->NewOverlay();
+        },
+        chain >= 0 ? std::vector<TaskGraph::TaskId>{chain}
+                   : std::vector<TaskGraph::TaskId>{});
+    chain = prep;
+    for (int s = 0; s < tasks; ++s) {
+      Shard* sh = &level->shards[static_cast<size_t>(s)];
+      const TaskGraph::TaskId work = graph.Add(
+          [&, sh, size] {
+            ForEachSubsetOfSizeRangeWhile(
+                k, size, sh->begin, sh->end, [&](const Bitset64& combo) {
+                  ++sh->examined;
+                  Bitset64 hidden(universe);
+                  for (int local : combo.ToVector()) {
+                    hidden.Set(attrs[static_cast<size_t>(local)]);
                   }
-                }
-                if (!dominated &&
-                    o.memo->IsSafe(hidden, gamma, nullptr, &o.log)) {
-                  o.safe.push_back(hidden);
-                }
-                return control == nullptr || !control->Expired();
-              });
-        });
-    // Level barrier: replay shard logs into the memo in shard order —
-    // sequential-exact accounting. Settled verdicts are still absorbed on
-    // a tripped level (they are correct and reusable), but its incomplete
-    // discoveries are dropped — see the sequential branch above.
-    const bool level_tripped =
-        control != nullptr && control->ExpiredNow();
-    for (ShardOut& o : outs) {
-      stats->subsets_examined += o.examined;
-      memo->AbsorbLog(o.log, stats);
-      if (!level_tripped) {
-        minimal.insert(minimal.end(), o.safe.begin(), o.safe.end());
-      }
+                  bool dominated = false;
+                  for (const Bitset64& mset : minimal) {
+                    if (mset.IsSubsetOf(hidden)) {
+                      dominated = true;
+                      break;
+                    }
+                  }
+                  if (!dominated &&
+                      sh->memo->IsSafe(hidden, gamma, nullptr, &sh->log)) {
+                    sh->safe.push_back(hidden);
+                  }
+                  return control == nullptr || !control->Expired();
+                });
+          },
+          {prep});
+      chain = graph.Add(
+          [&, sh, level] {
+            stats->subsets_examined += sh->examined;
+            level->staging->AbsorbLog(sh->log, stats);
+            level->discoveries.insert(level->discoveries.end(),
+                                      sh->safe.begin(), sh->safe.end());
+            sh->memo.reset();  // drop shard scratch as the chain advances
+            sh->log = SafetyMemo::LookupLog{};
+          },
+          {work, chain});
     }
-    if (level_tripped) return minimal;
   }
+  graph.Add(
+      [&] {
+        Level* last = &levels[static_cast<size_t>(k)];
+        memo->Absorb(*last->staging);
+        minimal.insert(minimal.end(), last->discoveries.begin(),
+                       last->discoveries.end());
+      },
+      {chain});
+  // A tripped control skips all remaining bodies, so fold tasks stop
+  // merging at the first incomplete level: `minimal` holds exactly the
+  // completed levels, same contract as the sequential walk. The Status
+  // comes out of control->Check(); the caller reads it there.
+  (void)graph.Run(executor.get(), control);
   return minimal;
 }
 
@@ -412,7 +318,7 @@ std::vector<CardinalityPair> MinimalSafeCardinalityPairs(
   // outputs is safe. Identical to the sequential evaluation's fixpoint for
   // the cell (an early unsafe subset just short-circuits the AND sooner).
   // With a non-null `log` the lookups are recorded instead of counted —
-  // the task-graph mode's replay-exact accounting.
+  // the parallel path's replay-exact accounting.
   auto cell_safe = [&](int a, int b, SafetyMemo* m, SafeSearchStats* s,
                        SafetyMemo::LookupLog* log, int64_t* examined) {
     bool all_safe = true;
@@ -444,9 +350,9 @@ std::vector<CardinalityPair> MinimalSafeCardinalityPairs(
   };
 
   // safe_all[a][b]: every cell verdict is independent given a verdict
-  // cache, so cells shard (row-major ranges) across either parallel mode;
-  // the grid — and the frontier below — is identical to the sequential
-  // walk for every thread count.
+  // cache, so cells shard into row-major ranges; the grid — and the
+  // frontier below — is identical to the sequential walk for every thread
+  // count.
   SafeSearchStats local_stats;
   // One byte per cell (not vector<bool>: shards write adjacent cells, and
   // distinct bytes are distinct memory locations while bits are not).
@@ -457,7 +363,7 @@ std::vector<CardinalityPair> MinimalSafeCardinalityPairs(
            static_cast<size_t>(b);
   };
   const int64_t lattice = int64_t{1} << (ni + no);
-  const int threads = ThreadPool::Resolve(opts.num_threads);
+  const int threads = ResolveThreads(opts.num_threads);
   const bool parallel =
       threads > 1 && lattice > opts.min_parallel_subsets && cells > 1;
   if (!parallel) {
@@ -471,7 +377,7 @@ std::vector<CardinalityPair> MinimalSafeCardinalityPairs(
                 : 0;
       }
     }
-  } else if (opts.use_task_graph) {
+  } else {
     // Cell-range tasks on overlays of the frozen memo; the absorb chain
     // replays lookup logs in range (= row-major) order into a staging
     // overlay, folded into the memo by the final task. Same grid, same
@@ -515,42 +421,8 @@ std::vector<CardinalityPair> MinimalSafeCardinalityPairs(
                      : std::vector<TaskGraph::TaskId>{work});
     }
     graph.Add([&] { memo->Absorb(*staging); }, {chain});
-    TaskGraphExecutor* executor = opts.executor;
-    std::unique_ptr<TaskGraphExecutor> local_executor;
-    if (executor == nullptr) {
-      local_executor = std::make_unique<TaskGraphExecutor>(threads - 1);
-      executor = local_executor.get();
-    }
-    (void)graph.Run(executor, control);
-  } else {
-    // Barrier mode: cell-range shards on overlays of the frozen memo; the
-    // barrier replays the lookup logs in shard (= row-major) order — same
-    // grid, same sequential-exact stats as the task-graph schedule.
-    const int shards = static_cast<int>(std::min<int64_t>(threads, cells));
-    struct ShardOut {
-      std::unique_ptr<SafetyMemo> memo;  // overlay, frozen base
-      SafetyMemo::LookupLog log;
-      int64_t examined = 0;
-    };
-    std::vector<ShardOut> outs(static_cast<size_t>(shards));
-    for (ShardOut& o : outs) o.memo = memo->NewOverlay();
-    ThreadPool pool(shards);
-    pool.ShardedFor(cells, shards, [&](int shard, int64_t begin, int64_t end) {
-      ShardOut& o = outs[static_cast<size_t>(shard)];
-      for (int64_t cell = begin; cell < end; ++cell) {
-        if (control != nullptr && control->ExpiredNow()) return;
-        const int a = static_cast<int>(cell / (no + 1));
-        const int b = static_cast<int>(cell % (no + 1));
-        safe_all[cell_at(a, b)] =
-            cell_safe(a, b, o.memo.get(), nullptr, &o.log, &o.examined)
-                ? 1
-                : 0;
-      }
-    });
-    for (ShardOut& o : outs) {
-      local_stats.subsets_examined += o.examined;
-      memo->AbsorbLog(o.log, &local_stats);
-    }
+    const EngineExecutor executor(opts.executor, threads);
+    (void)graph.Run(executor.get(), control);
   }
   if (stats != nullptr) stats->Accumulate(local_stats);
 

@@ -22,9 +22,8 @@ namespace provview {
 class TaskGraphExecutor;
 
 /// Knobs of the subset-lattice searches. The shared execution knobs
-/// (num_threads, use_task_graph, executor, control, materialize_threshold)
-/// come from the embedded EngineConfig; the historical field names keep
-/// working as inherited aliases.
+/// (num_threads, executor, control, materialize_threshold) come from the
+/// embedded EngineConfig.
 ///
 /// The lattice walk is level-synchronous: subsets of one cardinality are
 /// pairwise incomparable, so a level can shard across worker threads
@@ -33,20 +32,12 @@ class TaskGraphExecutor;
 /// levels — results and their order are identical to the sequential walk
 /// for every thread count.
 ///
-/// Two parallel execution modes share that decomposition. Both run shards
-/// on O(1) SafetyMemo overlays of the frozen level-start memo and replay
-/// each shard's lookup log in rank order — the one memo read path — so
-/// SafeSearchStats come out byte-identical to the sequential walk at every
-/// thread count in either mode:
-///
-///   * use_task_graph (default) — rank-range tasks on the dependency-aware
-///     TaskGraphExecutor; a per-level absorb chain replays each shard's log
-///     the moment the shard finishes, overlapping memo merges with later
-///     shards' compute instead of paying a level barrier.
-///   * barrier (use_task_graph = false) — the historical fork-join
-///     schedule: all shards of a level run to completion on a thread pool,
-///     then the logs replay at the level barrier. Kept for A/B equivalence
-///     and bench races.
+/// With more than one resolved thread, the rank ranges run as TaskGraph
+/// tasks on O(1) SafetyMemo overlays of the frozen level-start memo, and a
+/// per-level absorb chain replays each shard's lookup log in rank order
+/// the moment the shard finishes — overlapping memo merges with later
+/// shards' compute. Log replay makes SafeSearchStats byte-identical to the
+/// sequential walk at every thread count.
 ///
 /// A control trip makes the searches return early with whatever they have
 /// (MinimalSafeHiddenSets: the minimal sets of fully completed levels;
@@ -150,7 +141,7 @@ std::vector<CardinalityPair> MinimalSafeCardinalityPairs(
     const std::vector<AttrId>& outputs, int universe, int64_t gamma);
 
 /// Full-control overload: the (α, β) grid cells are independent given the
-/// memo, so cells shard across the thread pool (each cell ANDs its subset
+/// memo, so cells shard into task-graph tasks (each cell ANDs its subset
 /// family with an early break, exactly the verdict the sequential
 /// evaluation computes). Accumulates into `stats` when non-null.
 std::vector<CardinalityPair> MinimalSafeCardinalityPairs(

@@ -119,6 +119,16 @@ class SmallKey {
   std::string_view view_;
 };
 
+// The namespace id a stored key was filed under (SmallKey's prefix).
+template <typename Key>
+uint32_t NamespaceOf(const Key& key) {
+  uint32_t ns = 0;
+  for (int i = 0; i < 4; ++i) {
+    ns |= static_cast<uint32_t>(static_cast<uint8_t>(key[i])) << (8 * i);
+  }
+  return ns;
+}
+
 }  // namespace
 
 struct VerdictCache::Shard {
@@ -211,6 +221,36 @@ struct VerdictCache::Shard {
     from->erase(victim);
   }
 
+  // Forgets every entry whose key carries namespace prefix `ns`, then gives
+  // the index's bucket bytes back the same way EnforceBudget does.
+  void Drop(uint32_t ns) {
+    bool dropped = false;
+    for (EntryList* seg : {&probation, &protected_seg}) {
+      for (EntryList::iterator it = seg->begin(); it != seg->end();) {
+        if (NamespaceOf(it->key) != ns) {
+          ++it;
+          continue;
+        }
+        ClassTally& t = TallyFor(it->klass);
+        t.bytes -= it->charged;
+        --t.entries;
+        (it->in_protected ? protected_bytes : probation_bytes) -= it->charged;
+        index.erase(std::string_view(it->key.data(), it->key.size()));
+        it = seg->erase(it);
+        dropped = true;
+      }
+    }
+    if (!dropped) return;
+    if (index.empty()) {
+      IndexMap fresh(0, KeyHash{}, std::equal_to<std::string_view>{},
+                     index.get_allocator());
+      index.swap(fresh);
+    } else if (index.bucket_count() > 64 &&
+               index.size() * 4 < index.bucket_count()) {
+      index.rehash(index.size() * 2);
+    }
+  }
+
   // Enforce the per-shard budget on the measured counter. Erasing map
   // nodes does not shrink the bucket array, so shrink it when occupancy
   // drops far below capacity — and when the shard drains entirely, swap in
@@ -262,8 +302,20 @@ VerdictCache::Shard* VerdictCache::ShardFor(std::string_view full_key) const {
 
 uint32_t VerdictCache::RegisterNamespace(std::string label) {
   std::lock_guard<std::mutex> g(ns_mu_);
-  namespace_labels_.push_back(std::move(label));
-  return static_cast<uint32_t>(namespace_labels_.size() - 1);
+  const uint32_t ns = next_namespace_++;
+  namespace_labels_.emplace(ns, std::move(label));
+  return ns;
+}
+
+void VerdictCache::DropNamespace(uint32_t ns) {
+  {
+    std::lock_guard<std::mutex> g(ns_mu_);
+    namespace_labels_.erase(ns);
+  }
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    std::lock_guard<std::mutex> g(shard->mu);
+    shard->Drop(ns);
+  }
 }
 
 bool VerdictCache::Lookup(uint32_t ns, VerdictKeyClass klass,

@@ -25,11 +25,14 @@
 // Namespaces partition the key space: each (workflow, private module)
 // binds one namespace id, so one cache instance serves a whole daemon
 // without cross-module collisions and STAT can report a namespace count.
+// Dropping a namespace (an unregistered workflow) forgets its entries and
+// returns their bytes.
 #ifndef PROVVIEW_PRIVACY_VERDICT_CACHE_H_
 #define PROVVIEW_PRIVACY_VERDICT_CACHE_H_
 
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -94,6 +97,11 @@ class VerdictCache {
   /// a registered workflow). `label` is diagnostic only.
   uint32_t RegisterNamespace(std::string label);
 
+  /// Forgets every entry filed under `ns` and retires the id (ids are never
+  /// reused). The caller guarantees no one looks up or inserts under `ns`
+  /// any more. Dropped entries do not count as evictions.
+  void DropNamespace(uint32_t ns);
+
   /// True on a hit (LRU-promoting); bumps the per-class hit/miss counter.
   bool Lookup(uint32_t ns, VerdictKeyClass klass, std::string_view key,
               int64_t* gamma);
@@ -126,7 +134,9 @@ class VerdictCache {
   std::vector<std::unique_ptr<Shard>> shards_;
 
   mutable std::mutex ns_mu_;
-  std::vector<std::string> namespace_labels_;
+  uint32_t next_namespace_ = 0;                       // guarded by ns_mu_
+  std::map<uint32_t, std::string> namespace_labels_;  // live namespaces
+
 };
 
 }  // namespace provview

@@ -5,7 +5,6 @@
 #include <mutex>
 
 #include "common/task_graph.h"
-#include "common/thread_pool.h"
 #include "privacy/possible_worlds.h"
 #include "privacy/standalone_privacy.h"
 
@@ -74,10 +73,15 @@ WorkflowCacheNamespace::WorkflowCacheNamespace(
   for (int m_index : workflow.PrivateModuleIndices()) {
     const uint32_t ns =
         cache_->RegisterNamespace(label + "/m" + std::to_string(m_index));
+    namespaces_.push_back(ns);
     memos_.push_back(std::make_unique<SafetyMemo>(
         workflow.module(m_index), Module::kDefaultMaterializeRows, cache_,
         ns));
   }
+}
+
+WorkflowCacheNamespace::~WorkflowCacheNamespace() {
+  for (uint32_t ns : namespaces_) cache_->DropNamespace(ns);
 }
 
 WorkflowBatchResult CertifyWorkflowBatch(
@@ -114,223 +118,6 @@ WorkflowBatchResult CertifyWorkflowBatch(
       return result;
     }
   }
-  const int max_threads = opts.num_threads == 0 ? ThreadPool::DefaultThreads()
-                                                : std::max(1, opts.num_threads);
-
-  // Per-request per-module standalone Γ; public modules carry no
-  // requirement and report INT64_MAX (as PerModuleStandaloneGamma does).
-  std::vector<std::vector<int64_t>> gammas(
-      requests.size(),
-      std::vector<int64_t>(static_cast<size_t>(n),
-                           std::numeric_limits<int64_t>::max()));
-  std::vector<SafeSearchStats> task_module_stats(private_modules.size());
-
-  if (opts.use_task_graph && max_threads > 1) {
-    // Task-graph mode. Each private module is a chain of per-request
-    // MaxGamma tasks (the memo is sequential per module); each request gets
-    // a verdict task gated on every module's answer for it; ground truth is
-    // a tables task (overlapping the memo chains — no phase barrier)
-    // feeding per-request enumeration tasks. Per-module stats and gammas
-    // are written by exactly the same call sequence as the historical
-    // driver, so the batch result is field-identical.
-    if (opts.with_ground_truth) {
-      for (int i : opts.visible_public_modules) {
-        if (control != nullptr && (i < 0 || i >= n)) {
-          result.status = Status::InvalidArgument(
-              "visible public module index out of range: " +
-              std::to_string(i));
-          return result;
-        }
-        if (control != nullptr && !workflow.module(i).is_public()) {
-          result.status = Status::InvalidArgument(
-              "module " + std::to_string(i) + " is not public");
-          return result;
-        }
-        PV_CHECK_MSG(workflow.module(i).is_public(),
-                     "module " << i << " is not public");
-      }
-    }
-    std::unique_ptr<TaskGraphExecutor> local_executor;
-    TaskGraphExecutor* executor = opts.executor;
-    if (executor == nullptr) {
-      // max_threads-1 workers: the calling thread helps during Run(), so
-      // max_threads runners total — parity with the fork-join driver.
-      local_executor = std::make_unique<TaskGraphExecutor>(max_threads - 1);
-      executor = local_executor.get();
-    }
-    std::vector<std::unique_ptr<SafetyMemo>> local_memos;
-    if (verdicts == nullptr) {
-      for (int m_index : private_modules) {
-        local_memos.push_back(
-            std::make_unique<SafetyMemo>(workflow.module(m_index)));
-      }
-    }
-
-    TaskGraph graph;
-    // cert_tasks[r] = the per-module tasks answering request r.
-    std::vector<std::vector<TaskGraph::TaskId>> cert_tasks(requests.size());
-    for (size_t mi = 0; mi < private_modules.size(); ++mi) {
-      TaskGraph::TaskId prev = -1;
-      for (size_t r = 0; r < requests.size(); ++r) {
-        auto body = [&, mi, r] {
-          const size_t m_index =
-              static_cast<size_t>(private_modules[mi]);
-          // Cache-backed memos are concurrent-read safe, so a shared
-          // namespace needs no lock — concurrent batches interleave on the
-          // cache's striped shards at lookup granularity.
-          SafetyMemo* memo = verdicts != nullptr ? verdicts->memo(mi)
-                                                 : local_memos[mi].get();
-          gammas[r][m_index] = memo->MaxGamma(
-              requests[r].hidden, &task_module_stats[mi], nullptr, control);
-        };
-        prev = prev < 0 ? graph.Add(std::move(body))
-                        : graph.Add(std::move(body), {prev});
-        cert_tasks[r].push_back(prev);
-      }
-    }
-    for (size_t r = 0; r < requests.size(); ++r) {
-      graph.Add(
-          [&, r] {
-            PrivacyCertificate& cert = result.entries[r].certificate;
-            cert.module_gammas = std::move(gammas[r]);
-            cert.certified = true;
-            for (int i = 0; i < n; ++i) {
-              const Module& m = workflow.module(i);
-              if (!m.is_public() && cert.module_gammas[static_cast<size_t>(
-                                        i)] < requests[r].gamma) {
-                cert.certified = false;
-              }
-              if (m.is_public() &&
-                  m.AttrSet().Intersects(requests[r].hidden)) {
-                cert.required_privatizations.push_back(i);
-              }
-            }
-          },
-          cert_tasks[r]);
-    }
-
-    std::shared_ptr<const WorkflowTables> tables;
-    std::mutex status_mu;
-    Status worlds_status;
-    if (opts.with_ground_truth) {
-      const TaskGraph::TaskId tables_task = graph.Add([&] {
-        WorkflowTablesOptions topts;
-        topts.control = control;
-        topts.num_threads = max_threads;
-        topts.executor = executor;  // nested Run helps on this executor
-        tables = BuildWorkflowTables(workflow, topts);
-      });
-      for (size_t r = 0; r < requests.size(); ++r) {
-        graph.Add(
-            [&, r] {
-              if (!tables->status.ok()) {
-                std::lock_guard<std::mutex> g(status_mu);
-                if (worlds_status.ok()) worlds_status = tables->status;
-                return;
-              }
-              WorkflowEnumerationOptions wopts;
-              wopts.max_candidates = opts.max_candidates;
-              wopts.gamma = requests[r].gamma;
-              wopts.collect_distinct_relations = false;
-              wopts.num_threads = 1;
-              wopts.control = control;
-              WorkflowWorlds worlds = EnumerateWorkflowWorlds(
-                  *tables, requests[r].hidden.Complement(),
-                  opts.visible_public_modules, wopts);
-              if (!worlds.status.ok()) {
-                std::lock_guard<std::mutex> g(status_mu);
-                if (worlds_status.ok()) worlds_status = worlds.status;
-                return;
-              }
-              bool is_private = true;
-              if (!worlds.early_stopped) {
-                for (int i : private_modules) {
-                  is_private = is_private &&
-                               worlds.MinOutSize(i) >= requests[r].gamma;
-                }
-              }
-              result.entries[r].ground_truth_private = is_private;
-            },
-            {tables_task});
-      }
-    }
-
-    Status run = graph.Run(executor, control);
-    (void)run;  // control trips surface below; exceptions were rethrown
-    for (const SafeSearchStats& s : task_module_stats) {
-      result.stats.Accumulate(s);
-    }
-    if (control != nullptr && !control->Check().ok()) {
-      // A trip skips remaining task bodies, so some entries may hold
-      // half-assembled verdicts; reset them all — the documented contract
-      // is partial stats, no verdicts.
-      result.status = control->Check();
-      result.entries.assign(requests.size(), WorkflowBatchEntry{});
-      return result;
-    }
-    if (!worlds_status.ok()) result.status = worlds_status;
-    return result;
-  }
-
-  // One worker per private module: materialize its relation once and share
-  // one SafetyMemo across every request, so hidden sets inducing the same
-  // projection on the module answer from the cache.
-  std::vector<SafeSearchStats> module_stats(private_modules.size());
-  auto run_module = [&](size_t mi) {
-    const int m_index = private_modules[mi];
-    // With a shared namespace, answer from (and settle into) the
-    // cache-backed per-module memo — concurrent-read safe, so no lock.
-    // Without one, a batch-local memo (the historical behavior).
-    std::unique_ptr<SafetyMemo> local;
-    SafetyMemo* memo;
-    if (verdicts != nullptr) {
-      memo = verdicts->memo(mi);
-    } else {
-      local = std::make_unique<SafetyMemo>(workflow.module(m_index));
-      memo = local.get();
-    }
-    for (size_t r = 0; r < requests.size(); ++r) {
-      if (control != nullptr && control->ExpiredNow()) return;
-      gammas[r][static_cast<size_t>(m_index)] = memo->MaxGamma(
-          requests[r].hidden, &module_stats[mi], nullptr, control);
-    }
-  };
-  const int module_threads = static_cast<int>(std::min<size_t>(
-      static_cast<size_t>(max_threads), private_modules.size()));
-  if (module_threads <= 1) {
-    for (size_t mi = 0; mi < private_modules.size(); ++mi) run_module(mi);
-  } else {
-    ThreadPool pool(module_threads);
-    for (size_t mi = 0; mi < private_modules.size(); ++mi) {
-      pool.Submit([&run_module, mi] { run_module(mi); });
-    }
-    pool.Wait();
-  }
-  for (const SafeSearchStats& s : module_stats) result.stats.Accumulate(s);
-  if (control != nullptr && !control->Check().ok()) {
-    // Deadline/budget tripped mid-batch: surface the typed status with the
-    // partial stats; entries keep their default (uncertified) state so a
-    // half-computed Γ can never read as a verdict.
-    result.status = control->Check();
-    return result;
-  }
-
-  for (size_t r = 0; r < requests.size(); ++r) {
-    PrivacyCertificate& cert = result.entries[r].certificate;
-    cert.module_gammas = std::move(gammas[r]);
-    cert.certified = true;
-    for (int i = 0; i < n; ++i) {
-      const Module& m = workflow.module(i);
-      if (!m.is_public() &&
-          cert.module_gammas[static_cast<size_t>(i)] < requests[r].gamma) {
-        cert.certified = false;
-      }
-      if (m.is_public() && m.AttrSet().Intersects(requests[r].hidden)) {
-        cert.required_privatizations.push_back(i);
-      }
-    }
-  }
-
   if (opts.with_ground_truth) {
     for (int i : opts.visible_public_modules) {
       if (control != nullptr && (i < 0 || i >= n)) {
@@ -347,58 +134,139 @@ WorkflowBatchResult CertifyWorkflowBatch(
       PV_CHECK_MSG(workflow.module(i).is_public(),
                    "module " << i << " is not public");
     }
-    // One tables build for the whole batch; each request runs the pruned
-    // engine with the Γ short-circuit, sequentially inside its worker (the
-    // batch layer already owns the parallelism).
-    WorkflowTablesOptions topts;
-    topts.control = control;
-    topts.use_task_graph = opts.use_task_graph;
-    std::shared_ptr<const WorkflowTables> tables =
-        BuildWorkflowTables(workflow, topts);
-    if (!tables->status.ok()) {
-      result.status = tables->status;
-      return result;
-    }
-    // First non-OK enumeration status across the fanned-out requests (all
-    // derive from the shared control or from a per-request space blowup).
-    std::mutex status_mu;
-    Status worlds_status;
-    auto run_request = [&](size_t r) {
-      WorkflowEnumerationOptions wopts;
-      wopts.max_candidates = opts.max_candidates;
-      wopts.gamma = requests[r].gamma;
-      wopts.collect_distinct_relations = false;
-      wopts.num_threads = 1;
-      wopts.control = control;
-      WorkflowWorlds worlds = EnumerateWorkflowWorlds(
-          *tables, requests[r].hidden.Complement(),
-          opts.visible_public_modules, wopts);
-      if (!worlds.status.ok()) {
-        std::lock_guard<std::mutex> g(status_mu);
-        if (worlds_status.ok()) worlds_status = worlds.status;
-        return;  // leave ground_truth_private at its default (false)
-      }
-      bool is_private = true;
-      if (!worlds.early_stopped) {
-        for (int i : private_modules) {
-          is_private = is_private && worlds.MinOutSize(i) >= requests[r].gamma;
-        }
-      }
-      result.entries[r].ground_truth_private = is_private;
-    };
-    const int request_threads = static_cast<int>(
-        std::min<size_t>(static_cast<size_t>(max_threads), requests.size()));
-    if (request_threads <= 1) {
-      for (size_t r = 0; r < requests.size(); ++r) run_request(r);
-    } else {
-      ThreadPool pool(request_threads);
-      for (size_t r = 0; r < requests.size(); ++r) {
-        pool.Submit([&run_request, r] { run_request(r); });
-      }
-      pool.Wait();
-    }
-    if (!worlds_status.ok()) result.status = worlds_status;
   }
+  const int max_threads = ResolveThreads(opts.num_threads);
+  const EngineExecutor executor(opts.executor, max_threads);
+
+  // Per-request per-module standalone Γ; public modules carry no
+  // requirement and report INT64_MAX (as PerModuleStandaloneGamma does).
+  std::vector<std::vector<int64_t>> gammas(
+      requests.size(),
+      std::vector<int64_t>(static_cast<size_t>(n),
+                           std::numeric_limits<int64_t>::max()));
+  std::vector<SafeSearchStats> module_stats(private_modules.size());
+  // Without a shared namespace, one batch-local memo per private module:
+  // its relation materializes once and every request answers from it, so
+  // hidden sets inducing the same projection on the module hit the cache.
+  std::vector<std::unique_ptr<SafetyMemo>> local_memos;
+  if (verdicts == nullptr) {
+    for (int m_index : private_modules) {
+      local_memos.push_back(
+          std::make_unique<SafetyMemo>(workflow.module(m_index)));
+    }
+  }
+
+  // One graph. Each private module is a chain of per-request MaxGamma tasks
+  // (the memo is sequential per module), so per-module stats and gammas
+  // come from the same call sequence at any thread count; each request
+  // gets a verdict task gated on every module's answer for it; ground
+  // truth is a tables task (overlapping the memo chains) feeding
+  // per-request enumeration tasks. One thread runs it inline.
+  TaskGraph graph;
+  // cert_tasks[r] = the per-module tasks answering request r.
+  std::vector<std::vector<TaskGraph::TaskId>> cert_tasks(requests.size());
+  for (size_t mi = 0; mi < private_modules.size(); ++mi) {
+    TaskGraph::TaskId prev = -1;
+    for (size_t r = 0; r < requests.size(); ++r) {
+      auto body = [&, mi, r] {
+        const size_t m_index = static_cast<size_t>(private_modules[mi]);
+        // Cache-backed memos are concurrent-read safe, so a shared
+        // namespace needs no lock — concurrent batches interleave on the
+        // cache's striped shards at lookup granularity.
+        SafetyMemo* memo = verdicts != nullptr ? verdicts->memo(mi)
+                                               : local_memos[mi].get();
+        gammas[r][m_index] = memo->MaxGamma(
+            requests[r].hidden, &module_stats[mi], nullptr, control);
+      };
+      prev = prev < 0 ? graph.Add(std::move(body))
+                      : graph.Add(std::move(body), {prev});
+      cert_tasks[r].push_back(prev);
+    }
+  }
+  for (size_t r = 0; r < requests.size(); ++r) {
+    graph.Add(
+        [&, r] {
+          PrivacyCertificate& cert = result.entries[r].certificate;
+          cert.module_gammas = std::move(gammas[r]);
+          cert.certified = true;
+          for (int i = 0; i < n; ++i) {
+            const Module& m = workflow.module(i);
+            if (!m.is_public() &&
+                cert.module_gammas[static_cast<size_t>(i)] <
+                    requests[r].gamma) {
+              cert.certified = false;
+            }
+            if (m.is_public() && m.AttrSet().Intersects(requests[r].hidden)) {
+              cert.required_privatizations.push_back(i);
+            }
+          }
+        },
+        cert_tasks[r]);
+  }
+
+  // First non-OK ground-truth status across the fanned-out requests (all
+  // derive from the shared control or from a per-request space blowup).
+  std::shared_ptr<const WorkflowTables> tables;
+  std::mutex status_mu;
+  Status worlds_status;
+  auto note_status = [&](const Status& st) {
+    std::lock_guard<std::mutex> g(status_mu);
+    if (worlds_status.ok()) worlds_status = st;
+  };
+  if (opts.with_ground_truth) {
+    const TaskGraph::TaskId tables_task = graph.Add([&] {
+      WorkflowTablesOptions topts;
+      topts.control = control;
+      topts.num_threads = max_threads;
+      topts.executor = executor.get();  // nested Run helps on this executor
+      tables = BuildWorkflowTables(workflow, topts);
+    });
+    for (size_t r = 0; r < requests.size(); ++r) {
+      graph.Add(
+          [&, r] {
+            if (!tables->status.ok()) {
+              note_status(tables->status);
+              return;
+            }
+            // Sequential inside its task: the batch owns the parallelism.
+            WorkflowEnumerationOptions wopts;
+            wopts.max_candidates = opts.max_candidates;
+            wopts.gamma = requests[r].gamma;
+            wopts.collect_distinct_relations = false;
+            wopts.num_threads = 1;
+            wopts.control = control;
+            WorkflowWorlds worlds = EnumerateWorkflowWorlds(
+                *tables, requests[r].hidden.Complement(),
+                opts.visible_public_modules, wopts);
+            if (!worlds.status.ok()) {
+              note_status(worlds.status);
+              return;  // leave ground_truth_private at its default (false)
+            }
+            bool is_private = true;
+            if (!worlds.early_stopped) {
+              for (int i : private_modules) {
+                is_private = is_private &&
+                             worlds.MinOutSize(i) >= requests[r].gamma;
+              }
+            }
+            result.entries[r].ground_truth_private = is_private;
+          },
+          {tables_task});
+    }
+  }
+
+  (void)graph.Run(executor.get(), control);  // trips surface just below
+  for (const SafeSearchStats& s : module_stats) result.stats.Accumulate(s);
+  if (control != nullptr && !control->Check().ok()) {
+    // Deadline/budget tripped mid-batch: surface the typed status with the
+    // partial stats. A trip skips remaining task bodies, so some entries
+    // may hold half-assembled verdicts; reset them all so a half-computed
+    // Γ can never read as a verdict.
+    result.status = control->Check();
+    result.entries.assign(requests.size(), WorkflowBatchEntry{});
+    return result;
+  }
+  if (!worlds_status.ok()) result.status = worlds_status;
   return result;
 }
 

@@ -75,13 +75,12 @@ struct WorkflowCertificationRequest {
 /// Knobs of the batch certification driver. The shared execution knobs
 /// come from the embedded EngineConfig: num_threads defaults to 0 here
 /// (hardware concurrency — certification parallelizes over private
-/// modules, ground truth over requests); use_task_graph (default) runs the
-/// batch as a dependency graph — per-module request chains, per-request
-/// verdict tasks, and with ground truth a tables task feeding per-request
-/// enumerations with no phase barrier — while off keeps the historical
-/// two-phase fork-join driver, field-identical results either way
-/// (resolved num_threads <= 1 always takes the historical sequential
-/// path); `executor` shares the daemon's work-stealing pool; `control` is
+/// modules, ground truth over requests). The batch runs as one dependency
+/// graph — per-module request chains, per-request verdict tasks, and with
+/// ground truth a tables task feeding per-request enumerations with no
+/// phase barrier — inline at one resolved thread, with field-identical
+/// results at any thread count; `executor` shares the daemon's
+/// work-stealing pool; `control` is
 /// polled between requests and at engine chunk boundaries, a trip
 /// surfacing as WorkflowBatchResult::status — partial stats, no certified
 /// verdicts. When control is null, guards keep the historical
@@ -130,7 +129,9 @@ struct WorkflowBatchResult {
 /// settled verdicts without per-module mutexes, and a byte-budgeted shared
 /// cache bounds the daemon's verdict memory (its eviction only forgets
 /// verdicts, never corrupts them). Pass no cache for a private unbounded
-/// one — the historical single-owner behavior.
+/// one — the historical single-owner behavior. Destroying the object drops
+/// its namespaces and every verdict filed under them from the cache, so an
+/// unregistered workflow gives its cache bytes back.
 class WorkflowCacheNamespace {
  public:
   /// Binds one namespace per private module of `workflow` in `cache`
@@ -139,6 +140,10 @@ class WorkflowCacheNamespace {
   explicit WorkflowCacheNamespace(const Workflow& workflow,
                                   std::shared_ptr<VerdictCache> cache = nullptr,
                                   const std::string& label = "workflow");
+  ~WorkflowCacheNamespace();
+
+  WorkflowCacheNamespace(const WorkflowCacheNamespace&) = delete;
+  WorkflowCacheNamespace& operator=(const WorkflowCacheNamespace&) = delete;
 
   const Workflow* workflow() const { return workflow_; }
   size_t size() const { return memos_.size(); }
@@ -149,6 +154,7 @@ class WorkflowCacheNamespace {
  private:
   const Workflow* workflow_;
   std::shared_ptr<VerdictCache> cache_;
+  std::vector<uint32_t> namespaces_;
   std::vector<std::unique_ptr<SafetyMemo>> memos_;
 };
 
@@ -156,8 +162,8 @@ class WorkflowCacheNamespace {
 /// calling CertifyWorkflowPrivacy per candidate — which re-materializes
 /// every module relation and re-runs Algorithm 2 from scratch each time —
 /// the batch driver materializes each private module's relation once,
-/// shares a per-module SafetyMemo across all requests, fans the per-module
-/// work out onto a thread pool, and (optionally) reuses one set of
+/// shares a per-module SafetyMemo across all requests, runs the per-module
+/// work as task-graph chains, and (optionally) reuses one set of
 /// possible-worlds tables for every ground-truth enumeration.
 WorkflowBatchResult CertifyWorkflowBatch(
     const Workflow& workflow,

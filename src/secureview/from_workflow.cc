@@ -4,7 +4,7 @@
 #include <memory>
 #include <set>
 
-#include "common/thread_pool.h"
+#include "common/task_graph.h"
 #include "privacy/safe_subset_search.h"
 #include "privacy/workflow_privacy.h"
 
@@ -28,7 +28,8 @@ SecureViewInstance InstanceFromWorkflow(const Workflow& workflow,
 SecureViewInstance InstanceFromWorkflow(
     const Workflow& workflow, const std::vector<int64_t>& gammas,
     ConstraintKind kind,
-    const std::vector<std::shared_ptr<SafetyMemo>>& memos) {
+    const std::vector<std::shared_ptr<SafetyMemo>>& memos,
+    TaskGraphExecutor* executor) {
   PV_CHECK_MSG(static_cast<int>(gammas.size()) == workflow.num_modules(),
                "one gamma per module expected");
   PV_CHECK_MSG(memos.empty() ||
@@ -43,8 +44,8 @@ SecureViewInstance InstanceFromWorkflow(
     inst.attr_cost.push_back(catalog.Cost(id));
   }
   // Derive every private module's requirement list in parallel: one task
-  // per private module on a shared pool, each owning one SafetyMemo (its
-  // materialized relation plus verdict cache) for the whole derivation.
+  // per private module, each owning one SafetyMemo (its materialized
+  // relation plus verdict cache) for the whole derivation.
   // Sequentially this shares nothing across modules and dominates instance
   // construction on real workflows.
   const int n = workflow.num_modules();
@@ -96,18 +97,13 @@ SecureViewInstance InstanceFromWorkflow(
       }
     }
   };
-  const int threads = static_cast<int>(std::min<size_t>(
-      static_cast<size_t>(ThreadPool::DefaultThreads()),
-      private_modules.size()));
-  if (threads <= 1) {
-    for (int i : private_modules) derive(i);
-  } else {
-    ThreadPool pool(threads);
-    for (int i : private_modules) {
-      pool.Submit([&derive, i] { derive(i); });
-    }
-    pool.Wait();
-  }
+  TaskGraph graph;
+  for (int i : private_modules) graph.Add([&derive, i] { derive(i); });
+  const EngineExecutor derivers(
+      executor, static_cast<int>(std::min<size_t>(
+                    static_cast<size_t>(DefaultThreads()),
+                    private_modules.size())));
+  (void)graph.Run(derivers.get());
 
   for (int i = 0; i < n; ++i) {
     const Module& m = workflow.module(i);

@@ -17,6 +17,7 @@
 namespace provview {
 
 class SafetyMemo;
+class TaskGraphExecutor;
 
 /// Builds the Secure-View instance of `workflow` for privacy target Γ.
 /// Attribute indices coincide with catalog attribute ids. Every private
@@ -40,10 +41,15 @@ SecureViewInstance InstanceFromWorkflow(const Workflow& workflow,
 /// SolveExactForWorkflow reuses the same memos for its B&B safety oracle,
 /// so node fathoming and derivation settle into one store. A null entry
 /// for a private module falls back to a private per-derivation memo.
+/// The per-module derivations are independent TaskGraph tasks, run on
+/// `executor` when given (e.g. the solve's B&B executor), else on a
+/// private executor sized to the hardware; the instance is the same
+/// either way.
 SecureViewInstance InstanceFromWorkflow(
     const Workflow& workflow, const std::vector<int64_t>& gammas,
     ConstraintKind kind,
-    const std::vector<std::shared_ptr<SafetyMemo>>& memos);
+    const std::vector<std::shared_ptr<SafetyMemo>>& memos,
+    TaskGraphExecutor* executor = nullptr);
 
 /// The Example-5 baseline: each private module independently hides its own
 /// minimum-cost standalone-safe subset; the workflow hides the union

@@ -36,7 +36,8 @@ WorkflowExactResult SolveExactForWorkflow(const Workflow& workflow,
 
   std::vector<int64_t> gammas(static_cast<size_t>(workflow.num_modules()),
                               options.gamma);
-  out.instance = InstanceFromWorkflow(workflow, gammas, options.kind, memos);
+  out.instance = InstanceFromWorkflow(workflow, gammas, options.kind, memos,
+                                      options.exact.bnb.executor);
 
   ExactOptions exact = options.exact;
   if (options.fix_useless_attrs) {

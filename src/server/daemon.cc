@@ -1,7 +1,6 @@
 #include "server/daemon.h"
 
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -9,8 +8,6 @@
 #include <cstring>
 
 #include "common/task_graph.h"
-#include "common/thread_pool.h"
-#include "server/connection.h"
 #include "server/reactor.h"
 
 namespace provview {
@@ -25,30 +22,18 @@ PodsDaemon::PodsDaemon(WorkflowRegistry* registry, const Options& options)
 
 PodsDaemon::~PodsDaemon() { Stop(); }
 
-RequestContext PodsDaemon::MakeContext(bool caller_helps,
-                                       int reactor_threads) {
-  RequestContext ctx;
-  ctx.registry = registry_;
-  ctx.stats = &stats_;
-  ctx.executor = executor_.get();
-  ctx.admission = &admission_;
-  ctx.reactor_threads = reactor_threads;
-  ctx.caller_helps = caller_helps;
-  return ctx;
-}
-
 Status PodsDaemon::Start(uint16_t port) {
-  if (options_.use_task_graph && executor_ == nullptr) {
+  if (executor_ == nullptr) {
     const int workers = options_.engine_threads > 0
                             ? options_.engine_threads
-                            : ThreadPool::DefaultThreads() - 1;
+                            : DefaultThreads() - 1;
     if (workers > 0) {
       // No executor-level gate: request admission is the daemon's single
-      // saturation point now (admission_ in MakeContext).
+      // saturation point (admission_ in the request context).
       executor_ = std::make_unique<TaskGraphExecutor>(workers);
     }
-    // workers == 0: single-core host — helping alone covers it, so skip the
-    // executor and let requests run inline.
+    // workers == 0: single-core host — skip the executor and let the
+    // reactor run requests inline.
   }
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {
@@ -87,12 +72,13 @@ Status PodsDaemon::Start(uint16_t port) {
     return s;
   }
   port_ = ntohs(bound.sin_port);
-  if (options_.use_reactor) {
-    reactor_ = std::make_unique<Reactor>(
-        MakeContext(/*caller_helps=*/false, options_.reactor_threads),
-        options_.reactor_threads);
-    reactor_->Start();
-  }
+  RequestContext ctx;
+  ctx.registry = registry_;
+  ctx.stats = &stats_;
+  ctx.executor = executor_.get();
+  ctx.admission = &admission_;
+  reactor_ = std::make_unique<Reactor>(ctx, options_.reactor_threads);
+  reactor_->Start();
   stopping_.store(false, std::memory_order_release);
   acceptor_ = std::thread([this] { AcceptLoop(); });
   return Status::OK();
@@ -112,30 +98,8 @@ void PodsDaemon::AcceptLoop() {
       ::close(fd);
       return;
     }
-    if (reactor_ != nullptr) {
-      reactor_->AddConnection(fd);  // takes ownership
-      continue;
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    std::lock_guard<std::mutex> lock(mu_);
-    const size_t slot = conn_fds_.size();
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back(
-        [this, fd, slot] { ServeConnection(fd, slot); });
+    reactor_->AddConnection(fd);  // takes ownership
   }
-}
-
-void PodsDaemon::ServeConnection(int fd, size_t slot) {
-  {
-    // Connection owns (and closes) fd; its destructor also bumps the
-    // connections_closed counter.
-    Connection conn(fd, MakeContext(/*caller_helps=*/true,
-                                    /*reactor_threads=*/0));
-    conn.Run();
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  conn_fds_[slot] = -1;  // fd is closed; Stop must not shut it down again
 }
 
 void PodsDaemon::Stop() {
@@ -155,24 +119,8 @@ void PodsDaemon::Stop() {
     // executor safe to tear down.
     reactor_->Stop();
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (int fd : conn_fds_) {
-      if (fd >= 0) ::shutdown(fd, SHUT_RDWR);  // unblocks recv()
-    }
-  }
-  // Threads only exit their slots' fds; joining outside the lock is safe
-  // because no new threads are created once stopping_ is set.
-  for (std::thread& t : conn_threads_) {
-    if (t.joinable()) t.join();
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    conn_threads_.clear();
-    conn_fds_.clear();
-  }
-  // Every in-flight request is drained (reactor) or joined (legacy): the
-  // shared executor can now be torn down.
+  // Every in-flight request is drained: the shared executor can now be
+  // torn down.
   executor_.reset();
   reactor_.reset();
   if (listen_fd_ >= 0) {

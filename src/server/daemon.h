@@ -3,26 +3,24 @@
 // connection or request that caused it — the process degrades (typed error
 // responses, closed connections) instead of dying.
 //
-// Threading model: one acceptor thread, a connection front-end, and (by
-// default) one shared work-stealing TaskGraphExecutor running the engine
-// work of every request. The default front-end is an epoll REACTOR: a
-// fixed pool of --reactor-threads threads multiplexes all connections, so
-// total thread count is bounded regardless of how many clients connect
-// (a thousand idle monitors cost zero threads); requests are dispatched
-// onto the executor as detached tasks and replies written back by the
-// reactor. The legacy thread-per-connection front-end survives behind
-// use_reactor = false (podsd --no-reactor) for A/B comparison — both call
-// the same HandleFrame core, so responses are byte-identical.
+// Threading model: one acceptor thread, the epoll reactor front-end, and
+// one shared work-stealing TaskGraphExecutor running the engine work of
+// every request. A fixed pool of --reactor-threads threads multiplexes all
+// connections, so total thread count is bounded regardless of how many
+// clients connect (a thousand idle monitors cost zero threads); requests
+// are dispatched onto the executor as detached tasks and replies written
+// back by the reactor. On a single-core host there is no executor: the
+// reactor thread runs each request inline.
 //
 // Saturation is request-level, not per-request: ONE admission gate
 // (queue-depth units) and ONE memory pool are shared by every in-flight
-// request, whichever front-end carried it. A request that cannot be
+// request. A request that cannot be
 // admitted gets a typed RESOURCE_EXHAUSTED carrying the current depth;
 // engine byte charges draw from the shared pool in addition to any
 // per-request ceiling the client set. Both surface in STAT (admission_*).
 //
 // Stop() is safe from any thread and idempotent: it shuts down the listen
-// socket (unblocking accept), stops the front-end (severing connections,
+// socket (unblocking accept), stops the reactor (severing connections,
 // draining in-flight requests), then tears down the executor.
 #ifndef PROVVIEW_SERVER_DAEMON_H_
 #define PROVVIEW_SERVER_DAEMON_H_
@@ -30,9 +28,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <thread>
-#include <vector>
 
 #include "common/status.h"
 #include "server/admission.h"
@@ -48,14 +44,10 @@ class TaskGraphExecutor;
 class PodsDaemon {
  public:
   struct Options {
-    /// Submit certification work into one daemon-wide task-graph executor.
-    /// Off = every request runs inline on the thread that carried it, the
-    /// historical model.
-    bool use_task_graph = true;
-    /// Executor worker threads. 0 = hardware concurrency minus one (the
-    /// helping connection thread makes up the difference); when that
-    /// resolves to zero workers — a single-core host — no executor is
-    /// created and requests run inline.
+    /// Workers of the daemon-wide engine executor. 0 = hardware
+    /// concurrency minus one; when that resolves to zero workers — a
+    /// single-core host — no executor is created and each request runs
+    /// inline on the reactor thread that carried it.
     int engine_threads = 0;
     /// Admission-gate capacity in depth units, shared by ALL in-flight
     /// requests: a certify request charges items + 1 units up front, a
@@ -66,10 +58,8 @@ class PodsDaemon {
     /// (attached to each request's ExecControl alongside its optional own
     /// ceiling). <= 0 = unbounded.
     int64_t memory_budget = 0;
-    /// Epoll reactor front-end (default): thread count bounded by
-    /// reactor_threads, not connection count. Off = legacy
-    /// thread-per-connection (podsd --no-reactor).
-    bool use_reactor = true;
+    /// Epoll reactor threads: the daemon's thread count is bounded by
+    /// this, not by connection count.
     int reactor_threads = 2;
   };
 
@@ -84,7 +74,7 @@ class PodsDaemon {
   PodsDaemon& operator=(const PodsDaemon&) = delete;
 
   /// Binds 127.0.0.1:`port` (0 = kernel-assigned ephemeral port, read back
-  /// via port()) and starts the front-end and acceptor threads.
+  /// via port()) and starts the reactor and acceptor threads.
   Status Start(uint16_t port = 0);
 
   /// Stops accepting, severs live connections, drains in-flight requests,
@@ -100,15 +90,13 @@ class PodsDaemon {
 
  private:
   void AcceptLoop();
-  void ServeConnection(int fd, size_t slot);
-  RequestContext MakeContext(bool caller_helps, int reactor_threads);
 
   WorkflowRegistry* registry_;
   Options options_;
   DaemonStats stats_;
   AdmissionController admission_;
-  // Created in Start(), destroyed in Stop() after the front-end has
-  // drained every in-flight request.
+  // Created in Start(), destroyed in Stop() after the reactor has drained
+  // every in-flight request.
   std::unique_ptr<TaskGraphExecutor> executor_;
   std::unique_ptr<Reactor> reactor_;
 
@@ -116,13 +104,6 @@ class PodsDaemon {
   uint16_t port_ = 0;
   std::atomic<bool> stopping_{false};
   std::thread acceptor_;
-
-  // Legacy front-end state: live connection sockets, indexed by slot; -1
-  // once a connection ends. Guarded by mu_ (Stop shuts these down to
-  // unblock reads).
-  std::mutex mu_;
-  std::vector<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
 };
 
 }  // namespace provview

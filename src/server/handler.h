@@ -1,11 +1,24 @@
-// The daemon's request core, shared by both connection front-ends: the
-// legacy blocking thread-per-connection loop (connection.h) and the epoll
-// reactor (reactor.h) parse frames their own way, then hand every
-// well-framed request here. One implementation means one blast-radius
-// table: malformed body / unknown type / unknown workflow / tripped
-// control / engine exception all become the same typed response bytes no
-// matter which front-end carried the frame — which is what lets the
-// reactor-vs-legacy A/B equivalence test compare responses byte for byte.
+// The daemon's request core: the epoll reactor (reactor.h) reassembles
+// frames and hands every well-framed request here. This is the daemon's
+// error-isolation boundary. The discipline (borrowed from memcached):
+// validate every external byte, convert every failure into a
+// per-connection or per-request error, and never let one client's input
+// take down the process or another client's request.
+//
+//   failure                          blast radius
+//   ------------------------------   -------------------------------------
+//   bad magic / version / body_len   error response, THIS connection closes
+//                                    (the reactor, before HandleFrame)
+//   unknown request type             error response, connection survives
+//   malformed request body           error response, connection survives
+//   unknown workflow name            NOT_FOUND response, connection survives
+//   deadline / memory budget trip    typed response, connection survives
+//   admission gate saturated         RESOURCE_EXHAUSTED, connection survives
+//   engine exception                 INTERNAL response, connection survives
+//   peer hangs up mid-frame          connection closes quietly
+//
+// HandleFrame needs no socket, so tests also drive it in-process and
+// compare the reactor's responses to it.
 #ifndef PROVVIEW_SERVER_HANDLER_H_
 #define PROVVIEW_SERVER_HANDLER_H_
 
@@ -27,15 +40,15 @@ struct RequestContext {
   WorkflowRegistry* registry = nullptr;
   DaemonStats* stats = nullptr;
   /// Shared engine executor; null = engines run inline on the calling
-  /// thread (single-core hosts / use_task_graph off).
+  /// thread (single-core hosts).
   TaskGraphExecutor* executor = nullptr;
   /// The request-level admission gate + shared memory pool (never null).
   AdmissionController* admission = nullptr;
-  /// Reported in STAT; 0 = legacy thread-per-connection mode.
+  /// Reported in STAT (the reactor sets its thread count here).
   int reactor_threads = 0;
   /// True when the calling thread is free to help the executor run its own
-  /// graph (a dedicated connection thread). False when the caller IS an
-  /// executor worker (the reactor dispatch path) — it already counts.
+  /// graph (an in-process caller). False when the caller IS an executor
+  /// worker (the reactor dispatch path) — it already counts.
   bool caller_helps = true;
 };
 

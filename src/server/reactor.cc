@@ -227,8 +227,8 @@ void Reactor::ParseFrames(Shard* shard, const std::shared_ptr<Conn>& conn) {
     const Status framing = DecodeFrameHeader(
         std::string_view(conn->inbuf.data(), kFrameHeaderSize), &header);
     if (!framing.ok()) {
-      // Same discipline as the legacy front-end: the stream can no longer
-      // be trusted, so answer once, flush, and close THIS connection.
+      // The stream can no longer be trusted (the next "frame" could start
+      // anywhere): answer once, flush, and close THIS connection.
       ctx_.stats->rejected_frames.fetch_add(1, std::memory_order_relaxed);
       ctx_.stats->RecordOutcome(framing);
       conn->close_after_write = true;

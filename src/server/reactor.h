@@ -16,10 +16,9 @@
 // is the natural per-connection backpressure (the kernel socket buffer
 // absorbs pipelined requests until the reply goes out).
 //
-// The blast-radius table matches the legacy front-end exactly (both call
-// the same HandleFrame core): a framing error gets one error response and
-// closes that connection; every other failure is a typed response on a
-// surviving connection.
+// The blast-radius table lives with the HandleFrame core (handler.h): a
+// framing error gets one error response and closes that connection; every
+// other failure is a typed response on a surviving connection.
 #ifndef PROVVIEW_SERVER_REACTOR_H_
 #define PROVVIEW_SERVER_REACTOR_H_
 

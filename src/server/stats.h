@@ -65,8 +65,8 @@ class DaemonStats {
 
   /// Everything beyond the counters that the STAT snapshot reports: the
   /// shared verdict cache, the admission controller, the live registry
-  /// size, and the reactor thread count (0 = legacy thread-per-connection
-  /// mode). All optional — absent members skip their section.
+  /// size, and the reactor thread count. All optional — absent members
+  /// skip their section.
   struct StatContext {
     const VerdictCache* cache = nullptr;
     const AdmissionController* admission = nullptr;

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "common/task_graph.h"
 #include "generators/families.h"
 #include "generators/random_workflow.h"
 #include "privacy/workflow_privacy.h"
 #include "secureview/feasibility.h"
 #include "secureview/from_workflow.h"
+#include "secureview/serialization.h"
 #include "secureview/solvers.h"
 #include "workflow/fig1_workflow.h"
 
@@ -137,6 +140,30 @@ TEST(FromWorkflowTest, PublicModulesCarriedIntoInstance) {
   ASSERT_TRUE(exact.status.ok());
   EXPECT_TRUE(IsFeasible(inst, exact.solution));
   EXPECT_TRUE(VerifySolutionSemantics(*chain.workflow, exact.solution, 2));
+}
+
+TEST(FromWorkflowTest, SharedExecutorDerivesTheSameInstance) {
+  // The per-module derivations are tasks of one graph: on the caller's
+  // shared executor or on a private one (null), the derived instance is
+  // the same, option for option.
+  Rng rng(17);
+  RandomWorkflowOptions opt;
+  opt.num_modules = 8;
+  opt.num_layers = 3;
+  GeneratedWorkflow gen = MakeRandomWorkflow(opt, &rng);
+  const std::vector<int64_t> gammas(
+      static_cast<size_t>(gen.workflow->num_modules()), 2);
+  TaskGraphExecutor shared(3);
+  for (ConstraintKind kind :
+       {ConstraintKind::kSet, ConstraintKind::kCardinality}) {
+    const SecureViewInstance own =
+        InstanceFromWorkflow(*gen.workflow, gammas, kind, {}, nullptr);
+    const SecureViewInstance on_shared =
+        InstanceFromWorkflow(*gen.workflow, gammas, kind, {}, &shared);
+    EXPECT_EQ(SerializeInstance(own), SerializeInstance(on_shared));
+    EXPECT_EQ(SerializeInstance(own),
+              SerializeInstance(InstanceFromWorkflow(*gen.workflow, 2, kind)));
+  }
 }
 
 }  // namespace

@@ -41,7 +41,7 @@ SecureViewInstance RandomInstance(int seed, ConstraintKind kind,
 
 // ---------------------------------------------------------------------
 // The full pruning stack (warm start + oracle + scratch LP + best-bound)
-// still computes the exact optimum: it matches brute force, lower-bounds
+// computes the exact optimum: it matches brute force, lower-bounds
 // every approximation, and the paper's ratio guarantees hold against it.
 // ---------------------------------------------------------------------
 struct SweepCase {
@@ -132,7 +132,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PublicStackTest, ::testing::Range(0, 6));
 
 // ---------------------------------------------------------------------
 // Determinism: the wave engine's BnbResult is byte-identical at any
-// thread count, in both traversal orders, with the oracle installed.
+// thread count, with and without the oracle installed, and lands on the
+// brute-force optimum.
 // ---------------------------------------------------------------------
 void ExpectIdentical(const BnbResult& a, const BnbResult& b) {
   EXPECT_EQ(a.status.code(), b.status.code());
@@ -148,51 +149,28 @@ void ExpectIdentical(const BnbResult& a, const BnbResult& b) {
 
 TEST(ParallelEquivalenceTest, ByteIdenticalAcrossThreadCounts) {
   for (int seed = 0; seed < 3; ++seed) {
-    SecureViewInstance inst =
-        RandomInstance(seed + 100, ConstraintKind::kSet, 8);
-    SvEncoding enc = EncodeSecureView(inst);
-    for (bool best_bound : {true, false}) {
-      BnbOptions base;
-      base.best_bound = best_bound;
-      base.wave_width = 4;  // several waves, several nodes per wave
-      base.oracle = MakeSecureViewBnbOracle(&inst, &enc);
-      BnbResult one, two, eight;
-      {
+    for (ConstraintKind kind :
+         {ConstraintKind::kSet, ConstraintKind::kCardinality}) {
+      SecureViewInstance inst = RandomInstance(seed + 100, kind, 8);
+      SvEncoding enc = EncodeSecureView(inst);
+      const SvResult brute = SolveBruteForce(inst);
+      ASSERT_TRUE(brute.status.ok());
+      for (bool with_oracle : {true, false}) {
+        BnbOptions base;
+        base.wave_width = 4;  // several waves, several nodes per wave
+        if (with_oracle) base.oracle = MakeSecureViewBnbOracle(&inst, &enc);
         BnbOptions o = base;
         o.num_threads = 1;
-        one = SolveIlp(enc.lp, enc.integer_vars, o);
+        const BnbResult one = SolveIlp(enc.lp, enc.integer_vars, o);
+        ASSERT_TRUE(one.status.ok());
+        EXPECT_NEAR(one.objective, brute.cost, 1e-6)
+            << "seed " << seed << " oracle " << with_oracle;
+        for (int threads : {2, 4, 8}) {
+          o.num_threads = threads;
+          ExpectIdentical(one, SolveIlp(enc.lp, enc.integer_vars, o));
+        }
       }
-      {
-        BnbOptions o = base;
-        o.num_threads = 2;
-        two = SolveIlp(enc.lp, enc.integer_vars, o);
-      }
-      {
-        BnbOptions o = base;
-        o.num_threads = 8;
-        eight = SolveIlp(enc.lp, enc.integer_vars, o);
-      }
-      ASSERT_TRUE(one.status.ok());
-      ExpectIdentical(one, two);
-      ExpectIdentical(one, eight);
     }
-  }
-}
-
-TEST(ScratchLpTest, MatchesLegacyRebuildPath) {
-  for (int seed = 0; seed < 4; ++seed) {
-    SecureViewInstance inst =
-        RandomInstance(seed + 200, ConstraintKind::kCardinality, 7);
-    SvEncoding enc = EncodeSecureView(inst);
-    BnbOptions scratch;
-    scratch.use_scratch_lp = true;
-    BnbOptions rebuild;
-    rebuild.use_scratch_lp = false;
-    BnbResult a = SolveIlp(enc.lp, enc.integer_vars, scratch);
-    BnbResult b = SolveIlp(enc.lp, enc.integer_vars, rebuild);
-    ASSERT_TRUE(a.status.ok());
-    // Same traversal, same relaxations — only the LP storage differs.
-    ExpectIdentical(a, b);
   }
 }
 

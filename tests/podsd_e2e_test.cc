@@ -4,14 +4,18 @@
 // must be byte-identical to what a direct CertifyWorkflowBatch call
 // produces, bad requests must come back as typed errors, and at the end the
 // daemon must still answer and shut down cleanly. Runs under ASan/UBSan and
-// TSan in CI — a data race in the connection fan-out or the shared memo
-// bank fails here.
+// TSan in CI — a data race in the reactor fan-out or the shared memo bank
+// fails here.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
+#include "generators/random_workflow.h"
 #include "privacy/workflow_privacy.h"
 #include "secureview/serialization.h"
 #include "server/client.h"
@@ -248,50 +252,54 @@ TEST(PodsdE2eTest, StopSeversIdleConnectionsCleanly) {
   daemon.reset();
 }
 
-TEST(PodsdE2eTest, TaskGraphDaemonMatchesBarrierDaemon) {
-  // Two daemons over the same builtin workflow, one with the shared
-  // task-graph executor forced on (engine_threads=2 so it exists even on a
-  // single-core host), one with it off: every certify response must be
-  // identical, and both must match the direct engine.
+TEST(PodsdE2eTest, EngineThreadCountsMatchDirectVerdicts) {
+  // Daemons with 1, 2, 4 and 8 engine workers (engine_threads >= 1 forces
+  // the shared executor even on a single-core host) must answer every
+  // certify — single and batched — exactly as the direct one-thread engine
+  // does.
   Fig1Workflow fig1 = MakeFig1Workflow();
   const int attrs[] = {fig1.a3, fig1.a4, fig1.a5, fig1.a6, fig1.a7};
   const std::vector<CertifyEntry> expected = DirectVerdicts(fig1, attrs);
 
-  PodsDaemon::Options on_opts;
-  on_opts.use_task_graph = true;
-  on_opts.engine_threads = 2;
-  PodsDaemon::Options off_opts;
-  off_opts.use_task_graph = false;
+  for (int engine_threads : {1, 2, 4, 8}) {
+    PodsDaemon::Options opts;
+    opts.engine_threads = engine_threads;
+    WorkflowRegistry registry;
+    registry.RegisterBuiltins();
+    PodsDaemon daemon(&registry, opts);
+    ASSERT_TRUE(daemon.Start().ok());
+    ASSERT_NE(daemon.executor(), nullptr);
 
-  WorkflowRegistry on_registry, off_registry;
-  on_registry.RegisterBuiltins();
-  off_registry.RegisterBuiltins();
-  PodsDaemon on_daemon(&on_registry, on_opts);
-  PodsDaemon off_daemon(&off_registry, off_opts);
-  ASSERT_TRUE(on_daemon.Start().ok());
-  ASSERT_TRUE(off_daemon.Start().ok());
-
-  PodsClient on_client, off_client;
-  ASSERT_TRUE(on_client.Connect(on_daemon.port()).ok());
-  ASSERT_TRUE(off_client.Connect(off_daemon.port()).ok());
-  for (uint32_t mask = 0; mask < kNumMasks; ++mask) {
-    CertifyRequest req;
-    req.workflow = "fig1";
-    req.items.push_back(ItemForMask(mask, attrs));
-    CertifyResponse on_resp, off_resp;
-    ASSERT_TRUE(on_client.Certify(req, /*batch=*/false, &on_resp).ok());
-    ASSERT_TRUE(off_client.Certify(req, /*batch=*/false, &off_resp).ok());
-    ASSERT_EQ(on_resp.entries.size(), 1u);
-    ASSERT_EQ(off_resp.entries.size(), 1u);
-    EXPECT_EQ(on_resp.entries[0].certified, expected[mask].certified);
-    EXPECT_EQ(off_resp.entries[0].certified, expected[mask].certified);
-    EXPECT_EQ(on_resp.entries[0].module_gammas, off_resp.entries[0].module_gammas);
-    EXPECT_EQ(on_resp.entries[0].required_privatizations,
-              off_resp.entries[0].required_privatizations);
+    PodsClient client;
+    ASSERT_TRUE(client.Connect(daemon.port()).ok());
+    CertifyRequest batch_req;
+    batch_req.workflow = "fig1";
+    for (uint32_t mask = 0; mask < kNumMasks; ++mask) {
+      CertifyRequest req;
+      req.workflow = "fig1";
+      req.items.push_back(ItemForMask(mask, attrs));
+      batch_req.items.push_back(ItemForMask(mask, attrs));
+      CertifyResponse resp;
+      ASSERT_TRUE(client.Certify(req, /*batch=*/false, &resp).ok());
+      ASSERT_EQ(resp.entries.size(), 1u);
+      EXPECT_EQ(resp.entries[0].certified, expected[mask].certified)
+          << "engine_threads " << engine_threads << " mask " << mask;
+      EXPECT_EQ(resp.entries[0].module_gammas, expected[mask].module_gammas);
+      EXPECT_EQ(resp.entries[0].required_privatizations,
+                expected[mask].required_privatizations);
+    }
+    CertifyResponse batch_resp;
+    ASSERT_TRUE(client.Certify(batch_req, /*batch=*/true, &batch_resp).ok());
+    ASSERT_EQ(batch_resp.entries.size(), static_cast<size_t>(kNumMasks));
+    for (uint32_t mask = 0; mask < kNumMasks; ++mask) {
+      EXPECT_EQ(batch_resp.entries[mask].certified, expected[mask].certified);
+      EXPECT_EQ(batch_resp.entries[mask].module_gammas,
+                expected[mask].module_gammas);
+      EXPECT_EQ(batch_resp.entries[mask].required_privatizations,
+                expected[mask].required_privatizations);
+    }
+    daemon.Stop();
   }
-
-  on_daemon.Stop();
-  off_daemon.Stop();
 }
 
 TEST(PodsdE2eTest, AdmissionGateRejectsWhenFull) {
@@ -302,7 +310,6 @@ TEST(PodsdE2eTest, AdmissionGateRejectsWhenFull) {
   WorkflowRegistry registry;
   registry.RegisterBuiltins();
   PodsDaemon::Options opts;
-  opts.use_task_graph = true;
   opts.engine_threads = 2;
   opts.max_pending = 0;
   PodsDaemon daemon(&registry, opts);
@@ -542,6 +549,75 @@ TEST(PodsdE2eTest, UnregisterDropsWorkflowAndSurvivesInFlightUse) {
             StatusCode::kNotFound);
   EXPECT_EQ(client.Unregister("ephemeral").code(), StatusCode::kNotFound);
   EXPECT_TRUE(client.Register("ephemeral", bytes).ok());
+
+  daemon.Stop();
+}
+
+TEST(PodsdE2eTest, UnregisterReturnsVerdictCacheToBaseline) {
+  // A REGISTERed workflow's verdicts live in the daemon-wide cache under
+  // its own namespaces. UNREGISTER must give them back: after certifying
+  // every mask and unregistering, STAT's cache bytes, entries and
+  // namespace count read exactly what they read before the REGISTER.
+  WorkflowRegistry registry;
+  registry.RegisterBuiltins();
+  PodsDaemon daemon(&registry);
+  ASSERT_TRUE(daemon.Start().ok());
+
+  Rng rng(31);
+  RandomWorkflowOptions wopt;
+  wopt.num_modules = 3;
+  wopt.max_inputs = 2;
+  wopt.max_outputs = 1;
+  GeneratedWorkflow gen = MakeRandomWorkflow(wopt, &rng);
+  std::string bytes;
+  ASSERT_TRUE(SerializeWorkflowBinary(*gen.workflow, &bytes).ok());
+
+  PodsClient client;
+  ASSERT_TRUE(client.Connect(daemon.port()).ok());
+  const std::vector<std::string> keys = {
+      "verdict_cache_bytes", "verdict_cache_namespaces",
+      "verdict_cache_signature_entries", "verdict_cache_projection_entries",
+      "verdict_cache_signature_bytes", "verdict_cache_projection_bytes"};
+  const auto read_cache = [&]() {
+    StatSnapshot stats;
+    EXPECT_TRUE(client.Stat(&stats).ok());
+    std::map<std::string, uint64_t> out;
+    for (const auto& [k, v] : stats) {
+      if (std::find(keys.begin(), keys.end(), k) != keys.end()) out[k] = v;
+    }
+    EXPECT_EQ(out.size(), keys.size());
+    return out;
+  };
+  const std::map<std::string, uint64_t> before = read_cache();
+
+  ASSERT_TRUE(client.Register("leak-probe", bytes).ok());
+  const std::vector<int> used = gen.workflow->used_attrs().ToVector();
+  ASSERT_LE(used.size(), 10u);  // the batch must fit the admission gate
+  CertifyRequest req;
+  req.workflow = "leak-probe";
+  for (uint32_t mask = 0; mask < (1u << used.size()); ++mask) {
+    CertifyItem item;
+    item.gamma = 2;
+    for (size_t b = 0; b < used.size(); ++b) {
+      if ((mask >> b) & 1u) {
+        item.hidden_attrs.push_back(static_cast<uint32_t>(used[b]));
+      }
+    }
+    req.items.push_back(std::move(item));
+  }
+  CertifyResponse resp;
+  ASSERT_TRUE(client.Certify(req, /*batch=*/true, &resp).ok());
+  ASSERT_EQ(resp.entries.size(), req.items.size());
+  const std::map<std::string, uint64_t> loaded = read_cache();
+  EXPECT_GT(loaded.at("verdict_cache_bytes"),
+            before.at("verdict_cache_bytes"));
+  EXPECT_GT(loaded.at("verdict_cache_signature_entries") +
+                loaded.at("verdict_cache_projection_entries"),
+            before.at("verdict_cache_signature_entries") +
+                before.at("verdict_cache_projection_entries"));
+
+  ASSERT_TRUE(client.Unregister("leak-probe").ok());
+  EXPECT_EQ(read_cache(), before);
 
   daemon.Stop();
 }

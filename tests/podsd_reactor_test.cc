@@ -1,6 +1,7 @@
-// Reactor front-end suite (the PR's acceptance bar): the epoll reactor must
-// produce byte-identical responses to the legacy thread-per-connection
-// front-end for the same request bytes, reassemble frames that arrive in
+// Reactor front-end suite: the epoll reactor must produce byte-identical
+// responses to the in-process HandleFrame core running every engine inline
+// (no executor, the single-core path) for the same request bytes,
+// reassemble frames that arrive in
 // arbitrary pieces, serve pipelined requests in order, hold 1000 idle
 // connections with a thread count bounded by --reactor-threads (NOT by
 // connection count), and surface request-level admission in STAT. Runs
@@ -20,6 +21,7 @@
 #include "secureview/serialization.h"
 #include "server/client.h"
 #include "server/daemon.h"
+#include "server/handler.h"
 #include "server/protocol.h"
 #include "server/registry.h"
 #include "workflow/fig1_workflow.h"
@@ -51,25 +53,30 @@ CertifyItem ItemForMask(uint32_t mask, const int* attrs, int num_attrs) {
   return item;
 }
 
-TEST(PodsdReactorTest, ReactorMatchesLegacyByteForByte) {
-  // Same registry seeds, same request bytes, two front-ends: every response
-  // frame must be IDENTICAL down to the byte. Both paths share HandleFrame,
-  // so any divergence is a framing/dispatch bug in one of them.
+TEST(PodsdReactorTest, ReactorMatchesInlineHandleFrameByteForByte) {
+  // Same registry seeds, same request bytes: the reactor daemon (engine work
+  // on its shared executor) and HandleFrame called in-process with no
+  // executor (every engine inline, as on a single-core host) must produce
+  // IDENTICAL response frames down to the byte. Any divergence is a
+  // framing/dispatch bug in the reactor or an executor-dependent engine
+  // result.
   PodsDaemon::Options reactor_opts;
-  reactor_opts.use_reactor = true;
   reactor_opts.reactor_threads = 2;
   reactor_opts.engine_threads = 2;
-  PodsDaemon::Options legacy_opts;
-  legacy_opts.use_reactor = false;
-  legacy_opts.engine_threads = 2;
-
-  WorkflowRegistry reactor_registry, legacy_registry;
+  WorkflowRegistry reactor_registry, inline_registry;
   reactor_registry.RegisterBuiltins();
-  legacy_registry.RegisterBuiltins();
+  inline_registry.RegisterBuiltins();
   PodsDaemon reactor_daemon(&reactor_registry, reactor_opts);
-  PodsDaemon legacy_daemon(&legacy_registry, legacy_opts);
   ASSERT_TRUE(reactor_daemon.Start().ok());
-  ASSERT_TRUE(legacy_daemon.Start().ok());
+
+  DaemonStats inline_stats;
+  AdmissionController inline_admission(reactor_opts.max_pending,
+                                       reactor_opts.memory_budget);
+  RequestContext inline_ctx;
+  inline_ctx.registry = &inline_registry;
+  inline_ctx.stats = &inline_stats;
+  inline_ctx.executor = nullptr;
+  inline_ctx.admission = &inline_admission;
 
   const Fig1Workflow fig1 = MakeFig1Workflow();
   const int attrs[] = {fig1.a3, fig1.a4, fig1.a5, fig1.a6, fig1.a7};
@@ -130,23 +137,34 @@ TEST(PodsdReactorTest, ReactorMatchesLegacyByteForByte) {
     corpus.push_back(BuildRequestFrame(MessageType::kCertify, 302, body));
   }
 
-  PodsClient reactor_client, legacy_client;
+  PodsClient reactor_client;
   ASSERT_TRUE(reactor_client.Connect(reactor_daemon.port()).ok());
-  ASSERT_TRUE(legacy_client.Connect(legacy_daemon.port()).ok());
   for (size_t i = 0; i < corpus.size(); ++i) {
     ASSERT_TRUE(reactor_client.SendRaw(corpus[i]).ok());
-    ASSERT_TRUE(legacy_client.SendRaw(corpus[i]).ok());
-    FrameHeader rh, lh;
-    std::string rbody, lbody;
+    FrameHeader rh;
+    std::string rbody;
     ASSERT_TRUE(reactor_client.RecvResponse(&rh, &rbody).ok());
-    ASSERT_TRUE(legacy_client.RecvResponse(&lh, &lbody).ok());
-    EXPECT_EQ(rh.type, lh.type) << "corpus entry " << i;
-    EXPECT_EQ(rh.request_id, lh.request_id) << "corpus entry " << i;
-    EXPECT_EQ(rbody, lbody) << "corpus entry " << i;
+
+    FrameHeader request;
+    ASSERT_TRUE(DecodeFrameHeader(
+                    std::string_view(corpus[i]).substr(0, kFrameHeaderSize),
+                    &request)
+                    .ok());
+    const std::string inline_frame = HandleFrame(
+        inline_ctx, request,
+        std::string_view(corpus[i]).substr(kFrameHeaderSize));
+    FrameHeader ih;
+    ASSERT_TRUE(DecodeFrameHeader(
+                    std::string_view(inline_frame).substr(0, kFrameHeaderSize),
+                    &ih)
+                    .ok());
+    EXPECT_EQ(rh.type, ih.type) << "corpus entry " << i;
+    EXPECT_EQ(rh.request_id, ih.request_id) << "corpus entry " << i;
+    EXPECT_EQ(rbody, inline_frame.substr(kFrameHeaderSize))
+        << "corpus entry " << i;
   }
 
   reactor_daemon.Stop();
-  legacy_daemon.Stop();
 }
 
 TEST(PodsdReactorTest, ReassemblesFragmentedFramesAndServesPipelines) {

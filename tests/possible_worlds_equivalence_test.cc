@@ -86,20 +86,32 @@ TEST(PossibleWorldsEquivalenceTest, LargerInputSpaceMatchesNaive) {
 }
 
 TEST(PossibleWorldsEquivalenceTest, ParallelShardsMatchSequential) {
-  for (uint64_t seed = 200; seed < 210; ++seed) {
-    RandomInstance inst = MakeInstance(2, 2, 3, 2, seed);
+  // The slot-0 walk runs as contiguous rank-range tasks of one graph. With
+  // the size gate off, 2/4/8 threads must reproduce the one-thread run
+  // byte for byte, and all of them the naive odometer.
+  for (uint64_t seed = 200; seed < 212; ++seed) {
+    RandomInstance inst = seed % 2 == 0 ? MakeInstance(2, 2, 3, 2, seed)
+                                        : MakeInstance(2, 1, 2, 4, seed);
+    const StandaloneWorlds naive = EnumerateStandaloneWorldsNaive(
+        inst.relation, inst.module->inputs(), inst.module->outputs(),
+        inst.visible);
     EnumerationOptions sequential;
     sequential.num_threads = 1;
-    EnumerationOptions parallel;
-    parallel.num_threads = 4;
-    parallel.min_parallel_candidates = 0;  // force the pool even when tiny
-    StandaloneWorlds a = EnumerateStandaloneWorlds(
+    sequential.min_parallel_candidates = 0;
+    const StandaloneWorlds a = EnumerateStandaloneWorlds(
         inst.relation, inst.module->inputs(), inst.module->outputs(),
         inst.visible, sequential);
-    StandaloneWorlds b = EnumerateStandaloneWorlds(
-        inst.relation, inst.module->inputs(), inst.module->outputs(),
-        inst.visible, parallel);
-    ExpectIdentical(a, b, seed);
+    ExpectIdentical(naive, a, seed);
+    for (int threads : {2, 4, 8}) {
+      EnumerationOptions parallel = sequential;
+      parallel.num_threads = threads;
+      const StandaloneWorlds b = EnumerateStandaloneWorlds(
+          inst.relation, inst.module->inputs(), inst.module->outputs(),
+          inst.visible, parallel);
+      ExpectIdentical(a, b, seed);
+      EXPECT_EQ(a.pruned_candidates, b.pruned_candidates);
+      EXPECT_EQ(a.early_stopped, b.early_stopped);
+    }
   }
 }
 
@@ -128,16 +140,18 @@ TEST(PossibleWorldsEquivalenceTest, ParallelMatchesWhenShardsDivideUnevenly) {
     EnumerationOptions sequential;
     sequential.num_threads = 1;
     sequential.max_candidates = int64_t{1} << 34;
-    EnumerationOptions parallel = sequential;
-    parallel.num_threads = 4;
-    parallel.min_parallel_candidates = 0;
     StandaloneWorlds a = EnumerateStandaloneWorlds(rel, m->inputs(),
                                                    m->outputs(), visible,
                                                    sequential);
-    StandaloneWorlds b = EnumerateStandaloneWorlds(rel, m->inputs(),
-                                                   m->outputs(), visible,
-                                                   parallel);
-    ExpectIdentical(a, b, seed);
+    for (int threads : {2, 4, 8}) {
+      EnumerationOptions parallel = sequential;
+      parallel.num_threads = threads;
+      parallel.min_parallel_candidates = 0;
+      StandaloneWorlds b = EnumerateStandaloneWorlds(rel, m->inputs(),
+                                                     m->outputs(), visible,
+                                                     parallel);
+      ExpectIdentical(a, b, seed);
+    }
   }
 }
 

@@ -2,7 +2,7 @@
 // reject truncated, oversized, and corrupted inputs with a typed Status —
 // never crash, never over-read, never allocate from a forged count — and a
 // live daemon must contain each failure to the connection or request that
-// caused it (the blast-radius table in server/connection.h).
+// caused it (the blast-radius table in server/handler.h).
 #include <gtest/gtest.h>
 
 #include <string>

@@ -256,12 +256,44 @@ TEST(SafeSubsetSearchTest, SharedMemoAccumulatesAcrossShardedSearches) {
   EXPECT_GT(second.cache_hits, 0);
 }
 
-TEST(SafeSubsetSearchTest, TaskGraphMatchesBarrierAndSequentialByteForByte) {
-  // Randomized on/off equivalence of the task-graph walk: for every thread
-  // count the task-graph mode must return the same sets in the same order
-  // as both the barrier mode and the sequential walk — and its stats must
-  // equal the SEQUENTIAL stats field for field (the lookup-log replay
-  // guarantee; the barrier mode is only guaranteed the weaker invariants).
+// Independent oracle for the lattice search: test every subset of the
+// module's attributes with the standalone checker and keep the safe ones no
+// other safe subset is contained in, in the walk's output order
+// (cardinality, then lexicographic rank).
+std::vector<Bitset64> BruteForceMinimalSafe(const Module& m, int64_t gamma) {
+  std::vector<AttrId> attrs = m.inputs();
+  attrs.insert(attrs.end(), m.outputs().begin(), m.outputs().end());
+  const int k = static_cast<int>(attrs.size());
+  const Relation rel = m.FullRelation();
+  std::vector<Bitset64> safe;
+  for (int size = 0; size <= k; ++size) {
+    ForEachSubsetOfSizeRangeWhile(
+        k, size, 0, BinomialCoefficient(k, size), [&](const Bitset64& combo) {
+          Bitset64 hidden(m.catalog()->size());
+          for (int local : combo.ToVector()) {
+            hidden.Set(attrs[static_cast<size_t>(local)]);
+          }
+          if (IsStandaloneSafe(rel, m.inputs(), m.outputs(),
+                               hidden.Complement(), gamma)) {
+            safe.push_back(hidden);
+          }
+          return true;
+        });
+  }
+  std::vector<Bitset64> minimal;
+  for (const Bitset64& h : safe) {
+    bool dominated = false;
+    for (const Bitset64& mset : minimal) dominated |= mset.IsSubsetOf(h);
+    if (!dominated) minimal.push_back(h);
+  }
+  return minimal;
+}
+
+TEST(SafeSubsetSearchTest, ThreadCountsByteIdenticalAndMatchBruteForce) {
+  // Randomized determinism check of the task-graph walk: at 2/4/8 threads
+  // it must return the same sets in the same order as the one-thread walk,
+  // with stats equal field for field (the lookup-log replay guarantee) —
+  // and the one-thread walk must equal the brute-force oracle.
   for (uint64_t seed : {uint64_t{5}, uint64_t{97}, uint64_t{3021}}) {
     Rng rng(seed);
     auto catalog = std::make_shared<AttributeCatalog>();
@@ -281,63 +313,70 @@ TEST(SafeSubsetSearchTest, TaskGraphMatchesBarrierAndSequentialByteForByte) {
     SafeSearchStats seq_stats;
     std::vector<Bitset64> want = MinimalSafeHiddenSets(
         *m, gamma, &seq_stats, Module::kDefaultMaterializeRows, seq);
+    EXPECT_EQ(want, BruteForceMinimalSafe(*m, gamma)) << "seed " << seed;
 
-    for (int threads : {1, 2, 4}) {
-      SubsetSearchOptions on, off;
-      on.num_threads = threads;
-      on.use_task_graph = true;
-      on.min_parallel_subsets = 0;
-      off.num_threads = threads;
-      off.use_task_graph = false;
-      off.min_parallel_subsets = 0;
-      SafeSearchStats on_stats, off_stats;
-      std::vector<Bitset64> got_on = MinimalSafeHiddenSets(
-          *m, gamma, &on_stats, Module::kDefaultMaterializeRows, on);
-      std::vector<Bitset64> got_off = MinimalSafeHiddenSets(
-          *m, gamma, &off_stats, Module::kDefaultMaterializeRows, off);
-      EXPECT_EQ(got_on, want) << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(got_off, want) << "seed " << seed << " threads " << threads;
-      // Replay-exact accounting: the task-graph stats ARE the sequential
-      // stats at every thread count.
-      EXPECT_EQ(on_stats.subsets_examined, seq_stats.subsets_examined);
-      EXPECT_EQ(on_stats.checker_calls, seq_stats.checker_calls)
+    for (int threads : {2, 4, 8}) {
+      SubsetSearchOptions par;
+      par.num_threads = threads;
+      par.min_parallel_subsets = 0;
+      SafeSearchStats par_stats;
+      std::vector<Bitset64> got = MinimalSafeHiddenSets(
+          *m, gamma, &par_stats, Module::kDefaultMaterializeRows, par);
+      EXPECT_EQ(got, want) << "seed " << seed << " threads " << threads;
+      EXPECT_EQ(par_stats.subsets_examined, seq_stats.subsets_examined);
+      EXPECT_EQ(par_stats.checker_calls, seq_stats.checker_calls)
           << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(on_stats.cache_hits, seq_stats.cache_hits);
-      EXPECT_EQ(on_stats.signature_hits, seq_stats.signature_hits);
-      EXPECT_EQ(on_stats.projection_hits, seq_stats.projection_hits);
-      // The barrier mode keeps the weaker exact-aggregation invariants.
-      EXPECT_EQ(off_stats.subsets_examined, seq_stats.subsets_examined);
-      EXPECT_EQ(off_stats.checker_calls + off_stats.cache_hits,
-                seq_stats.checker_calls + seq_stats.cache_hits);
+      EXPECT_EQ(par_stats.cache_hits, seq_stats.cache_hits);
+      EXPECT_EQ(par_stats.signature_hits, seq_stats.signature_hits);
+      EXPECT_EQ(par_stats.projection_hits, seq_stats.projection_hits);
     }
   }
 }
 
-TEST(SafeSubsetSearchTest, TaskGraphCardinalityPairsMatchModes) {
+TEST(SafeSubsetSearchTest, CardinalityPairsMatchAcrossThreadCounts) {
+  // The cell-range task graph at 2/4/8 threads returns the one-thread
+  // frontier, which must match the exhaustive definition: (a, b) is safe
+  // iff EVERY subset hiding exactly a inputs and b outputs is safe, and
+  // the frontier is the set of minimal safe cells.
   Rng rng(53);
   auto catalog = std::make_shared<AttributeCatalog>();
-  for (int i = 0; i < 10; ++i) catalog->Add("a" + std::to_string(i));
-  ModulePtr m = MakeRandomFunction("f", catalog, {0, 1, 2, 3, 4},
-                                   {5, 6, 7, 8, 9}, &rng);
+  for (int i = 0; i < 8; ++i) catalog->Add("a" + std::to_string(i));
+  const std::vector<AttrId> in = {0, 1, 2, 3};
+  const std::vector<AttrId> out = {4, 5, 6, 7};
+  ModulePtr m = MakeRandomFunction("f", catalog, in, out, &rng);
+  const Relation rel = m->FullRelation();
   SubsetSearchOptions seq;
   seq.num_threads = 1;
   for (int64_t gamma : {int64_t{2}, int64_t{4}}) {
+    bool cell_safe[5][5];
+    for (int a = 0; a <= 4; ++a) {
+      for (int b = 0; b <= 4; ++b) cell_safe[a][b] = true;
+    }
+    ForEachSubset(8, [&](const Bitset64& hidden) {
+      int a = 0, b = 0;
+      for (int id : hidden.ToVector()) (id < 4 ? a : b) += 1;
+      if (!IsStandaloneSafe(rel, in, out, hidden.Complement(), gamma)) {
+        cell_safe[a][b] = false;
+      }
+    });
+    std::vector<CardinalityPair> oracle;
+    for (int a = 0; a <= 4; ++a) {
+      for (int b = 0; b <= 4; ++b) {
+        if (!cell_safe[a][b]) continue;
+        if (a > 0 && cell_safe[a - 1][b]) continue;
+        if (b > 0 && cell_safe[a][b - 1]) continue;
+        oracle.push_back(CardinalityPair{a, b});
+      }
+    }
     std::vector<CardinalityPair> want = MinimalSafeCardinalityPairs(
         *m, gamma, Module::kDefaultMaterializeRows, seq);
-    for (int threads : {2, 4}) {
-      SubsetSearchOptions on, off;
-      on.num_threads = threads;
-      on.use_task_graph = true;
-      on.min_parallel_subsets = 0;
-      off.num_threads = threads;
-      off.use_task_graph = false;
-      off.min_parallel_subsets = 0;
+    EXPECT_EQ(want, oracle) << "gamma " << gamma;
+    for (int threads : {2, 4, 8}) {
+      SubsetSearchOptions par;
+      par.num_threads = threads;
+      par.min_parallel_subsets = 0;
       EXPECT_EQ(MinimalSafeCardinalityPairs(
-                    *m, gamma, Module::kDefaultMaterializeRows, on),
-                want)
-          << "gamma " << gamma << " threads " << threads;
-      EXPECT_EQ(MinimalSafeCardinalityPairs(
-                    *m, gamma, Module::kDefaultMaterializeRows, off),
+                    *m, gamma, Module::kDefaultMaterializeRows, par),
                 want)
           << "gamma " << gamma << " threads " << threads;
     }

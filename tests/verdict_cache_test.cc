@@ -49,6 +49,68 @@ TEST(VerdictCacheTest, InsertAndLookupAcrossNamespacesAndClasses) {
   EXPECT_EQ(cache.Stats().namespaces, 2);
 }
 
+TEST(VerdictCacheTest, DropNamespaceForgetsOnlyItsEntries) {
+  // Dropping a namespace forgets exactly its entries (both classes, both
+  // SLRU segments) and gives their bytes back; other namespaces keep
+  // answering, and a drained cache returns to zero measured bytes.
+  VerdictCache cache;
+  const uint32_t keep = cache.RegisterNamespace("keep");
+  const uint32_t doomed = cache.RegisterNamespace("doomed");
+  for (uint64_t i = 0; i < 200; ++i) {
+    ASSERT_TRUE(cache.Insert(keep, VerdictKeyClass::kSignature, Key(i),
+                             GammaOf(i)));
+    ASSERT_TRUE(cache.Insert(doomed, VerdictKeyClass::kProjection, Key(i),
+                             GammaOf(i)));
+  }
+  int64_t gamma = 0;
+  for (uint64_t i = 0; i < 200; i += 2) {  // promote half into protected
+    ASSERT_TRUE(
+        cache.Lookup(doomed, VerdictKeyClass::kProjection, Key(i), &gamma));
+  }
+  const int64_t full_bytes = cache.bytes_in_use();
+  cache.DropNamespace(doomed);
+  const VerdictCacheStats after = cache.Stats();
+  EXPECT_EQ(after.namespaces, 1u);
+  EXPECT_EQ(after.projection.entries, 0);
+  EXPECT_EQ(after.projection.bytes, 0);
+  EXPECT_EQ(after.signature.entries, 200);
+  EXPECT_EQ(after.projection.evictions, 0u);
+  EXPECT_LT(cache.bytes_in_use(), full_bytes);
+  for (uint64_t i = 0; i < 200; ++i) {
+    EXPECT_FALSE(
+        cache.Lookup(doomed, VerdictKeyClass::kProjection, Key(i), &gamma));
+    ASSERT_TRUE(
+        cache.Lookup(keep, VerdictKeyClass::kSignature, Key(i), &gamma));
+    EXPECT_EQ(gamma, GammaOf(i));
+  }
+  cache.DropNamespace(keep);
+  EXPECT_EQ(cache.Stats().namespaces, 0u);
+  EXPECT_EQ(cache.bytes_in_use(), 0);
+  // Ids are never reused.
+  EXPECT_GT(cache.RegisterNamespace("fresh"), doomed);
+}
+
+TEST(VerdictCacheTest, DestroyedWorkflowNamespaceDropsItsVerdicts) {
+  Rng rng(5);
+  RandomWorkflowOptions options;
+  options.num_modules = 3;
+  options.max_inputs = 2;
+  options.max_outputs = 1;
+  GeneratedWorkflow g = MakeRandomWorkflow(options, &rng);
+  auto cache = std::make_shared<VerdictCache>();
+  {
+    WorkflowCacheNamespace bank(*g.workflow, cache, "probe");
+    const Bitset64 hidden(g.workflow->catalog()->size());
+    WorkflowBatchResult r =
+        CertifyWorkflowBatch(*g.workflow, {{hidden, 2}}, {}, &bank);
+    ASSERT_TRUE(r.status.ok());
+    EXPECT_GT(cache->bytes_in_use(), 0);
+    EXPECT_GT(cache->Stats().namespaces, 0u);
+  }
+  EXPECT_EQ(cache->bytes_in_use(), 0);
+  EXPECT_EQ(cache->Stats().namespaces, 0u);
+}
+
 TEST(VerdictCacheTest, FirstInsertWins) {
   // Verdicts are pure functions of their key: a second insert of the same
   // key is a no-op, never an overwrite.

@@ -78,38 +78,14 @@ TEST(WorkflowBatchTest, SharesVerdictsAcrossRequests) {
   EXPECT_GT(batch.stats.HitRate(), 0.5);
 }
 
-TEST(WorkflowBatchTest, ThreadCountsAgree) {
-  Rng rng(13);
-  RandomWorkflowOptions options;
-  options.num_modules = 4;
-  options.max_inputs = 2;
-  options.max_outputs = 1;
-  GeneratedWorkflow g = MakeRandomWorkflow(options, &rng);
-  std::vector<WorkflowCertificationRequest> requests =
-      AllSubsetRequests(*g.workflow, 2);
-
-  WorkflowBatchOptions sequential;
-  sequential.num_threads = 1;
-  WorkflowBatchOptions parallel;
-  parallel.num_threads = 4;
-  WorkflowBatchResult a =
-      CertifyWorkflowBatch(*g.workflow, requests, sequential);
-  WorkflowBatchResult b = CertifyWorkflowBatch(*g.workflow, requests, parallel);
-  ASSERT_EQ(a.entries.size(), b.entries.size());
-  for (size_t r = 0; r < a.entries.size(); ++r) {
-    EXPECT_EQ(a.entries[r].certificate.certified,
-              b.entries[r].certificate.certified);
-    EXPECT_EQ(a.entries[r].certificate.module_gammas,
-              b.entries[r].certificate.module_gammas);
-  }
-  EXPECT_EQ(a.stats.checker_calls, b.stats.checker_calls);
-}
-
-TEST(WorkflowBatchTest, TaskGraphOnOffFieldIdentical) {
-  // Randomized on/off equivalence: the task-graph driver (per-module request
-  // chains + per-request verdict tasks + overlapped ground truth) must be
-  // field-identical to the historical fork-join driver — entries AND stats —
-  // at every thread count.
+TEST(WorkflowBatchTest, ThreadCountsFieldIdenticalAndMatchOracles) {
+  // Randomized determinism check of the task-graph driver (per-module
+  // request chains + per-request verdict tasks + overlapped ground truth):
+  // at 2/4/8 threads every entry AND the stats must equal the one-thread
+  // run (the same graph, run inline), and that run must match the
+  // independent oracles — one-at-a-time CertifyWorkflowPrivacy for the
+  // certificate and GroundTruthWorkflowGamma for the possible-worlds
+  // verdict.
   for (uint64_t seed : {uint64_t{13}, uint64_t{101}, uint64_t{977}}) {
     Rng rng(seed);
     RandomWorkflowOptions options;
@@ -120,41 +96,58 @@ TEST(WorkflowBatchTest, TaskGraphOnOffFieldIdentical) {
     std::vector<WorkflowCertificationRequest> requests =
         AllSubsetRequests(*g.workflow, 2);
 
-    for (int threads : {1, 2, 4}) {
-      WorkflowBatchOptions on, off;
-      on.num_threads = threads;
-      on.use_task_graph = true;
-      on.with_ground_truth = true;
-      off = on;
-      off.use_task_graph = false;
-      WorkflowBatchResult a = CertifyWorkflowBatch(*g.workflow, requests, on);
-      WorkflowBatchResult b = CertifyWorkflowBatch(*g.workflow, requests, off);
-      ASSERT_TRUE(a.status.ok()) << a.status.ToString();
-      ASSERT_TRUE(b.status.ok()) << b.status.ToString();
-      ASSERT_EQ(a.entries.size(), b.entries.size());
-      for (size_t r = 0; r < a.entries.size(); ++r) {
-        EXPECT_EQ(a.entries[r].certificate.certified,
-                  b.entries[r].certificate.certified)
+    WorkflowBatchOptions one;
+    one.num_threads = 1;
+    one.with_ground_truth = true;
+    const WorkflowBatchResult want =
+        CertifyWorkflowBatch(*g.workflow, requests, one);
+    ASSERT_TRUE(want.status.ok()) << want.status.ToString();
+    ASSERT_EQ(want.entries.size(), requests.size());
+    for (size_t r = 0; r < requests.size(); ++r) {
+      const PrivacyCertificate single = CertifyWorkflowPrivacy(
+          *g.workflow, requests[r].hidden, requests[r].gamma);
+      const PrivacyCertificate& batched = want.entries[r].certificate;
+      EXPECT_EQ(single.certified, batched.certified) << "request " << r;
+      EXPECT_EQ(single.module_gammas, batched.module_gammas);
+      EXPECT_EQ(single.required_privatizations,
+                batched.required_privatizations);
+      EXPECT_EQ(want.entries[r].ground_truth_private,
+                GroundTruthWorkflowGamma(*g.workflow, requests[r].hidden,
+                                         {}) >= requests[r].gamma)
+          << "seed " << seed << " request " << r;
+    }
+
+    for (int threads : {2, 4, 8}) {
+      WorkflowBatchOptions opts = one;
+      opts.num_threads = threads;
+      const WorkflowBatchResult got =
+          CertifyWorkflowBatch(*g.workflow, requests, opts);
+      ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+      ASSERT_EQ(got.entries.size(), want.entries.size());
+      for (size_t r = 0; r < got.entries.size(); ++r) {
+        EXPECT_EQ(got.entries[r].certificate.certified,
+                  want.entries[r].certificate.certified)
             << "seed " << seed << " threads " << threads << " request " << r;
-        EXPECT_EQ(a.entries[r].certificate.module_gammas,
-                  b.entries[r].certificate.module_gammas);
-        EXPECT_EQ(a.entries[r].certificate.required_privatizations,
-                  b.entries[r].certificate.required_privatizations);
-        EXPECT_EQ(a.entries[r].ground_truth_private,
-                  b.entries[r].ground_truth_private);
+        EXPECT_EQ(got.entries[r].certificate.module_gammas,
+                  want.entries[r].certificate.module_gammas);
+        EXPECT_EQ(got.entries[r].certificate.required_privatizations,
+                  want.entries[r].certificate.required_privatizations);
+        EXPECT_EQ(got.entries[r].ground_truth_private,
+                  want.entries[r].ground_truth_private);
       }
-      EXPECT_EQ(a.stats.checker_calls, b.stats.checker_calls)
+      EXPECT_EQ(got.stats.checker_calls, want.stats.checker_calls)
           << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(a.stats.cache_hits, b.stats.cache_hits)
+      EXPECT_EQ(got.stats.cache_hits, want.stats.cache_hits)
           << "seed " << seed << " threads " << threads;
+      EXPECT_EQ(got.stats.signature_hits, want.stats.signature_hits);
+      EXPECT_EQ(got.stats.projection_hits, want.stats.projection_hits);
     }
   }
 }
 
-TEST(WorkflowBatchTest, TaskGraphSharesBankAcrossBatches) {
-  // The memo bank carries verdicts across task-graph batches exactly as it
-  // does across fork-join batches: a second identical batch answers fully
-  // from the memo in both modes.
+TEST(WorkflowBatchTest, SharesBankAcrossBatches) {
+  // The memo bank carries verdicts across batches at any thread count: a
+  // second identical batch answers fully from the memo.
   Rng rng(29);
   RandomWorkflowOptions options;
   options.num_modules = 3;
@@ -164,20 +157,19 @@ TEST(WorkflowBatchTest, TaskGraphSharesBankAcrossBatches) {
   std::vector<WorkflowCertificationRequest> requests =
       AllSubsetRequests(*g.workflow, 2);
 
-  for (bool use_graph : {true, false}) {
+  for (int threads : {1, 2, 4, 8}) {
     WorkflowCacheNamespace bank(*g.workflow);
     WorkflowBatchOptions opts;
-    opts.num_threads = 2;
-    opts.use_task_graph = use_graph;
+    opts.num_threads = threads;
     WorkflowBatchResult first =
         CertifyWorkflowBatch(*g.workflow, requests, opts, &bank);
     WorkflowBatchResult second =
         CertifyWorkflowBatch(*g.workflow, requests, opts, &bank);
     ASSERT_TRUE(first.status.ok());
     ASSERT_TRUE(second.status.ok());
-    EXPECT_GT(first.stats.checker_calls, 0) << "use_task_graph " << use_graph;
-    EXPECT_EQ(second.stats.checker_calls, 0) << "use_task_graph " << use_graph;
-    EXPECT_GT(second.stats.cache_hits, 0) << "use_task_graph " << use_graph;
+    EXPECT_GT(first.stats.checker_calls, 0) << "threads " << threads;
+    EXPECT_EQ(second.stats.checker_calls, 0) << "threads " << threads;
+    EXPECT_GT(second.stats.cache_hits, 0) << "threads " << threads;
     for (size_t r = 0; r < requests.size(); ++r) {
       EXPECT_EQ(first.entries[r].certificate.certified,
                 second.entries[r].certificate.certified);

@@ -9,6 +9,7 @@
 
 #include "common/combinatorics.h"
 #include "common/rng.h"
+#include "common/task_graph.h"
 #include "generators/families.h"
 #include "generators/random_workflow.h"
 #include "module/module_library.h"
@@ -112,22 +113,46 @@ TEST(WorkflowWorldsEquivalenceTest, FixedModulesMatchNaive) {
 }
 
 TEST(WorkflowWorldsEquivalenceTest, ParallelShardsMatchSequential) {
-  for (uint64_t seed = 200; seed < 210; ++seed) {
+  // The slot-0 walk runs as contiguous rank-range tasks of one graph, on a
+  // private executor or on the caller's shared one; the tables build
+  // shards its scan the same way. With the size gate off, 2/4/8 threads —
+  // on either executor — must reproduce the one-thread run byte for byte,
+  // and all of them the naive joint odometer.
+  TaskGraphExecutor shared(3);
+  int checked = 0;
+  for (uint64_t seed = 200; seed < 220; ++seed) {
     Rng rng(seed * 17 + 1);
-    GeneratedWorkflow g = MakeRandomWorkflow(SmallOptions(2), &rng);
+    GeneratedWorkflow g =
+        MakeRandomWorkflow(SmallOptions(seed % 2 == 0 ? 2 : 3), &rng);
     if (NaiveJoint(*g.workflow, {}) > (1 << 16)) continue;
     Bitset64 visible = RandomVisible(*g.workflow, &rng, 0.5);
     WorkflowEnumerationOptions sequential;
     sequential.num_threads = 1;
-    WorkflowEnumerationOptions parallel;
-    parallel.num_threads = 4;
-    parallel.min_parallel_candidates = 0;  // force the pool even when tiny
+    sequential.min_parallel_candidates = 0;
     WorkflowWorlds a =
         EnumerateWorkflowWorlds(*g.workflow, visible, {}, sequential);
-    WorkflowWorlds b =
-        EnumerateWorkflowWorlds(*g.workflow, visible, {}, parallel);
-    ExpectIdentical(a, b, seed);
+    ExpectIdentical(EnumerateWorkflowWorldsNaive(*g.workflow, visible, {}),
+                    a, seed);
+    for (int threads : {2, 4, 8}) {
+      for (TaskGraphExecutor* executor :
+           {static_cast<TaskGraphExecutor*>(nullptr), &shared}) {
+        WorkflowTablesOptions topts;
+        topts.num_threads = threads;
+        topts.executor = executor;
+        topts.chunk_executions = 1;  // one scan shard per thread
+        WorkflowEnumerationOptions parallel = sequential;
+        parallel.num_threads = threads;
+        parallel.executor = executor;
+        WorkflowWorlds b = EnumerateWorkflowWorlds(
+            *BuildWorkflowTables(*g.workflow, topts), visible, {}, parallel);
+        ExpectIdentical(a, b, seed);
+        EXPECT_EQ(a.pruned_candidates, b.pruned_candidates);
+        EXPECT_EQ(a.early_stopped, b.early_stopped);
+      }
+    }
+    ++checked;
   }
+  EXPECT_GE(checked, 5);
 }
 
 TEST(WorkflowWorldsEquivalenceTest, SharedTablesMatchFreshTables) {
