@@ -1,7 +1,8 @@
 // Experiment E11 — performance envelope of the LP/ILP substrate (S6) that
-// Theorems 5/6 and Appendix C.4 rely on: two-phase dense simplex and
-// branch-and-bound, on randomly generated covering programs shaped like
-// the Secure-View encodings.
+// Theorems 5/6 and Appendix C.4 rely on: the bounded-variable dense simplex
+// (cold solves) and branch-and-bound (a cold root, then dual re-solves of
+// the root tableau per node), on randomly generated covering programs
+// shaped like the Secure-View encodings.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"

@@ -1,9 +1,9 @@
 // E10: the optimizer — the wave branch-and-bound with its whole pruning
-// stack (scratch LP, best-bound order, greedy/rounding warm start,
-// combinatorial safety oracle), sequentially and in parallel, on the
-// hundred-module layered-DAG workflow family the generator grows for this
-// experiment. Cover-based approximations ride along so the gap they leave
-// on the table is recorded next to the timings.
+// stack (dual re-solves from the root tableau, best-bound order,
+// greedy/rounding warm start, combinatorial safety oracle), sequentially
+// and in parallel, on the hundred-module layered-DAG workflow family the
+// generator grows for this experiment. Cover-based approximations ride
+// along so the gap they leave on the table is recorded next to the timings.
 //
 // Summary lines, recorded by run_benches.sh into
 // BENCH_possible_worlds.json:

@@ -125,7 +125,9 @@ int RunSolve(int argc, char** argv) {
     if (deadline_ms > 0) opt.control = &control;
     result = provview::SolveByLpRounding(inst, opt);
   } else if (solver == "threshold") {
-    result = provview::SolveByThresholdRounding(inst);
+    provview::SimplexOptions opt;
+    if (deadline_ms > 0) opt.control = &control;
+    result = provview::SolveByThresholdRounding(inst, opt);
   } else if (solver == "greedy") {
     result = provview::SolveGreedyPerModule(
         inst, deadline_ms > 0 ? &control : nullptr);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <tuple>
 #include <utility>
 
@@ -47,6 +46,7 @@ struct Outcome {
   Kind kind = Kind::kClosed;
   bool done = false;          // resolve ran to completion (vs. skipped)
   bool lp_solved = false;
+  int64_t lp_iterations = 0;  // simplex pivots of this node's solve
   bool oracle_closed = false;
   std::vector<double> x;      // kCandidate
   double objective = kInf;    // kCandidate
@@ -77,7 +77,7 @@ class Engine {
 
     const int buckets =
         std::max(1, std::min(opt_.num_threads, std::max(1, opt_.wave_width)));
-    scratch_.resize(static_cast<size_t>(buckets));
+    work_.resize(static_cast<size_t>(buckets));
     const EngineExecutor executor(opt_.executor, buckets);
 
     std::vector<Node> wave;
@@ -139,6 +139,7 @@ class Engine {
           return Finish(st, {wave.begin() + static_cast<long>(i), wave.end()});
         }
         result_.lp_solves += out.lp_solved ? 1 : 0;
+        result_.lp_iterations += out.lp_iterations;
         result_.oracle_fathoms += out.oracle_closed ? 1 : 0;
         switch (out.kind) {
           case Outcome::kClosed:
@@ -195,46 +196,26 @@ class Engine {
   }
 
   // Resolves one node against the wave-start incumbent `frozen_best`.
-  // Reads only immutable engine state plus its own bucket's scratch LP.
+  // Reads only immutable engine state (root_ included, once wave 1 is
+  // merged) plus its own bucket's re-solve buffer.
   void Resolve(const Node& node, double frozen_best, int bucket,
                Outcome* out) {
     out->done = true;  // overwritten fields below; kind defaults to closed
     if (node.bound >= frozen_best - opt_.obj_eps) return;  // cannot beat it
 
     // Effective box: base bounds tightened along the branching path.
-    // Paths are short (tree depth), so this is the cheap part of a node.
-    std::vector<std::pair<int, std::pair<double, double>>> touched;
-    touched.reserve(node.bounds.size());
+    std::vector<double> lb = base_lb_;
+    std::vector<double> ub = base_ub_;
     for (const auto& [var, blb, bub] : node.bounds) {
-      double lo = base_lb_[static_cast<size_t>(var)];
-      double hi = base_ub_[static_cast<size_t>(var)];
-      for (auto& [tvar, box] : touched) {
-        if (tvar == var) {
-          lo = box.first;
-          hi = box.second;
-        }
-      }
+      double& lo = lb[static_cast<size_t>(var)];
+      double& hi = ub[static_cast<size_t>(var)];
       lo = std::max(lo, blb);
       hi = std::min(hi, bub);
-      bool found = false;
-      for (auto& [tvar, box] : touched) {
-        if (tvar == var) {
-          box = {lo, hi};
-          found = true;
-        }
-      }
-      if (!found) touched.emplace_back(var, std::make_pair(lo, hi));
       if (lo > hi) return;  // empty box: closed without any solve
     }
 
     if (opt_.oracle) {
-      std::vector<double> eff_lb = base_lb_;
-      std::vector<double> eff_ub = base_ub_;
-      for (const auto& [var, box] : touched) {
-        eff_lb[static_cast<size_t>(var)] = box.first;
-        eff_ub[static_cast<size_t>(var)] = box.second;
-      }
-      BnbNodeCut cut = opt_.oracle(eff_lb, eff_ub);
+      BnbNodeCut cut = opt_.oracle(lb, ub);
       if (cut.infeasible) {
         out->oracle_closed = true;
         return;
@@ -253,23 +234,19 @@ class Engine {
       }
     }
 
-    // Solve on this bucket's scratch LP: apply the node's bounds in place,
-    // solve, undo — no per-node copy of variables or constraints.
-    LinearProgram* scratch = scratch_[static_cast<size_t>(bucket)].get();
-    if (scratch == nullptr) {
-      scratch_[static_cast<size_t>(bucket)] =
-          std::make_unique<LinearProgram>(lp_);
-      scratch = scratch_[static_cast<size_t>(bucket)].get();
-    }
-    for (const auto& [var, box] : touched) {
-      scratch->SetVarBounds(var, box.first, box.second);
-    }
-    LpSolution relax = SolveLp(*scratch, simplex_);
-    for (const auto& [var, box] : touched) {
-      scratch->SetVarBounds(var, base_lb_[static_cast<size_t>(var)],
-                            base_ub_[static_cast<size_t>(var)]);
-    }
+    // The root is solved cold and its optimal tableau kept; every other
+    // node re-solves a copy of it, in its bucket's buffer, under the
+    // node's box with dual pivots. A node never starts from whatever its
+    // bucket solved last, so its outcome depends on the node alone. The
+    // root is the only node of the first wave, so root_ is written before
+    // any other resolve reads it.
+    const LpSolution& relax =
+        node.bounds.empty()
+            ? (root_ = SolvedLp(lp_, simplex_)).solution()
+            : ResolveLp(root_, lb, ub, simplex_,
+                        &work_[static_cast<size_t>(bucket)]);
     out->lp_solved = true;
+    out->lp_iterations = relax.iterations;
     if (relax.status.code() == StatusCode::kInfeasible) return;
     if (!relax.status.ok()) {
       out->kind = Outcome::kError;
@@ -297,7 +274,7 @@ class Engine {
     }
     if (branch_var < 0) {
       // Integral: candidate incumbent. Round integer vars exactly.
-      std::vector<double> x = std::move(relax.x);
+      std::vector<double> x = relax.x;
       for (int v : ivars_) {
         x[static_cast<size_t>(v)] = std::round(x[static_cast<size_t>(v)]);
       }
@@ -343,7 +320,8 @@ class Engine {
   SimplexOptions simplex_;
 
   std::vector<double> base_lb_, base_ub_;
-  std::vector<std::unique_ptr<LinearProgram>> scratch_;  // one per bucket
+  SolvedLp root_;               // optimal root tableau, read-only after wave 1
+  std::vector<SolvedLp> work_;  // re-solve buffer, one per bucket
   std::vector<Node> open_;  // best-bound heap
   int64_t next_id_ = 0;
   double best_obj_ = kInf;

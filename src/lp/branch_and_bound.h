@@ -17,9 +17,12 @@
 //     sharding the resolve phase over a TaskGraphExecutor keeps BnbResult
 //     (status, x, objective, bounds, node accounting) byte-identical at
 //     any thread count, including 1.
-//   * Node relaxations are solved on a per-worker scratch LinearProgram:
-//     the node's path bounds are applied in place and undone after the
-//     solve, so no variables or constraints are ever copied per node.
+//   * The root relaxation is solved cold once and its optimal tableau kept
+//     read-only (SolvedLp). Every other node copies that tableau into its
+//     bucket's buffer and re-solves it under the node's box with dual
+//     simplex pivots (ResolveLp) — a few pivots instead of a cold solve,
+//     and always from the root's state, so a node's outcome never depends
+//     on which node its bucket solved before.
 //   * Branching picks the fractional variable with the largest
 //     objective-coefficient × fractionality score, which drives the child
 //     bounds apart fastest on weighted covering LPs.
@@ -113,6 +116,9 @@ struct BnbResult {
   double gap = 0.0;
   int nodes_explored = 0;   ///< nodes popped into waves
   int64_t lp_solves = 0;    ///< simplex relaxations actually run
+  /// Simplex iterations over all node solves: the root's primal pivots
+  /// and bound flips plus every other node's dual pivots.
+  int64_t lp_iterations = 0;
   int64_t oracle_fathoms = 0;  ///< nodes closed by the oracle alone
 };
 

@@ -45,9 +45,10 @@ class LinearProgram {
   void AddConstraint(std::vector<std::pair<int, double>> terms,
                      ConstraintSense sense, double rhs);
 
-  /// Overwrites a variable's bounds in place. lb must stay finite; lb > ub
-  /// is allowed (an empty box) so branch-and-bound scratch LPs can record
-  /// contradictory branches and detect them before any solve.
+  /// Overwrites a variable's bounds in place (e.g. pinning an attribute
+  /// visible before a solve). lb must stay finite; lb > ub is allowed and
+  /// makes the LP an empty box, which the simplex reports as Infeasible.
+  /// Branch-and-bound never edits the LP: its nodes' boxes go to ResolveLp.
   void SetVarBounds(int var, double lb, double ub) {
     PV_CHECK_MSG(std::isfinite(lb), "lower bound must be finite");
     lb_[Check(var)] = lb;

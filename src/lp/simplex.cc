@@ -2,323 +2,522 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <utility>
 #include <vector>
 
 namespace provview {
 
+namespace lp_internal {
+
+// Dense tableau B^-1 [A | S | b] over m rows, flat and row-major. Columns:
+// [0, n) structural variables, [n, n + m) one slack per row (coefficient +1
+// on <= and = rows, -1 on >= rows; bounds [0, inf), or [0, 0] on = rows),
+// then the transformed rhs. Artificial variables are numbered [cols, cols +
+// m), one per row, but have no column: they only ever sit in the basis.
+struct Tableau {
+  int n = 0;      // structural variables
+  int m = 0;      // rows
+  int cols = 0;   // n + m priced columns
+  int width = 0;  // cols + 1: the last column is B^-1 b
+  std::vector<double> tab;       // m x width
+  std::vector<double> d;         // reduced cost of each column
+  std::vector<double> cost;      // objective coefficient of each structural
+  std::vector<double> lb, ub;    // cols + m: columns, then artificials
+  std::vector<int> basis;        // basic variable of each row
+  std::vector<int> row_of;       // basis row of each column, -1 if nonbasic
+  std::vector<uint8_t> at_upper; // nonbasic column sits at its upper bound
+  std::vector<double> xb;        // value of each row's basic variable
+
+  double* row(int i) { return tab.data() + static_cast<size_t>(i) * width; }
+  const double* row(int i) const {
+    return tab.data() + static_cast<size_t>(i) * width;
+  }
+  // Value of a nonbasic column.
+  double value(int j) const {
+    return at_upper[static_cast<size_t>(j)] ? ub[static_cast<size_t>(j)]
+                                            : lb[static_cast<size_t>(j)];
+  }
+};
+
+}  // namespace lp_internal
+
 namespace {
 
-// Internal dense tableau. Rows: one per constraint, plus a cost row kept
-// separately. Columns: structural variables (after shifting lower bounds to
-// zero), slack/surplus columns, artificial columns, and the rhs.
-class Tableau {
+using lp_internal::Tableau;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Pivots between deadline polls: each pivot is already O(rows·cols), so a
+// small stride keeps service-mode LP solves responsive without measurable
+// overhead.
+constexpr int kControlStride = 16;
+
+class Simplex {
  public:
-  Tableau(const LinearProgram& lp, const SimplexOptions& options)
-      : lp_(lp), opt_(options), n_(lp.num_vars()) {
-    BuildRows();
-    BuildColumns();
+  Simplex(Tableau* t, const SimplexOptions& options, LpSolution* solution)
+      : t_(*t), opt_(options), sol_(*solution) {}
+
+  // Builds the slack-basis tableau of `lp`, then runs phase 1 (when some
+  // row needs an artificial) and phase 2 with primal pivots.
+  void SolveCold(const LinearProgram& lp) {
+    if (opt_.control != nullptr && opt_.control->ExpiredNow()) {
+      sol_.status = opt_.control->Check();
+      return;
+    }
+    for (int v = 0; v < lp.num_vars(); ++v) {
+      if (lp.lower_bound(v) > lp.upper_bound(v)) {
+        sol_.status = Status::Infeasible("empty variable box");
+        return;
+      }
+    }
+    const bool phase1 = Build(lp);
+    if (phase1) {
+      // Phase 1: minimize the sum of the artificials (cost 1 each).
+      for (int j = 0; j < t_.cols; ++j) t_.d[static_cast<size_t>(j)] = 0.0;
+      for (int i = 0; i < t_.m; ++i) {
+        if (t_.basis[static_cast<size_t>(i)] < t_.cols) continue;
+        const double* r = t_.row(i);
+        for (int j = 0; j < t_.cols; ++j) t_.d[static_cast<size_t>(j)] -= r[j];
+      }
+      for (int i = 0; i < t_.m; ++i) {
+        const int b = t_.basis[static_cast<size_t>(i)];
+        if (b < t_.cols) t_.d[static_cast<size_t>(b)] = 0.0;
+      }
+      if (!Finished(Primal())) return;
+      double infeasibility = 0.0;
+      for (int i = 0; i < t_.m; ++i) {
+        const int b = t_.basis[static_cast<size_t>(i)];
+        if (b < t_.cols) continue;
+        infeasibility += t_.xb[static_cast<size_t>(i)];
+        // A basic artificial left at zero (a redundant row) is fixed there:
+        // the ratio tests drive it out like any other basic variable.
+        t_.ub[static_cast<size_t>(b)] = 0.0;
+      }
+      if (infeasibility > opt_.eps) {
+        sol_.status = Status::Infeasible("phase-1 objective positive");
+        return;
+      }
+    }
+    // Phase 2: price the true objective against the current basis.
+    for (int j = 0; j < t_.cols; ++j) {
+      t_.d[static_cast<size_t>(j)] =
+          j < t_.n ? t_.cost[static_cast<size_t>(j)] : 0.0;
+    }
+    for (int i = 0; i < t_.m; ++i) {
+      const int b = t_.basis[static_cast<size_t>(i)];
+      if (b >= t_.n) continue;  // slacks and artificials cost nothing
+      const double cb = t_.cost[static_cast<size_t>(b)];
+      if (cb == 0.0) continue;
+      const double* r = t_.row(i);
+      for (int j = 0; j < t_.cols; ++j) {
+        t_.d[static_cast<size_t>(j)] -= cb * r[j];
+      }
+    }
+    for (int i = 0; i < t_.m; ++i) {
+      const int b = t_.basis[static_cast<size_t>(i)];
+      if (b < t_.cols) t_.d[static_cast<size_t>(b)] = 0.0;
+    }
+    if (Finished(Primal())) Extract();
   }
 
-  LpSolution Run() {
-    LpSolution solution;
-    // ---- Phase 1: minimize the sum of artificials. ----
-    if (num_artificial_ > 0) {
-      std::vector<double> phase1_cost(static_cast<size_t>(num_cols_), 0.0);
-      for (int j = first_artificial_; j < num_cols_; ++j) {
-        phase1_cost[static_cast<size_t>(j)] = 1.0;
-      }
-      InstallCost(phase1_cost);
-      Status st = Optimize(/*allow_artificial_entering=*/false, &solution);
-      if (!st.ok()) {
-        solution.status = st;
-        return solution;
-      }
-      if (cost_rhs_ < -opt_.eps) {
-        // cost_rhs_ holds -objective; phase-1 objective > eps ⇒ infeasible.
-        solution.status = Status::Infeasible("phase-1 objective positive");
-        return solution;
-      }
-      DriveOutArtificials();
+  // Installs the box [lb, ub] on the structural variables of an optimal
+  // tableau and restores primal feasibility with dual pivots. The basis
+  // stays dual feasible: every nonbasic variable keeps the bound it sits
+  // at, and only that bound's value moves.
+  void Resolve(const std::vector<double>& lb, const std::vector<double>& ub) {
+    for (int v = 0; v < t_.n; ++v) {
+      t_.lb[static_cast<size_t>(v)] = lb[static_cast<size_t>(v)];
+      t_.ub[static_cast<size_t>(v)] = ub[static_cast<size_t>(v)];
     }
-    // ---- Phase 2: original objective. ----
-    std::vector<double> phase2_cost(static_cast<size_t>(num_cols_), 0.0);
-    for (int j = 0; j < n_; ++j) {
-      phase2_cost[static_cast<size_t>(j)] =
-          lp_.objective_coeff(j);
-    }
-    InstallCost(phase2_cost);
-    Status st = Optimize(/*allow_artificial_entering=*/false, &solution);
-    if (!st.ok()) {
-      solution.status = st;
-      return solution;
-    }
-    // Extract structural values (undo the lower-bound shift).
-    solution.x.assign(static_cast<size_t>(n_), 0.0);
-    for (int i = 0; i < num_rows_; ++i) {
-      int bv = basis_[static_cast<size_t>(i)];
-      if (bv < n_) {
-        solution.x[static_cast<size_t>(bv)] = rhs_[static_cast<size_t>(i)];
+    // Basic values from the transformed rhs: x_B = B^-1 b - B^-1 N x_N.
+    // Most nonbasic variables sit at zero, so only the others are summed.
+    nz_.clear();
+    for (int j = 0; j < t_.cols; ++j) {
+      if (t_.row_of[static_cast<size_t>(j)] < 0 && t_.value(j) != 0.0) {
+        nz_.push_back(j);
       }
     }
-    for (int j = 0; j < n_; ++j) {
-      solution.x[static_cast<size_t>(j)] += lp_.lower_bound(j);
+    for (int i = 0; i < t_.m; ++i) {
+      const double* r = t_.row(i);
+      double v = r[t_.cols];
+      for (int j : nz_) v -= r[j] * t_.value(j);
+      t_.xb[static_cast<size_t>(i)] = v;
     }
-    solution.objective = lp_.Objective(solution.x);
-    solution.status = Status::OK();
-    return solution;
+    if (Finished(Dual())) Extract();
   }
 
  private:
-  // Pivots between deadline polls: each pivot is already O(rows·cols), so a
-  // small stride keeps service-mode LP solves responsive without measurable
-  // overhead.
-  static constexpr int kControlStride = 16;
+  // Fills the tableau at the slack basis with every structural variable at
+  // its lower bound. Returns whether some row needed an artificial.
+  bool Build(const LinearProgram& lp) {
+    const int n = lp.num_vars();
+    const int m = lp.num_constraints();
+    t_.n = n;
+    t_.m = m;
+    t_.cols = n + m;
+    t_.width = t_.cols + 1;
+    t_.tab.assign(static_cast<size_t>(m) * static_cast<size_t>(t_.width), 0.0);
+    t_.d.assign(static_cast<size_t>(t_.cols), 0.0);
+    t_.cost.resize(static_cast<size_t>(n));
+    t_.lb.assign(static_cast<size_t>(t_.cols + m), 0.0);
+    t_.ub.assign(static_cast<size_t>(t_.cols + m), kInf);
+    for (int v = 0; v < n; ++v) {
+      t_.cost[static_cast<size_t>(v)] = lp.objective_coeff(v);
+      t_.lb[static_cast<size_t>(v)] = lp.lower_bound(v);
+      t_.ub[static_cast<size_t>(v)] = lp.upper_bound(v);
+    }
+    t_.basis.assign(static_cast<size_t>(m), -1);
+    t_.row_of.assign(static_cast<size_t>(t_.cols), -1);
+    t_.at_upper.assign(static_cast<size_t>(t_.cols), 0);
+    t_.xb.assign(static_cast<size_t>(m), 0.0);
 
-  struct Row {
-    std::vector<double> coeffs;  // dense over structural variables
-    ConstraintSense sense;
-    double rhs;
-  };
-
-  void BuildRows() {
-    // Original constraints with lower-bound shift folded into the rhs.
-    for (const LpConstraint& c : lp_.constraints()) {
-      Row row;
-      row.coeffs.assign(static_cast<size_t>(n_), 0.0);
-      double shift = 0.0;
+    bool phase1 = false;
+    for (int i = 0; i < m; ++i) {
+      const LpConstraint& c = lp.constraints()[static_cast<size_t>(i)];
+      double* r = t_.row(i);
+      double residual = c.rhs;  // rhs minus the row at the lower bounds
       for (const auto& [var, coeff] : c.terms) {
-        row.coeffs[static_cast<size_t>(var)] += coeff;
-        shift += coeff * lp_.lower_bound(var);
+        r[var] += coeff;
+        residual -= coeff * lp.lower_bound(var);
       }
-      row.sense = c.sense;
-      row.rhs = c.rhs - shift;
-      rows_.push_back(std::move(row));
-    }
-    // Finite upper bounds become explicit ≤ rows on the shifted variable.
-    for (int j = 0; j < n_; ++j) {
-      double range = lp_.upper_bound(j) - lp_.lower_bound(j);
-      if (std::isfinite(range)) {
-        Row row;
-        row.coeffs.assign(static_cast<size_t>(n_), 0.0);
-        row.coeffs[static_cast<size_t>(j)] = 1.0;
-        row.sense = ConstraintSense::kLe;
-        row.rhs = range;
-        rows_.push_back(std::move(row));
+      const int slack = n + i;
+      const double sign = c.sense == ConstraintSense::kGe ? -1.0 : 1.0;
+      r[slack] = sign;
+      r[t_.cols] = c.rhs;
+      if (c.sense == ConstraintSense::kEq) {
+        t_.ub[static_cast<size_t>(slack)] = 0.0;
+      }
+      const double slack_value = sign * residual;
+      const bool feasible = c.sense == ConstraintSense::kEq
+                                ? std::abs(slack_value) <= opt_.eps
+                                : slack_value >= -opt_.eps;
+      // Scale the row so its basic variable has coefficient +1: the slack
+      // (coefficient `sign`) or an artificial oriented to start >= 0.
+      double scale;
+      if (feasible) {
+        scale = sign;
+        t_.basis[static_cast<size_t>(i)] = slack;
+        t_.row_of[static_cast<size_t>(slack)] = i;
+        t_.xb[static_cast<size_t>(i)] =
+            std::clamp(slack_value, 0.0, t_.ub[static_cast<size_t>(slack)]);
+      } else {
+        scale = residual > 0 ? 1.0 : -1.0;
+        t_.basis[static_cast<size_t>(i)] = t_.cols + i;
+        t_.xb[static_cast<size_t>(i)] = std::abs(residual);
+        phase1 = true;
+      }
+      if (scale < 0) {
+        for (int j = 0; j < t_.width; ++j) r[j] = -r[j];
       }
     }
-    // Normalize to non-negative rhs.
-    for (Row& row : rows_) {
-      if (row.rhs < 0) {
-        for (double& v : row.coeffs) v = -v;
-        row.rhs = -row.rhs;
-        if (row.sense == ConstraintSense::kLe) {
-          row.sense = ConstraintSense::kGe;
-        } else if (row.sense == ConstraintSense::kGe) {
-          row.sense = ConstraintSense::kLe;
-        }
-      }
-    }
-    num_rows_ = static_cast<int>(rows_.size());
+    return phase1;
   }
 
-  void BuildColumns() {
-    // Column layout: [0, n_) structural; then slack/surplus; then
-    // artificials.
-    int num_slack = 0;
-    for (const Row& row : rows_) {
-      if (row.sense != ConstraintSense::kEq) ++num_slack;
-    }
-    num_artificial_ = 0;
-    for (const Row& row : rows_) {
-      if (row.sense != ConstraintSense::kLe) ++num_artificial_;
-    }
-    first_slack_ = n_;
-    first_artificial_ = n_ + num_slack;
-    num_cols_ = n_ + num_slack + num_artificial_;
-
-    tab_.assign(static_cast<size_t>(num_rows_),
-                std::vector<double>(static_cast<size_t>(num_cols_), 0.0));
-    rhs_.assign(static_cast<size_t>(num_rows_), 0.0);
-    basis_.assign(static_cast<size_t>(num_rows_), -1);
-
-    int slack = first_slack_;
-    int art = first_artificial_;
-    for (int i = 0; i < num_rows_; ++i) {
-      const Row& row = rows_[static_cast<size_t>(i)];
-      for (int j = 0; j < n_; ++j) {
-        tab_[static_cast<size_t>(i)][static_cast<size_t>(j)] =
-            row.coeffs[static_cast<size_t>(j)];
-      }
-      rhs_[static_cast<size_t>(i)] = row.rhs;
-      switch (row.sense) {
-        case ConstraintSense::kLe:
-          tab_[static_cast<size_t>(i)][static_cast<size_t>(slack)] = 1.0;
-          basis_[static_cast<size_t>(i)] = slack++;
-          break;
-        case ConstraintSense::kGe:
-          tab_[static_cast<size_t>(i)][static_cast<size_t>(slack)] = -1.0;
-          ++slack;
-          tab_[static_cast<size_t>(i)][static_cast<size_t>(art)] = 1.0;
-          basis_[static_cast<size_t>(i)] = art++;
-          break;
-        case ConstraintSense::kEq:
-          tab_[static_cast<size_t>(i)][static_cast<size_t>(art)] = 1.0;
-          basis_[static_cast<size_t>(i)] = art++;
-          break;
-      }
-    }
+  // Records a loop's stop status; true when it reached optimality.
+  bool Finished(Status st) {
+    if (st.ok()) return true;
+    sol_.status = std::move(st);
+    return false;
   }
 
-  // Installs a cost vector and prices it against the current basis.
-  void InstallCost(const std::vector<double>& cost) {
-    cost_row_ = cost;
-    cost_rhs_ = 0.0;
-    for (int i = 0; i < num_rows_; ++i) {
-      double cb = cost[static_cast<size_t>(basis_[static_cast<size_t>(i)])];
-      if (cb == 0.0) continue;
-      for (int j = 0; j < num_cols_; ++j) {
-        cost_row_[static_cast<size_t>(j)] -=
-            cb * tab_[static_cast<size_t>(i)][static_cast<size_t>(j)];
-      }
-      cost_rhs_ -= cb * rhs_[static_cast<size_t>(i)];
+  // Iteration budget and deadline, checked before every pivot.
+  Status Poll() const {
+    if (sol_.iterations >= opt_.max_iterations) {
+      return Status::Timeout("simplex iteration budget exhausted");
     }
+    if (opt_.control != nullptr && sol_.iterations % kControlStride == 0 &&
+        opt_.control->ExpiredNow()) {
+      return opt_.control->Check();
+    }
+    return Status::OK();
   }
 
-  Status Optimize(bool allow_artificial_entering, LpSolution* solution) {
-    const int entering_limit =
-        allow_artificial_entering ? num_cols_ : first_artificial_;
+  // Primal simplex from a primal-feasible basis under the current reduced
+  // costs. A bound flip of the entering variable counts as an iteration.
+  Status Primal() {
     int stall = 0;
-    double last_obj = cost_rhs_;
     while (true) {
-      if (solution->iterations >= opt_.max_iterations) {
-        return Status::Timeout("simplex iteration budget exhausted");
-      }
-      if (opt_.control != nullptr &&
-          (solution->iterations % kControlStride) == 0 &&
-          opt_.control->ExpiredNow()) {
-        return opt_.control->Check();
-      }
+      Status st = Poll();
+      if (!st.ok()) return st;
       const bool bland = stall >= opt_.bland_threshold;
-      // Entering column.
+      // Entering column: the largest improvement rate (Bland: the first).
       int enter = -1;
-      double best = -opt_.eps;
-      for (int j = 0; j < entering_limit; ++j) {
-        double rc = cost_row_[static_cast<size_t>(j)];
-        if (rc < best) {
+      double best = opt_.eps;
+      for (int j = 0; j < t_.cols; ++j) {
+        if (t_.row_of[static_cast<size_t>(j)] >= 0 ||
+            t_.lb[static_cast<size_t>(j)] == t_.ub[static_cast<size_t>(j)]) {
+          continue;
+        }
+        const double dj = t_.d[static_cast<size_t>(j)];
+        const double rate = t_.at_upper[static_cast<size_t>(j)] ? dj : -dj;
+        if (rate > best) {
           enter = j;
-          if (bland) break;  // Bland: first eligible index
-          best = rc;
-        } else if (bland && rc < -opt_.eps) {
-          enter = j;
-          break;
+          if (bland) break;
+          best = rate;
         }
       }
       if (enter < 0) return Status::OK();  // optimal
-      // Leaving row (ratio test; Bland tie-break on basis index).
+
+      // Ratio test. The entering variable moves by theta in direction dir;
+      // its own bound flip competes with every row and wins ties (no basis
+      // change). Among tied rows: Bland's smallest basic variable, else the
+      // largest pivot.
+      const double dir = t_.at_upper[static_cast<size_t>(enter)] ? -1.0 : 1.0;
+      double theta = t_.ub[static_cast<size_t>(enter)] -
+                     t_.lb[static_cast<size_t>(enter)];
       int leave = -1;
-      double best_ratio = 0.0;
-      for (int i = 0; i < num_rows_; ++i) {
-        double a = tab_[static_cast<size_t>(i)][static_cast<size_t>(enter)];
-        if (a <= opt_.eps) continue;
-        double ratio = rhs_[static_cast<size_t>(i)] / a;
-        if (leave < 0 || ratio < best_ratio - opt_.eps ||
-            (ratio < best_ratio + opt_.eps &&
-             basis_[static_cast<size_t>(i)] <
-                 basis_[static_cast<size_t>(leave)])) {
+      double leave_alpha = 0.0;
+      for (int i = 0; i < t_.m; ++i) {
+        const double alpha = dir * t_.row(i)[enter];
+        if (std::abs(alpha) <= opt_.eps) continue;
+        const int b = t_.basis[static_cast<size_t>(i)];
+        const double x = t_.xb[static_cast<size_t>(i)];
+        double limit;
+        if (alpha > 0) {
+          limit = (x - t_.lb[static_cast<size_t>(b)]) / alpha;
+        } else {
+          if (t_.ub[static_cast<size_t>(b)] == kInf) continue;
+          limit = (t_.ub[static_cast<size_t>(b)] - x) / -alpha;
+        }
+        limit = std::max(limit, 0.0);
+        const bool take =
+            limit < theta - opt_.eps ||
+            (leave >= 0 && limit <= theta + opt_.eps &&
+             (bland ? b < t_.basis[static_cast<size_t>(leave)]
+                    : std::abs(alpha) > std::abs(leave_alpha)));
+        if (take) {
           leave = i;
-          best_ratio = ratio;
+          leave_alpha = alpha;
+          theta = limit;
         }
       }
-      if (leave < 0) return Status::Unbounded("no blocking row");
-      Pivot(leave, enter);
-      ++solution->iterations;
-      if (cost_rhs_ > last_obj + opt_.eps) {
+      if (theta == kInf) return Status::Unbounded("no blocking row");
+
+      const double step = dir * theta;
+      const double entering_value = t_.value(enter) + step;
+      for (int i = 0; i < t_.m; ++i) {
+        t_.xb[static_cast<size_t>(i)] -= step * t_.row(i)[enter];
+      }
+      if (t_.d[static_cast<size_t>(enter)] * step < -opt_.eps) {
         stall = 0;
-        last_obj = cost_rhs_;
       } else {
         ++stall;
       }
-    }
-  }
-
-  void Pivot(int leave, int enter) {
-    auto& prow = tab_[static_cast<size_t>(leave)];
-    const double pivot = prow[static_cast<size_t>(enter)];
-    for (double& v : prow) v /= pivot;
-    rhs_[static_cast<size_t>(leave)] /= pivot;
-    prow[static_cast<size_t>(enter)] = 1.0;  // exact
-    for (int i = 0; i < num_rows_; ++i) {
-      if (i == leave) continue;
-      double factor = tab_[static_cast<size_t>(i)][static_cast<size_t>(enter)];
-      if (factor == 0.0) continue;
-      auto& row = tab_[static_cast<size_t>(i)];
-      for (int j = 0; j < num_cols_; ++j) {
-        row[static_cast<size_t>(j)] -= factor * prow[static_cast<size_t>(j)];
-      }
-      row[static_cast<size_t>(enter)] = 0.0;
-      rhs_[static_cast<size_t>(i)] -= factor * rhs_[static_cast<size_t>(leave)];
-      if (rhs_[static_cast<size_t>(i)] < 0 &&
-          rhs_[static_cast<size_t>(i)] > -1e-11) {
-        rhs_[static_cast<size_t>(i)] = 0.0;  // clamp numeric dust
-      }
-    }
-    double factor = cost_row_[static_cast<size_t>(enter)];
-    if (factor != 0.0) {
-      for (int j = 0; j < num_cols_; ++j) {
-        cost_row_[static_cast<size_t>(j)] -=
-            factor * prow[static_cast<size_t>(j)];
-      }
-      cost_row_[static_cast<size_t>(enter)] = 0.0;
-      cost_rhs_ -= factor * rhs_[static_cast<size_t>(leave)];
-    }
-    basis_[static_cast<size_t>(leave)] = enter;
-  }
-
-  // After phase 1, pivots basic artificials out where possible; rows where
-  // no pivot exists are redundant and harmless (the artificial stays basic
-  // at value zero and can never re-enter the objective).
-  void DriveOutArtificials() {
-    for (int i = 0; i < num_rows_; ++i) {
-      if (basis_[static_cast<size_t>(i)] < first_artificial_) continue;
-      if (rhs_[static_cast<size_t>(i)] > opt_.eps) continue;  // shouldn't happen
-      for (int j = 0; j < first_artificial_; ++j) {
-        if (std::abs(tab_[static_cast<size_t>(i)][static_cast<size_t>(j)]) >
-            1e-7) {
-          Pivot(i, j);
-          break;
+      if (leave < 0) {
+        t_.at_upper[static_cast<size_t>(enter)] ^= 1;  // bound flip
+      } else {
+        const int left = t_.basis[static_cast<size_t>(leave)];
+        Pivot(leave, enter);
+        t_.xb[static_cast<size_t>(leave)] = entering_value;
+        // alpha > 0: the leaving variable fell to its lower bound.
+        if (left < t_.cols) {
+          t_.at_upper[static_cast<size_t>(left)] = leave_alpha < 0 ? 1 : 0;
         }
       }
+      ++sol_.iterations;
     }
   }
 
-  const LinearProgram& lp_;
+  // Dual simplex from a dual-feasible basis: repairs the most violated
+  // basic bound (Bland: the smallest violated basic variable) per pivot.
+  Status Dual() {
+    int stall = 0;
+    while (true) {
+      Status st = Poll();
+      if (!st.ok()) return st;
+      const bool bland = stall >= opt_.bland_threshold;
+      int r = -1;
+      double worst = opt_.eps;
+      for (int i = 0; i < t_.m; ++i) {
+        const int b = t_.basis[static_cast<size_t>(i)];
+        const double x = t_.xb[static_cast<size_t>(i)];
+        const double violation = std::max(t_.lb[static_cast<size_t>(b)] - x,
+                                          x - t_.ub[static_cast<size_t>(b)]);
+        if (violation <= opt_.eps) continue;
+        if (bland ? r < 0 || b < t_.basis[static_cast<size_t>(r)]
+                  : violation > worst) {
+          r = i;
+          worst = violation;
+        }
+      }
+      if (r < 0) return Status::OK();  // primal feasible: optimal
+
+      const int left = t_.basis[static_cast<size_t>(r)];
+      const bool raise =
+          t_.xb[static_cast<size_t>(r)] < t_.lb[static_cast<size_t>(left)];
+      const double target = raise ? t_.lb[static_cast<size_t>(left)]
+                                  : t_.ub[static_cast<size_t>(left)];
+      // Entering column: among the nonbasic variables whose move pushes the
+      // leaving one toward `target`, the smallest |d_j / alpha_j| keeps
+      // every reduced cost's sign. Ties: the largest pivot (Bland: the
+      // first column).
+      const double* prow = t_.row(r);
+      int enter = -1;
+      double best_ratio = kInf;
+      double best_alpha = 0.0;
+      for (int j = 0; j < t_.cols; ++j) {
+        if (t_.row_of[static_cast<size_t>(j)] >= 0 ||
+            t_.lb[static_cast<size_t>(j)] == t_.ub[static_cast<size_t>(j)]) {
+          continue;
+        }
+        const double alpha = prow[j];
+        if (std::abs(alpha) <= opt_.eps) continue;
+        const double dir = t_.at_upper[static_cast<size_t>(j)] ? -1.0 : 1.0;
+        // x_r moves by -alpha * dir per unit the entering variable moves.
+        const double move = -alpha * dir;
+        if (raise ? move <= 0 : move >= 0) continue;
+        const double ratio =
+            std::max(0.0, dir * t_.d[static_cast<size_t>(j)]) / std::abs(alpha);
+        if (ratio < best_ratio - opt_.eps ||
+            (!bland && ratio <= best_ratio + opt_.eps &&
+             std::abs(alpha) > std::abs(best_alpha))) {
+          enter = j;
+          best_ratio = ratio;
+          best_alpha = alpha;
+        }
+      }
+      if (enter < 0) {
+        return Status::Infeasible("dual simplex: a bound cannot be met");
+      }
+
+      const double dx = (t_.xb[static_cast<size_t>(r)] - target) / best_alpha;
+      const double entering_value = t_.value(enter) + dx;
+      for (int i = 0; i < t_.m; ++i) {
+        t_.xb[static_cast<size_t>(i)] -= dx * t_.row(i)[enter];
+      }
+      if (t_.d[static_cast<size_t>(enter)] * dx > opt_.eps) {
+        stall = 0;
+      } else {
+        ++stall;
+      }
+      Pivot(r, enter);
+      t_.xb[static_cast<size_t>(r)] = entering_value;
+      if (left < t_.cols) {
+        t_.at_upper[static_cast<size_t>(left)] = raise ? 0 : 1;
+      }
+      ++sol_.iterations;
+    }
+  }
+
+  // Makes column `enter` basic in row `r`. Only the pivot row's nonzero
+  // columns change, so the elimination walks that index list.
+  void Pivot(int r, int enter) {
+    double* prow = t_.row(r);
+    const double inv = 1.0 / prow[enter];
+    nz_.clear();
+    for (int k = 0; k < t_.width; ++k) {
+      if (prow[k] != 0.0) {
+        prow[k] *= inv;
+        nz_.push_back(k);
+      }
+    }
+    prow[enter] = 1.0;  // exact
+    for (int i = 0; i < t_.m; ++i) {
+      if (i == r) continue;
+      double* row = t_.row(i);
+      const double f = row[enter];
+      if (f == 0.0) continue;
+      for (int k : nz_) row[k] -= f * prow[k];
+      row[enter] = 0.0;
+    }
+    const double f = t_.d[static_cast<size_t>(enter)];
+    if (f != 0.0) {
+      for (int k : nz_) {
+        if (k < t_.cols) t_.d[static_cast<size_t>(k)] -= f * prow[k];
+      }
+      t_.d[static_cast<size_t>(enter)] = 0.0;
+    }
+    const int left = t_.basis[static_cast<size_t>(r)];
+    if (left < t_.cols) t_.row_of[static_cast<size_t>(left)] = -1;
+    t_.basis[static_cast<size_t>(r)] = enter;
+    t_.row_of[static_cast<size_t>(enter)] = r;
+  }
+
+  // Structural values (basic ones clamped into their box against pivoting
+  // dust) and their objective.
+  void Extract() {
+    sol_.x.assign(static_cast<size_t>(t_.n), 0.0);
+    sol_.objective = 0.0;
+    for (int v = 0; v < t_.n; ++v) {
+      const int r = t_.row_of[static_cast<size_t>(v)];
+      double x = t_.value(v);
+      if (r >= 0) {
+        x = std::min(std::max(t_.xb[static_cast<size_t>(r)],
+                              t_.lb[static_cast<size_t>(v)]),
+                     t_.ub[static_cast<size_t>(v)]);
+      }
+      sol_.x[static_cast<size_t>(v)] = x;
+      sol_.objective += t_.cost[static_cast<size_t>(v)] * x;
+    }
+    sol_.status = Status::OK();
+  }
+
+  Tableau& t_;
   const SimplexOptions& opt_;
-  const int n_;
-
-  std::vector<Row> rows_;
-  int num_rows_ = 0;
-  int num_cols_ = 0;
-  int first_slack_ = 0;
-  int first_artificial_ = 0;
-  int num_artificial_ = 0;
-
-  std::vector<std::vector<double>> tab_;
-  std::vector<double> rhs_;
-  std::vector<int> basis_;
-  std::vector<double> cost_row_;
-  double cost_rhs_ = 0.0;  // negative of current objective value
+  LpSolution& sol_;
+  std::vector<int> nz_;  // pivot-row nonzeros / nonzero nonbasic columns
 };
 
 }  // namespace
 
 LpSolution SolveLp(const LinearProgram& lp, const SimplexOptions& options) {
-  if (options.control != nullptr && options.control->ExpiredNow()) {
-    LpSolution solution;
-    solution.status = options.control->Check();
+  LpSolution solution;
+  Tableau tableau;
+  Simplex(&tableau, options, &solution).SolveCold(lp);
+  return solution;
+}
+
+SolvedLp::SolvedLp() = default;
+
+SolvedLp::SolvedLp(const LinearProgram& lp, const SimplexOptions& options)
+    : tableau_(std::make_unique<Tableau>()) {
+  Simplex(tableau_.get(), options, &solution_).SolveCold(lp);
+}
+
+SolvedLp::SolvedLp(SolvedLp&& other) noexcept = default;
+SolvedLp& SolvedLp::operator=(SolvedLp&& other) noexcept = default;
+SolvedLp::~SolvedLp() = default;
+
+const LpSolution& ResolveLp(const SolvedLp& solved,
+                            const std::vector<double>& lb,
+                            const std::vector<double>& ub,
+                            const SimplexOptions& options, SolvedLp* work) {
+  LpSolution& solution = work->solution_;
+  solution.x.clear();
+  solution.objective = 0.0;
+  solution.iterations = 0;
+  if (solved.tableau_ == nullptr || !solved.solution_.status.ok()) {
+    solution.status = Status::InvalidArgument("re-solve needs an optimal LP");
     return solution;
   }
-  Tableau tableau(lp, options);
-  return tableau.Run();
+  const Tableau& root = *solved.tableau_;
+  if (lb.size() != static_cast<size_t>(root.n) ||
+      ub.size() != static_cast<size_t>(root.n)) {
+    solution.status = Status::InvalidArgument("box size differs from the LP");
+    return solution;
+  }
+  for (size_t v = 0; v < lb.size(); ++v) {
+    if (lb[v] < root.lb[v] || ub[v] > root.ub[v]) {
+      solution.status =
+          Status::InvalidArgument("box must lie within the solved bounds");
+      return solution;
+    }
+  }
+  for (size_t v = 0; v < lb.size(); ++v) {
+    if (lb[v] > ub[v]) {
+      solution.status = Status::Infeasible("empty variable box");
+      return solution;
+    }
+  }
+  if (work->tableau_ == nullptr) {
+    work->tableau_ = std::make_unique<Tableau>(root);
+  } else {
+    *work->tableau_ = root;  // vector assignment keeps the buffers
+  }
+  Simplex(work->tableau_.get(), options, &solution).Resolve(lb, ub);
+  return solution;
 }
 
 }  // namespace provview

@@ -1,20 +1,37 @@
-// Dense two-phase primal simplex. Designed for the moderate-size
-// relaxations produced by the Secure-View encoders (up to a few thousand
-// variables/constraints): full-tableau representation, Dantzig pricing with
-// a Bland's-rule fallback to guarantee termination, explicit artificial
-// variables for ≥/= rows.
+// Bounded-variable simplex on a dense, flat row-major tableau, sized for
+// the relaxations produced by the Secure-View encoders (up to a few
+// thousand variables/constraints).
+//
+//   * Variable bounds are implicit: a nonbasic variable sits at its lower
+//     or its upper bound, and the primal ratio test can flip it from one to
+//     the other without a basis change. There are no `x <= u` rows.
+//   * Every row gets one slack column. A row that is feasible at the slack
+//     basis (a >= row whose rhs is already met at the lower bounds, a <=
+//     row whose rhs is not exceeded) starts with its slack basic; only the
+//     other rows get an artificial, and a phase 1 drives those to zero.
+//     Artificials have no tableau column: once one leaves the basis it can
+//     never come back.
+//   * The transformed rhs B^-1 b is pivoted along with the tableau, so an
+//     optimal tableau (SolvedLp) can be re-solved under tighter variable
+//     bounds by the dual simplex (ResolveLp) in a few pivots instead of a
+//     cold solve.
+//   * Dantzig pricing, with Bland's rule after a run of non-improving
+//     pivots to guarantee termination, in both the primal and the dual.
 #ifndef PROVVIEW_LP_SIMPLEX_H_
 #define PROVVIEW_LP_SIMPLEX_H_
+
+#include <memory>
+#include <vector>
 
 #include "common/exec_control.h"
 #include "lp/linear_program.h"
 
 namespace provview {
 
-/// Tuning knobs for the simplex solver.
+/// Tuning knobs for the simplex solver (primal and dual loops alike).
 struct SimplexOptions {
   double eps = 1e-9;           ///< pivot / feasibility tolerance
-  int max_iterations = 500000; ///< across both phases
+  int max_iterations = 500000; ///< pivots and bound flips, across phases
   /// Switch from Dantzig pricing to Bland's rule after this many
   /// consecutive non-improving iterations (anti-cycling).
   int bland_threshold = 2000;
@@ -27,6 +44,52 @@ struct SimplexOptions {
 /// Solves `lp` to optimality (minimization). Statuses: OK (optimal),
 /// Infeasible, Unbounded, Timeout (iteration budget exhausted).
 LpSolution SolveLp(const LinearProgram& lp, const SimplexOptions& options = {});
+
+namespace lp_internal {
+struct Tableau;  // defined in simplex.cc
+}  // namespace lp_internal
+
+/// An LP solved cold together with its final tableau, kept so the same LP
+/// can be re-solved under tighter variable bounds by ResolveLp. Opaque and
+/// move-only; a default-constructed SolvedLp is an empty work buffer.
+class SolvedLp {
+ public:
+  SolvedLp();
+  /// Solves `lp` cold, exactly as SolveLp does, and keeps the tableau.
+  explicit SolvedLp(const LinearProgram& lp,
+                    const SimplexOptions& options = {});
+  SolvedLp(SolvedLp&& other) noexcept;
+  SolvedLp& operator=(SolvedLp&& other) noexcept;
+  ~SolvedLp();
+
+  /// Outcome of the solve that produced this state. Only an OK state can
+  /// be re-solved.
+  const LpSolution& solution() const { return solution_; }
+
+ private:
+  friend const LpSolution& ResolveLp(const SolvedLp& solved,
+                                     const std::vector<double>& lb,
+                                     const std::vector<double>& ub,
+                                     const SimplexOptions& options,
+                                     SolvedLp* work);
+  std::unique_ptr<lp_internal::Tableau> tableau_;
+  LpSolution solution_;
+};
+
+/// Re-solves `solved`'s LP with every variable v boxed to [lb[v], ub[v]],
+/// which must lie within the bounds `solved` was solved under. Copies
+/// `solved` into `work` and runs dual simplex pivots there, so `solved`
+/// itself is only read (several threads may re-solve one SolvedLp at once,
+/// each into its own `work`) and the result depends on `solved` and the box
+/// alone, never on what `work` held before. Returns work->solution():
+/// statuses as SolveLp, with Infeasible for an empty or infeasible box and
+/// InvalidArgument for a box outside the bounds or a `solved` that is not
+/// OK. `iterations` counts the dual pivots. On OK, `work` holds the
+/// re-solved tableau and can itself be re-solved under a tighter box.
+const LpSolution& ResolveLp(const SolvedLp& solved,
+                            const std::vector<double>& lb,
+                            const std::vector<double>& ub,
+                            const SimplexOptions& options, SolvedLp* work);
 
 }  // namespace provview
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <string>
 
 #include "common/rng.h"
 #include "secureview/bnb_oracle.h"
@@ -162,9 +163,15 @@ SvResult SolveBruteForce(const SecureViewInstance& inst,
   }
   std::vector<int> relevant(relevant_set.begin(), relevant_set.end());
   const int k = static_cast<int>(relevant.size());
-  PV_CHECK_MSG(k <= 22, "brute force limited to 22 relevant attributes");
-
   SvResult result;
+  if (k > kMaxBruteForceAttrs) {
+    result.status = Status::InvalidArgument(
+        "brute force limited to " + std::to_string(kMaxBruteForceAttrs) +
+        " relevant attributes, instance has " + std::to_string(k));
+    result.gap = std::numeric_limits<double>::infinity();
+    return result;
+  }
+
   double best = std::numeric_limits<double>::infinity();
   const uint64_t total = uint64_t{1} << k;
   for (uint64_t mask = 0; mask < total; ++mask) {
@@ -207,6 +214,7 @@ SvResult SolveByLpRounding(const SecureViewInstance& inst,
   SvResult result;
   if (!lp.status.ok()) {
     result.status = lp.status;
+    result.gap = std::numeric_limits<double>::infinity();  // no solution
     return result;
   }
   result.lower_bound = lp.objective;
@@ -253,13 +261,18 @@ SvResult SolveByLpRounding(const SecureViewInstance& inst,
 
 SvResult SolveByThresholdRounding(const SecureViewInstance& inst,
                                   const SimplexOptions& options) {
-  PV_CHECK_MSG(inst.kind == ConstraintKind::kSet,
-               "threshold rounding targets set constraints");
+  SvResult result;
+  if (inst.kind != ConstraintKind::kSet) {
+    result.status = Status::InvalidArgument(
+        "threshold rounding targets set constraints");
+    result.gap = std::numeric_limits<double>::infinity();
+    return result;
+  }
   SvEncoding enc = EncodeSecureView(inst);
   LpSolution lp = SolveLp(enc.lp, options);
-  SvResult result;
   if (!lp.status.ok()) {
     result.status = lp.status;
+    result.gap = std::numeric_limits<double>::infinity();  // no solution
     return result;
   }
   result.lower_bound = lp.objective;

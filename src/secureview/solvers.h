@@ -73,8 +73,12 @@ SvResult SolveExact(const SecureViewInstance& inst,
 /// Raw engine entry point: no warm start, `options` passed through.
 SvResult SolveExact(const SecureViewInstance& inst, const BnbOptions& options);
 
+/// Most requirement-relevant attributes SolveBruteForce enumerates.
+inline constexpr int kMaxBruteForceAttrs = 22;
+
 /// Exact optimum via enumeration of all subsets of requirement-relevant
-/// attributes (≤ 22 of them). `control` is polled between blocks of masks.
+/// attributes (≤ kMaxBruteForceAttrs of them; more is InvalidArgument).
+/// `control` is polled between blocks of masks.
 SvResult SolveBruteForce(const SecureViewInstance& inst,
                          const ExecControl* control = nullptr);
 
@@ -97,7 +101,7 @@ SvResult SolveByLpRounding(const SecureViewInstance& inst,
                            const RoundingOptions& options = {});
 
 /// Deterministic threshold rounding at 1/ℓ_max (set constraints; Theorem 6
-/// and Appendix C.4). Requires inst.kind == kSet.
+/// and Appendix C.4). A cardinality instance is InvalidArgument.
 SvResult SolveByThresholdRounding(const SecureViewInstance& inst,
                                   const SimplexOptions& options = {});
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <tuple>
 
 #include "common/rng.h"
 #include "lp/branch_and_bound.h"
@@ -86,11 +87,13 @@ TEST(BnbTest, NodeBudgetReportsTimeout) {
 }
 
 // Property: on random binary covering ILPs, branch-and-bound matches
-// exhaustive enumeration.
-class BnbRandomTest : public ::testing::TestWithParam<int> {};
+// exhaustive enumeration — sequentially, and with four workers re-solving
+// the shared root tableau concurrently (four nodes per wave).
+class BnbRandomTest : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(BnbRandomTest, MatchesExhaustiveOptimum) {
-  Rng rng(static_cast<uint64_t>(GetParam()) * 5 + 1);
+  const auto [seed, threads] = GetParam();
+  Rng rng(static_cast<uint64_t>(seed) * 5 + 1);
   const int n = 8;
   std::vector<double> cost(n);
   for (auto& c : cost) c = 1.0 + rng.NextDouble() * 9.0;
@@ -110,7 +113,12 @@ TEST_P(BnbRandomTest, MatchesExhaustiveOptimum) {
     for (int i : row) terms.emplace_back(vars[static_cast<size_t>(i)], 1.0);
     lp.AddConstraint(terms, ConstraintSense::kGe, 1.0);
   }
-  BnbResult r = SolveIlp(lp, vars);
+  BnbOptions opts;
+  if (threads > 1) {
+    opts.num_threads = threads;
+    opts.wave_width = 4;
+  }
+  BnbResult r = SolveIlp(lp, vars, opts);
   ASSERT_TRUE(r.status.ok());
 
   double best = 1e18;
@@ -139,7 +147,9 @@ TEST_P(BnbRandomTest, MatchesExhaustiveOptimum) {
   EXPECT_NEAR(r.objective, best, 1e-6);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, BnbRandomTest, ::testing::Range(0, 10));
+INSTANTIATE_TEST_SUITE_P(Seeds, BnbRandomTest,
+                         ::testing::Combine(::testing::Range(0, 10),
+                                            ::testing::Values(1, 4)));
 
 }  // namespace
 }  // namespace provview

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "common/rng.h"
 #include "lp/simplex.h"
 
@@ -163,6 +168,248 @@ TEST_P(RandomLpTest, FeasibleAndStableUnderRedundancy) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomLpTest, ::testing::Range(0, 10));
+
+// ---------------------------------------------------------------------
+// An independent oracle: brute-force vertex enumeration on tiny boxed LPs.
+// Every variable is boxed, so a feasible LP is a polytope and its minimum
+// sits at a vertex: a point where n of the row and bound hyperplanes meet.
+// ---------------------------------------------------------------------
+struct OracleResult {
+  bool feasible = false;
+  double objective = std::numeric_limits<double>::infinity();
+};
+
+// Solves the n x n system a·x = b in place (partial pivoting); false when
+// it is singular.
+bool SolveSquare(std::vector<std::vector<double>> a, std::vector<double> b,
+                 std::vector<double>* x) {
+  const size_t n = b.size();
+  for (size_t col = 0; col < n; ++col) {
+    size_t piv = col;
+    for (size_t r = col + 1; r < n; ++r) {
+      if (std::abs(a[r][col]) > std::abs(a[piv][col])) piv = r;
+    }
+    if (std::abs(a[piv][col]) < 1e-9) return false;
+    std::swap(a[piv], a[col]);
+    std::swap(b[piv], b[col]);
+    for (size_t r = 0; r < n; ++r) {
+      if (r == col) continue;
+      const double f = a[r][col] / a[col][col];
+      for (size_t k = col; k < n; ++k) a[r][k] -= f * a[col][k];
+      b[r] -= f * b[col];
+    }
+  }
+  x->assign(n, 0.0);
+  for (size_t i = 0; i < n; ++i) (*x)[i] = b[i] / a[i][i];
+  return true;
+}
+
+OracleResult EnumerateVertices(const LinearProgram& lp) {
+  const int n = lp.num_vars();
+  // Hyperplanes: every row as an equality, then x_v = lb_v and x_v = ub_v.
+  std::vector<std::vector<double>> planes;
+  std::vector<double> rhs;
+  for (const LpConstraint& c : lp.constraints()) {
+    std::vector<double> coeffs(static_cast<size_t>(n), 0.0);
+    for (const auto& [var, coeff] : c.terms) {
+      coeffs[static_cast<size_t>(var)] += coeff;
+    }
+    planes.push_back(coeffs);
+    rhs.push_back(c.rhs);
+  }
+  for (int v = 0; v < n; ++v) {
+    std::vector<double> unit(static_cast<size_t>(n), 0.0);
+    unit[static_cast<size_t>(v)] = 1.0;
+    planes.push_back(unit);
+    rhs.push_back(lp.lower_bound(v));
+    planes.push_back(unit);
+    rhs.push_back(lp.upper_bound(v));
+  }
+  OracleResult best;
+  const int k = static_cast<int>(planes.size());
+  std::vector<int> pick(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) pick[static_cast<size_t>(i)] = i;
+  while (true) {
+    std::vector<std::vector<double>> a;
+    std::vector<double> b;
+    for (int p : pick) {
+      a.push_back(planes[static_cast<size_t>(p)]);
+      b.push_back(rhs[static_cast<size_t>(p)]);
+    }
+    std::vector<double> x;
+    if (SolveSquare(a, b, &x) && lp.MaxViolation(x) <= 1e-9) {
+      best.feasible = true;
+      best.objective = std::min(best.objective, lp.Objective(x));
+    }
+    // Next n-subset of [0, k) in lexicographic order.
+    int i = n - 1;
+    while (i >= 0 && pick[static_cast<size_t>(i)] == k - n + i) --i;
+    if (i < 0) break;
+    ++pick[static_cast<size_t>(i)];
+    for (int j = i + 1; j < n; ++j) {
+      pick[static_cast<size_t>(j)] = pick[static_cast<size_t>(j - 1)] + 1;
+    }
+  }
+  return best;
+}
+
+// n <= 4 boxed variables (some with nonzero lower bounds, some fixed) and
+// <= 5 rows of mixed sense with small integer data, so degenerate vertices
+// and ties are common.
+LinearProgram TinyBoxedLp(Rng* rng) {
+  LinearProgram lp;
+  const int n = 1 + static_cast<int>(rng->NextBelow(4));
+  for (int v = 0; v < n; ++v) {
+    const double lb = static_cast<double>(rng->NextInt(-2, 2));
+    const double ub = rng->NextBernoulli(0.2)
+                          ? lb
+                          : lb + static_cast<double>(rng->NextInt(1, 3));
+    lp.AddVariable(lb, ub, static_cast<double>(rng->NextInt(-3, 3)));
+  }
+  const int m = static_cast<int>(rng->NextBelow(6));
+  for (int c = 0; c < m; ++c) {
+    std::vector<std::pair<int, double>> terms;
+    for (int v = 0; v < n; ++v) {
+      const int64_t coeff = rng->NextInt(-3, 3);
+      if (coeff != 0) terms.emplace_back(v, static_cast<double>(coeff));
+    }
+    const uint64_t sense = rng->NextBelow(5);
+    lp.AddConstraint(terms,
+                     sense < 2   ? ConstraintSense::kLe
+                     : sense < 4 ? ConstraintSense::kGe
+                                 : ConstraintSense::kEq,
+                     static_cast<double>(rng->NextInt(-4, 4)));
+  }
+  return lp;
+}
+
+// Checks `s` against the oracle; returns whether the LP is feasible.
+bool ExpectMatchesOracle(const LinearProgram& lp, const LpSolution& s,
+                         const std::string& what) {
+  const OracleResult oracle = EnumerateVertices(lp);
+  if (!oracle.feasible) {
+    EXPECT_EQ(s.status.code(), StatusCode::kInfeasible) << what << s.status;
+    return false;
+  }
+  EXPECT_TRUE(s.status.ok()) << what << s.status;
+  if (!s.status.ok()) return true;
+  EXPECT_NEAR(s.objective, oracle.objective, 1e-7) << what;
+  EXPECT_NEAR(lp.Objective(s.x), s.objective, 1e-9) << what;
+  EXPECT_LE(lp.MaxViolation(s.x), 1e-7) << what;
+  return true;
+}
+
+class VertexOracleTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(VertexOracleTest, ColdSolveMatchesVertexEnumeration) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 7919 + 11);
+  int feasible = 0;
+  for (int trial = 0; trial < 50; ++trial) {
+    const LinearProgram lp = TinyBoxedLp(&rng);
+    feasible += ExpectMatchesOracle(lp, SolveLp(lp),
+                                    "trial " + std::to_string(trial));
+  }
+  // The family exercises both outcomes.
+  EXPECT_GT(feasible, 0);
+  EXPECT_LT(feasible, 50);
+}
+
+// Dual re-solves of one solved state under random tightened boxes (empty
+// and infeasible ones included) agree with a cold solve of the tightened
+// LP and with the oracle, and never disturb the state they start from.
+TEST_P(VertexOracleTest, ResolveMatchesColdSolveAndOracle) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 104729 + 5);
+  int resolved = 0;
+  int feasible = 0;
+  for (int trial = 0; trial < 50; ++trial) {
+    const LinearProgram lp = TinyBoxedLp(&rng);
+    const SolvedLp solved(lp);
+    if (!solved.solution().status.ok()) continue;
+    SolvedLp work;
+    for (int box = 0; box < 6; ++box) {
+      LinearProgram tight = lp;
+      std::vector<double> lb(static_cast<size_t>(lp.num_vars()));
+      std::vector<double> ub(static_cast<size_t>(lp.num_vars()));
+      for (int v = 0; v < lp.num_vars(); ++v) {
+        double lo = lp.lower_bound(v);
+        double hi = lp.upper_bound(v);
+        const uint64_t kind = rng.NextBelow(4);
+        if (kind == 1) lo += static_cast<double>(rng.NextInt(0, 3));
+        if (kind == 2) hi -= static_cast<double>(rng.NextInt(0, 3));
+        if (kind == 3) {  // fixed somewhere in the box
+          lo = hi = lo + static_cast<double>(rng.NextInt(
+                             0, static_cast<int64_t>(hi - lo)));
+        }
+        lb[static_cast<size_t>(v)] = lo;
+        ub[static_cast<size_t>(v)] = hi;
+        tight.SetVarBounds(v, lo, hi);  // lo > hi: an empty box
+      }
+      const std::string what =
+          "trial " + std::to_string(trial) + " box " + std::to_string(box);
+      const LpSolution& re = ResolveLp(solved, lb, ub, {}, &work);
+      const LpSolution cold = SolveLp(tight);
+      EXPECT_EQ(re.status.code(), cold.status.code()) << what;
+      if (re.status.ok() && cold.status.ok()) {
+        EXPECT_NEAR(re.objective, cold.objective, 1e-7) << what;
+      }
+      feasible += ExpectMatchesOracle(tight, re, what);
+      ++resolved;
+    }
+    // The root state is read-only: it re-solves to its own optimum.
+    std::vector<double> lb0, ub0;
+    for (int v = 0; v < lp.num_vars(); ++v) {
+      lb0.push_back(lp.lower_bound(v));
+      ub0.push_back(lp.upper_bound(v));
+    }
+    const LpSolution& again = ResolveLp(solved, lb0, ub0, {}, &work);
+    ASSERT_TRUE(again.status.ok());
+    EXPECT_EQ(again.iterations, 0);
+    EXPECT_NEAR(again.objective, solved.solution().objective, 1e-9);
+  }
+  EXPECT_GT(feasible, 0);
+  EXPECT_LT(feasible, resolved);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, VertexOracleTest, ::testing::Range(0, 20));
+
+TEST(ResolveLpTest, RejectsBoxesOutsideTheSolvedBounds) {
+  LinearProgram lp;
+  lp.AddVariable(0.0, 1.0, 1.0);
+  const SolvedLp solved(lp);
+  ASSERT_TRUE(solved.solution().status.ok());
+  SolvedLp work;
+  EXPECT_EQ(ResolveLp(solved, {-1.0}, {1.0}, {}, &work).status.code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ResolveLp(work, {0.0}, {1.0}, {}, &work).status.code(),
+            StatusCode::kInvalidArgument);  // `work` holds no optimal state
+}
+
+TEST(ResolveLpTest, TrippedControlSurfacesItsStatus) {
+  // min x + 2y, x + y >= 1: x is basic at 1, so capping it at 0.5 needs a
+  // dual pivot (y enters at 0.5).
+  LinearProgram lp;
+  int x = lp.AddVariable(0.0, 2.0, 1.0);
+  int y = lp.AddVariable(0.0, 1.0, 2.0);
+  lp.AddConstraint({{x, 1.0}, {y, 1.0}}, ConstraintSense::kGe, 1.0);
+  const SolvedLp solved(lp);
+  ASSERT_TRUE(solved.solution().status.ok());
+  ExecControl control;
+  control.set_deadline_ms(0);
+  SimplexOptions opt;
+  opt.control = &control;
+  SolvedLp work;
+  EXPECT_EQ(ResolveLp(solved, {0.0, 0.0}, {0.5, 1.0}, opt, &work).status.code(),
+            StatusCode::kDeadlineExceeded);
+  SimplexOptions budget;
+  budget.max_iterations = 0;
+  EXPECT_EQ(
+      ResolveLp(solved, {0.0, 0.0}, {0.5, 1.0}, budget, &work).status.code(),
+      StatusCode::kTimeout);
+  const LpSolution& ok = ResolveLp(solved, {0.0, 0.0}, {0.5, 1.0}, {}, &work);
+  ASSERT_TRUE(ok.status.ok());
+  EXPECT_NEAR(ok.objective, 1.5, 1e-9);
+  EXPECT_GT(ok.iterations, 0);
+}
 
 }  // namespace
 }  // namespace provview

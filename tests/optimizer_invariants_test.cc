@@ -16,6 +16,7 @@
 #include "lp/branch_and_bound.h"
 #include "secureview/bnb_oracle.h"
 #include "secureview/feasibility.h"
+#include "secureview/from_workflow.h"
 #include "secureview/ilp_encoding.h"
 #include "secureview/solvers.h"
 #include "secureview/workflow_exact.h"
@@ -40,7 +41,8 @@ SecureViewInstance RandomInstance(int seed, ConstraintKind kind,
 }
 
 // ---------------------------------------------------------------------
-// The full pruning stack (warm start + oracle + scratch LP + best-bound)
+// The full pruning stack (warm start + oracle + root-basis dual re-solves
+// + best-bound)
 // computes the exact optimum: it matches brute force, lower-bounds
 // every approximation, and the paper's ratio guarantees hold against it.
 // ---------------------------------------------------------------------
@@ -144,6 +146,7 @@ void ExpectIdentical(const BnbResult& a, const BnbResult& b) {
   EXPECT_EQ(a.gap, b.gap);
   EXPECT_EQ(a.nodes_explored, b.nodes_explored);
   EXPECT_EQ(a.lp_solves, b.lp_solves);
+  EXPECT_EQ(a.lp_iterations, b.lp_iterations);
   EXPECT_EQ(a.oracle_fathoms, b.oracle_fathoms);
 }
 
@@ -171,6 +174,39 @@ TEST(ParallelEquivalenceTest, ByteIdenticalAcrossThreadCounts) {
         }
       }
     }
+  }
+}
+
+// An instance of the benchmark's solve-exact family: a 24-module layered
+// workflow derived at Γ=2 with set constraints. Its tree runs many dual
+// re-solves from the shared root tableau, which must not make the result
+// depend on the thread count.
+TEST(ParallelEquivalenceTest, SolveExactFamilyIdenticalAcrossThreadCounts) {
+  Rng rng(1);
+  RandomWorkflowOptions wopt;
+  wopt.num_modules = 24;
+  wopt.num_layers = 3;
+  wopt.min_inputs = 2;
+  wopt.max_inputs = 3;
+  wopt.max_outputs = 2;
+  wopt.gamma_bound = 3;
+  wopt.reuse_probability = 0.8;
+  GeneratedWorkflow gen = MakeRandomWorkflow(wopt, &rng);
+  const SecureViewInstance inst =
+      InstanceFromWorkflow(*gen.workflow, 2, ConstraintKind::kSet);
+  SvEncoding enc = EncodeSecureView(inst);
+  BnbOptions o;
+  o.oracle = MakeSecureViewBnbOracle(&inst, &enc);
+  o.num_threads = 1;
+  const BnbResult one = SolveIlp(enc.lp, enc.integer_vars, o);
+  ASSERT_TRUE(one.status.ok());
+  EXPECT_EQ(one.gap, 0.0);
+  EXPECT_GT(one.nodes_explored, 1);
+  EXPECT_GT(one.lp_solves, 1);
+  EXPECT_GT(one.lp_iterations, one.lp_solves);
+  for (int threads : {2, 4, 8}) {
+    o.num_threads = threads;
+    ExpectIdentical(one, SolveIlp(enc.lp, enc.integer_vars, o));
   }
 }
 

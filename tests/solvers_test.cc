@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/exec_control.h"
 #include "generators/families.h"
 #include "generators/requirement_gen.h"
 #include "secureview/feasibility.h"
@@ -73,6 +74,56 @@ TEST(ThresholdRoundingTest, SetConstraintsWithinLmaxOfLp) {
   EXPECT_TRUE(IsFeasible(inst, rounded.solution));
   const double lmax = static_cast<double>(inst.MaxListLength());
   EXPECT_LE(rounded.cost, lmax * rounded.lower_bound + 1e-6);
+}
+
+// Inputs a user can hand `podsctl solve` must come back as a typed status
+// with no solution (infinite gap), never an abort.
+TEST(ThresholdRoundingTest, CardinalityInstanceIsInvalidArgument) {
+  SvResult r = SolveByThresholdRounding(TinyCardInstance());
+  EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(std::isfinite(r.gap));
+}
+
+TEST(ThresholdRoundingTest, HonorsTheSimplexControl) {
+  ExecControl control;
+  control.set_deadline_ms(0);
+  SimplexOptions opt;
+  opt.control = &control;
+  SvResult r = SolveByThresholdRounding(MakeExample5Instance(6), opt);
+  EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_FALSE(std::isfinite(r.gap));  // podsctl prints no solution
+}
+
+TEST(LpRoundingTest, TrippedLpReportsNoSolution) {
+  ExecControl control;
+  control.set_deadline_ms(0);
+  RoundingOptions opt;
+  opt.control = &control;
+  SvResult r = SolveByLpRounding(TinyCardInstance(), opt);
+  EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_FALSE(std::isfinite(r.gap));
+}
+
+TEST(BruteForceTest, TooManyRelevantAttributesIsInvalidArgument) {
+  // One set-constraint module whose options name one more attribute than
+  // brute force enumerates.
+  const int attrs = kMaxBruteForceAttrs + 1;
+  SecureViewInstance inst;
+  inst.kind = ConstraintKind::kSet;
+  inst.num_attrs = attrs;
+  inst.attr_cost.assign(static_cast<size_t>(attrs), 1.0);
+  SvModule m;
+  m.name = "wide";
+  for (int a = 0; a + 1 < attrs; ++a) {
+    m.inputs.push_back(a);
+    m.set_options.push_back(SetOption{{a}, {}});
+  }
+  m.outputs = {attrs - 1};
+  m.set_options.push_back(SetOption{{}, {attrs - 1}});
+  inst.modules = {m};
+  SvResult r = SolveBruteForce(inst);
+  EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(std::isfinite(r.gap));
 }
 
 TEST(Example5Test, GapBetweenGreedyAndOptimal) {
