@@ -1,11 +1,9 @@
 #include "secureview/bnb_oracle.h"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
 #include <utility>
 
-#include "privacy/safety_memo.h"
 #include "secureview/feasibility.h"
 
 namespace provview {
@@ -61,10 +59,7 @@ double OptionCompletionCost(const SecureViewInstance& inst, int module,
   return in_cost + out_cost;
 }
 
-// Shared oracle body; `satisfied` answers "is private module i satisfied
-// by the forced hidden set h1?" and must be thread-safe.
 BnbNodeCut Evaluate(const SecureViewInstance& inst, const SvEncoding& enc,
-                    const std::function<bool(int, const Bitset64&)>& satisfied,
                     const std::vector<double>& lb,
                     const std::vector<double>& ub) {
   BnbNodeCut cut;
@@ -96,7 +91,7 @@ BnbNodeCut Evaluate(const SecureViewInstance& inst, const SvEncoding& enc,
   for (int i = 0; i < inst.num_modules(); ++i) {
     const SvModule& m = inst.modules[static_cast<size_t>(i)];
     if (m.is_public) continue;
-    if (satisfied(i, h1)) continue;
+    if (ModuleSatisfied(inst, i, h1)) continue;
     all_satisfied = false;
     // Monotonicity: a module unsatisfiable by every non-forced-visible
     // attribute is unsatisfiable by any hidden set inside the box.
@@ -199,32 +194,7 @@ BnbOracle MakeSecureViewBnbOracle(const SecureViewInstance* inst,
                                   const SvEncoding* enc) {
   return [inst, enc](const std::vector<double>& lb,
                      const std::vector<double>& ub) {
-    return Evaluate(*inst, *enc,
-                    [inst](int i, const Bitset64& h1) {
-                      return ModuleSatisfied(*inst, i, h1);
-                    },
-                    lb, ub);
-  };
-}
-
-BnbOracle MakeMemoBackedBnbOracle(
-    const SecureViewInstance* inst, const SvEncoding* enc,
-    std::vector<std::shared_ptr<SafetyMemo>> memos, int64_t gamma) {
-  PV_CHECK_MSG(inst->kind == ConstraintKind::kSet,
-               "memo-backed oracle targets set-constraint instances");
-  auto shared = std::make_shared<std::vector<std::shared_ptr<SafetyMemo>>>(
-      std::move(memos));
-  return [inst, enc, shared, gamma](const std::vector<double>& lb,
-                                    const std::vector<double>& ub) {
-    auto satisfied = [inst, shared, gamma](int i, const Bitset64& h1) {
-      const std::shared_ptr<SafetyMemo>& memo =
-          (*shared)[static_cast<size_t>(i)];
-      if (memo == nullptr) return ModuleSatisfied(*inst, i, h1);
-      SafeSearchStats stats;  // per-call: the shared VerdictCache keeps the
-                              // cross-call state, stats stay thread-local
-      return memo->IsSafe(h1, gamma, &stats);
-    };
-    return Evaluate(*inst, *enc, satisfied, lb, ub);
+    return Evaluate(*inst, *enc, lb, ub);
   };
 }
 

@@ -16,18 +16,11 @@
 //                  cheapest completions sum. Overlapping modules are
 //                  packed greedily (most expensive first), which always
 //                  dominates the single largest completion.
-// The default oracle checks module satisfaction against the instance's
-// requirement lists. The memo-backed variant answers kSet satisfaction
-// through SafetyMemo::IsSafe instead — semantically identical (the
-// requirement list is exactly the memo's minimal-safe-set antichain) but
-// routed through the shared VerdictCache, so B&B node checks and instance
-// derivation settle into one verdict store.
+// Module satisfaction is checked against the instance's requirement lists
+// (for instances derived from a workflow, exactly the per-module
+// minimal-safe-set antichains), so a node costs no standalone-privacy check.
 #ifndef PROVVIEW_SECUREVIEW_BNB_ORACLE_H_
 #define PROVVIEW_SECUREVIEW_BNB_ORACLE_H_
-
-#include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "lp/branch_and_bound.h"
 #include "secureview/ilp_encoding.h"
@@ -35,20 +28,10 @@
 
 namespace provview {
 
-class SafetyMemo;
-
 /// Instance-level oracle. `inst` and `enc` are borrowed and must outlive
 /// every call; the returned callable is pure and thread-safe.
 BnbOracle MakeSecureViewBnbOracle(const SecureViewInstance* inst,
                                   const SvEncoding* enc);
-
-/// Memo-backed variant (kSet instances): satisfaction of private module i
-/// is answered by memos[i]->IsSafe(forced_hidden, gamma). `memos` is
-/// indexed by module; entries for public modules are ignored and may be
-/// null. Root memos are required (concurrent reads).
-BnbOracle MakeMemoBackedBnbOracle(
-    const SecureViewInstance* inst, const SvEncoding* enc,
-    std::vector<std::shared_ptr<SafetyMemo>> memos, int64_t gamma);
 
 }  // namespace provview
 

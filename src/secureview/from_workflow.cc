@@ -1,7 +1,6 @@
 #include "secureview/from_workflow.h"
 
 #include <algorithm>
-#include <memory>
 #include <set>
 
 #include "common/task_graph.h"
@@ -21,20 +20,10 @@ SecureViewInstance InstanceFromWorkflow(const Workflow& workflow,
 
 SecureViewInstance InstanceFromWorkflow(const Workflow& workflow,
                                         const std::vector<int64_t>& gammas,
-                                        ConstraintKind kind) {
-  return InstanceFromWorkflow(workflow, gammas, kind, {});
-}
-
-SecureViewInstance InstanceFromWorkflow(
-    const Workflow& workflow, const std::vector<int64_t>& gammas,
-    ConstraintKind kind,
-    const std::vector<std::shared_ptr<SafetyMemo>>& memos,
-    TaskGraphExecutor* executor) {
+                                        ConstraintKind kind,
+                                        TaskGraphExecutor* executor) {
   PV_CHECK_MSG(static_cast<int>(gammas.size()) == workflow.num_modules(),
                "one gamma per module expected");
-  PV_CHECK_MSG(memos.empty() ||
-                   static_cast<int>(memos.size()) == workflow.num_modules(),
-               "one memo slot per module expected");
   const AttributeCatalog& catalog = *workflow.catalog();
   SecureViewInstance inst;
   inst.kind = kind;
@@ -56,20 +45,10 @@ SecureViewInstance InstanceFromWorkflow(
     const Module& m = workflow.module(i);
     const int64_t gamma = gammas[static_cast<size_t>(i)];
     if (kind == ConstraintKind::kSet) {
-      // A shared memo (bound to a VerdictCache namespace) keeps the
-      // derivation verdicts alive for the caller; otherwise the memo is
-      // private to this derivation, the historical behavior.
-      SafetyMemo* memo = nullptr;
-      std::unique_ptr<SafetyMemo> own;
-      if (!memos.empty() && memos[static_cast<size_t>(i)] != nullptr) {
-        memo = memos[static_cast<size_t>(i)].get();
-      } else {
-        own = std::make_unique<SafetyMemo>(m);
-        memo = own.get();
-      }
+      SafetyMemo memo(m);
       SafeSearchStats stats;
       std::vector<Bitset64> minimal = MinimalSafeHiddenSets(
-          memo, m.inputs(), m.outputs(), catalog.size(), gamma, &stats);
+          &memo, m.inputs(), m.outputs(), catalog.size(), gamma, &stats);
       PV_CHECK_MSG(!minimal.empty(),
                    "module " << m.name() << " cannot reach gamma " << gamma);
       std::set<AttrId> in_set(m.inputs().begin(), m.inputs().end());

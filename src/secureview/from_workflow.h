@@ -9,14 +9,14 @@
 #ifndef PROVVIEW_SECUREVIEW_FROM_WORKFLOW_H_
 #define PROVVIEW_SECUREVIEW_FROM_WORKFLOW_H_
 
-#include <memory>
+#include <cstdint>
+#include <vector>
 
 #include "secureview/instance.h"
 #include "workflow/workflow.h"
 
 namespace provview {
 
-class SafetyMemo;
 class TaskGraphExecutor;
 
 /// Builds the Secure-View instance of `workflow` for privacy target Γ.
@@ -30,26 +30,14 @@ SecureViewInstance InstanceFromWorkflow(const Workflow& workflow,
 /// Heterogeneous privacy targets: one Γ_i per module index (entries for
 /// public modules are ignored). The paper notes (§2.4) that all results
 /// carry over unchanged to per-module requirements.
+/// The per-module derivations are independent TaskGraph tasks, each owning
+/// one SafetyMemo for its module. They run on `executor` when given (e.g.
+/// the solve's B&B executor), else on a private executor sized to the
+/// hardware; the instance is the same either way.
 SecureViewInstance InstanceFromWorkflow(const Workflow& workflow,
                                         const std::vector<int64_t>& gammas,
-                                        ConstraintKind kind);
-
-/// As above, but kSet derivations run on caller-provided SafetyMemos
-/// (indexed by module; entries for public modules may be null). Passing
-/// memos bound to a shared VerdictCache (see SafetyMemo's cache-namespace
-/// constructor) makes the derivation verdicts persist past this call —
-/// SolveExactForWorkflow reuses the same memos for its B&B safety oracle,
-/// so node fathoming and derivation settle into one store. A null entry
-/// for a private module falls back to a private per-derivation memo.
-/// The per-module derivations are independent TaskGraph tasks, run on
-/// `executor` when given (e.g. the solve's B&B executor), else on a
-/// private executor sized to the hardware; the instance is the same
-/// either way.
-SecureViewInstance InstanceFromWorkflow(
-    const Workflow& workflow, const std::vector<int64_t>& gammas,
-    ConstraintKind kind,
-    const std::vector<std::shared_ptr<SafetyMemo>>& memos,
-    TaskGraphExecutor* executor = nullptr);
+                                        ConstraintKind kind,
+                                        TaskGraphExecutor* executor = nullptr);
 
 /// The Example-5 baseline: each private module independently hides its own
 /// minimum-cost standalone-safe subset; the workflow hides the union

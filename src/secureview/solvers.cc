@@ -92,23 +92,38 @@ std::vector<int> UselessAttrs(const SecureViewInstance& inst) {
 
 SvResult SolveExact(const SecureViewInstance& inst,
                     const ExactOptions& options) {
+  Bitset64 pinned(inst.num_attrs);
+  for (int a : options.fix_visible) {
+    if (a < 0 || a >= inst.num_attrs) {
+      SvResult bad;
+      bad.status = Status::InvalidArgument(
+          "fixed attribute " + std::to_string(a) + " outside [0, " +
+          std::to_string(inst.num_attrs) + ")");
+      bad.gap = std::numeric_limits<double>::infinity();
+      return bad;
+    }
+    pinned.Set(a);
+  }
   SvEncoding enc = EncodeSecureView(inst);
   for (int a : options.fix_visible) {
-    PV_CHECK_MSG(a >= 0 && a < inst.num_attrs, "bad fixed attribute " << a);
     enc.lp.SetVarBounds(enc.x_var[static_cast<size_t>(a)], 0.0, 0.0);
   }
   BnbOptions bnb = options.bnb;
-  if (options.oracle && !bnb.oracle) {
-    bnb.oracle = MakeSecureViewBnbOracle(&inst, &enc);
-  }
+  if (!bnb.oracle) bnb.oracle = MakeSecureViewBnbOracle(&inst, &enc);
   SecureViewSolution warm_sol;
   bool have_warm = false;
   if (options.warm_start) {
+    // Neither warm leg knows about `fix_visible`: a candidate hiding a
+    // pinned attribute lies outside the search box, so it may neither seed
+    // the incumbent nor bound the search.
+    auto usable = [&pinned](const SvResult& r) {
+      return r.status.ok() && !r.solution.hidden.Intersects(pinned);
+    };
     // The greedy leg runs uncontrolled on purpose: it is linear in the
     // instance, and it is what guarantees a deadline-doomed solve still
     // returns a feasible incumbent (with gap = cost) instead of nothing.
     SvResult greedy = SolveGreedyPerModule(inst);
-    if (greedy.status.ok()) {
+    if (usable(greedy)) {
       warm_sol = std::move(greedy.solution);
       bnb.warm_objective = std::min(bnb.warm_objective, greedy.cost);
       have_warm = true;
@@ -119,7 +134,8 @@ SvResult SolveExact(const SecureViewInstance& inst,
       ropt.simplex = bnb.simplex;
       ropt.control = bnb.control;
       SvResult rounded = SolveByLpRounding(inst, ropt);
-      if (rounded.status.ok() && (!have_warm || rounded.cost < bnb.warm_objective)) {
+      if (usable(rounded) &&
+          (!have_warm || rounded.cost < bnb.warm_objective)) {
         warm_sol = std::move(rounded.solution);
         bnb.warm_objective = rounded.cost;
         have_warm = true;

@@ -48,13 +48,11 @@ struct ExactOptions {
   /// Rounding trials for the warm start's SolveByLpRounding leg; 0 skips
   /// the LP leg entirely (greedy only — no simplex before the search).
   int warm_rounding_trials = 3;
-  /// Install the combinatorial fathoming oracle (bnb_oracle.h) so safe /
-  /// doomed subtrees close without simplex work. Ignored when bnb.oracle is
-  /// already set by the caller (e.g. the memo-backed workflow variant).
-  bool oracle = true;
   /// Attributes pinned visible (x_a := 0) before the search — sound when
   /// hiding them can never help (they appear in no requirement option;
-  /// see UselessAttrs / SolveExactForWorkflow).
+  /// see UselessAttrs / SolveExactForWorkflow). A warm candidate hiding a
+  /// pinned attribute is dropped; an entry outside [0, num_attrs) is
+  /// InvalidArgument.
   std::vector<int> fix_visible;
 };
 
@@ -64,8 +62,10 @@ struct ExactOptions {
 std::vector<int> UselessAttrs(const SecureViewInstance& inst);
 
 /// Exact optimum via branch-and-bound on the ILP encoding, with warm-start
-/// pruning per `options`. A tripped deadline / node budget returns the
-/// typed status WITH the best feasible solution found and the proven
+/// pruning per `options`. Unless `options.bnb.oracle` is set, the
+/// combinatorial fathoming oracle (bnb_oracle.h) closes safe / doomed
+/// subtrees without simplex work. A tripped deadline / node budget returns
+/// the typed status WITH the best feasible solution found and the proven
 /// optimality gap.
 SvResult SolveExact(const SecureViewInstance& inst,
                     const ExactOptions& options = {});

@@ -1,26 +1,20 @@
-// End-to-end exact optimization of a workflow's min-cost secure view,
-// wiring the whole pruning stack together (docs/optimizer.md):
+// End-to-end exact optimization of a workflow's min-cost secure view
+// (docs/optimizer.md):
 //
-//   workflow --(shared-memo derivation)--> SecureViewInstance
-//            --(useless-attr fixing, warm start, safety oracle)--> SolveExact
+//   workflow --(per-module requirement derivation)--> SecureViewInstance
+//            --(useless attributes pinned visible)--> SolveExact
 //            --(Theorem 4/8 certification)--> verified SvResult
 //
-// The same per-module SafetyMemos serve the requirement-list derivation and
-// (memo_oracle mode) the B&B node oracle, all settling into one shared
-// VerdictCache — verdicts computed while deriving the instance fathom
-// search nodes later, and persist across calls when the caller passes a
-// long-lived cache (the podsd model). AnalyzeFeasibleSets optionally runs
-// as corroboration on small execution spaces: attributes it proves
-// log-constant are reported (they should all already be fixed by the
-// requirement-list rule, which is the soundness anchor).
+// Each private module's requirement list is derived by its own SafetyMemo
+// (InstanceFromWorkflow); the B&B then fathoms nodes with the instance-level
+// safety oracle over those lists, which are exactly the memos' minimal-safe
+// antichains.
 #ifndef PROVVIEW_SECUREVIEW_WORKFLOW_EXACT_H_
 #define PROVVIEW_SECUREVIEW_WORKFLOW_EXACT_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "privacy/verdict_cache.h"
 #include "secureview/instance.h"
 #include "secureview/solvers.h"
 #include "workflow/workflow.h"
@@ -30,23 +24,9 @@ namespace provview {
 struct WorkflowExactOptions {
   int64_t gamma = 2;
   ConstraintKind kind = ConstraintKind::kSet;
-  /// Solver knobs (warm start, oracle, threads, deadline live in here).
+  /// Solver knobs (warm start, threads, executor, deadline live in here).
+  /// The derivation runs on `exact.bnb.executor` too.
   ExactOptions exact;
-  /// Shared verdict store; one namespace per private module is registered.
-  /// Null = a private unbounded cache owned by this call.
-  std::shared_ptr<VerdictCache> cache;
-  /// kSet only: answer oracle satisfaction checks through
-  /// SafetyMemo::IsSafe (the shared cache) instead of the requirement
-  /// lists. Same verdicts either way — the lists are the memo's minimal
-  /// antichain — so this trades list scans for cache traffic.
-  bool memo_oracle = false;
-  /// Pin visible every attribute no requirement option uses (sound: hiding
-  /// one can only add cost).
-  bool fix_useless_attrs = true;
-  /// Run AnalyzeFeasibleSets as a cross-check when the execution space
-  /// fits; purely diagnostic (see analysis_constant_attrs).
-  bool analyze_feasible_sets = false;
-  int64_t analysis_max_executions = int64_t{1} << 18;
   /// Certify the winning solution via the Theorem 4/8 sufficient condition.
   bool verify_semantics = true;
 };
@@ -55,12 +35,9 @@ struct WorkflowExactResult {
   SvResult result;
   /// The derived instance (reusable for approximation-ratio comparisons).
   SecureViewInstance instance;
-  /// Attributes pinned visible before the search.
+  /// Attributes pinned visible before the search: those no requirement
+  /// option uses (sound: hiding one can only add cost).
   std::vector<int> fixed_attrs;
-  /// Attributes AnalyzeFeasibleSets proved constant across every
-  /// consistent world (singleton feasible set); -1 when the analysis was
-  /// skipped (disabled, streamed log, or space too large).
-  int analysis_constant_attrs = -1;
   /// True when the solution was certified Γ-private (Theorem 4/8).
   bool semantics_verified = false;
 };

@@ -157,9 +157,9 @@ TEST(FromWorkflowTest, SharedExecutorDerivesTheSameInstance) {
   for (ConstraintKind kind :
        {ConstraintKind::kSet, ConstraintKind::kCardinality}) {
     const SecureViewInstance own =
-        InstanceFromWorkflow(*gen.workflow, gammas, kind, {}, nullptr);
+        InstanceFromWorkflow(*gen.workflow, gammas, kind, nullptr);
     const SecureViewInstance on_shared =
-        InstanceFromWorkflow(*gen.workflow, gammas, kind, {}, &shared);
+        InstanceFromWorkflow(*gen.workflow, gammas, kind, &shared);
     EXPECT_EQ(SerializeInstance(own), SerializeInstance(on_shared));
     EXPECT_EQ(SerializeInstance(own),
               SerializeInstance(InstanceFromWorkflow(*gen.workflow, 2, kind)));

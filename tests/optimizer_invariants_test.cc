@@ -11,6 +11,7 @@
 
 #include "common/exec_control.h"
 #include "common/rng.h"
+#include "common/task_graph.h"
 #include "generators/random_workflow.h"
 #include "generators/requirement_gen.h"
 #include "lp/branch_and_bound.h"
@@ -18,6 +19,7 @@
 #include "secureview/feasibility.h"
 #include "secureview/from_workflow.h"
 #include "secureview/ilp_encoding.h"
+#include "secureview/serialization.h"
 #include "secureview/solvers.h"
 #include "secureview/workflow_exact.h"
 
@@ -218,7 +220,10 @@ TEST(NodeBudgetTest, TimeoutCarriesIncumbentAndGap) {
   SecureViewInstance inst = RandomInstance(7, ConstraintKind::kSet, 10);
   ExactOptions opt;
   opt.bnb.max_nodes = 1;
-  opt.oracle = false;  // force real branching so the budget actually trips
+  // A no-op oracle forces real branching so the budget actually trips.
+  opt.bnb.oracle = [](const std::vector<double>&, const std::vector<double>&) {
+    return BnbNodeCut{};
+  };
   SvResult r = SolveExact(inst, opt);
   if (r.status.ok()) GTEST_SKIP() << "instance solved within one node";
   EXPECT_EQ(r.status.code(), StatusCode::kTimeout);
@@ -244,9 +249,8 @@ TEST(DeadlineTest, DoomedDeadlineStillReturnsFeasibleIncumbent) {
 }
 
 // ---------------------------------------------------------------------
-// Workflow-level stack: shared-memo derivation + useless-attr fixing +
-// certification, in both oracle modes, equals brute force on the derived
-// instance.
+// Workflow-level stack: per-module derivation + useless-attr fixing +
+// certification equals brute force on the derived instance.
 // ---------------------------------------------------------------------
 class WorkflowStackTest : public ::testing::TestWithParam<int> {};
 
@@ -270,19 +274,43 @@ TEST_P(WorkflowStackTest, FullStackMatchesBruteForceAndCertifies) {
   for (int a : full.fixed_attrs) {
     EXPECT_FALSE(full.result.solution.hidden.Test(a));
   }
-
-  // The memo-backed oracle answers through the shared verdict cache and
-  // must land on the same optimum.
-  WorkflowExactOptions memo_opt;
-  memo_opt.exact.oracle = false;
-  memo_opt.memo_oracle = true;
-  WorkflowExactResult memo = SolveExactForWorkflow(*gen.workflow, memo_opt);
-  ASSERT_TRUE(memo.result.status.ok());
-  EXPECT_NEAR(memo.result.cost, full.result.cost, 1e-6);
-  EXPECT_TRUE(memo.semantics_verified);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WorkflowStackTest, ::testing::Range(0, 4));
+
+// The workflow stack on the benchmark's solve-exact family: derivation and
+// branch-and-bound share one executor, and the outcome must not depend on
+// the B&B's thread count.
+TEST(WorkflowExactThreadsTest, SolveExactFamilyIdenticalAcrossThreadCounts) {
+  Rng rng(1);
+  RandomWorkflowOptions wopt;
+  wopt.num_modules = 24;
+  wopt.num_layers = 3;
+  wopt.min_inputs = 2;
+  wopt.max_inputs = 3;
+  wopt.max_outputs = 2;
+  wopt.gamma_bound = 3;
+  wopt.reuse_probability = 0.8;
+  GeneratedWorkflow gen = MakeRandomWorkflow(wopt, &rng);
+  TaskGraphExecutor shared(3);
+  WorkflowExactOptions opt;
+  opt.exact.bnb.executor = &shared;
+  opt.exact.bnb.num_threads = 1;
+  const WorkflowExactResult one = SolveExactForWorkflow(*gen.workflow, opt);
+  ASSERT_TRUE(one.result.status.ok());
+  EXPECT_EQ(one.result.gap, 0.0);
+  EXPECT_GT(one.result.work, 1);  // a real tree, not a root-only solve
+  EXPECT_TRUE(one.semantics_verified);
+  opt.exact.bnb.num_threads = 4;
+  const WorkflowExactResult four = SolveExactForWorkflow(*gen.workflow, opt);
+  ASSERT_TRUE(four.result.status.ok());
+  EXPECT_TRUE(four.semantics_verified);
+  EXPECT_EQ(SerializeInstance(one.instance), SerializeInstance(four.instance));
+  EXPECT_EQ(one.result.cost, four.result.cost);
+  EXPECT_EQ(one.result.solution.hidden.ToVector(),
+            four.result.solution.hidden.ToVector());
+  EXPECT_EQ(one.result.work, four.result.work);
+}
 
 TEST(LayeredGeneratorTest, HundredModuleWorkflowGeneratesAndValidates) {
   Rng rng(99);

@@ -50,6 +50,49 @@ TEST(ExactSolverTest, AgreesWithBruteForceOnTinyInstance) {
   EXPECT_NEAR(bf.cost, SolveExact(inst).cost, 1e-7);
 }
 
+// One module, attributes costing {1, 5}, options {hide a0} and {hide a1}.
+SecureViewInstance TwoOptionInstance() {
+  SecureViewInstance inst;
+  inst.kind = ConstraintKind::kSet;
+  inst.num_attrs = 2;
+  inst.attr_cost = {1.0, 5.0};
+  SvModule m;
+  m.name = "m";
+  m.inputs = {0};
+  m.outputs = {1};
+  m.set_options = {SetOption{{0}, {}}, SetOption{{}, {1}}};
+  inst.modules = {m};
+  return inst;
+}
+
+TEST(ExactSolverTest, WarmStartHonorsFixVisible) {
+  // Both warm legs pick the cheap option, which hides the pinned a0; it
+  // must neither be returned nor bound the search.
+  SecureViewInstance inst = TwoOptionInstance();
+  for (bool warm : {true, false}) {
+    ExactOptions opt;
+    opt.warm_start = warm;
+    opt.fix_visible = {0};
+    SvResult r = SolveExact(inst, opt);
+    ASSERT_TRUE(r.status.ok()) << "warm " << warm;
+    EXPECT_NEAR(r.cost, 5.0, 1e-9) << "warm " << warm;
+    EXPECT_EQ(r.gap, 0.0);
+    EXPECT_FALSE(r.solution.hidden.Test(0));
+    EXPECT_TRUE(r.solution.hidden.Test(1));
+  }
+}
+
+TEST(ExactSolverTest, OutOfRangeFixVisibleIsInvalidArgument) {
+  SecureViewInstance inst = TwoOptionInstance();
+  for (int bad : {-1, 2}) {
+    ExactOptions opt;
+    opt.fix_visible = {0, bad};
+    SvResult r = SolveExact(inst, opt);
+    EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_FALSE(std::isfinite(r.gap)) << bad;
+  }
+}
+
 TEST(GreedyPerModuleTest, PaysTheLocalViewPrice) {
   SecureViewInstance inst = TinyCardInstance();
   SvResult greedy = SolveGreedyPerModule(inst);
