@@ -11,14 +11,6 @@ namespace provview {
 
 namespace {
 
-// splitmix64 finalizer: the per-pair mix feeding the running hashes.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
 void AppendU64(std::string* out, uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
@@ -122,8 +114,8 @@ void SafetyMemo::Init() {
   }
 }
 
-std::pair<SafetyMemo::ProjectionKey, int64_t> SafetyMemo::ScanProjection(
-    const Bitset64& effective_visible, int64_t hidden_ext) const {
+int64_t SafetyMemo::ScanGamma(const SignatureKey& sig) const {
+  const auto& [effective_visible, hidden_ext] = sig;
   // Effective-visible row positions, split by side.
   std::vector<int> in_pos, out_pos;
   for (size_t j = 0; j < inputs_.size(); ++j) {
@@ -137,26 +129,11 @@ std::pair<SafetyMemo::ProjectionKey, int64_t> SafetyMemo::ScanProjection(
     }
   }
 
-  // One shared ScanVisibleGroups pass: the first-seen pair sequence feeds
-  // the order-sensitive hashes and its per-group counts determine Γ.
-  // First-seen order over the view's fixed row order is canonical, so
-  // equal-projection hidden sets produce equal keys even when the
-  // underlying values differ — and both backends walk rows in the same
-  // order, so keys agree across materialized and streaming passes.
-  ProjectionKey key;
-  key.hidden_ext = hidden_ext;
-  key.h1 = 0x8A91A6D40BF42040ull;
-  key.h2 = 0xC83A91E1DB6A2BB1ull;
   std::unique_ptr<RowSupplier> rows = view_.NewSupplier();
-  const int64_t min_count =
-      ScanVisibleGroups(rows.get(), in_pos, out_pos, [&key](uint64_t pair) {
-        key.h1 = key.h1 * 0x100000001B3ull + Mix64(pair);
-        key.h2 = key.h2 * 0x9E3779B97F4A7C15ull + Mix64(~pair);
-      });
-  const int64_t gamma = min_count == std::numeric_limits<int64_t>::max()
-                            ? min_count  // empty relation
-                            : SaturatingMul(min_count, hidden_ext);
-  return {key, gamma};
+  const int64_t min_count = ScanVisibleGroups(rows.get(), in_pos, out_pos);
+  return min_count == std::numeric_limits<int64_t>::max()
+             ? min_count  // empty relation
+             : SaturatingMul(min_count, hidden_ext);
 }
 
 std::unique_ptr<SafetyMemo> SafetyMemo::NewOverlay() const {
@@ -175,9 +152,6 @@ void SafetyMemo::Absorb(const SafetyMemo& worker) {
   for (const auto& [sig, gamma] : worker.signature_staging_) {
     StoreSignature(sig, gamma, nullptr);
   }
-  for (const auto& [pkey, gamma] : worker.projection_staging_) {
-    StoreProjection(pkey, gamma, nullptr);
-  }
 }
 
 std::string SafetyMemo::SignatureKeyBytes(const SignatureKey& sig) const {
@@ -185,15 +159,6 @@ std::string SafetyMemo::SignatureKeyBytes(const SignatureKey& sig) const {
   bytes.reserve(8 + sig.first.blocks().size() * 8);
   AppendU64(&bytes, static_cast<uint64_t>(sig.second));
   for (uint64_t block : sig.first.blocks()) AppendU64(&bytes, block);
-  return bytes;
-}
-
-std::string SafetyMemo::ProjectionKeyBytes(const ProjectionKey& pkey) const {
-  std::string bytes;
-  bytes.reserve(24);
-  AppendU64(&bytes, pkey.h1);
-  AppendU64(&bytes, pkey.h2);
-  AppendU64(&bytes, static_cast<uint64_t>(pkey.hidden_ext));
   return bytes;
 }
 
@@ -207,22 +172,7 @@ bool SafetyMemo::FindSignature(const SignatureKey& sig,
     }
     return base_->FindSignature(sig, gamma);
   }
-  return cache_->Lookup(ns_, VerdictKeyClass::kSignature,
-                        SignatureKeyBytes(sig), gamma);
-}
-
-bool SafetyMemo::FindProjection(const ProjectionKey& pkey,
-                                int64_t* gamma) const {
-  if (base_ != nullptr) {
-    auto it = projection_staging_.find(pkey);
-    if (it != projection_staging_.end()) {
-      *gamma = it->second;
-      return true;
-    }
-    return base_->FindProjection(pkey, gamma);
-  }
-  return cache_->Lookup(ns_, VerdictKeyClass::kProjection,
-                        ProjectionKeyBytes(pkey), gamma);
+  return cache_->Lookup(ns_, SignatureKeyBytes(sig), gamma);
 }
 
 void SafetyMemo::StoreSignature(const SignatureKey& sig, int64_t gamma,
@@ -231,18 +181,7 @@ void SafetyMemo::StoreSignature(const SignatureKey& sig, int64_t gamma,
     signature_staging_.emplace(sig, gamma);
     return;
   }
-  cache_->Insert(ns_, VerdictKeyClass::kSignature, SignatureKeyBytes(sig),
-                 gamma, control);
-}
-
-void SafetyMemo::StoreProjection(const ProjectionKey& pkey, int64_t gamma,
-                                 const ExecControl* control) {
-  if (base_ != nullptr) {
-    projection_staging_.emplace(pkey, gamma);
-    return;
-  }
-  cache_->Insert(ns_, VerdictKeyClass::kProjection, ProjectionKeyBytes(pkey),
-                 gamma, control);
+  cache_->Insert(ns_, SignatureKeyBytes(sig), gamma, control);
 }
 
 SafetyMemo::SignatureKey SafetyMemo::MakeSignature(
@@ -265,28 +204,16 @@ int64_t SafetyMemo::MaxGamma(const Bitset64& hidden, SafeSearchStats* stats,
   int64_t cached = 0;
   if (FindSignature(sig, &cached)) {
     if (log != nullptr) {
-      log->records.push_back({std::move(sig), ProjectionKey{}, cached, false});
+      log->records.push_back({std::move(sig), cached, false});
     } else {
       ++stats->cache_hits;
-      ++stats->signature_hits;
     }
     return cached;
   }
-  const auto [pkey, gamma] = ScanProjection(sig.first, sig.second);
-  if (FindProjection(pkey, &cached)) {
-    StoreSignature(sig, cached, control);
-    if (log != nullptr) {
-      log->records.push_back({std::move(sig), pkey, cached, true});
-    } else {
-      ++stats->cache_hits;
-      ++stats->projection_hits;
-    }
-    return cached;
-  }
-  StoreProjection(pkey, gamma, control);
+  const int64_t gamma = ScanGamma(sig);
   StoreSignature(sig, gamma, control);
   if (log != nullptr) {
-    log->records.push_back({std::move(sig), pkey, gamma, true});
+    log->records.push_back({std::move(sig), gamma, true});
   } else {
     ++stats->checker_calls;
   }
@@ -305,28 +232,18 @@ void SafetyMemo::AbsorbLog(const LookupLog& log, SafeSearchStats* stats) {
     int64_t cached = 0;
     if (FindSignature(rec.sig, &cached)) {
       ++stats->cache_hits;
-      ++stats->signature_hits;
       continue;
     }
-    if (!rec.scanned) {
-      // The worker answered this from a settled signature, but the replay
-      // misses — only possible when a bounded shared cache evicted the
-      // entry in between. The verdict itself is settled (deterministic);
-      // re-seed it and account the hit the worker actually had.
-      StoreSignature(rec.sig, rec.gamma, nullptr);
-      ++stats->cache_hits;
-      ++stats->signature_hits;
-      continue;
-    }
-    if (FindProjection(rec.pkey, &cached)) {
-      StoreSignature(rec.sig, cached, nullptr);
-      ++stats->cache_hits;
-      ++stats->projection_hits;
-      continue;
-    }
-    ++stats->checker_calls;
-    StoreProjection(rec.pkey, rec.gamma, nullptr);
+    // Settle the miss. When the worker ran no pass it answered from a
+    // settled signature that a bounded shared cache evicted before this
+    // replay: the verdict is deterministic, so re-seed it and account the
+    // hit the worker actually had.
     StoreSignature(rec.sig, rec.gamma, nullptr);
+    if (rec.scanned) {
+      ++stats->checker_calls;
+    } else {
+      ++stats->cache_hits;
+    }
   }
 }
 

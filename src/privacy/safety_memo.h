@@ -1,33 +1,21 @@
 // Memoized Algorithm-2 safety verdicts for a fixed module relation, shared
 // by the standalone subset searches (safe_subset_search) and the workflow
-// batch certification driver (workflow_privacy). Two memo levels:
+// batch certification driver (workflow_privacy). One memo level, keyed on
+// the effective-visible signature: Algorithm 2's verdict cannot depend on
+// attributes whose domain has one value or that are constant across R, so
+// hidden sets differing only in such attributes share one cached Γ. Key:
+// (effective visible set, hidden-output extension factor). A lookup is
+// signature → (miss) one row pass → store.
 //
-//   level 1 — effective-visible signature: Algorithm 2's verdict cannot
-//   depend on attributes whose domain has one value or that are constant
-//   across R, so hidden sets differing only in such attributes share one
-//   cached Γ. Key: (effective visible set, hidden-output extension factor).
-//
-//   level 2 — induced-projection hash: the verdict is in fact a function of
-//   the projection the hidden set induces, not of the attribute set itself.
-//   Each row is canonicalized to a (visible-input group id, visible-output
-//   value id) pair of dense first-seen interned ids; the deduplicated pair
-//   sequence determines the per-group distinct-output counts and hence Γ
-//   exactly. Distinct visible sets that induce the same grouping structure
-//   (duplicated columns, value renamings, refinement-free columns) collapse
-//   to one 128-bit key.
-//
-// A level-2 hit seeds level 1, so repeats of the same signature stay O(1).
-// Since the streaming rework, the level-2 key and the exact Γ come out of
-// the same single row pass — a level-2 hit therefore costs the same pass
-// as a miss and exists to collapse verdict storage and to *measure* the
-// canonicalization (SafeSearchStats reports per-level hit counts); the
-// wall-clock win lives entirely in level 1.
+// There is no memo on the induced projection itself: its key would come
+// out of the same row pass that computes Γ, so a hit could never save the
+// pass it was meant to avoid.
 //
 // Verdict storage lives in a VerdictCache: a root memo serializes its keys
 // into a cache namespace (a private unbounded cache by default, or a
 // shared — possibly byte-budgeted — service cache bound at construction).
 // The memo itself is a thin view over that store: root memos are safe to
-// read concurrently (the cache is sharded and striped-locked; ScanProjection
+// read concurrently (the cache is sharded and striped-locked; ScanGamma
 // only reads the row backend), while NewOverlay() still hands workers O(1)
 // private staging views whose lookup logs replay in rank order, keeping
 // sharded-search results and SafeSearchStats byte-identical to the
@@ -63,12 +51,9 @@ class ExecControl;
 /// Instrumentation of a subset search / batch certification.
 struct SafeSearchStats {
   int64_t subsets_examined = 0;  ///< candidate subsets considered
-  int64_t checker_calls = 0;     ///< Algorithm-2 safety tests actually run
-  /// Candidates answered from a memo instead of re-running Algorithm 2
-  /// (signature_hits + projection_hits).
+  int64_t checker_calls = 0;     ///< Algorithm-2 row passes actually run
+  /// Candidates answered from the signature memo instead of a row pass.
   int64_t cache_hits = 0;
-  int64_t signature_hits = 0;   ///< level-1 effective-visible-signature hits
-  int64_t projection_hits = 0;  ///< level-2 induced-projection-hash hits
 
   /// Fraction of memo-visible lookups answered without the checker.
   double HitRate() const {
@@ -82,8 +67,6 @@ struct SafeSearchStats {
     subsets_examined += other.subsets_examined;
     checker_calls += other.checker_calls;
     cache_hits += other.cache_hits;
-    signature_hits += other.signature_hits;
-    projection_hits += other.projection_hits;
   }
 };
 
@@ -141,11 +124,11 @@ class SafetyMemo {
   struct LookupLog;
 
   /// MaxStandaloneGamma(rel, I, O, hidden.Complement()), memoized — the
-  /// one memo read path. With `log` null (the direct mode) a full miss
-  /// bumps checker_calls and hits bump the per-level counters. With a
-  /// non-null `log` (the worker mode, formerly MaxGammaLogged) no stats
-  /// are bumped; the lookup is appended to the log instead, and the caller
-  /// replays the logs with AbsorbLog in deterministic shard order — which
+  /// one memo read path. With `log` null (the direct mode) a miss bumps
+  /// checker_calls and a hit bumps cache_hits. With a non-null `log` (the
+  /// worker mode, formerly MaxGammaLogged) no stats are bumped; the
+  /// lookup is appended to the log instead, and the caller replays the
+  /// logs with AbsorbLog in deterministic shard order — which
   /// reproduces the *sequential* walk's accounting exactly: a verdict two
   /// concurrent shards both computed collapses back into one checker call
   /// plus one cache hit, so SafeSearchStats are byte-identical to the
@@ -162,11 +145,11 @@ class SafetyMemo {
               LookupLog* log = nullptr, const ExecControl* control = nullptr);
 
   /// Replays a worker log against this memo in order: classifies every
-  /// lookup against the current verdict store (signature hit / projection
-  /// hit / checker call), inserts the settled verdicts, and bumps `stats`
-  /// exactly as a sequential walk reaching these candidates in this order
-  /// would. Under a bounded shared cache an entry may have been evicted
-  /// between the worker's lookup and the replay; the logged Γ re-seeds it
+  /// lookup against the current verdict store (cache hit / checker call),
+  /// inserts the settled verdicts, and bumps `stats` exactly as a
+  /// sequential walk reaching these candidates in this order would.
+  /// Under a bounded shared cache an entry may have been evicted between
+  /// the worker's lookup and the replay; the logged Γ re-seeds it
   /// (eviction only forgets, the verdict itself is settled).
   void AbsorbLog(const LookupLog& log, SafeSearchStats* stats);
 
@@ -179,43 +162,25 @@ class SafetyMemo {
  private:
   SafetyMemo() = default;  // used by NewOverlay()
 
-  // 128-bit order-sensitive hash of the canonical dedup'd pair sequence.
-  struct ProjectionKey {
-    uint64_t h1 = 0;
-    uint64_t h2 = 0;
-    int64_t hidden_ext = 1;
-    bool operator<(const ProjectionKey& o) const {
-      if (h1 != o.h1) return h1 < o.h1;
-      if (h2 != o.h2) return h2 < o.h2;
-      return hidden_ext < o.hidden_ext;
-    }
-  };
   using SignatureKey = std::pair<Bitset64, int64_t>;
 
   void Init();
   void BindPrivateCache();
-  // One streaming pass computing the level-2 key and the exact Γ together
-  // (the pair sequence determines both), so a cache miss costs a single
-  // pass regardless of backend.
-  std::pair<ProjectionKey, int64_t> ScanProjection(
-      const Bitset64& effective_visible, int64_t hidden_ext) const;
+  // One Algorithm-2 row pass: the exact Γ of the signature, so a cache
+  // miss costs a single pass regardless of backend.
+  int64_t ScanGamma(const SignatureKey& sig) const;
 
   SignatureKey MakeSignature(const Bitset64& hidden) const;
 
-  // Serialized cache keys: signature = hidden_ext + effective-visible
-  // blocks (the universe is fixed per namespace, so the block count is
-  // constant); projection = (h1, h2, hidden_ext).
+  // Serialized cache key: hidden_ext + effective-visible blocks (the
+  // universe is fixed per namespace, so the block count is constant).
   std::string SignatureKeyBytes(const SignatureKey& sig) const;
-  std::string ProjectionKeyBytes(const ProjectionKey& pkey) const;
 
-  // Store lookups/inserts: overlays consult their local staging maps then
+  // Store lookup/insert: overlays consult their local staging map then
   // fall through to the frozen base; roots go to the cache namespace.
   bool FindSignature(const SignatureKey& sig, int64_t* gamma) const;
-  bool FindProjection(const ProjectionKey& pkey, int64_t* gamma) const;
   void StoreSignature(const SignatureKey& sig, int64_t gamma,
                       const ExecControl* control);
-  void StoreProjection(const ProjectionKey& pkey, int64_t gamma,
-                       const ExecControl* control);
 
   // Frozen read-only fallback for overlays; nullptr for root memos.
   const SafetyMemo* base_ = nullptr;
@@ -232,20 +197,18 @@ class SafetyMemo {
   // view's schema.
   std::vector<int> local_pos_;
 
-  // Overlay staging (roots leave these empty and use the cache).
+  // Overlay staging (roots leave it empty and use the cache).
   std::map<SignatureKey, int64_t> signature_staging_;
-  std::map<ProjectionKey, int64_t> projection_staging_;
 };
 
 /// One worker's lookup trace: which candidates it resolved, with enough of
-/// each resolution (signature, projection key when a pass ran, Γ) for
-/// AbsorbLog to re-classify it against the merged verdict store.
+/// each resolution (signature, Γ, whether a pass ran) for AbsorbLog to
+/// re-classify it against the merged verdict store.
 struct SafetyMemo::LookupLog {
   struct Record {
     SignatureKey sig;
-    ProjectionKey pkey;  // meaningful only when `scanned`
     int64_t gamma = 0;
-    bool scanned = false;  // the worker missed level 1 and ran the row pass
+    bool scanned = false;  // the worker missed the memo and ran the row pass
   };
   std::vector<Record> records;
 };

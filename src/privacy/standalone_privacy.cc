@@ -80,8 +80,7 @@ bool IsStandaloneSafe(const Relation& rel, const std::vector<AttrId>& inputs,
 }
 
 int64_t ScanVisibleGroups(RowSupplier* rows, const std::vector<int>& in_pos,
-                          const std::vector<int>& out_pos,
-                          const std::function<void(uint64_t)>& on_new_pair) {
+                          const std::vector<int>& out_pos) {
   // Intern each row's group and output projections to dense ids,
   // deduplicate the packed pairs, and count distinct outputs per group.
   TupleInterner in_interner, out_interner;
@@ -105,7 +104,6 @@ int64_t ScanVisibleGroups(RowSupplier* rows, const std::vector<int>& in_pos,
           (static_cast<uint64_t>(static_cast<uint32_t>(gid)) << 32) |
           static_cast<uint32_t>(oid);
       if (!seen_pairs.insert(pair).second) continue;
-      if (on_new_pair) on_new_pair(pair);
       if (static_cast<size_t>(gid) >= group_count.size()) {
         group_count.resize(static_cast<size_t>(gid) + 1, 0);
       }
@@ -141,7 +139,7 @@ int64_t MaxStandaloneGamma(RowSupplier* rows, const std::vector<AttrId>& inputs,
   }
 
   const int64_t min_count =
-      ScanVisibleGroups(rows, vis_in_pos, vis_out_pos, nullptr);
+      ScanVisibleGroups(rows, vis_in_pos, vis_out_pos);
   if (min_count == kMax) return kMax;  // empty relation
   // min over groups of count * hidden_ext = hidden_ext * the minimum count.
   return SaturatingMul(min_count, hidden_ext);

@@ -13,7 +13,6 @@
 #define PROVVIEW_PRIVACY_STANDALONE_PRIVACY_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "module/module.h"
@@ -40,16 +39,13 @@ bool IsStandaloneSafe(const Relation& rel, const std::vector<AttrId>& inputs,
 
 /// One streaming pass over `rows` grouping each row by its projection onto
 /// the `in_pos` row positions and counting the distinct `out_pos`
-/// projections per group (both interned to dense first-seen ids). Invokes
-/// `on_new_pair((gid << 32) | oid)`, when non-null, for every first-seen
-/// pair in first-seen order. Returns the minimum distinct-output count over
-/// the groups, or INT64_MAX when the supplier yields no rows. The shared
-/// core of the streaming Algorithm-2 checker below and SafetyMemo's
-/// projection scan — state is bounded by the distinct projections, not the
-/// row count.
+/// projections per group (both interned to dense first-seen ids). Returns
+/// the minimum distinct-output count over the groups, or INT64_MAX when the
+/// supplier yields no rows. The shared core of the streaming Algorithm-2
+/// checker below and SafetyMemo's row pass — state is bounded by the
+/// distinct projections, not the row count.
 int64_t ScanVisibleGroups(RowSupplier* rows, const std::vector<int>& in_pos,
-                          const std::vector<int>& out_pos,
-                          const std::function<void(uint64_t)>& on_new_pair);
+                          const std::vector<int>& out_pos);
 
 /// Streaming Algorithm-2 test: one pass over `rows` (any RowSupplier whose
 /// schema covers the module attributes), never materializing the relation.

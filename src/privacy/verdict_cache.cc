@@ -90,11 +90,11 @@ struct KeyHash {
   }
 };
 
-// Stack-first buffer for the serialized [ns | class | key] lookup key;
-// verdict keys are tens of bytes, so lookups never touch the heap.
+// Stack-first buffer for the serialized [ns | key] lookup key; verdict keys
+// are tens of bytes, so lookups never touch the heap.
 class SmallKey {
  public:
-  SmallKey(uint32_t ns, VerdictKeyClass klass, std::string_view key) {
+  SmallKey(uint32_t ns, std::string_view key) {
     const size_t total = kPrefix + key.size();
     char* out = buf_;
     if (total > sizeof(buf_)) {
@@ -105,7 +105,6 @@ class SmallKey {
     out[1] = static_cast<char>((ns >> 8) & 0xFF);
     out[2] = static_cast<char>((ns >> 16) & 0xFF);
     out[3] = static_cast<char>((ns >> 24) & 0xFF);
-    out[4] = static_cast<char>(klass);
     std::memcpy(out + kPrefix, key.data(), key.size());
     view_ = std::string_view(out, total);
   }
@@ -113,7 +112,7 @@ class SmallKey {
   std::string_view view() const { return view_; }
 
  private:
-  static constexpr size_t kPrefix = 5;
+  static constexpr size_t kPrefix = 4;
   char buf_[160];
   std::string overflow_;
   std::string_view view_;
@@ -138,11 +137,10 @@ struct VerdictCache::Shard {
     int64_t gamma = 0;
     // Measured byte delta this entry's insertion caused (list node, key
     // heap, index node, any bucket growth it triggered) — the unit the
-    // SLRU segments and per-class byte tallies are attributed in. The
-    // budget itself is enforced on the live `bytes` counter, so attribution
+    // SLRU segments and the byte tally are attributed in. The budget
+    // itself is enforced on the live `bytes` counter, so attribution
     // coarseness never loosens the ceiling.
     int64_t charged = 0;
-    VerdictKeyClass klass = VerdictKeyClass::kSignature;
     bool in_protected = false;
   };
   using EntryList = std::list<Entry, CountingAllocator<Entry>>;
@@ -172,19 +170,7 @@ struct VerdictCache::Shard {
   int64_t protected_bytes = 0;
   int64_t peak_bytes = 0;
 
-  struct ClassTally {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t inserts = 0;
-    uint64_t evictions = 0;
-    int64_t bytes = 0;
-    int64_t entries = 0;
-  };
-  ClassTally tally[2];
-
-  ClassTally& TallyFor(VerdictKeyClass klass) {
-    return tally[static_cast<size_t>(klass)];
-  }
+  VerdictCacheStats::PerClass tally;
 
   // Move a hit entry up: probation -> protected front (SLRU promotion) or
   // protected -> its own front. Promotions that overflow the protected
@@ -211,10 +197,9 @@ struct VerdictCache::Shard {
   void EvictOne() {
     EntryList* from = !probation.empty() ? &probation : &protected_seg;
     EntryList::iterator victim = std::prev(from->end());
-    ClassTally& t = TallyFor(victim->klass);
-    ++t.evictions;
-    t.bytes -= victim->charged;
-    --t.entries;
+    ++tally.evictions;
+    tally.bytes -= victim->charged;
+    --tally.entries;
     (victim->in_protected ? protected_bytes : probation_bytes) -=
         victim->charged;
     index.erase(std::string_view(victim->key.data(), victim->key.size()));
@@ -231,9 +216,8 @@ struct VerdictCache::Shard {
           ++it;
           continue;
         }
-        ClassTally& t = TallyFor(it->klass);
-        t.bytes -= it->charged;
-        --t.entries;
+        tally.bytes -= it->charged;
+        --tally.entries;
         (it->in_protected ? protected_bytes : probation_bytes) -= it->charged;
         index.erase(std::string_view(it->key.data(), it->key.size()));
         it = seg->erase(it);
@@ -318,26 +302,25 @@ void VerdictCache::DropNamespace(uint32_t ns) {
   }
 }
 
-bool VerdictCache::Lookup(uint32_t ns, VerdictKeyClass klass,
-                          std::string_view key, int64_t* gamma) {
-  const SmallKey full(ns, klass, key);
+bool VerdictCache::Lookup(uint32_t ns, std::string_view key,
+                          int64_t* gamma) {
+  const SmallKey full(ns, key);
   Shard* shard = ShardFor(full.view());
   std::lock_guard<std::mutex> g(shard->mu);
   auto it = shard->index.find(full.view());
   if (it == shard->index.end()) {
-    ++shard->TallyFor(klass).misses;
+    ++shard->tally.misses;
     return false;
   }
-  ++shard->TallyFor(klass).hits;
+  ++shard->tally.hits;
   *gamma = it->second->gamma;
   shard->Touch(it->second, protected_budget_);
   return true;
 }
 
-bool VerdictCache::Insert(uint32_t ns, VerdictKeyClass klass,
-                          std::string_view key, int64_t gamma,
+bool VerdictCache::Insert(uint32_t ns, std::string_view key, int64_t gamma,
                           const ExecControl* control) {
-  const SmallKey full(ns, klass, key);
+  const SmallKey full(ns, key);
   // Admission probe against the *request's* budget: a request that cannot
   // afford the entry's bytes must not grow the service-wide cache. The
   // charge is transient (the entry outlives the request); an over-budget
@@ -360,7 +343,6 @@ bool VerdictCache::Insert(uint32_t ns, VerdictKeyClass klass,
   Shard::Entry& entry = shard->probation.front();
   entry.key.assign(full.view().begin(), full.view().end());
   entry.gamma = gamma;
-  entry.klass = klass;
   shard->index.emplace(
       std::string_view(entry.key.data(), entry.key.size()),
       shard->probation.begin());
@@ -368,10 +350,9 @@ bool VerdictCache::Insert(uint32_t ns, VerdictKeyClass klass,
       shard->bytes.load(std::memory_order_relaxed) - before;
   entry.charged = delta;
   shard->probation_bytes += delta;
-  Shard::ClassTally& t = shard->TallyFor(klass);
-  ++t.inserts;
-  t.bytes += delta;
-  ++t.entries;
+  ++shard->tally.inserts;
+  shard->tally.bytes += delta;
+  ++shard->tally.entries;
   shard->peak_bytes = std::max(
       shard->peak_bytes, shard->bytes.load(std::memory_order_relaxed));
   shard->EnforceBudget(shard_budget_);
@@ -385,16 +366,13 @@ VerdictCacheStats VerdictCache::Stats() const {
     std::lock_guard<std::mutex> g(shard->mu);
     out.bytes_in_use += shard->bytes.load(std::memory_order_relaxed);
     out.peak_bytes += shard->peak_bytes;
-    VerdictCacheStats::PerClass* per[2] = {&out.signature, &out.projection};
-    for (int k = 0; k < 2; ++k) {
-      const Shard::ClassTally& t = shard->tally[k];
-      per[k]->hits += t.hits;
-      per[k]->misses += t.misses;
-      per[k]->inserts += t.inserts;
-      per[k]->evictions += t.evictions;
-      per[k]->bytes += t.bytes;
-      per[k]->entries += t.entries;
-    }
+    const VerdictCacheStats::PerClass& t = shard->tally;
+    out.signature.hits += t.hits;
+    out.signature.misses += t.misses;
+    out.signature.inserts += t.inserts;
+    out.signature.evictions += t.evictions;
+    out.signature.bytes += t.bytes;
+    out.signature.entries += t.entries;
   }
   {
     std::lock_guard<std::mutex> g(ns_mu_);

@@ -17,10 +17,9 @@
 //     per-shard atomic, so the hard byte budget is enforced on *measured*
 //     bytes, memcached-style, not on guessed entry sizes.
 //
-// Two key classes mirror SafetyMemo's two memo levels: the
-// effective-visible signature (level 1) and the 128-bit induced-projection
-// hash (level 2). Verdicts are deterministic, so first-wins insertion is
-// exact and eviction can only forget a verdict, never corrupt one.
+// Keys are SafetyMemo's serialized effective-visible signatures, its one
+// memo level. Verdicts are deterministic, so first-wins insertion is exact
+// and eviction can only forget a verdict, never corrupt one.
 //
 // Namespaces partition the key space: each (workflow, private module)
 // binds one namespace id, so one cache instance serves a whole daemon
@@ -43,12 +42,6 @@ namespace provview {
 
 class ExecControl;
 
-/// The two verdict key classes (SafetyMemo's memo levels).
-enum class VerdictKeyClass : uint8_t {
-  kSignature = 0,   ///< effective-visible signature (level 1)
-  kProjection = 1,  ///< 128-bit induced-projection hash (level 2)
-};
-
 struct VerdictCacheConfig {
   /// Hard ceiling on measured cache bytes. Defaults to unbounded — the
   /// historical grow-forever memo behavior. The budget splits evenly
@@ -64,7 +57,10 @@ struct VerdictCacheConfig {
 };
 
 /// Counters behind STAT's cache section. Hit/miss/insert/eviction tallies
-/// are exact; byte/entry tallies are per-class measured totals.
+/// are exact; byte/entry tallies are measured totals. Every tally lands in
+/// `signature`; `projection` is the retired second key class and stays
+/// zero (kept so STAT's append-only key set and existing readers of the
+/// struct keep their shape).
 struct VerdictCacheStats {
   struct PerClass {
     uint64_t hits = 0;
@@ -74,8 +70,8 @@ struct VerdictCacheStats {
     int64_t bytes = 0;    ///< measured bytes attributed to live entries
     int64_t entries = 0;  ///< live entries
   };
-  PerClass signature;
-  PerClass projection;
+  PerClass signature;   ///< every verdict entry
+  PerClass projection;  ///< retired: always zero
   int64_t bytes_in_use = 0;  ///< all measured bytes (entries + index)
   int64_t peak_bytes = 0;    ///< sum of per-shard measured peaks
   int64_t byte_budget = 0;
@@ -83,8 +79,8 @@ struct VerdictCacheStats {
 };
 
 /// Thread-safe sharded verdict store. Keys are opaque byte strings
-/// (SafetyMemo serializes its signature / projection keys); values are the
-/// Γ verdicts. All methods are safe to call concurrently.
+/// (SafetyMemo serializes its signature keys); values are the Γ verdicts.
+/// All methods are safe to call concurrently.
 class VerdictCache {
  public:
   explicit VerdictCache(const VerdictCacheConfig& config = {});
@@ -102,9 +98,8 @@ class VerdictCache {
   /// any more. Dropped entries do not count as evictions.
   void DropNamespace(uint32_t ns);
 
-  /// True on a hit (LRU-promoting); bumps the per-class hit/miss counter.
-  bool Lookup(uint32_t ns, VerdictKeyClass klass, std::string_view key,
-              int64_t* gamma);
+  /// True on a hit (LRU-promoting); bumps the hit/miss counter.
+  bool Lookup(uint32_t ns, std::string_view key, int64_t* gamma);
 
   /// First-wins insert: returns false (and leaves the cached value alone)
   /// when the key is already present. A non-null `control` is charged
@@ -113,8 +108,8 @@ class VerdictCache {
   /// and the insert is skipped, tying cache growth triggered by a request
   /// into that request's ExecControl budget. The cache's own byte budget
   /// is enforced afterwards by evicting LRU entries of the shard.
-  bool Insert(uint32_t ns, VerdictKeyClass klass, std::string_view key,
-              int64_t gamma, const ExecControl* control = nullptr);
+  bool Insert(uint32_t ns, std::string_view key, int64_t gamma,
+              const ExecControl* control = nullptr);
 
   VerdictCacheStats Stats() const;
   int64_t bytes_in_use() const;

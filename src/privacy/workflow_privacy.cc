@@ -147,7 +147,8 @@ WorkflowBatchResult CertifyWorkflowBatch(
   std::vector<SafeSearchStats> module_stats(private_modules.size());
   // Without a shared namespace, one batch-local memo per private module:
   // its relation materializes once and every request answers from it, so
-  // hidden sets inducing the same projection on the module hit the cache.
+  // hidden sets with the same effective-visible signature on the module
+  // hit the cache.
   std::vector<std::unique_ptr<SafetyMemo>> local_memos;
   if (verdicts == nullptr) {
     for (int m_index : private_modules) {

@@ -111,7 +111,8 @@ struct WorkflowBatchResult {
   std::vector<WorkflowBatchEntry> entries;  ///< aligned with the requests
   /// Aggregated Algorithm-2 memo statistics: every private module keeps one
   /// SafetyMemo across the whole batch, so requests whose hidden sets
-  /// induce the same projection on a module share one checker call.
+  /// have the same effective-visible signature on a module share one
+  /// checker call.
   SafeSearchStats stats;
   /// Non-OK when a service-mode control tripped (DEADLINE_EXCEEDED /
   /// RESOURCE_EXHAUSTED) or a request was structurally invalid

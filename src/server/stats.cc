@@ -88,7 +88,7 @@ StatSnapshot DaemonStats::Snapshot(const StatContext& ctx) const {
       snap.emplace_back(p + "_entries", u64(c.entries));
     };
     per_class("signature", cs.signature);
-    per_class("projection", cs.projection);
+    per_class("projection", cs.projection);  // retired: always 0
   }
   if (ctx.admission != nullptr) {
     // stat_version 3: wire registration, request-level admission, reactor.

@@ -79,7 +79,8 @@ class DaemonStats {
   /// a `stat_version` marker followed by `verdict_cache_*` keys. Sections
   /// are append-only — parsers keying off names (podsctl) never break, and
   /// `stat_version` tells newer tooling which sections to expect
-  /// (2 = verdict cache; 3 = + registration/admission/reactor).
+  /// (2 = verdict cache; 3 = + registration/admission/reactor). The
+  /// `verdict_cache_projection_*` keys are retired and always read 0.
   StatSnapshot Snapshot(const VerdictCache* cache = nullptr) const;
   StatSnapshot Snapshot(const StatContext& ctx) const;
 

@@ -430,9 +430,16 @@ TEST(PodsdE2eTest, BudgetedCacheServesConcurrentConnections) {
             static_cast<uint64_t>(config.byte_budget));
   EXPECT_LE(counter("verdict_cache_bytes"),
             static_cast<uint64_t>(config.byte_budget));
-  EXPECT_GT(counter("verdict_cache_signature_hits") +
-                counter("verdict_cache_projection_hits"),
-            0u);
+  const auto cache_counter = [&](const char* klass, const char* field) {
+    return counter(std::string("verdict_cache_") + klass + "_" + field);
+  };
+  EXPECT_GT(cache_counter("signature", "hits"), 0u);
+  // The projection key class is retired: its six keys stay on the wire
+  // (STAT sections are append-only) and read zero after any traffic.
+  for (const char* field :
+       {"hits", "misses", "inserts", "evictions", "bytes", "entries"}) {
+    EXPECT_EQ(cache_counter("projection", field), 0u) << field;
+  }
 
   daemon.Stop();
 }
@@ -557,7 +564,8 @@ TEST(PodsdE2eTest, UnregisterReturnsVerdictCacheToBaseline) {
   // A REGISTERed workflow's verdicts live in the daemon-wide cache under
   // its own namespaces. UNREGISTER must give them back: after certifying
   // every mask and unregistering, STAT's cache bytes, entries and
-  // namespace count read exactly what they read before the REGISTER.
+  // namespace count read exactly what they read before the REGISTER, and
+  // the admission gate is quiescent again (no depth, no pooled bytes).
   WorkflowRegistry registry;
   registry.RegisterBuiltins();
   PodsDaemon daemon(&registry);
@@ -576,8 +584,8 @@ TEST(PodsdE2eTest, UnregisterReturnsVerdictCacheToBaseline) {
   ASSERT_TRUE(client.Connect(daemon.port()).ok());
   const std::vector<std::string> keys = {
       "verdict_cache_bytes", "verdict_cache_namespaces",
-      "verdict_cache_signature_entries", "verdict_cache_projection_entries",
-      "verdict_cache_signature_bytes", "verdict_cache_projection_bytes"};
+      "verdict_cache_signature_entries", "verdict_cache_signature_bytes",
+      "admission_depth", "admission_memory_bytes"};
   const auto read_cache = [&]() {
     StatSnapshot stats;
     EXPECT_TRUE(client.Stat(&stats).ok());
@@ -611,13 +619,14 @@ TEST(PodsdE2eTest, UnregisterReturnsVerdictCacheToBaseline) {
   const std::map<std::string, uint64_t> loaded = read_cache();
   EXPECT_GT(loaded.at("verdict_cache_bytes"),
             before.at("verdict_cache_bytes"));
-  EXPECT_GT(loaded.at("verdict_cache_signature_entries") +
-                loaded.at("verdict_cache_projection_entries"),
-            before.at("verdict_cache_signature_entries") +
-                before.at("verdict_cache_projection_entries"));
+  EXPECT_GT(loaded.at("verdict_cache_signature_entries"),
+            before.at("verdict_cache_signature_entries"));
 
   ASSERT_TRUE(client.Unregister("leak-probe").ok());
-  EXPECT_EQ(read_cache(), before);
+  const std::map<std::string, uint64_t> after = read_cache();
+  EXPECT_EQ(after, before);
+  EXPECT_EQ(after.at("admission_depth"), 0u);
+  EXPECT_EQ(after.at("admission_memory_bytes"), 0u);
 
   daemon.Stop();
 }

@@ -16,9 +16,7 @@ namespace {
 
 bool StatsEqual(const SafeSearchStats& a, const SafeSearchStats& b) {
   return a.subsets_examined == b.subsets_examined &&
-         a.checker_calls == b.checker_calls && a.cache_hits == b.cache_hits &&
-         a.signature_hits == b.signature_hits &&
-         a.projection_hits == b.projection_hits;
+         a.checker_calls == b.checker_calls && a.cache_hits == b.cache_hits;
 }
 
 // The fixture: |Dom| = 4 * 2 * 4 = 32, the exact cutoff value the tests

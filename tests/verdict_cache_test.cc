@@ -30,57 +30,51 @@ std::string Key(uint64_t i) {
 // Deterministic per-key verdict so any cache hit can be validated.
 int64_t GammaOf(uint64_t i) { return static_cast<int64_t>(i % 97) + 1; }
 
-TEST(VerdictCacheTest, InsertAndLookupAcrossNamespacesAndClasses) {
+TEST(VerdictCacheTest, InsertAndLookupAcrossNamespaces) {
   VerdictCache cache;
   const uint32_t ns_a = cache.RegisterNamespace("a");
   const uint32_t ns_b = cache.RegisterNamespace("b");
   ASSERT_NE(ns_a, ns_b);
 
-  EXPECT_TRUE(cache.Insert(ns_a, VerdictKeyClass::kSignature, "k", 7));
+  EXPECT_TRUE(cache.Insert(ns_a, "k", 7));
   int64_t gamma = 0;
-  EXPECT_TRUE(cache.Lookup(ns_a, VerdictKeyClass::kSignature, "k", &gamma));
+  EXPECT_TRUE(cache.Lookup(ns_a, "k", &gamma));
   EXPECT_EQ(gamma, 7);
-  // Same key bytes, different namespace or class: distinct entries.
-  EXPECT_FALSE(cache.Lookup(ns_b, VerdictKeyClass::kSignature, "k", &gamma));
-  EXPECT_FALSE(cache.Lookup(ns_a, VerdictKeyClass::kProjection, "k", &gamma));
-  EXPECT_TRUE(cache.Insert(ns_a, VerdictKeyClass::kProjection, "k", 9));
-  EXPECT_TRUE(cache.Lookup(ns_a, VerdictKeyClass::kProjection, "k", &gamma));
+  // Same key bytes, different namespace: distinct entries.
+  EXPECT_FALSE(cache.Lookup(ns_b, "k", &gamma));
+  EXPECT_TRUE(cache.Insert(ns_b, "k", 9));
+  EXPECT_TRUE(cache.Lookup(ns_b, "k", &gamma));
   EXPECT_EQ(gamma, 9);
+  EXPECT_TRUE(cache.Lookup(ns_a, "k", &gamma));
+  EXPECT_EQ(gamma, 7);
   EXPECT_EQ(cache.Stats().namespaces, 2);
 }
 
 TEST(VerdictCacheTest, DropNamespaceForgetsOnlyItsEntries) {
-  // Dropping a namespace forgets exactly its entries (both classes, both
-  // SLRU segments) and gives their bytes back; other namespaces keep
+  // Dropping a namespace forgets exactly its entries (both SLRU segments)
+  // and gives their bytes back; other namespaces keep
   // answering, and a drained cache returns to zero measured bytes.
   VerdictCache cache;
   const uint32_t keep = cache.RegisterNamespace("keep");
   const uint32_t doomed = cache.RegisterNamespace("doomed");
   for (uint64_t i = 0; i < 200; ++i) {
-    ASSERT_TRUE(cache.Insert(keep, VerdictKeyClass::kSignature, Key(i),
-                             GammaOf(i)));
-    ASSERT_TRUE(cache.Insert(doomed, VerdictKeyClass::kProjection, Key(i),
-                             GammaOf(i)));
+    ASSERT_TRUE(cache.Insert(keep, Key(i), GammaOf(i)));
+    ASSERT_TRUE(cache.Insert(doomed, Key(i), GammaOf(i)));
   }
   int64_t gamma = 0;
   for (uint64_t i = 0; i < 200; i += 2) {  // promote half into protected
-    ASSERT_TRUE(
-        cache.Lookup(doomed, VerdictKeyClass::kProjection, Key(i), &gamma));
+    ASSERT_TRUE(cache.Lookup(doomed, Key(i), &gamma));
   }
   const int64_t full_bytes = cache.bytes_in_use();
   cache.DropNamespace(doomed);
   const VerdictCacheStats after = cache.Stats();
   EXPECT_EQ(after.namespaces, 1u);
-  EXPECT_EQ(after.projection.entries, 0);
-  EXPECT_EQ(after.projection.bytes, 0);
   EXPECT_EQ(after.signature.entries, 200);
-  EXPECT_EQ(after.projection.evictions, 0u);
+  EXPECT_EQ(after.signature.evictions, 0u);
   EXPECT_LT(cache.bytes_in_use(), full_bytes);
   for (uint64_t i = 0; i < 200; ++i) {
-    EXPECT_FALSE(
-        cache.Lookup(doomed, VerdictKeyClass::kProjection, Key(i), &gamma));
-    ASSERT_TRUE(
-        cache.Lookup(keep, VerdictKeyClass::kSignature, Key(i), &gamma));
+    EXPECT_FALSE(cache.Lookup(doomed, Key(i), &gamma));
+    ASSERT_TRUE(cache.Lookup(keep, Key(i), &gamma));
     EXPECT_EQ(gamma, GammaOf(i));
   }
   cache.DropNamespace(keep);
@@ -116,32 +110,35 @@ TEST(VerdictCacheTest, FirstInsertWins) {
   // key is a no-op, never an overwrite.
   VerdictCache cache;
   const uint32_t ns = cache.RegisterNamespace("memo");
-  EXPECT_TRUE(cache.Insert(ns, VerdictKeyClass::kSignature, "k", 3));
-  EXPECT_FALSE(cache.Insert(ns, VerdictKeyClass::kSignature, "k", 5));
+  EXPECT_TRUE(cache.Insert(ns, "k", 3));
+  EXPECT_FALSE(cache.Insert(ns, "k", 5));
   int64_t gamma = 0;
-  ASSERT_TRUE(cache.Lookup(ns, VerdictKeyClass::kSignature, "k", &gamma));
+  ASSERT_TRUE(cache.Lookup(ns, "k", &gamma));
   EXPECT_EQ(gamma, 3);
 }
 
-TEST(VerdictCacheTest, PerClassStatsTally) {
+TEST(VerdictCacheTest, StatsTally) {
   VerdictCache cache;
   const uint32_t ns = cache.RegisterNamespace("memo");
   int64_t gamma = 0;
-  cache.Lookup(ns, VerdictKeyClass::kSignature, "s", &gamma);  // miss
-  cache.Insert(ns, VerdictKeyClass::kSignature, "s", 2);
-  cache.Lookup(ns, VerdictKeyClass::kSignature, "s", &gamma);  // hit
-  cache.Insert(ns, VerdictKeyClass::kProjection, "p", 4);
+  cache.Lookup(ns, "s", &gamma);  // miss
+  cache.Insert(ns, "s", 2);
+  cache.Lookup(ns, "s", &gamma);  // hit
+  cache.Insert(ns, "p", 4);
 
   const VerdictCacheStats stats = cache.Stats();
   EXPECT_EQ(stats.signature.misses, 1);
   EXPECT_EQ(stats.signature.hits, 1);
-  EXPECT_EQ(stats.signature.inserts, 1);
-  EXPECT_EQ(stats.signature.entries, 1);
-  EXPECT_EQ(stats.projection.inserts, 1);
-  EXPECT_EQ(stats.projection.entries, 1);
-  // Measured accounting: entries charge real bytes, and the split adds up.
+  EXPECT_EQ(stats.signature.inserts, 2);
+  EXPECT_EQ(stats.signature.entries, 2);
+  // The retired projection class never tallies anything.
+  EXPECT_EQ(stats.projection.hits + stats.projection.misses +
+                stats.projection.inserts + stats.projection.evictions,
+            0u);
+  EXPECT_EQ(stats.projection.entries, 0);
+  EXPECT_EQ(stats.projection.bytes, 0);
+  // Measured accounting: entries charge real bytes, within the total.
   EXPECT_GT(stats.signature.bytes, 0);
-  EXPECT_GT(stats.projection.bytes, 0);
   EXPECT_GE(stats.bytes_in_use, stats.signature.bytes);
   EXPECT_GE(stats.peak_bytes, stats.bytes_in_use);
   EXPECT_FALSE(cache.bounded());
@@ -151,12 +148,11 @@ TEST(VerdictCacheTest, UnboundedCacheNeverEvicts) {
   VerdictCache cache;
   const uint32_t ns = cache.RegisterNamespace("memo");
   for (uint64_t i = 0; i < 1000; ++i) {
-    cache.Insert(ns, VerdictKeyClass::kSignature, Key(i), GammaOf(i));
+    cache.Insert(ns, Key(i), GammaOf(i));
   }
   int64_t gamma = 0;
   for (uint64_t i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(
-        cache.Lookup(ns, VerdictKeyClass::kSignature, Key(i), &gamma));
+    ASSERT_TRUE(cache.Lookup(ns, Key(i), &gamma));
     EXPECT_EQ(gamma, GammaOf(i));
   }
   const VerdictCacheStats stats = cache.Stats();
@@ -172,7 +168,7 @@ TEST(VerdictCacheTest, MeasuredBytesNeverExceedBudget) {
   ASSERT_TRUE(cache.bounded());
   const uint32_t ns = cache.RegisterNamespace("memo");
   for (uint64_t i = 0; i < 2000; ++i) {
-    cache.Insert(ns, VerdictKeyClass::kSignature, Key(i), GammaOf(i));
+    cache.Insert(ns, Key(i), GammaOf(i));
     ASSERT_LE(cache.bytes_in_use(), config.byte_budget) << "after insert "
                                                         << i;
   }
@@ -183,7 +179,7 @@ TEST(VerdictCacheTest, MeasuredBytesNeverExceedBudget) {
   int64_t gamma = 0;
   int64_t survivors = 0;
   for (uint64_t i = 0; i < 2000; ++i) {
-    if (cache.Lookup(ns, VerdictKeyClass::kSignature, Key(i), &gamma)) {
+    if (cache.Lookup(ns, Key(i), &gamma)) {
       ++survivors;
       ASSERT_EQ(gamma, GammaOf(i)) << "key " << i;
     }
@@ -199,14 +195,14 @@ TEST(VerdictCacheTest, RepeatedHitsSurviveScanEviction) {
   config.num_shards = 1;
   VerdictCache cache(config);
   const uint32_t ns = cache.RegisterNamespace("memo");
-  cache.Insert(ns, VerdictKeyClass::kSignature, "hot", 42);
+  cache.Insert(ns, "hot", 42);
   int64_t gamma = 0;
-  ASSERT_TRUE(cache.Lookup(ns, VerdictKeyClass::kSignature, "hot", &gamma));
+  ASSERT_TRUE(cache.Lookup(ns, "hot", &gamma));
   for (uint64_t i = 0; i < 500; ++i) {
-    cache.Insert(ns, VerdictKeyClass::kSignature, Key(i), GammaOf(i));
+    cache.Insert(ns, Key(i), GammaOf(i));
   }
   ASSERT_GT(cache.Stats().signature.evictions, 0);
-  ASSERT_TRUE(cache.Lookup(ns, VerdictKeyClass::kSignature, "hot", &gamma));
+  ASSERT_TRUE(cache.Lookup(ns, "hot", &gamma));
   EXPECT_EQ(gamma, 42);
 }
 
@@ -271,8 +267,6 @@ TEST(VerdictCacheEquivalenceTest, EvictionOnlyForgetsNeverCorrupts) {
       EXPECT_EQ(shared_stats.checker_calls, base_stats.checker_calls)
           << "seed " << seed << " threads " << threads;
       EXPECT_EQ(shared_stats.cache_hits, base_stats.cache_hits);
-      EXPECT_EQ(shared_stats.signature_hits, base_stats.signature_hits);
-      EXPECT_EQ(shared_stats.projection_hits, base_stats.projection_hits);
       // A starved cache can only trade hits for checker re-runs.
       EXPECT_EQ(tiny_stats.subsets_examined, base_stats.subsets_examined);
       EXPECT_GE(tiny_stats.checker_calls, base_stats.checker_calls);
@@ -339,15 +333,12 @@ TEST(VerdictCacheHammerTest, ConcurrentInsertLookupUnderTinyBudget) {
       Rng rng(0xabcdef12u + static_cast<uint64_t>(t));
       for (int op = 0; op < kOps; ++op) {
         const uint64_t i = rng.NextBelow(512);
-        const VerdictKeyClass klass = (i & 1) != 0
-                                          ? VerdictKeyClass::kProjection
-                                          : VerdictKeyClass::kSignature;
         int64_t gamma = 0;
-        if (cache.Lookup(ns, klass, Key(i), &gamma)) {
+        if (cache.Lookup(ns, Key(i), &gamma)) {
           // A hit must carry the key's one true verdict.
           ASSERT_EQ(gamma, GammaOf(i)) << "thread " << t << " op " << op;
         } else {
-          cache.Insert(ns, klass, Key(i), GammaOf(i));
+          cache.Insert(ns, Key(i), GammaOf(i));
         }
       }
     });
@@ -356,8 +347,8 @@ TEST(VerdictCacheHammerTest, ConcurrentInsertLookupUnderTinyBudget) {
 
   EXPECT_LE(cache.bytes_in_use(), config.byte_budget);
   const VerdictCacheStats stats = cache.Stats();
-  EXPECT_GT(stats.signature.hits + stats.projection.hits, 0);
-  EXPECT_GT(stats.signature.evictions + stats.projection.evictions, 0);
+  EXPECT_GT(stats.signature.hits, 0);
+  EXPECT_GT(stats.signature.evictions, 0);
 }
 
 TEST(VerdictCacheHammerTest, ConcurrentBatchesShareBudgetedCache) {
