@@ -59,8 +59,8 @@ struct Outcome {
 class Engine {
  public:
   Engine(const LinearProgram& lp, const std::vector<int>& integer_vars,
-         const BnbOptions& options)
-      : lp_(lp), ivars_(integer_vars), opt_(options) {
+         const SolvedLp& root, const BnbOptions& options)
+      : lp_(lp), ivars_(integer_vars), root_(root), opt_(options) {
     simplex_ = opt_.simplex;
     if (simplex_.control == nullptr) simplex_.control = opt_.control;
     base_lb_.resize(static_cast<size_t>(lp.num_vars()));
@@ -196,8 +196,8 @@ class Engine {
   }
 
   // Resolves one node against the wave-start incumbent `frozen_best`.
-  // Reads only immutable engine state (root_ included, once wave 1 is
-  // merged) plus its own bucket's re-solve buffer.
+  // Reads only immutable engine state (root_ included) plus its own
+  // bucket's re-solve buffer.
   void Resolve(const Node& node, double frozen_best, int bucket,
                Outcome* out) {
     out->done = true;  // overwritten fields below; kind defaults to closed
@@ -234,15 +234,13 @@ class Engine {
       }
     }
 
-    // The root is solved cold and its optimal tableau kept; every other
-    // node re-solves a copy of it, in its bucket's buffer, under the
-    // node's box with dual pivots. A node never starts from whatever its
-    // bucket solved last, so its outcome depends on the node alone. The
-    // root is the only node of the first wave, so root_ is written before
-    // any other resolve reads it.
+    // The root node takes the caller's cold-solved root as is; every other
+    // node re-solves a copy of its tableau, in its bucket's buffer, under
+    // the node's box with dual pivots. A node never starts from whatever
+    // its bucket solved last, so its outcome depends on the node alone.
     const LpSolution& relax =
         node.bounds.empty()
-            ? (root_ = SolvedLp(lp_, simplex_)).solution()
+            ? root_.solution()
             : ResolveLp(root_, lb, ub, simplex_,
                         &work_[static_cast<size_t>(bucket)]);
     out->lp_solved = true;
@@ -316,11 +314,11 @@ class Engine {
 
   const LinearProgram& lp_;
   const std::vector<int>& ivars_;
+  const SolvedLp& root_;  // optimal root tableau, read-only
   const BnbOptions& opt_;
   SimplexOptions simplex_;
 
   std::vector<double> base_lb_, base_ub_;
-  SolvedLp root_;               // optimal root tableau, read-only after wave 1
   std::vector<SolvedLp> work_;  // re-solve buffer, one per bucket
   std::vector<Node> open_;  // best-bound heap
   int64_t next_id_ = 0;
@@ -333,7 +331,15 @@ class Engine {
 BnbResult SolveIlp(const LinearProgram& lp,
                    const std::vector<int>& integer_vars,
                    const BnbOptions& options) {
-  return Engine(lp, integer_vars, options).Run();
+  SimplexOptions simplex = options.simplex;
+  if (simplex.control == nullptr) simplex.control = options.control;
+  return SolveIlp(lp, integer_vars, SolvedLp(lp, simplex), options);
+}
+
+BnbResult SolveIlp(const LinearProgram& lp,
+                   const std::vector<int>& integer_vars, const SolvedLp& root,
+                   const BnbOptions& options) {
+  return Engine(lp, integer_vars, root, options).Run();
 }
 
 }  // namespace provview

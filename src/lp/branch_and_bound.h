@@ -17,9 +17,10 @@
 //     sharding the resolve phase over a TaskGraphExecutor keeps BnbResult
 //     (status, x, objective, bounds, node accounting) byte-identical at
 //     any thread count, including 1.
-//   * The root relaxation is solved cold once and its optimal tableau kept
-//     read-only (SolvedLp). Every other node copies that tableau into its
-//     bucket's buffer and re-solves it under the node's box with dual
+//   * The root relaxation is solved cold once — by SolveIlp, or by a
+//     caller that needs it anyway and hands it in — and its optimal tableau
+//     kept read-only (SolvedLp). Every other node copies that tableau into
+//     its bucket's buffer and re-solves it under the node's box with dual
 //     simplex pivots (ResolveLp) — a few pivots instead of a cold solve,
 //     and always from the root's state, so a node's outcome never depends
 //     on which node its bucket solved before.
@@ -123,9 +124,22 @@ struct BnbResult {
 };
 
 /// Minimizes `lp` with the variables in `integer_vars` restricted to
-/// integers.
+/// integers. Cold-solves the root relaxation under `options.simplex` (with
+/// `options.control` installed when the simplex has none) and runs the
+/// overload below on it.
 BnbResult SolveIlp(const LinearProgram& lp, const std::vector<int>& integer_vars,
                    const BnbOptions& options = {});
+
+/// As above, over a root relaxation the caller already solved: `root` must
+/// be SolvedLp(lp, ...) of this very `lp`, bounds included. It is only
+/// read, from every worker of the solve. The result is the one the
+/// overload above returns when `root` was solved under the same simplex
+/// options; `lp_solves` and `lp_iterations` count the root only when the
+/// root node reaches its LP step. A root that is Infeasible proves the ILP
+/// infeasible; any other non-OK root (a tripped control, an iteration
+/// budget) is returned as that typed status with the incumbent and gap.
+BnbResult SolveIlp(const LinearProgram& lp, const std::vector<int>& integer_vars,
+                   const SolvedLp& root, const BnbOptions& options = {});
 
 }  // namespace provview
 

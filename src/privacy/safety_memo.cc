@@ -1,7 +1,10 @@
 #include "privacy/safety_memo.h"
 
+#include <algorithm>
+#include <array>
 #include <limits>
 #include <memory>
+#include <numeric>
 
 #include "common/combinatorics.h"
 #include "common/exec_control.h"
@@ -15,6 +18,53 @@ void AppendU64(std::string* out, uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
   }
+}
+
+// The flat-row Γ pass: over `num_rows` rows of `width` values, the minimum
+// over the groups of equal visible-input projection of the number of
+// distinct visible-output projections (INT64_MAX for no rows). `cols` holds
+// the visible input columns, then the visible output columns from
+// `cols[num_in]` on. Sorting the row indices by (input projection, output
+// projection) makes every group, and every distinct output within it, one
+// contiguous run, so one sweep over adjacent rows counts them.
+int64_t MinDistinctOutputs(const Value* rows, size_t width, size_t num_rows,
+                           const std::vector<int>& cols, size_t num_in) {
+  if (num_rows == 0) return std::numeric_limits<int64_t>::max();
+  std::array<uint32_t, SafetyMemo::kFlatStackRows> stack_idx{};
+  std::vector<uint32_t> heap_idx;
+  uint32_t* idx = stack_idx.data();
+  if (num_rows > stack_idx.size()) {
+    heap_idx.resize(num_rows);
+    idx = heap_idx.data();
+  }
+  std::iota(idx, idx + num_rows, uint32_t{0});
+  // First position of `cols` where rows a and b differ (cols.size() if
+  // none).
+  auto first_diff = [&](uint32_t a, uint32_t b) {
+    const Value* ra = rows + size_t{a} * width;
+    const Value* rb = rows + size_t{b} * width;
+    size_t c = 0;
+    while (c < cols.size() && ra[cols[c]] == rb[cols[c]]) ++c;
+    return c;
+  };
+  std::sort(idx, idx + num_rows, [&](uint32_t a, uint32_t b) {
+    const size_t c = first_diff(a, b);
+    return c < cols.size() &&
+           rows[size_t{a} * width + static_cast<size_t>(cols[c])] <
+               rows[size_t{b} * width + static_cast<size_t>(cols[c])];
+  });
+  int64_t min_count = std::numeric_limits<int64_t>::max();
+  int64_t count = 1;  // distinct outputs of the current group so far
+  for (size_t i = 1; i < num_rows; ++i) {
+    const size_t c = first_diff(idx[i - 1], idx[i]);
+    if (c < num_in) {  // a new visible-input group starts
+      min_count = std::min(min_count, count);
+      count = 1;
+    } else if (c < cols.size()) {  // a new output within the group
+      ++count;
+    }
+  }
+  return std::min(min_count, count);
 }
 
 }  // namespace
@@ -82,17 +132,27 @@ void SafetyMemo::Init() {
   // An attribute cannot change the verdict if its domain has one value or
   // it is constant across R (its presence changes neither the visible-input
   // grouping nor the visible-output distinct counts). One streaming pass
-  // detects the constant columns.
+  // detects the constant columns and, for a materialized view, copies the
+  // local columns into the flat rows ScanGamma sorts.
   std::vector<uint8_t> constant(local.size(), 1);
   std::vector<Value> first(local.size(), 0);
   bool have_first = false;
   std::vector<Value> block;
+  std::vector<Value> flat;
+  if (view_.materialized()) {
+    PV_CHECK_MSG(view_.num_rows() <= std::numeric_limits<uint32_t>::max(),
+                 "relation too large for the flat-row pass");
+    flat.reserve(static_cast<size_t>(view_.num_rows()) * local.size());
+  }
   const size_t arity = static_cast<size_t>(schema.arity());
   std::unique_ptr<RowSupplier> rows = view_.NewSupplier();
   int64_t n;
   while ((n = rows->NextBlock(&block)) > 0) {
     for (int64_t r = 0; r < n; ++r) {
       const Value* row = &block[static_cast<size_t>(r) * arity];
+      if (view_.materialized()) {
+        for (int p : local_pos_) flat.push_back(row[p]);
+      }
       if (!have_first) {
         for (size_t c = 0; c < local.size(); ++c) {
           first[c] = row[local_pos_[c]];
@@ -106,6 +166,10 @@ void SafetyMemo::Init() {
     }
   }
 
+  if (view_.materialized()) {
+    flat_rows_ = std::make_shared<const std::vector<Value>>(std::move(flat));
+  }
+
   effective_ = Bitset64(universe);
   for (size_t c = 0; c < local.size(); ++c) {
     if (catalog.DomainSize(local[c]) <= 1) continue;
@@ -116,21 +180,34 @@ void SafetyMemo::Init() {
 
 int64_t SafetyMemo::ScanGamma(const SignatureKey& sig) const {
   const auto& [effective_visible, hidden_ext] = sig;
-  // Effective-visible row positions, split by side.
-  std::vector<int> in_pos, out_pos;
+  // Effective-visible local columns (indices into inputs_ ++ outputs_),
+  // inputs first.
+  std::vector<int> cols;
   for (size_t j = 0; j < inputs_.size(); ++j) {
-    if (effective_visible.Test(inputs_[j])) {
-      in_pos.push_back(local_pos_[j]);
-    }
+    if (effective_visible.Test(inputs_[j])) cols.push_back(static_cast<int>(j));
   }
+  const size_t num_in = cols.size();
   for (size_t j = 0; j < outputs_.size(); ++j) {
     if (effective_visible.Test(outputs_[j])) {
-      out_pos.push_back(local_pos_[inputs_.size() + j]);
+      cols.push_back(static_cast<int>(inputs_.size() + j));
     }
   }
 
-  std::unique_ptr<RowSupplier> rows = view_.NewSupplier();
-  const int64_t min_count = ScanVisibleGroups(rows.get(), in_pos, out_pos);
+  int64_t min_count;
+  if (!streaming()) {
+    min_count = MinDistinctOutputs(flat_rows_->data(), local_pos_.size(),
+                                   static_cast<size_t>(view_.num_rows()),
+                                   cols, num_in);
+  } else {
+    // Streaming: map the columns to row positions of the view's schema.
+    std::vector<int> in_pos, out_pos;
+    for (size_t c = 0; c < cols.size(); ++c) {
+      (c < num_in ? in_pos : out_pos)
+          .push_back(local_pos_[static_cast<size_t>(cols[c])]);
+    }
+    std::unique_ptr<RowSupplier> rows = view_.NewSupplier();
+    min_count = ScanVisibleGroups(rows.get(), in_pos, out_pos);
+  }
   return min_count == std::numeric_limits<int64_t>::max()
              ? min_count  // empty relation
              : SaturatingMul(min_count, hidden_ext);
@@ -144,6 +221,7 @@ std::unique_ptr<SafetyMemo> SafetyMemo::NewOverlay() const {
   overlay->outputs_ = outputs_;
   overlay->effective_ = effective_;
   overlay->local_pos_ = local_pos_;
+  overlay->flat_rows_ = flat_rows_;  // shared, never copied
   overlay->base_ = this;
   return overlay;
 }

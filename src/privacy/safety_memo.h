@@ -23,12 +23,23 @@
 // evict: eviction only forgets a verdict (it is recomputed on the next
 // miss), never corrupts one.
 //
-// Rows are sourced through a RelationView: either a materialized relation
-// (the small-domain fast case) or a streaming supplier re-deriving rows from
-// the module's function each pass — which is how subset searches certify
-// modules whose domain exceeds the 2^22 materialization wall. Both backends
-// walk rows in the same order and run the identical cache logic, so the two
-// paths produce byte-identical verdicts and SafeSearchStats.
+// Rows are sourced through a RelationView, and a miss runs one of two Γ
+// passes over them:
+//   * Materialized relation (the small-domain fast case): Init copies the
+//     module's local columns (inputs, then outputs) of every row into one
+//     flat row-major array. A pass sorts the row indices by (visible-input
+//     projection, visible-output projection) — in a stack buffer for small
+//     relations — and one sweep over adjacent rows counts the distinct
+//     outputs per group: no interner, hash set or supplier per pass.
+//     Overlays share the flat rows read-only (they are never written after
+//     Init): a worker's pass must see the very rows its base would, and
+//     copying them per overlay would cost more than the passes it runs.
+//   * Streaming supplier, re-deriving rows from the module's function each
+//     pass — which is how subset searches certify modules whose domain
+//     exceeds the 2^22 materialization wall. A pass is ScanVisibleGroups,
+//     the streaming pass, with state bounded by the distinct projections.
+// Both passes compute the same Γ, and both backends run the identical cache
+// logic, so they produce byte-identical verdicts and SafeSearchStats.
 #ifndef PROVVIEW_PRIVACY_SAFETY_MEMO_H_
 #define PROVVIEW_PRIVACY_SAFETY_MEMO_H_
 
@@ -102,6 +113,10 @@ class SafetyMemo {
   /// True when verdicts are recomputed by streaming passes instead of reads
   /// of a materialized relation.
   bool streaming() const { return !view_.materialized(); }
+
+  /// Relations up to this many rows sort their row indices in a stack
+  /// buffer in the flat-row pass; larger ones use a heap buffer.
+  static constexpr size_t kFlatStackRows = 64;
 
   SafetyMemo(const SafetyMemo&) = delete;
   SafetyMemo& operator=(const SafetyMemo&) = delete;
@@ -196,6 +211,10 @@ class SafetyMemo {
   // Row positions of the local attributes (inputs then outputs) within the
   // view's schema.
   std::vector<int> local_pos_;
+  // Materialized views only (null when streaming): every row's local
+  // attributes, inputs then outputs, row-major with local_pos_.size()
+  // values per row. Read-only after Init and shared with overlays.
+  std::shared_ptr<const std::vector<Value>> flat_rows_;
 
   // Overlay staging (roots leave it empty and use the cache).
   std::map<SignatureKey, int64_t> signature_staging_;

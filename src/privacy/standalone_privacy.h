@@ -37,12 +37,13 @@ bool IsStandaloneSafe(const Relation& rel, const std::vector<AttrId>& inputs,
                       const std::vector<AttrId>& outputs,
                       const Bitset64& visible, int64_t gamma);
 
-/// One streaming pass over `rows` grouping each row by its projection onto
-/// the `in_pos` row positions and counting the distinct `out_pos`
-/// projections per group (both interned to dense first-seen ids). Returns
-/// the minimum distinct-output count over the groups, or INT64_MAX when the
-/// supplier yields no rows. The shared core of the streaming Algorithm-2
-/// checker below and SafetyMemo's row pass — state is bounded by the
+/// The streaming Γ pass: one pass over `rows` grouping each row by its
+/// projection onto the `in_pos` row positions and counting the distinct
+/// `out_pos` projections per group (both interned to dense first-seen ids).
+/// Returns the minimum distinct-output count over the groups, or INT64_MAX
+/// when the supplier yields no rows. The core of the streaming Algorithm-2
+/// checker below and of SafetyMemo's pass over streaming views (memos over
+/// materialized relations sort flat rows instead) — state is bounded by the
 /// distinct projections, not the row count.
 int64_t ScanVisibleGroups(RowSupplier* rows, const std::vector<int>& in_pos,
                           const std::vector<int>& out_pos);

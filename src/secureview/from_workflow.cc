@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "common/task_graph.h"
 #include "privacy/safe_subset_search.h"
@@ -22,8 +24,18 @@ SecureViewInstance InstanceFromWorkflow(const Workflow& workflow,
                                         const std::vector<int64_t>& gammas,
                                         ConstraintKind kind,
                                         TaskGraphExecutor* executor) {
-  PV_CHECK_MSG(static_cast<int>(gammas.size()) == workflow.num_modules(),
-               "one gamma per module expected");
+  Result<SecureViewInstance> inst =
+      DeriveInstanceFromWorkflow(workflow, gammas, kind, executor);
+  PV_CHECK_MSG(inst.ok(), inst.status().ToString());
+  return std::move(inst).value();
+}
+
+Result<SecureViewInstance> DeriveInstanceFromWorkflow(
+    const Workflow& workflow, const std::vector<int64_t>& gammas,
+    ConstraintKind kind, TaskGraphExecutor* executor) {
+  if (static_cast<int>(gammas.size()) != workflow.num_modules()) {
+    return Status::InvalidArgument("one gamma per module expected");
+  }
   const AttributeCatalog& catalog = *workflow.catalog();
   SecureViewInstance inst;
   inst.kind = kind;
@@ -40,6 +52,8 @@ SecureViewInstance InstanceFromWorkflow(const Workflow& workflow,
   const int n = workflow.num_modules();
   std::vector<std::vector<SetOption>> set_options(static_cast<size_t>(n));
   std::vector<std::vector<CardOption>> card_options(static_cast<size_t>(n));
+  // Set by module i's own task when no option of it reaches its Γ.
+  std::vector<uint8_t> unreachable(static_cast<size_t>(n), 0);
   const std::vector<int> private_modules = workflow.PrivateModuleIndices();
   auto derive = [&](int i) {
     const Module& m = workflow.module(i);
@@ -49,8 +63,7 @@ SecureViewInstance InstanceFromWorkflow(const Workflow& workflow,
       SafeSearchStats stats;
       std::vector<Bitset64> minimal = MinimalSafeHiddenSets(
           &memo, m.inputs(), m.outputs(), catalog.size(), gamma, &stats);
-      PV_CHECK_MSG(!minimal.empty(),
-                   "module " << m.name() << " cannot reach gamma " << gamma);
+      if (minimal.empty()) unreachable[static_cast<size_t>(i)] = 1;
       std::set<AttrId> in_set(m.inputs().begin(), m.inputs().end());
       for (const Bitset64& hidden : minimal) {
         SetOption option;
@@ -66,10 +79,7 @@ SecureViewInstance InstanceFromWorkflow(const Workflow& workflow,
     } else {
       std::vector<CardinalityPair> frontier =
           MinimalSafeCardinalityPairs(m, gamma);
-      PV_CHECK_MSG(!frontier.empty(),
-                   "module " << m.name()
-                             << " has no safe cardinality pair for gamma "
-                             << gamma);
+      if (frontier.empty()) unreachable[static_cast<size_t>(i)] = 1;
       for (const CardinalityPair& p : frontier) {
         card_options[static_cast<size_t>(i)].push_back(
             CardOption{p.alpha, p.beta});
@@ -83,6 +93,14 @@ SecureViewInstance InstanceFromWorkflow(const Workflow& workflow,
                     static_cast<size_t>(DefaultThreads()),
                     private_modules.size())));
   (void)graph.Run(derivers.get());
+  // The first failing module by index, whichever task finished first.
+  for (int i = 0; i < n; ++i) {
+    if (unreachable[static_cast<size_t>(i)] != 0) {
+      return Status::Infeasible(
+          "module " + workflow.module(i).name() + " cannot reach gamma " +
+          std::to_string(gammas[static_cast<size_t>(i)]));
+    }
+  }
 
   for (int i = 0; i < n; ++i) {
     const Module& m = workflow.module(i);
@@ -97,7 +115,7 @@ SecureViewInstance InstanceFromWorkflow(const Workflow& workflow,
     inst.modules.push_back(std::move(spec));
   }
   Status st = inst.Validate();
-  PV_CHECK_MSG(st.ok(), st.ToString());
+  if (!st.ok()) return st;
   return inst;
 }
 

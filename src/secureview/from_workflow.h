@@ -23,7 +23,8 @@ class TaskGraphExecutor;
 /// Attribute indices coincide with catalog attribute ids. Every private
 /// module must have at least one safe option (hiding all its attributes is
 /// checked as a fallback); otherwise this aborts — such a module cannot be
-/// made Γ-private at all.
+/// made Γ-private at all. DeriveInstanceFromWorkflow reports that case as
+/// a status instead.
 SecureViewInstance InstanceFromWorkflow(const Workflow& workflow,
                                         int64_t gamma, ConstraintKind kind);
 
@@ -38,6 +39,14 @@ SecureViewInstance InstanceFromWorkflow(const Workflow& workflow,
                                         const std::vector<int64_t>& gammas,
                                         ConstraintKind kind,
                                         TaskGraphExecutor* executor = nullptr);
+
+/// The derivation behind both InstanceFromWorkflow overloads, without the
+/// abort: a private module with no option reaching its Γ_i is Infeasible,
+/// naming the first such module by index; a `gammas` of the wrong length is
+/// InvalidArgument.
+Result<SecureViewInstance> DeriveInstanceFromWorkflow(
+    const Workflow& workflow, const std::vector<int64_t>& gammas,
+    ConstraintKind kind, TaskGraphExecutor* executor = nullptr);
 
 /// The Example-5 baseline: each private module independently hides its own
 /// minimum-cost standalone-safe subset; the workflow hides the union

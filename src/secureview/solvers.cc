@@ -60,6 +60,55 @@ SvResult FinishExact(const SecureViewInstance& inst, const SvEncoding& enc,
   return result;
 }
 
+// Steps 2–3 of Algorithm 1 over an optimal relaxation `lp` of `enc`: the
+// rounding trials and their repair. `lower_bound` is the relaxation
+// objective. Shared by SolveByLpRounding and SolveExact's warm start, which
+// rounds the root it hands to the branch-and-bound.
+SvResult RoundLpSolution(const SecureViewInstance& inst, const SvEncoding& enc,
+                         const LpSolution& lp, const RoundingOptions& options) {
+  SvResult result;
+  result.lower_bound = lp.objective;
+
+  const int n = std::max(2, inst.num_modules());
+  const double log_n = std::log(static_cast<double>(n));
+  Rng rng(options.seed);
+
+  double best = std::numeric_limits<double>::infinity();
+  SecureViewSolution best_sol;
+  for (int trial = 0; trial < options.trials; ++trial) {
+    if (options.control != nullptr && trial > 0 &&
+        options.control->ExpiredNow()) {
+      break;  // keep the best trial finished so far
+    }
+    // Step 2 of Algorithm 1: independent rounding with probability
+    // min{1, scale · x_b · ln n}.
+    Bitset64 hidden(inst.num_attrs);
+    for (int b = 0; b < inst.num_attrs; ++b) {
+      double xb = lp.x[static_cast<size_t>(enc.x_var[static_cast<size_t>(b)])];
+      if (rng.NextBernoulli(std::min(1.0, options.scale * xb * log_n))) {
+        hidden.Set(b);
+      }
+    }
+    // Step 3: repair every unsatisfied module with its cheapest addition.
+    for (int i : UnsatisfiedModules(inst, hidden)) {
+      hidden |= CheapestSatisfyingAddition(inst, i, hidden);
+      ++result.work;
+    }
+    SecureViewSolution sol = CompleteSolution(inst, hidden);
+    PV_CHECK(IsFeasible(inst, sol));
+    double cost = sol.TotalCost(inst);
+    if (cost < best) {
+      best = cost;
+      best_sol = std::move(sol);
+    }
+  }
+  result.solution = std::move(best_sol);
+  result.cost = best;
+  result.gap = best - result.lower_bound;
+  result.status = Status::OK();
+  return result;
+}
+
 }  // namespace
 
 std::vector<int> UselessAttrs(const SecureViewInstance& inst) {
@@ -110,12 +159,18 @@ SvResult SolveExact(const SecureViewInstance& inst,
   }
   BnbOptions bnb = options.bnb;
   if (!bnb.oracle) bnb.oracle = MakeSecureViewBnbOracle(&inst, &enc);
+  // One cold solve of the pinned root relaxation serves both the rounding
+  // leg of the warm start and the branch-and-bound's root node.
+  SimplexOptions simplex = bnb.simplex;
+  if (simplex.control == nullptr) simplex.control = bnb.control;
+  const SolvedLp root(enc.lp, simplex);
   SecureViewSolution warm_sol;
   bool have_warm = false;
   if (options.warm_start) {
-    // Neither warm leg knows about `fix_visible`: a candidate hiding a
-    // pinned attribute lies outside the search box, so it may neither seed
-    // the incumbent nor bound the search.
+    // The greedy leg ignores `fix_visible`, and the rounding leg honours it
+    // only in its rounding step (a pinned x_b is 0), not in its repair: a
+    // candidate hiding a pinned attribute lies outside the search box, so
+    // it may neither seed the incumbent nor bound the search.
     auto usable = [&pinned](const SvResult& r) {
       return r.status.ok() && !r.solution.hidden.Intersects(pinned);
     };
@@ -128,12 +183,11 @@ SvResult SolveExact(const SecureViewInstance& inst,
       bnb.warm_objective = std::min(bnb.warm_objective, greedy.cost);
       have_warm = true;
     }
-    if (options.warm_rounding_trials > 0) {
+    if (options.warm_rounding_trials > 0 && root.solution().status.ok()) {
       RoundingOptions ropt;
       ropt.trials = options.warm_rounding_trials;
-      ropt.simplex = bnb.simplex;
       ropt.control = bnb.control;
-      SvResult rounded = SolveByLpRounding(inst, ropt);
+      SvResult rounded = RoundLpSolution(inst, enc, root.solution(), ropt);
       if (usable(rounded) &&
           (!have_warm || rounded.cost < bnb.warm_objective)) {
         warm_sol = std::move(rounded.solution);
@@ -142,7 +196,7 @@ SvResult SolveExact(const SecureViewInstance& inst,
       }
     }
   }
-  BnbResult ilp = SolveIlp(enc.lp, enc.integer_vars, bnb);
+  BnbResult ilp = SolveIlp(enc.lp, enc.integer_vars, root, bnb);
   return FinishExact(inst, enc, std::move(ilp),
                      have_warm ? &warm_sol : nullptr);
 }
@@ -227,52 +281,13 @@ SvResult SolveByLpRounding(const SecureViewInstance& inst,
   SimplexOptions simplex = options.simplex;
   if (simplex.control == nullptr) simplex.control = options.control;
   LpSolution lp = SolveLp(enc.lp, simplex);
-  SvResult result;
   if (!lp.status.ok()) {
+    SvResult result;
     result.status = lp.status;
     result.gap = std::numeric_limits<double>::infinity();  // no solution
     return result;
   }
-  result.lower_bound = lp.objective;
-
-  const int n = std::max(2, inst.num_modules());
-  const double log_n = std::log(static_cast<double>(n));
-  Rng rng(options.seed);
-
-  double best = std::numeric_limits<double>::infinity();
-  SecureViewSolution best_sol;
-  for (int trial = 0; trial < options.trials; ++trial) {
-    if (options.control != nullptr && trial > 0 &&
-        options.control->ExpiredNow()) {
-      break;  // keep the best trial finished so far
-    }
-    // Step 2 of Algorithm 1: independent rounding with probability
-    // min{1, scale · x_b · ln n}.
-    Bitset64 hidden(inst.num_attrs);
-    for (int b = 0; b < inst.num_attrs; ++b) {
-      double xb = lp.x[static_cast<size_t>(enc.x_var[static_cast<size_t>(b)])];
-      if (rng.NextBernoulli(std::min(1.0, options.scale * xb * log_n))) {
-        hidden.Set(b);
-      }
-    }
-    // Step 3: repair every unsatisfied module with its cheapest addition.
-    for (int i : UnsatisfiedModules(inst, hidden)) {
-      hidden |= CheapestSatisfyingAddition(inst, i, hidden);
-      ++result.work;
-    }
-    SecureViewSolution sol = CompleteSolution(inst, hidden);
-    PV_CHECK(IsFeasible(inst, sol));
-    double cost = sol.TotalCost(inst);
-    if (cost < best) {
-      best = cost;
-      best_sol = std::move(sol);
-    }
-  }
-  result.solution = std::move(best_sol);
-  result.cost = best;
-  result.gap = best - result.lower_bound;
-  result.status = Status::OK();
-  return result;
+  return RoundLpSolution(inst, enc, lp, options);
 }
 
 SvResult SolveByThresholdRounding(const SecureViewInstance& inst,

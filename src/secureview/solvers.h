@@ -41,12 +41,14 @@ struct SvResult {
 /// Knobs for the exact solver beyond the raw branch-and-bound ones.
 struct ExactOptions {
   BnbOptions bnb;
-  /// Seed the incumbent with min(SolveGreedyPerModule, SolveByLpRounding)
-  /// before the search: B&B prunes against a real upper bound from node
-  /// one, and a deadline trip always has a feasible solution to return.
+  /// Seed the incumbent with the better of SolveGreedyPerModule and an
+  /// Algorithm-1 rounding of the search's own root relaxation (solved once,
+  /// shared with the branch-and-bound): B&B prunes against a real upper
+  /// bound from node one, and a deadline trip always has a feasible
+  /// solution to return.
   bool warm_start = true;
-  /// Rounding trials for the warm start's SolveByLpRounding leg; 0 skips
-  /// the LP leg entirely (greedy only — no simplex before the search).
+  /// Rounding trials for the warm start's rounding leg; 0 skips that leg
+  /// (greedy only).
   int warm_rounding_trials = 3;
   /// Attributes pinned visible (x_a := 0) before the search — sound when
   /// hiding them can never help (they appear in no requirement option;

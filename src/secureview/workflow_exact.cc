@@ -1,6 +1,7 @@
 #include "secureview/workflow_exact.h"
 
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "secureview/from_workflow.h"
@@ -12,8 +13,14 @@ WorkflowExactResult SolveExactForWorkflow(const Workflow& workflow,
   WorkflowExactResult out;
   std::vector<int64_t> gammas(static_cast<size_t>(workflow.num_modules()),
                               options.gamma);
-  out.instance = InstanceFromWorkflow(workflow, gammas, options.kind,
-                                      options.exact.bnb.executor);
+  Result<SecureViewInstance> inst = DeriveInstanceFromWorkflow(
+      workflow, gammas, options.kind, options.exact.bnb.executor);
+  if (!inst.ok()) {
+    out.result.status = inst.status();
+    out.result.gap = std::numeric_limits<double>::infinity();  // no solution
+    return out;
+  }
+  out.instance = std::move(inst).value();
 
   ExactOptions exact = options.exact;
   out.fixed_attrs = UselessAttrs(out.instance);

@@ -43,6 +43,8 @@ struct WorkflowExactResult {
 };
 
 /// Derives the instance and solves it exactly with the full pruning stack.
+/// A private module that cannot reach Γ returns Infeasible naming it (with
+/// an empty instance and an infinite gap) instead of aborting.
 WorkflowExactResult SolveExactForWorkflow(
     const Workflow& workflow, const WorkflowExactOptions& options = {});
 

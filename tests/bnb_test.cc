@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <tuple>
+#include <utility>
+#include <vector>
 
+#include "common/exec_control.h"
 #include "common/rng.h"
 #include "lp/branch_and_bound.h"
 
@@ -86,45 +90,75 @@ TEST(BnbTest, NodeBudgetReportsTimeout) {
   EXPECT_TRUE(r.status.code() == StatusCode::kTimeout || r.status.ok());
 }
 
-// Property: on random binary covering ILPs, branch-and-bound matches
-// exhaustive enumeration — sequentially, and with four workers re-solving
-// the shared root tableau concurrently (four nodes per wave).
-class BnbRandomTest : public ::testing::TestWithParam<std::tuple<int, int>> {};
+// A seeded random binary covering ILP: 8 variables costing 1–10, 6 rows
+// each covering 2–4 of them.
+struct RandomCover {
+  LinearProgram lp;
+  std::vector<int> vars;
+  std::vector<double> cost;
+  std::vector<std::vector<int>> rows;
+};
 
-TEST_P(BnbRandomTest, MatchesExhaustiveOptimum) {
-  const auto [seed, threads] = GetParam();
+RandomCover MakeRandomCover(int seed) {
+  RandomCover c;
   Rng rng(static_cast<uint64_t>(seed) * 5 + 1);
   const int n = 8;
-  std::vector<double> cost(n);
-  for (auto& c : cost) c = 1.0 + rng.NextDouble() * 9.0;
+  c.cost.resize(n);
+  for (auto& cost : c.cost) cost = 1.0 + rng.NextDouble() * 9.0;
   const int m = 6;
-  std::vector<std::vector<int>> rows(m);
-  for (auto& row : rows) {
+  c.rows.resize(m);
+  for (auto& row : c.rows) {
     int size = 2 + static_cast<int>(rng.NextBelow(3));
     row = rng.SampleWithoutReplacement(n, size);
   }
-  LinearProgram lp;
-  std::vector<int> vars;
   for (int i = 0; i < n; ++i) {
-    vars.push_back(lp.AddUnitVariable(cost[static_cast<size_t>(i)]));
+    c.vars.push_back(c.lp.AddUnitVariable(c.cost[static_cast<size_t>(i)]));
   }
-  for (const auto& row : rows) {
+  for (const auto& row : c.rows) {
     std::vector<std::pair<int, double>> terms;
-    for (int i : row) terms.emplace_back(vars[static_cast<size_t>(i)], 1.0);
-    lp.AddConstraint(terms, ConstraintSense::kGe, 1.0);
+    for (int i : row) terms.emplace_back(c.vars[static_cast<size_t>(i)], 1.0);
+    c.lp.AddConstraint(terms, ConstraintSense::kGe, 1.0);
   }
-  BnbOptions opts;
-  if (threads > 1) {
-    opts.num_threads = threads;
-    opts.wave_width = 4;
+  return c;
+}
+
+void ExpectSameResult(const BnbResult& a, const BnbResult& b) {
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(a.x, b.x);
+  EXPECT_EQ(a.objective, b.objective);
+  EXPECT_EQ(a.lower_bound, b.lower_bound);
+  EXPECT_EQ(a.gap, b.gap);
+  EXPECT_EQ(a.nodes_explored, b.nodes_explored);
+  EXPECT_EQ(a.lp_solves, b.lp_solves);
+  EXPECT_EQ(a.lp_iterations, b.lp_iterations);
+  EXPECT_EQ(a.oracle_fathoms, b.oracle_fathoms);
+}
+
+// Property: on random binary covering ILPs, branch-and-bound matches
+// exhaustive enumeration — sequentially, and with four workers re-solving
+// the shared root tableau concurrently (four nodes per wave).
+class BnbRandomTest : public ::testing::TestWithParam<std::tuple<int, int>> {
+ protected:
+  BnbOptions Options() const {
+    BnbOptions opts;
+    if (std::get<1>(GetParam()) > 1) {
+      opts.num_threads = std::get<1>(GetParam());
+      opts.wave_width = 4;
+    }
+    return opts;
   }
-  BnbResult r = SolveIlp(lp, vars, opts);
+};
+
+TEST_P(BnbRandomTest, MatchesExhaustiveOptimum) {
+  const RandomCover c = MakeRandomCover(std::get<0>(GetParam()));
+  const int n = static_cast<int>(c.vars.size());
+  BnbResult r = SolveIlp(c.lp, c.vars, Options());
   ASSERT_TRUE(r.status.ok());
 
   double best = 1e18;
   for (uint32_t mask = 0; mask < (1u << n); ++mask) {
     bool ok = true;
-    for (const auto& row : rows) {
+    for (const auto& row : c.rows) {
       bool covered = false;
       for (int i : row) {
         if ((mask >> i) & 1u) {
@@ -140,16 +174,76 @@ TEST_P(BnbRandomTest, MatchesExhaustiveOptimum) {
     if (!ok) continue;
     double total = 0;
     for (int i = 0; i < n; ++i) {
-      if ((mask >> i) & 1u) total += cost[static_cast<size_t>(i)];
+      if ((mask >> i) & 1u) total += c.cost[static_cast<size_t>(i)];
     }
     best = std::min(best, total);
   }
   EXPECT_NEAR(r.objective, best, 1e-6);
 }
 
+TEST_P(BnbRandomTest, GivenRootMatchesOwnRoot) {
+  // Handing SolveIlp the root it would have solved itself changes no field
+  // of the result, the root's share of the accounting included.
+  const RandomCover c = MakeRandomCover(std::get<0>(GetParam()));
+  const BnbOptions opts = Options();
+  const BnbResult own = SolveIlp(c.lp, c.vars, opts);
+  const SolvedLp root(c.lp);
+  ExpectSameResult(SolveIlp(c.lp, c.vars, root, opts), own);
+  // The root is only read: a second solve over it agrees as well.
+  ExpectSameResult(SolveIlp(c.lp, c.vars, root, opts), own);
+
+  // An oracle that settles the root box leaves the root's LP step unrun:
+  // neither overload counts a solve or an iteration for it.
+  BnbOptions settled = opts;
+  settled.oracle = [&own](const std::vector<double>&,
+                          const std::vector<double>&) {
+    BnbNodeCut cut;
+    cut.resolved = true;
+    cut.x = own.x;
+    cut.objective = own.objective;
+    return cut;
+  };
+  const BnbResult by_oracle = SolveIlp(c.lp, c.vars, settled);
+  EXPECT_EQ(by_oracle.lp_solves, 0);
+  EXPECT_EQ(by_oracle.lp_iterations, 0);
+  EXPECT_EQ(by_oracle.oracle_fathoms, 1);
+  ExpectSameResult(SolveIlp(c.lp, c.vars, root, settled), by_oracle);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, BnbRandomTest,
                          ::testing::Combine(::testing::Range(0, 10),
                                             ::testing::Values(1, 4)));
+
+TEST(BnbTest, NonOkRootIsTypedErrorWithIncumbentAndGap) {
+  // A root stopped short of optimality — by a tripped control, or by its
+  // iteration budget — comes back as that typed status, carrying the
+  // caller's incumbent and the gap, not as an abort.
+  const RandomCover c = MakeRandomCover(3);
+  double all_costs = 0.0;
+  for (double cost : c.cost) all_costs += cost;  // hiding all is feasible
+  ExecControl cancelled;
+  cancelled.Cancel();
+  SimplexOptions tripped;
+  tripped.control = &cancelled;
+  SimplexOptions starved;
+  starved.max_iterations = 1;
+  for (const SimplexOptions& simplex : {tripped, starved}) {
+    const SolvedLp root(c.lp, simplex);
+    ASSERT_FALSE(root.solution().status.ok());
+    ASSERT_NE(root.solution().status.code(), StatusCode::kInfeasible);
+    BnbOptions opts;
+    opts.warm_objective = all_costs;
+    const BnbResult r = SolveIlp(c.lp, c.vars, root, opts);
+    EXPECT_EQ(r.status.code(), root.solution().status.code());
+    EXPECT_TRUE(r.x.empty());
+    EXPECT_EQ(r.objective, all_costs);
+    EXPECT_EQ(r.nodes_explored, 1);
+    EXPECT_EQ(r.lp_solves, 1);
+    // Nothing below the root was explored, so no bound beats -inf.
+    EXPECT_EQ(r.lower_bound, -std::numeric_limits<double>::infinity());
+    EXPECT_EQ(r.gap, std::numeric_limits<double>::infinity());
+  }
+}
 
 }  // namespace
 }  // namespace provview

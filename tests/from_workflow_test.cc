@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
 #include "common/task_graph.h"
 #include "generators/families.h"
@@ -9,6 +13,7 @@
 #include "secureview/from_workflow.h"
 #include "secureview/serialization.h"
 #include "secureview/solvers.h"
+#include "secureview/workflow_exact.h"
 #include "workflow/fig1_workflow.h"
 
 namespace provview {
@@ -164,6 +169,60 @@ TEST(FromWorkflowTest, SharedExecutorDerivesTheSameInstance) {
     EXPECT_EQ(SerializeInstance(own),
               SerializeInstance(InstanceFromWorkflow(*gen.workflow, 2, kind)));
   }
+}
+
+TEST(FromWorkflowTest, UnreachableGammaIsInfeasibleNotAbort) {
+  // m2 and m3 have one boolean output each, so no hidden set makes either
+  // Γ=3-private. Derived on a shared executor's workers, the instance is a
+  // typed Infeasible naming the first such module, for both constraint
+  // kinds, and SolveExactForWorkflow relays it instead of aborting.
+  Fig1Workflow fig = MakeFig1Workflow();
+  ASSERT_LT(fig.m2_index, fig.m3_index);
+  const std::string m2 = fig.workflow->module(fig.m2_index).name();
+  const std::vector<int64_t> gammas(
+      static_cast<size_t>(fig.workflow->num_modules()), 3);
+  TaskGraphExecutor shared(3);
+  for (ConstraintKind kind :
+       {ConstraintKind::kSet, ConstraintKind::kCardinality}) {
+    Result<SecureViewInstance> inst =
+        DeriveInstanceFromWorkflow(*fig.workflow, gammas, kind, &shared);
+    ASSERT_FALSE(inst.ok());
+    EXPECT_EQ(inst.status().code(), StatusCode::kInfeasible);
+    EXPECT_NE(inst.status().message().find("module " + m2 + " "),
+              std::string::npos)
+        << inst.status().ToString();
+
+    WorkflowExactOptions opts;
+    opts.gamma = 3;
+    opts.kind = kind;
+    opts.exact.bnb.num_threads = 4;
+    opts.exact.bnb.executor = &shared;
+    const WorkflowExactResult r = SolveExactForWorkflow(*fig.workflow, opts);
+    EXPECT_EQ(r.result.status, inst.status());
+    EXPECT_FALSE(std::isfinite(r.result.gap));
+    EXPECT_FALSE(r.semantics_verified);
+    EXPECT_TRUE(r.instance.modules.empty());
+  }
+  // With m2 public, m3 is the first module that cannot reach Γ.
+  fig.workflow->mutable_module(fig.m2_index)->set_public(true);
+  Result<SecureViewInstance> inst = DeriveInstanceFromWorkflow(
+      *fig.workflow, gammas, ConstraintKind::kSet, &shared);
+  ASSERT_FALSE(inst.ok());
+  EXPECT_NE(inst.status().message().find(
+                "module " + fig.workflow->module(fig.m3_index).name() + " "),
+            std::string::npos)
+      << inst.status().ToString();
+  // A Γ the gates can reach derives; a Γ list of the wrong length does not.
+  std::vector<int64_t> reachable = gammas;
+  reachable[static_cast<size_t>(fig.m3_index)] = 2;
+  EXPECT_TRUE(DeriveInstanceFromWorkflow(*fig.workflow, reachable,
+                                         ConstraintKind::kSet, &shared)
+                  .ok());
+  EXPECT_EQ(DeriveInstanceFromWorkflow(*fig.workflow, {3},
+                                       ConstraintKind::kSet)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

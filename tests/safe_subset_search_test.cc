@@ -4,6 +4,7 @@
 #include <atomic>
 #include <limits>
 #include <memory>
+#include <string>
 
 #include "common/combinatorics.h"
 #include "common/rng.h"
@@ -329,6 +330,146 @@ TEST(SafeSubsetSearchTest, CheckerCallsCountEveryRowPass) {
     EXPECT_GT(stats.checker_calls, 0);
     EXPECT_EQ(stats.checker_calls, passes.load() - 1)
         << "threads " << threads;
+  }
+}
+
+// ---------------------------------------------------------------------
+// The flat-row Γ pass of materialized memos, against the independent
+// Relation checker and the streaming pass.
+// ---------------------------------------------------------------------
+
+struct RandomRelation {
+  CatalogPtr catalog;
+  std::vector<AttrId> inputs, outputs;
+  Relation rel;
+};
+
+// 1–3 inputs and 1–3 outputs with domains of 1 to 4 values, plus one
+// column outside the module, in a shuffled schema order. Rows are drawn
+// from a pool of half their number, so they repeat, and about a third of
+// the columns hold one value throughout.
+RandomRelation MakeRandomRelation(Rng* rng, int num_rows) {
+  RandomRelation r;
+  r.catalog = std::make_shared<AttributeCatalog>();
+  const int num_in = 1 + static_cast<int>(rng->NextBelow(3));
+  const int num_out = 1 + static_cast<int>(rng->NextBelow(3));
+  std::vector<AttrId> attrs;
+  for (int a = 0; a < num_in + num_out + 1; ++a) {
+    const int domain = 1 + static_cast<int>(rng->NextBelow(4));
+    attrs.push_back(r.catalog->Add("a" + std::to_string(a), domain));
+  }
+  r.inputs.assign(attrs.begin(), attrs.begin() + num_in);
+  r.outputs.assign(attrs.begin() + num_in, attrs.end() - 1);
+  rng->Shuffle(&attrs);
+  r.rel = Relation(Schema(r.catalog, attrs));
+  auto draw = [&](AttrId id) {
+    return static_cast<Value>(
+        rng->NextBelow(static_cast<uint64_t>(r.catalog->DomainSize(id))));
+  };
+  std::vector<Value> constant(attrs.size(), -1);
+  for (size_t c = 0; c < attrs.size(); ++c) {
+    if (rng->NextBernoulli(0.3)) constant[c] = draw(attrs[c]);
+  }
+  std::vector<Tuple> pool(static_cast<size_t>(std::max(1, num_rows / 2)));
+  for (Tuple& row : pool) {
+    for (size_t c = 0; c < attrs.size(); ++c) {
+      row.push_back(constant[c] >= 0 ? constant[c] : draw(attrs[c]));
+    }
+  }
+  for (int i = 0; i < num_rows; ++i) {
+    r.rel.AddRow(pool[rng->NextBelow(pool.size())]);
+  }
+  return r;
+}
+
+// Every hidden subset through the root memo, a fresh root's overlay and
+// the streaming memo must give MaxStandaloneGamma's answer; the lattice
+// walk must give the same sets and stats over either backend at 1 and 4
+// threads.
+void ExpectFlatPassMatches(const RandomRelation& r, const std::string& label) {
+  const int universe = r.catalog->size();
+  const Relation& rel = r.rel;
+  auto streamed_view = [&rel] {
+    return RelationView::Streaming(rel.schema(), rel.num_rows(), [&rel] {
+      return RelationView::Borrowed(rel).NewSupplier();
+    });
+  };
+  SafetyMemo flat(rel, r.inputs, r.outputs);
+  SafetyMemo streamed(streamed_view(), r.inputs, r.outputs);
+  ASSERT_FALSE(flat.streaming());
+  ASSERT_TRUE(streamed.streaming());
+  // The overlay's base has no verdicts, so each lookup runs the overlay's
+  // own pass over the rows it shares with the base.
+  SafetyMemo base(rel, r.inputs, r.outputs);
+  std::unique_ptr<SafetyMemo> overlay = base.NewOverlay();
+  SafetyMemo::LookupLog log;
+
+  std::vector<AttrId> local = r.inputs;
+  local.insert(local.end(), r.outputs.begin(), r.outputs.end());
+  SafeSearchStats flat_stats, streamed_stats;
+  for (uint32_t bits = 0; bits < (1u << local.size()); ++bits) {
+    Bitset64 hidden(universe);
+    for (size_t j = 0; j < local.size(); ++j) {
+      if ((bits >> j) & 1u) hidden.Set(local[j]);
+    }
+    const int64_t want =
+        MaxStandaloneGamma(rel, r.inputs, r.outputs, hidden.Complement());
+    EXPECT_EQ(flat.MaxGamma(hidden, &flat_stats), want)
+        << label << " hidden " << hidden.ToString();
+    EXPECT_EQ(overlay->MaxGamma(hidden, nullptr, &log), want)
+        << label << " overlay, hidden " << hidden.ToString();
+    EXPECT_EQ(streamed.MaxGamma(hidden, &streamed_stats), want)
+        << label << " streamed, hidden " << hidden.ToString();
+  }
+  EXPECT_EQ(flat_stats.checker_calls, streamed_stats.checker_calls) << label;
+  EXPECT_EQ(flat_stats.cache_hits, streamed_stats.cache_hits) << label;
+
+  for (int64_t gamma : {int64_t{2}, int64_t{3}}) {
+    std::vector<Bitset64> want;
+    SafeSearchStats want_stats;
+    bool first = true;
+    for (bool streaming : {false, true}) {
+      for (int threads : {1, 4}) {
+        std::unique_ptr<SafetyMemo> memo =
+            streaming
+                ? std::make_unique<SafetyMemo>(streamed_view(), r.inputs,
+                                               r.outputs)
+                : std::make_unique<SafetyMemo>(rel, r.inputs, r.outputs);
+        SubsetSearchOptions opts;
+        opts.num_threads = threads;
+        opts.min_parallel_subsets = 0;
+        SafeSearchStats stats;
+        std::vector<Bitset64> got = MinimalSafeHiddenSets(
+            memo.get(), r.inputs, r.outputs, universe, gamma, &stats, opts);
+        if (first) {
+          want = got;
+          want_stats = stats;
+          first = false;
+          continue;
+        }
+        const std::string where = label + " gamma " + std::to_string(gamma) +
+                                  (streaming ? " streamed" : " flat") +
+                                  " threads " + std::to_string(threads);
+        EXPECT_EQ(got, want) << where;
+        EXPECT_EQ(stats.subsets_examined, want_stats.subsets_examined) << where;
+        EXPECT_EQ(stats.checker_calls, want_stats.checker_calls) << where;
+        EXPECT_EQ(stats.cache_hits, want_stats.cache_hits) << where;
+      }
+    }
+  }
+}
+
+TEST(SafeSubsetSearchTest, FlatRowPassMatchesCheckerAndStreamingPass) {
+  Rng rng(71);
+  const int stack_rows = static_cast<int>(SafetyMemo::kFlatStackRows);
+  // Empty and one-row relations, small ones, and one past the stack buffer.
+  for (int num_rows : {0, 1, 2, 5, 8, 17, 40, 3 * stack_rows + 7}) {
+    const int relations = num_rows > stack_rows ? 1 : 6;
+    for (int k = 0; k < relations; ++k) {
+      ExpectFlatPassMatches(MakeRandomRelation(&rng, num_rows),
+                            "rows " + std::to_string(num_rows) + " #" +
+                                std::to_string(k));
+    }
   }
 }
 

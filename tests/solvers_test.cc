@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/exec_control.h"
+#include "common/task_graph.h"
 #include "generators/families.h"
 #include "generators/requirement_gen.h"
 #include "secureview/feasibility.h"
@@ -245,6 +246,27 @@ TEST_P(SolverSweepTest, AllSolversConsistent) {
   SvResult brute = SolveBruteForce(inst);
   ASSERT_TRUE(brute.status.ok());
   EXPECT_NEAR(exact.cost, brute.cost, 1e-6);
+
+  // The same solve with its waves on a 4-thread executor, whose workers
+  // read the root tableau this thread built: identical field for field.
+  TaskGraphExecutor executor(3);
+  ExactOptions par;
+  par.bnb.num_threads = 4;
+  par.bnb.wave_width = 4;
+  par.bnb.executor = &executor;
+  ExactOptions seq = par;
+  seq.bnb.num_threads = 1;
+  seq.bnb.executor = nullptr;
+  SvResult exact_seq = SolveExact(inst, seq);
+  SvResult exact_par = SolveExact(inst, par);
+  ASSERT_TRUE(exact_par.status.ok());
+  EXPECT_NEAR(exact_par.cost, brute.cost, 1e-6);
+  EXPECT_EQ(exact_par.cost, exact_seq.cost);
+  EXPECT_EQ(exact_par.lower_bound, exact_seq.lower_bound);
+  EXPECT_EQ(exact_par.gap, exact_seq.gap);
+  EXPECT_EQ(exact_par.work, exact_seq.work);
+  EXPECT_EQ(exact_par.solution.hidden, exact_seq.solution.hidden);
+  EXPECT_EQ(exact_par.solution.privatized, exact_seq.solution.privatized);
 
   SvResult greedy = SolveGreedyPerModule(inst);
   SvResult coverage = SolveGreedyCoverage(inst);
