@@ -448,24 +448,20 @@ void ShardedSubsetSearchTable() {
     // Untimed warmup: first-touch costs (relation materialization, page
     // cache, allocator arenas) must not be billed to the first variant.
     SafeSearchStats s;
-    a = MinimalSafeHiddenSets(*m, gamma, &s, Module::kDefaultMaterializeRows,
-                              seq);
+    a = MinimalSafeHiddenSets(*m, gamma, &s, seq);
   }
   double seq_ms = std::numeric_limits<double>::infinity();
   double sharded_ms = std::numeric_limits<double>::infinity();
   for (int round = 0; round < rounds; ++round) {
     seq_ms = std::min(seq_ms, RaceTimeMs([&] {
                         SafeSearchStats s;
-                        a = MinimalSafeHiddenSets(
-                            *m, gamma, &s, Module::kDefaultMaterializeRows,
-                            seq);
+                        a = MinimalSafeHiddenSets(*m, gamma, &s, seq);
                         seq_stats = s;
                       }));
     sharded_ms = std::min(sharded_ms, RaceTimeMs([&] {
                             SafeSearchStats s;
-                            b = MinimalSafeHiddenSets(
-                                *m, gamma, &s,
-                                Module::kDefaultMaterializeRows, sharded);
+                            b = MinimalSafeHiddenSets(*m, gamma, &s,
+                                                      sharded);
                             sharded_stats = s;
                           }));
   }
@@ -537,51 +533,6 @@ void StreamingStandaloneTable() {
             << " stream_ms=" << stream_ms << "\n";
 }
 
-void StreamingWorkflowTable() {
-  // A 3-module chain over num_init boolean initial inputs: the execution
-  // log has 2^num_init rows. The full run streams a >2^22-execution log
-  // through BuildWorkflowTables in chunk-sized blocks (aggregates only);
-  // the eager build would refuse the space outright.
-  const int num_init = ShortMode() ? 19 : 23;
-  auto catalog = std::make_shared<AttributeCatalog>();
-  std::vector<AttrId> x;
-  for (int i = 0; i < num_init; ++i) {
-    x.push_back(catalog->Add("x" + std::to_string(i)));
-  }
-  AttrId t0 = catalog->Add("t0");
-  AttrId t1 = catalog->Add("t1");
-  AttrId o = catalog->Add("o");
-  const int split = num_init / 2;
-  Workflow wf(catalog);
-  wf.AddModule(MakeParity(
-      "m1", catalog, std::vector<AttrId>(x.begin(), x.begin() + split), t0));
-  wf.AddModule(MakeAnd(
-      "m2", catalog, std::vector<AttrId>(x.begin() + split, x.end()), t1));
-  wf.AddModule(MakeParity("m3", catalog, {t0, t1}, o));
-  PV_CHECK(wf.Validate().ok());
-
-  WorkflowTablesOptions opts;
-  opts.max_executions = int64_t{1} << 26;
-  opts.chunk_executions = int64_t{1} << 16;
-  if (ShortMode()) opts.materialize_threshold = 0;  // force the streamed scan
-  opts.num_threads = 0;  // auto: use whatever cores the host has
-  Stopwatch sw;
-  std::shared_ptr<const WorkflowTables> tables = BuildWorkflowTables(wf, opts);
-  const double stream_ms = sw.ElapsedMillis();
-  PV_CHECK_MSG(!tables->log_materialized,
-               "streamed build unexpectedly materialized the log");
-  int64_t distinct_codes = 0;
-  for (const auto& codes : tables->orig_input_codes) {
-    distinct_codes += static_cast<int64_t>(codes.size());
-  }
-  std::cout << "  execution log " << tables->num_execs
-            << " rows streamed in 2^16-execution chunks, "
-            << distinct_codes
-            << " distinct per-module input codes aggregated\n";
-  std::cout << "E1e workflow: execs=" << tables->num_execs
-            << " stream_ms=" << stream_ms << "\n";
-}
-
 }  // namespace
 
 int main() {
@@ -591,7 +542,6 @@ int main() {
   SpeedupTable();
   WorkflowSpeedupTable();
   StreamingStandaloneTable();
-  StreamingWorkflowTable();
   FixpointSpeedupTable();
   ShardedSubsetSearchTable();
   std::cout << "\n[bench_possible_worlds done in " << sw.ElapsedSeconds()

@@ -2,7 +2,7 @@
 # Runs the possible-worlds benches and emits a JSON timing record
 # (BENCH_possible_worlds.json) so successive PRs can track the perf
 # trajectory. Usage: bench/run_benches.sh [build_dir] [output.json]
-# BENCH_SHORT=1 runs the short mode (shrunken E1e streaming spaces) used by
+# BENCH_SHORT=1 runs the short mode (shrunken E1e streaming space) used by
 # the CI bench-regression smoke step.
 set -euo pipefail
 
@@ -42,8 +42,6 @@ PW_WF_MIN_SPEEDUP="$(grep -o 'workflow min speedup [0-9.]*' "${PW_LOG}" | awk '{
 E1E_ROWS="$(grep -o 'E1e standalone: rows=[0-9]*' "${PW_LOG}" | awk -F= '{print $2}' | head -1 || true)"
 E1E_GAMMA="$(grep -o 'E1e standalone: rows=[0-9]* gamma=[0-9]*' "${PW_LOG}" | awk -F= '{print $3}' | head -1 || true)"
 E1E_MS="$(grep -o 'E1e standalone: .* stream_ms=[0-9.]*' "${PW_LOG}" | awk -F= '{print $NF}' | head -1 || true)"
-E1E_WF_EXECS="$(grep -o 'E1e workflow: execs=[0-9]*' "${PW_LOG}" | awk -F= '{print $2}' | head -1 || true)"
-E1E_WF_MS="$(grep -o 'E1e workflow: .* stream_ms=[0-9.]*' "${PW_LOG}" | awk -F= '{print $NF}' | head -1 || true)"
 # E1f: "deep min speedup 243.9x" from the fixpoint race and the sharded
 # subset-lattice summary line.
 E1F_SPEEDUP="$(grep -o 'deep min speedup [0-9.]*' "${PW_LOG}" | awk '{print $4}' | head -1 || true)"
@@ -129,8 +127,6 @@ cat >"${LATEST_JSON}" <<EOF
   "e1e_stream_rows": ${E1E_ROWS:-null},
   "e1e_stream_gamma": ${E1E_GAMMA:-null},
   "e1e_stream_ms": ${E1E_MS:-null},
-  "e1e_workflow_execs": ${E1E_WF_EXECS:-null},
-  "e1e_workflow_stream_ms": ${E1E_WF_MS:-null},
   "e1f_deep_chain_speedup_x": ${E1F_SPEEDUP:-null},
   "e1f_sharded_search_k": ${E1F_K:-null},
   "e1f_minimal_sets": ${E1F_MINIMAL:-null},
@@ -169,7 +165,7 @@ import sys
 HIST_KEYS = [
     "date_utc", "git_rev", "host_threads", "short_mode",
     "standalone_min_speedup_x", "workflow_min_speedup_x",
-    "e1e_stream_ms", "e1e_workflow_stream_ms",
+    "e1e_stream_ms",
     "e1f_deep_chain_speedup_x", "e1f_sharded_search_k",
     "k24_seq_search_ms", "k24_sharded_search_ms",
     "sharded_search_speedup_x", "podsd_throughput_rps",

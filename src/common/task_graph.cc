@@ -135,9 +135,8 @@ Status TaskGraph::Run(TaskGraphExecutor* executor, const ExecControl* control) {
 
 // -------------------------------------------------------------- executor --
 
-TaskGraphExecutor::TaskGraphExecutor(int num_threads, int64_t max_pending)
-    : slots_(static_cast<size_t>(std::max(1, num_threads)) + 1),
-      max_pending_(max_pending) {
+TaskGraphExecutor::TaskGraphExecutor(int num_threads)
+    : slots_(static_cast<size_t>(std::max(1, num_threads)) + 1) {
   const int n = std::max(1, num_threads);
   workers_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -166,22 +165,6 @@ void TaskGraphExecutor::SubmitDetached(std::function<void()> fn) {
   t->fn = std::move(fn);
   t->graph = nullptr;
   Push(t);
-}
-
-bool TaskGraphExecutor::TryAdmit(int64_t units) {
-  int64_t cur = admitted_.load(std::memory_order_relaxed);
-  while (true) {
-    if (cur + units > max_pending_) return false;
-    if (admitted_.compare_exchange_weak(cur, cur + units,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_relaxed)) {
-      return true;
-    }
-  }
-}
-
-void TaskGraphExecutor::Release(int64_t units) {
-  admitted_.fetch_sub(units, std::memory_order_acq_rel);
 }
 
 void TaskGraphExecutor::Push(TaskGraph::Task* t) {

@@ -19,10 +19,9 @@
 //     still runs to completion, so Run() always returns. The first
 //     exception is rethrown from Run(); a tripped control surfaces as its
 //     typed Status.
-//   * A bounded admission gate (TryAdmit/Release) for service callers:
-//     podsd admits a request's units before submitting engine work and
-//     rejects with RESOURCE_EXHAUSTED when the daemon is saturated,
-//     instead of queueing unboundedly.
+//
+// The executor does not gate admission: podsd admits requests through its
+// own AdmissionController (server/admission.h) before submitting work.
 //
 // Determinism: the executor schedules tasks in a nondeterministic order, so
 // deterministic results are the *graph builder's* job — tasks write to
@@ -40,7 +39,6 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -138,9 +136,7 @@ class TaskGraph {
 /// Destroy only after every Run() has returned.
 class TaskGraphExecutor {
  public:
-  explicit TaskGraphExecutor(
-      int num_threads,
-      int64_t max_pending = std::numeric_limits<int64_t>::max());
+  explicit TaskGraphExecutor(int num_threads);
   ~TaskGraphExecutor();
 
   TaskGraphExecutor(const TaskGraphExecutor&) = delete;
@@ -155,18 +151,6 @@ class TaskGraphExecutor {
   /// executor alive until every detached body has finished; bodies still
   /// queued when the executor is destroyed are discarded unrun.
   void SubmitDetached(std::function<void()> fn);
-
-  /// Admission gate: reserves `units` of pending capacity, or returns false
-  /// when the reservation would exceed max_pending. Callers that got true
-  /// must Release() the same units when their work retires. Purely a
-  /// counter — the executor does not count tasks itself, so callers choose
-  /// the unit (podsd charges one unit per request item).
-  bool TryAdmit(int64_t units);
-  void Release(int64_t units);
-  int64_t admitted_units() const {
-    return admitted_.load(std::memory_order_relaxed);
-  }
-  int64_t max_pending() const { return max_pending_; }
 
  private:
   friend class TaskGraph;
@@ -196,9 +180,6 @@ class TaskGraphExecutor {
   std::mutex wake_mu_;
   std::condition_variable wake_cv_;
   std::atomic<bool> stop_{false};
-
-  const int64_t max_pending_;
-  std::atomic<int64_t> admitted_{0};
 };
 
 /// Where an engine call runs its task graph: nullptr (TaskGraph::Run runs it
@@ -215,40 +196,6 @@ class EngineExecutor {
  private:
   std::unique_ptr<TaskGraphExecutor> owned_;
   TaskGraphExecutor* executor_ = nullptr;
-};
-
-/// RAII for the admission gate: admitted units are released on every exit
-/// path of a request handler.
-class AdmissionTicket {
- public:
-  AdmissionTicket() = default;
-  AdmissionTicket(TaskGraphExecutor* executor, int64_t units)
-      : executor_(executor), units_(units) {}
-  AdmissionTicket(AdmissionTicket&& o) noexcept
-      : executor_(o.executor_), units_(o.units_) {
-    o.executor_ = nullptr;
-  }
-  AdmissionTicket& operator=(AdmissionTicket&& o) noexcept {
-    if (this != &o) {
-      reset();
-      executor_ = o.executor_;
-      units_ = o.units_;
-      o.executor_ = nullptr;
-    }
-    return *this;
-  }
-  AdmissionTicket(const AdmissionTicket&) = delete;
-  AdmissionTicket& operator=(const AdmissionTicket&) = delete;
-  ~AdmissionTicket() { reset(); }
-
-  void reset() {
-    if (executor_ != nullptr) executor_->Release(units_);
-    executor_ = nullptr;
-  }
-
- private:
-  TaskGraphExecutor* executor_ = nullptr;
-  int64_t units_ = 0;
 };
 
 }  // namespace provview

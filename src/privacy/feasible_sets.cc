@@ -134,9 +134,9 @@ std::vector<std::vector<int32_t>> DeterminedSlotPruner::CandidateLists(
 FeasibleSetAnalysis AnalyzeFeasibleSets(const WorkflowTables& tables,
                                         const Bitset64& visible,
                                         const std::vector<int>& fixed_modules) {
-  PV_CHECK_MSG(tables.log_materialized,
-               "feasible-set analysis replays the original execution log; "
-               "rebuild the tables with materialize_threshold >= num_execs");
+  PV_CHECK_MSG(tables.status.ok(),
+               "feasible-set analysis needs completed tables: "
+                   << tables.status.message());
   const Workflow& workflow = *tables.workflow;
   const AttributeCatalog& catalog = *workflow.catalog();
   const int n = tables.num_modules;

@@ -144,8 +144,8 @@ struct FeasibleSetAnalysis {
   int64_t factored_free_slots = 0;
 };
 
-/// Runs the fixpoint. Requires a materialized execution log (the analysis
-/// replays the original rows), i.e. tables.log_materialized.
+/// Runs the fixpoint. Requires a completed build (tables.status OK): the
+/// analysis replays the original execution log.
 FeasibleSetAnalysis AnalyzeFeasibleSets(const WorkflowTables& tables,
                                         const Bitset64& visible,
                                         const std::vector<int>& fixed_modules);

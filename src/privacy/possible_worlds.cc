@@ -76,38 +76,71 @@ struct PrunedInstance {
   std::vector<std::vector<int32_t>> tids;
 };
 
-// Union view of which (slot, feasible-index) pairs appeared in a consistent
-// world, shared across shards so the Γ short-circuit can fire on the global
-// OUT sets. Marks are rare (bounded by Σ_i |feasible_i| per shard), so a
-// single mutex is fine.
+// Union of the (pair, feasible-index) marks seen in a consistent world,
+// shared by both walks. A pair is one tracked OUT set: an input slot of the
+// standalone walk, a (free module, original input) of the workflow walk.
+// The union is shared across shards so the Γ short-circuit fires on the
+// global OUT sets. Marks are rare (bounded by Σ_p |feasible_p| per shard),
+// so a single mutex is fine.
 struct SeenUnion {
-  explicit SeenUnion(const PrunedInstance& inst, int64_t gamma_target) {
-    seen.reserve(inst.codes.size());
-    for (const auto& c : inst.codes) seen.emplace_back(c.size(), 0);
+  // widths[p] = feasible codes of pair p. With gamma_target > 0 the
+  // short-circuit waits on every pair p with gamma_tracked[p].
+  SeenUnion(const std::vector<size_t>& widths,
+            const std::vector<bool>& gamma_tracked, int64_t gamma_target) {
+    seen.reserve(widths.size());
+    for (size_t w : widths) seen.emplace_back(w, 0);
     if (gamma_target > 0) {
-      remaining.assign(inst.codes.size(), gamma_target);
-      slots_below = static_cast<int>(inst.codes.size());
+      remaining.assign(widths.size(), 0);
+      for (size_t p = 0; p < widths.size(); ++p) {
+        if (!gamma_tracked[p]) continue;
+        remaining[p] = gamma_target;
+        ++pairs_below;
+      }
     }
   }
 
-  // Records (slot, j); when a Γ target is set and every slot's distinct
-  // count reaches it, flips `stop`.
-  void Mark(int slot, int32_t j, std::atomic<bool>* stop) {
+  // Records (pair, j); when every Γ-tracked pair's distinct count reaches
+  // the target, flips `stop`.
+  void Mark(size_t pair, int32_t j, std::atomic<bool>* stop) {
     std::lock_guard<std::mutex> lock(mu);
-    uint8_t& s = seen[static_cast<size_t>(slot)][static_cast<size_t>(j)];
+    uint8_t& s = seen[pair][static_cast<size_t>(j)];
     if (s) return;
     s = 1;
-    if (!remaining.empty() &&
-        --remaining[static_cast<size_t>(slot)] == 0 &&
-        --slots_below == 0) {
+    if (!remaining.empty() && remaining[pair] > 0 &&
+        --remaining[pair] == 0 && --pairs_below == 0) {
       stop->store(true, std::memory_order_relaxed);
     }
   }
 
   std::mutex mu;
   std::vector<std::vector<uint8_t>> seen;
-  std::vector<int64_t> remaining;  // per slot: marks left to reach Γ
-  int slots_below = 0;             // slots still short of Γ
+  std::vector<int64_t> remaining;  // per pair: marks left to reach Γ
+  int64_t pairs_below = 0;         // Γ-tracked pairs still short
+};
+
+// Shard-local first-seen flags over the union's pairs: spare the union's
+// lock for pairs this shard already reported. Once every pair is seen,
+// `unseen` is 0 and the walks skip the marking loop entirely.
+struct ShardMarks {
+  explicit ShardMarks(const std::vector<size_t>& widths) {
+    seen.reserve(widths.size());
+    for (size_t w : widths) {
+      seen.emplace_back(w, 0);
+      unseen += static_cast<int64_t>(w);
+    }
+  }
+
+  void Mark(size_t pair, int32_t j, SeenUnion* seen_union,
+            std::atomic<bool>* stop) {
+    uint8_t& s = seen[pair][static_cast<size_t>(j)];
+    if (s) return;
+    s = 1;
+    --unseen;
+    seen_union->Mark(pair, j, stop);
+  }
+
+  std::vector<std::vector<uint8_t>> seen;
+  int64_t unseen = 0;
 };
 
 struct ShardResult {
@@ -119,9 +152,10 @@ struct ShardResult {
 // most-significant digit, so shards are contiguous ranges of the global
 // walk. The covered-target multiset is maintained incrementally: one digit
 // changes per step (amortized O(1) updates).
-void WalkShard(const PrunedInstance& inst, int64_t begin, int64_t end,
-               SeenUnion* seen_union, std::atomic<bool>* stop,
-               const ExecControl* control, ShardResult* out) {
+void WalkShard(const PrunedInstance& inst, const std::vector<size_t>& widths,
+               int64_t begin, int64_t end, SeenUnion* seen_union,
+               std::atomic<bool>* stop, const ExecControl* control,
+               ShardResult* out) {
   if (begin >= end) return;
   const int n = inst.n;
   std::vector<int32_t> idx(static_cast<size_t>(n), 0);
@@ -139,17 +173,7 @@ void WalkShard(const PrunedInstance& inst, int64_t begin, int64_t end,
     cover(inst.tids[static_cast<size_t>(i)][static_cast<size_t>(idx[i])]);
   }
 
-  // Shard-local first-seen flags: avoid re-locking the union for pairs this
-  // shard already reported. Once every pair is seen the marking loop is
-  // skipped entirely.
-  std::vector<std::vector<uint8_t>> local_seen;
-  int64_t unseen_pairs = 0;
-  local_seen.reserve(static_cast<size_t>(n));
-  for (const auto& c : inst.codes) {
-    local_seen.emplace_back(c.size(), 0);
-    unseen_pairs += static_cast<int64_t>(c.size());
-  }
-
+  ShardMarks marks(widths);
   for (;;) {
     if (stop->load(std::memory_order_relaxed)) return;
     if (control != nullptr && control->Expired()) {
@@ -158,15 +182,10 @@ void WalkShard(const PrunedInstance& inst, int64_t begin, int64_t end,
     }
     if (uncovered == 0) {
       ++out->num_worlds;
-      if (unseen_pairs > 0) {
+      if (marks.unseen > 0) {
         for (int i = 0; i < n; ++i) {
-          uint8_t& s =
-              local_seen[static_cast<size_t>(i)][static_cast<size_t>(idx[i])];
-          if (!s) {
-            s = 1;
-            --unseen_pairs;
-            seen_union->Mark(i, idx[static_cast<size_t>(i)], stop);
-          }
+          marks.Mark(static_cast<size_t>(i), idx[static_cast<size_t>(i)],
+                     seen_union, stop);
         }
       }
     }
@@ -281,25 +300,16 @@ StandaloneWorlds EnumerateStandaloneWorlds(RowSupplier* rows,
   for (AttrId id : outputs) out_radices.push_back(catalog.DomainSize(id));
   int64_t range = 1;
   for (int r : out_radices) range = SaturatingMul(range, r);
-  // Candidate-space guards: library callers keep the historical
-  // PV_CHECK-abort (a programming error in a batch script), but in service
-  // mode (an ExecControl is attached) an oversized request is external
-  // input and must come back as a typed RESOURCE_EXHAUSTED status.
+  // Candidate-space guards return a typed RESOURCE_EXHAUSTED. The per-slot
+  // feasibility scan materializes O(|Range|) tuples and walks n*|Range|
+  // codes before the pruned space is known, so the scan itself is bounded
+  // by the caller's budget (|Range| ≤ |Range|^N, so this rejects nothing
+  // the naive guard allows).
   if (range > std::numeric_limits<int>::max() || range > opts.max_candidates) {
-    if (control != nullptr) {
-      result.status = Status::ResourceExhausted(
-          "standalone world space too large: output range " +
-          std::to_string(range));
-      return result;
-    }
-    // The per-slot feasibility scan materializes O(|Range|) tuples and walks
-    // n*|Range| codes; since the pruned space satisfies ∏|feasible_i| ≤ ...
-    // only after the scan, bound the scan itself by the caller's budget
-    // (|Range| ≤ |Range|^N, so this rejects nothing the naive guard allowed).
-    PV_CHECK_MSG(range <= std::numeric_limits<int>::max(),
-                 "output range too large for world enumeration");
-    PV_CHECK_MSG(range <= opts.max_candidates,
-                 "standalone world space too large: output range " << range);
+    result.status = Status::ResourceExhausted(
+        "standalone world space too large: output range " +
+        std::to_string(range));
+    return result;
   }
   result.naive_candidates = SaturatingPow(range, n);
 
@@ -345,15 +355,10 @@ StandaloneWorlds EnumerateStandaloneWorlds(RowSupplier* rows,
         static_cast<int64_t>(inst.codes[static_cast<size_t>(i)].size()));
   }
   if (result.pruned_candidates > opts.max_candidates) {
-    if (control != nullptr) {
-      result.status = Status::ResourceExhausted(
-          "standalone world space too large after pruning: " +
-          std::to_string(result.pruned_candidates));
-      return result;
-    }
-    PV_CHECK_MSG(result.pruned_candidates <= opts.max_candidates,
-                 "standalone world space too large after pruning: "
-                     << result.pruned_candidates);
+    result.status = Status::ResourceExhausted(
+        "standalone world space too large after pruning: " +
+        std::to_string(result.pruned_candidates));
+    return result;
   }
   if (result.pruned_candidates == 0) return result;  // some slot infeasible
 
@@ -363,12 +368,16 @@ StandaloneWorlds EnumerateStandaloneWorlds(RowSupplier* rows,
   if (result.pruned_candidates <= opts.min_parallel_candidates) threads = 1;
   const int shards = static_cast<int>(std::min<int64_t>(threads, slot0));
 
-  SeenUnion seen_union(inst, opts.gamma);
+  // Every input slot is one tracked pair.
+  std::vector<size_t> widths;
+  for (const auto& c : inst.codes) widths.push_back(c.size());
+  SeenUnion seen_union(widths, std::vector<bool>(widths.size(), true),
+                       opts.gamma);
   std::atomic<bool> stop(false);
   std::vector<ShardResult> partials(static_cast<size_t>(shards));
   RunRanges(/*shared=*/nullptr, slot0, shards,
             [&](int shard, int64_t begin, int64_t end) {
-              WalkShard(inst, begin, end, &seen_union, &stop, control,
+              WalkShard(inst, widths, begin, end, &seen_union, &stop, control,
                         &partials[static_cast<size_t>(shard)]);
             });
   for (const ShardResult& p : partials) result.num_worlds += p.num_worlds;
@@ -386,16 +395,6 @@ StandaloneWorlds EnumerateStandaloneWorlds(RowSupplier* rows,
     }
   }
   return result;
-}
-
-StandaloneWorlds EnumerateStandaloneWorlds(const Relation& rel,
-                                           const std::vector<AttrId>& inputs,
-                                           const std::vector<AttrId>& outputs,
-                                           const Bitset64& visible,
-                                           int64_t max_candidates) {
-  EnumerationOptions opts;
-  opts.max_candidates = max_candidates;
-  return EnumerateStandaloneWorlds(rel, inputs, outputs, visible, opts);
 }
 
 StandaloneWorlds EnumerateStandaloneWorldsNaive(
@@ -480,6 +479,9 @@ bool IsStandaloneSafeByEnumeration(const Relation& rel,
   opts.gamma = gamma;
   StandaloneWorlds worlds =
       EnumerateStandaloneWorlds(rel, inputs, outputs, visible, opts);
+  // No status channel: an over-budget (or stopped) enumeration has empty or
+  // partial OUT sets, which must not read as a verdict.
+  PV_CHECK_MSG(worlds.status.ok(), worlds.status.message());
   if (worlds.early_stopped) return true;  // every OUT set reached Γ
   return worlds.MinOutSize() >= gamma;
 }
@@ -498,14 +500,6 @@ int64_t WorkflowWorlds::MinOutSize(int module_index) const {
 // ----------------------------------------------------------------------------
 // Workflow tables: the per-workflow precomputation shared across enumerations.
 // ----------------------------------------------------------------------------
-
-std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
-    const Workflow& workflow, int64_t max_executions) {
-  WorkflowTablesOptions opts;
-  opts.max_executions = max_executions;
-  opts.materialize_threshold = max_executions;
-  return BuildWorkflowTables(workflow, opts);
-}
 
 std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
     const Workflow& workflow, const WorkflowTablesOptions& opts) {
@@ -561,14 +555,9 @@ std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
     t->dom_size[si] = dom;
     t->range_size[si] = range;
     if (dom > (1 << 20) || range > std::numeric_limits<int>::max()) {
-      if (control != nullptr) {
-        t->status = Status::ResourceExhausted(
-            "module " + m.name() + " too large for world enumeration");
-        return t;
-      }
-      PV_CHECK_MSG(
-          dom <= (1 << 20) && range <= std::numeric_limits<int>::max(),
-          "module " << m.name() << " too large for world enumeration");
+      t->status = Status::ResourceExhausted(
+          "module " + m.name() + " too large for world enumeration");
+      return t;
     }
     const size_t n_out = t->out_attrs[si].size();
     if (control != nullptr &&
@@ -608,50 +597,37 @@ std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
   int64_t execs = 1;
   for (int r : t->init_radices) execs = SaturatingMul(execs, r);
   if (execs > opts.max_executions) {
-    if (control != nullptr) {
-      t->status = Status::ResourceExhausted(
-          "initial-input space too large for world enumeration: " +
-          std::to_string(execs));
-      return t;
-    }
-    PV_CHECK_MSG(execs <= opts.max_executions,
-                 "initial-input space too large for world enumeration: "
-                     << execs);
+    t->status = Status::ResourceExhausted(
+        "initial-input space too large for world enumeration: " +
+        std::to_string(execs));
+    return t;
   }
   t->num_execs = execs;
   t->prov_ids = workflow.ProvenanceAttrIds();
-  t->log_materialized = execs <= opts.materialize_threshold;
 
   // The original run, streamed from the initial-input odometer in
-  // chunk-sized blocks of provenance rows. At or below the materialization
-  // threshold the per-execution arrays (provenance row, per-module input
-  // code, initial values) are kept for the world walkers; beyond it only
-  // the per-module distinct input codes survive the scan. Shards own
-  // disjoint execution ranges (and disjoint slices of the per-execution
-  // arrays), so the parallel scan needs no synchronization beyond the
-  // final aggregate merge.
+  // chunk-sized blocks of provenance rows into the per-execution arrays
+  // (provenance row, per-module input code, initial values) the world
+  // walkers replay. Shards own disjoint execution ranges and so disjoint
+  // slices of the arrays: the parallel scan needs no synchronization.
   const size_t prov_arity = t->prov_ids.size();
   const std::vector<AttrId>& init_ids = workflow.initial_input_ids();
   const size_t num_init = init_ids.size();
-  if (t->log_materialized) {
-    // The per-execution arrays are the dominant footprint of a materialized
-    // build; charge them against the request's budget before allocating so
-    // an oversized request trips RESOURCE_EXHAUSTED instead of OOM-ing the
-    // daemon. The charge lives as long as the tables (request scope).
-    if (control != nullptr &&
-        !control->TryCharge(
-            execs *
-            static_cast<int64_t>((prov_arity + static_cast<size_t>(n) +
-                                  num_init) *
-                                 sizeof(int32_t)))) {
-      t->status = control->Check();
-      return t;
-    }
-    t->orig_rows.resize(static_cast<size_t>(execs) * prov_arity);
-    t->orig_in_code.resize(static_cast<size_t>(execs) *
-                           static_cast<size_t>(n));
-    t->init_values.resize(static_cast<size_t>(execs) * num_init);
+  // The per-execution arrays are the dominant footprint of the build;
+  // charge them against the request's budget before allocating so an
+  // oversized request trips RESOURCE_EXHAUSTED instead of OOM-ing the
+  // daemon. The charge lives as long as the tables (request scope).
+  if (control != nullptr &&
+      !control->TryCharge(
+          execs * static_cast<int64_t>(
+                      (prov_arity + static_cast<size_t>(n) + num_init) *
+                      sizeof(int32_t)))) {
+    t->status = control->Check();
+    return t;
   }
+  t->orig_rows.resize(static_cast<size_t>(execs) * prov_arity);
+  t->orig_in_code.resize(static_cast<size_t>(execs) * static_cast<size_t>(n));
+  t->init_values.resize(static_cast<size_t>(execs) * num_init);
   std::vector<int> init_pos;  // initial-input positions in the prov row
   {
     const Schema prov_schema = workflow.ProvenanceSchema();
@@ -662,13 +638,8 @@ std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
   const int threads = ResolveThreads(opts.num_threads);
   const int shards = static_cast<int>(
       std::min<int64_t>(threads, std::max<int64_t>(1, execs / chunk)));
-  std::vector<std::vector<std::set<int32_t>>> shard_codes(
-      static_cast<size_t>(shards),
-      std::vector<std::set<int32_t>>(static_cast<size_t>(n)));
-  auto scan = [&](int shard, int64_t begin, int64_t end) {
+  auto scan = [&](int64_t begin, int64_t end) {
     ExecutionSupplier supplier(plan, begin, end);
-    std::vector<std::set<int32_t>>& codes =
-        shard_codes[static_cast<size_t>(shard)];
     std::vector<Value> block;
     int64_t e = begin;
     int64_t got;
@@ -677,21 +648,15 @@ std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
       for (int64_t r = 0; r < got; ++r, ++e) {
         const Value* row = &block[static_cast<size_t>(r) * prov_arity];
         for (int i = 0; i < n; ++i) {
-          const int32_t in_code =
+          t->orig_in_code[static_cast<size_t>(e) * static_cast<size_t>(n) +
+                          static_cast<size_t>(i)] =
               static_cast<int32_t>(supplier.InputCodeOf(row, i));
-          codes[static_cast<size_t>(i)].insert(in_code);
-          if (t->log_materialized) {
-            t->orig_in_code[static_cast<size_t>(e) * static_cast<size_t>(n) +
-                            static_cast<size_t>(i)] = in_code;
-          }
         }
-        if (t->log_materialized) {
-          std::copy(row, row + prov_arity,
-                    &t->orig_rows[static_cast<size_t>(e) * prov_arity]);
-          for (size_t k = 0; k < num_init; ++k) {
-            t->init_values[static_cast<size_t>(e) * num_init + k] =
-                row[init_pos[k]];
-          }
+        std::copy(row, row + prov_arity,
+                  &t->orig_rows[static_cast<size_t>(e) * prov_arity]);
+        for (size_t k = 0; k < num_init; ++k) {
+          t->init_values[static_cast<size_t>(e) * num_init + k] =
+              row[init_pos[k]];
         }
       }
     }
@@ -711,25 +676,25 @@ std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
   for (int s = 0; s < shards; ++s) {
     const auto [begin, end] = TaskRange(execs, shards, s);
     if (begin >= end) break;
-    graph.Add([&scan, s, begin = begin, end = end] { scan(s, begin, end); },
+    graph.Add([&scan, begin = begin, end = end] { scan(begin, end); },
               fn_tasks);
   }
   const EngineExecutor executor(opts.executor, threads);
-  Status run = graph.Run(executor.get(), control);
-  if (control == nullptr) {
-    PV_CHECK_MSG(run.ok(), "table build failed: " << run.message());
-  }
-  if (control != nullptr) {
-    t->status = control->Check();
-    if (!t->status.ok()) return t;  // partially-scanned tables are unusable
-  }
+  // Without a control the run is always OK (task exceptions rethrow).
+  t->status = graph.Run(executor.get(), control);
+  if (!t->status.ok()) return t;  // partially-scanned tables are unusable
+  // The distinct original input codes per module, sorted, from the log.
   for (int i = 0; i < n; ++i) {
-    std::set<int32_t> merged;
-    for (int s = 0; s < shards; ++s) {
-      merged.merge(shard_codes[static_cast<size_t>(s)][static_cast<size_t>(i)]);
+    const size_t si = static_cast<size_t>(i);
+    std::vector<uint8_t> reached(static_cast<size_t>(t->dom_size[si]), 0);
+    for (int64_t e = 0; e < execs; ++e) {
+      reached[static_cast<size_t>(
+          t->orig_in_code[static_cast<size_t>(e) * static_cast<size_t>(n) +
+                          si])] = 1;
     }
-    t->orig_input_codes[static_cast<size_t>(i)].assign(merged.begin(),
-                                                       merged.end());
+    for (size_t d = 0; d < reached.size(); ++d) {
+      if (reached[d]) t->orig_input_codes[si].push_back(static_cast<int32_t>(d));
+    }
   }
   return t;
 }
@@ -815,52 +780,18 @@ struct WfInstance {
   }
 
   // Flattened (free module, original input) pairs whose OUT sets are
-  // recorded; Γ counters only on the gamma-tracked ones.
+  // recorded: the SeenUnion's pairs, in order. input_widths[p] is the
+  // feasible-code count of pair p's slot; input_gamma[p] whether the Γ
+  // short-circuit waits on it (private modules only).
   struct TrackedInput {
     int module = 0;
     int32_t in_code = 0;
     int32_t slot = 0;
-    bool gamma_tracked = false;
   };
   std::vector<TrackedInput> inputs;
+  std::vector<size_t> input_widths;
+  std::vector<bool> input_gamma;
   bool collect_distinct = true;
-};
-
-// Union of seen (pair, feasible-index) marks shared across shards, with the
-// Γ short-circuit counters (mirrors the standalone SeenUnion).
-struct WfSeenUnion {
-  WfSeenUnion(const WfInstance& inst, int64_t gamma_target) {
-    seen.reserve(inst.inputs.size());
-    int tracked = 0;
-    for (const auto& ti : inst.inputs) {
-      seen.emplace_back(
-          inst.slots[static_cast<size_t>(ti.slot)].codes->size(), 0);
-      if (gamma_target > 0 && ti.gamma_tracked) ++tracked;
-    }
-    if (gamma_target > 0) {
-      remaining.assign(inst.inputs.size(), 0);
-      for (size_t p = 0; p < inst.inputs.size(); ++p) {
-        if (inst.inputs[p].gamma_tracked) remaining[p] = gamma_target;
-      }
-      pairs_below = tracked;
-    }
-  }
-
-  void Mark(size_t pair, int32_t j, std::atomic<bool>* stop) {
-    std::lock_guard<std::mutex> lock(mu);
-    uint8_t& s = seen[pair][static_cast<size_t>(j)];
-    if (s) return;
-    s = 1;
-    if (!remaining.empty() && remaining[pair] > 0 &&
-        --remaining[pair] == 0 && --pairs_below == 0) {
-      stop->store(true, std::memory_order_relaxed);
-    }
-  }
-
-  std::mutex mu;
-  std::vector<std::vector<uint8_t>> seen;
-  std::vector<int64_t> remaining;  // per pair: marks left to reach Γ
-  int pairs_below = 0;             // Γ-tracked pairs still short
 };
 
 struct WfShardResult {
@@ -874,7 +805,7 @@ struct WfShardResult {
 // and every other slot runs over its full feasible list (slot 0 is the
 // most-significant digit, so shards are contiguous ranges of the walk).
 void WfWalkShard(const WfInstance& inst, int64_t begin, int64_t end,
-                 WfSeenUnion* seen_union, std::atomic<bool>* stop,
+                 SeenUnion* seen_union, std::atomic<bool>* stop,
                  const ExecControl* control, WfShardResult* out) {
   const WorkflowTables& t = *inst.tables;
   const int m = static_cast<int>(inst.slots.size());
@@ -979,18 +910,7 @@ void WfWalkShard(const WfInstance& inst, int64_t begin, int64_t end,
     cover(row_tid[static_cast<size_t>(e)]);
   }
 
-  // Shard-local first-seen flags: avoid re-locking the union for pairs this
-  // shard already reported.
-  std::vector<std::vector<uint8_t>> local_seen;
-  int64_t unseen_pairs = 0;
-  local_seen.reserve(inst.inputs.size());
-  for (const auto& ti : inst.inputs) {
-    const size_t width =
-        inst.slots[static_cast<size_t>(ti.slot)].codes->size();
-    local_seen.emplace_back(width, 0);
-    unseen_pairs += static_cast<int64_t>(width);
-  }
-
+  ShardMarks marks(inst.input_widths);
   std::vector<int> changed;
   // Scratch for distinct-relation capture: rows flattened back to back plus
   // a row-index permutation, reused across consistent worlds.
@@ -1036,15 +956,10 @@ void WfWalkShard(const WfInstance& inst, int64_t begin, int64_t end,
         }
         out->distinct_relations.insert(rel_key);
       }
-      if (unseen_pairs > 0) {
+      if (marks.unseen > 0) {
         for (size_t p = 0; p < inst.inputs.size(); ++p) {
-          const int32_t j = idx[static_cast<size_t>(inst.inputs[p].slot)];
-          uint8_t& s = local_seen[p][static_cast<size_t>(j)];
-          if (!s) {
-            s = 1;
-            --unseen_pairs;
-            seen_union->Mark(p, j, stop);
-          }
+          marks.Mark(p, idx[static_cast<size_t>(inst.inputs[p].slot)],
+                     seen_union, stop);
         }
       }
     }
@@ -1128,17 +1043,6 @@ WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
   if (control != nullptr && control->ExpiredNow()) {
     result.status = control->Check();
     return result;
-  }
-  if (!tables.log_materialized) {
-    if (control != nullptr) {
-      result.status = Status::InvalidArgument(
-          "world enumeration needs a materialized execution log; "
-          "rebuild the tables with materialize_threshold >= num_execs");
-      return result;
-    }
-    PV_CHECK_MSG(tables.log_materialized,
-                 "world enumeration needs a materialized execution log; "
-                 "rebuild the tables with materialize_threshold >= num_execs");
   }
   const Workflow& workflow = *tables.workflow;
   const int n = tables.num_modules;
@@ -1423,15 +1327,10 @@ WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
     }
   }
   if (result.pruned_candidates > opts.max_candidates) {
-    if (control != nullptr) {
-      result.status = Status::ResourceExhausted(
-          "workflow world space too large after pruning: " +
-          std::to_string(result.pruned_candidates));
-      return result;
-    }
-    PV_CHECK_MSG(result.pruned_candidates <= opts.max_candidates,
-                 "workflow world space too large after pruning: "
-                     << result.pruned_candidates);
+    result.status = Status::ResourceExhausted(
+        "workflow world space too large after pruning: " +
+        std::to_string(result.pruned_candidates));
+    return result;
   }
   if (result.pruned_candidates == 0) return result;  // some slot infeasible
 
@@ -1456,36 +1355,21 @@ WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
     }
   }
 
-  // OUT-set marks: one pair per (free module, original input code).
-  std::vector<bool> gamma_tracked(static_cast<size_t>(n), false);
-  if (opts.gamma > 0) {
-    if (opts.gamma_modules.empty()) {
-      for (int i : inst.free_modules) {
-        if (!workflow.module(i).is_public()) {
-          gamma_tracked[static_cast<size_t>(i)] = true;
-        }
-      }
-    } else {
-      for (int i : opts.gamma_modules) {
-        PV_CHECK(i >= 0 && i < n);
-        // A fixed module's OUT sets are singletons: it can never reach
-        // Γ > 1, and silently dropping it would turn into a vacuous
-        // early-stop success below.
-        PV_CHECK_MSG(!fixed[static_cast<size_t>(i)],
-                     "gamma_modules must not contain fixed module " << i);
-        gamma_tracked[static_cast<size_t>(i)] = true;
-      }
-    }
-  }
+  // OUT-set marks: one pair per (free module, original input code). The
+  // Γ short-circuit tracks every free private module (fixed modules have
+  // singleton OUT sets and would never reach Γ > 1).
   int64_t tracked_pairs = 0;
   for (int i : inst.free_modules) {
     const size_t si = static_cast<size_t>(i);
+    const bool gamma_tracked = !workflow.module(i).is_public();
     for (int32_t d : tables.orig_input_codes[si]) {
       const int32_t s = inst.slot_of[si][static_cast<size_t>(d)];
       PV_CHECK(s >= 0);
-      inst.inputs.push_back(
-          WfInstance::TrackedInput{i, d, s, gamma_tracked[si]});
-      if (gamma_tracked[si]) ++tracked_pairs;
+      inst.inputs.push_back(WfInstance::TrackedInput{i, d, s});
+      inst.input_widths.push_back(
+          inst.slots[static_cast<size_t>(s)].codes->size());
+      inst.input_gamma.push_back(gamma_tracked);
+      if (gamma_tracked) ++tracked_pairs;
     }
   }
   if (opts.gamma > 0 && tracked_pairs == 0) {
@@ -1505,7 +1389,7 @@ WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
   if (result.pruned_candidates <= opts.min_parallel_candidates) threads = 1;
   const int shards = static_cast<int>(std::min<int64_t>(threads, slot0));
 
-  WfSeenUnion seen_union(inst, opts.gamma);
+  SeenUnion seen_union(inst.input_widths, inst.input_gamma, opts.gamma);
   std::atomic<bool> stop(false);
   std::vector<WfShardResult> partials(static_cast<size_t>(shards));
   // Each shard keeps per-execution values/trace/row_tid arrays; charge the
@@ -1579,15 +1463,6 @@ WorkflowWorlds EnumerateWorkflowWorlds(const Workflow& workflow,
   topts.control = opts.control;  // the build shares the request's deadline
   return EnumerateWorkflowWorlds(*BuildWorkflowTables(workflow, topts),
                                  visible, fixed_modules, opts);
-}
-
-WorkflowWorlds EnumerateWorkflowWorlds(const Workflow& workflow,
-                                       const Bitset64& visible,
-                                       const std::vector<int>& fixed_modules,
-                                       int64_t max_candidates) {
-  WorkflowEnumerationOptions opts;
-  opts.max_candidates = max_candidates;
-  return EnumerateWorkflowWorlds(workflow, visible, fixed_modules, opts);
 }
 
 WorkflowWorlds EnumerateWorkflowWorldsNaive(const Workflow& workflow,

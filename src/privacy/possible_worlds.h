@@ -52,8 +52,7 @@ struct EnumerationOptions {
   /// Optional deadline/cancellation/memory-budget token (service mode).
   /// When set, the walk polls it at chunk boundaries and a tripped control
   /// stops the enumeration with a typed `status` (DEADLINE_EXCEEDED /
-  /// RESOURCE_EXHAUSTED) instead of aborting — including the candidate-space
-  /// guards, which PV_CHECK-abort only when no control is attached.
+  /// RESOURCE_EXHAUSTED) instead of aborting.
   const ExecControl* control = nullptr;
 };
 
@@ -70,9 +69,11 @@ struct StandaloneWorlds {
   int64_t pruned_candidates = 0;
   /// |Range|^N: candidates the naive engine would walk.
   int64_t naive_candidates = 0;
-  /// OK on a completed run. DEADLINE_EXCEEDED / RESOURCE_EXHAUSTED when the
-  /// attached ExecControl tripped: counts and OUT sets are then the partial
-  /// state at the stop point (stats, not verdicts).
+  /// OK on a completed run. RESOURCE_EXHAUSTED when the candidate space
+  /// exceeds a size guard (out_sets then stay empty), with or without an
+  /// ExecControl; DEADLINE_EXCEEDED / RESOURCE_EXHAUSTED when the attached
+  /// ExecControl tripped: counts and OUT sets are then the partial state at
+  /// the stop point (stats, not verdicts).
   Status status;
 
   /// min_x |OUT_{x,m}| — the exact largest safe Γ. INT64_MAX when no input.
@@ -83,13 +84,14 @@ struct StandaloneWorlds {
 /// relation projects onto V exactly like R does, i.e. all members of
 /// Worlds(R, V) that keep R's input set. (By the flip construction these
 /// realize every achievable OUT value; see standalone_privacy.h.)
-/// Pruned + incremental + optionally parallel; aborts if the pruned space
-/// ∏_i |feasible_i| exceeds `opts.max_candidates`.
+/// Pruned + incremental + optionally parallel; returns RESOURCE_EXHAUSTED
+/// in `status` if the output range or the pruned space ∏_i |feasible_i|
+/// exceeds `opts.max_candidates`.
 StandaloneWorlds EnumerateStandaloneWorlds(const Relation& rel,
                                            const std::vector<AttrId>& inputs,
                                            const std::vector<AttrId>& outputs,
                                            const Bitset64& visible,
-                                           const EnumerationOptions& opts);
+                                           const EnumerationOptions& opts = {});
 
 /// Core entry point: sources rows from any supplier (materialized table or
 /// module function), so the engine no longer requires an eagerly built
@@ -99,14 +101,7 @@ StandaloneWorlds EnumerateStandaloneWorlds(RowSupplier* rows,
                                            const std::vector<AttrId>& inputs,
                                            const std::vector<AttrId>& outputs,
                                            const Bitset64& visible,
-                                           const EnumerationOptions& opts);
-
-/// Back-compat wrapper with the historical signature.
-StandaloneWorlds EnumerateStandaloneWorlds(const Relation& rel,
-                                           const std::vector<AttrId>& inputs,
-                                           const std::vector<AttrId>& outputs,
-                                           const Bitset64& visible,
-                                           int64_t max_candidates = 40000000);
+                                           const EnumerationOptions& opts = {});
 
 /// The original unpruned odometer over |Range|^N candidate functions.
 /// Exponentially slower than EnumerateStandaloneWorlds; kept as the
@@ -120,7 +115,9 @@ StandaloneWorlds EnumerateStandaloneWorldsNaive(
 /// Brute-force Γ-standalone-privacy check via the pruned enumerator with the
 /// Γ short-circuit engaged: stops walking as soon as every input's OUT set
 /// reaches `gamma`. Semantically identical to (but exponentially slower
-/// than) Algorithm 2's IsStandaloneSafe; used to cross-check it.
+/// than) Algorithm 2's IsStandaloneSafe; used to cross-check it. A bare
+/// verdict has no status channel, so a non-OK enumeration status (an
+/// over-budget space, a tripped control) aborts with the engine's message.
 bool IsStandaloneSafeByEnumeration(const Relation& rel,
                                    const std::vector<AttrId>& inputs,
                                    const std::vector<AttrId>& outputs,
@@ -147,8 +144,10 @@ struct WorkflowWorlds {
   int64_t pruned_candidates = 0;
   /// ∏ |Range_i|^{|Dom_i|} over free modules: the naive joint space.
   int64_t naive_candidates = 0;
-  /// OK on a completed run. DEADLINE_EXCEEDED / RESOURCE_EXHAUSTED when the
-  /// attached ExecControl tripped mid-walk (partial counts, no verdict).
+  /// OK on a completed run. RESOURCE_EXHAUSTED when the pruned space
+  /// exceeds `max_candidates` (with or without an ExecControl; out_sets are
+  /// then empty); DEADLINE_EXCEEDED / RESOURCE_EXHAUSTED when the attached
+  /// ExecControl tripped mid-walk (partial counts, no verdict).
   Status status;
 
   /// min over private-module inputs of |OUT| for a given module index.
@@ -163,16 +162,13 @@ struct WorkflowWorlds {
 /// tasks; results merge by commutative sums/unions, so the outcome is
 /// deterministic regardless of thread count.
 struct WorkflowEnumerationOptions : EngineConfig {
-  /// Abort if the (pruned) walked joint space exceeds this.
+  /// Refuse (RESOURCE_EXHAUSTED) if the pruned walked joint space exceeds
+  /// this.
   int64_t max_candidates = 40000000;
-  /// When > 0, stop enumerating as soon as every tracked module input's OUT
-  /// set holds at least this many outputs. Counts become lower bounds and
-  /// `early_stopped` is set.
+  /// When > 0, stop enumerating as soon as the OUT set of every original
+  /// input of every free private module holds at least this many outputs.
+  /// Counts become lower bounds and `early_stopped` is set.
   int64_t gamma = 0;
-  /// Modules whose OUT sets the Γ short-circuit tracks. Empty = every free
-  /// private module (fixed modules have singleton OUT sets and would never
-  /// reach Γ > 1).
-  std::vector<int> gamma_modules;
   /// Pruned spaces at or below this size always run sequentially.
   int64_t min_parallel_candidates = 4096;
   /// Maintain the distinct-relation set. The Γ-certification path only
@@ -221,12 +217,6 @@ struct WorkflowTables {
   std::vector<int> init_radices;
   int64_t num_execs = 0;
   std::vector<AttrId> prov_ids;
-  /// True when the per-execution arrays below were materialized. Beyond the
-  /// materialization threshold the build streams executions in chunks and
-  /// keeps only the aggregates (orig_input_codes); world enumeration then
-  /// requires a rebuild with a larger threshold, but the aggregate tables
-  /// still serve batch certification and instance derivation.
-  bool log_materialized = false;
   /// Original provenance rows, flattened num_execs × prov_ids.size().
   std::vector<int32_t> orig_rows;
   /// Original input code of module i in execution e, flattened
@@ -234,42 +224,41 @@ struct WorkflowTables {
   std::vector<int32_t> orig_in_code;
   /// Initial-input values per execution, flattened num_execs × |I_0|.
   std::vector<int32_t> init_values;
-  /// OK on a completed build. When WorkflowTablesOptions::control tripped
-  /// (deadline or memory budget) the build stops early, this carries the
-  /// typed reason, and the tables must not be fed to the enumerators.
+  /// OK on a completed build. RESOURCE_EXHAUSTED when a module or the
+  /// initial-input space exceeds a size guard (with or without an
+  /// ExecControl); DEADLINE_EXCEEDED / RESOURCE_EXHAUSTED when
+  /// WorkflowTablesOptions::control tripped. A non-OK build stops early and
+  /// its tables must not be fed to the enumerators (which return this
+  /// status instead of walking).
   Status status;
 };
 
 /// Knobs of the workflow-tables build. The shared execution knobs come
-/// from the embedded EngineConfig: num_threads shards the streamed scan
-/// (each shard owns its own ExecutionSupplier over a contiguous execution
-/// range; per-shard aggregates merge deterministically). The build is one
-/// TaskGraph — the per-module function sweeps and output-decode tables are
-/// independent tasks and the scan shards start the moment the sweeps
-/// settle — run inline at one resolved thread, else on `executor` or a
-/// private executor; materialize_threshold bounds the execution logs that keep per-execution
-/// arrays (required by world enumeration) — larger spaces stream the log
-/// and keep aggregates only; `control`'s memory budget is charged before
-/// the per-execution arrays allocate, a trip surfacing as
-/// WorkflowTables::status instead of a PV_CHECK abort.
+/// from the embedded EngineConfig: num_threads shards the scan of the
+/// original run (each shard owns its own ExecutionSupplier over a
+/// contiguous execution range and fills a disjoint slice of the
+/// per-execution arrays, so results do not depend on the shard count).
+/// The build is one TaskGraph — the per-module function sweeps and
+/// output-decode tables are independent tasks and the scan shards start
+/// the moment the sweeps settle — run inline at one resolved thread, else
+/// on `executor` or a private executor. materialize_threshold is accepted
+/// but unused: the execution log is always materialized, and
+/// max_executions is its one size bound. `control`'s memory budget is
+/// charged before the per-execution arrays allocate, a trip surfacing as
+/// WorkflowTables::status.
 struct WorkflowTablesOptions : EngineConfig {
-  /// Hard budget on the initial-input product space (the execution count),
-  /// materialized or streamed.
+  /// Budget on the initial-input product space (the execution count);
+  /// larger spaces come back RESOURCE_EXHAUSTED.
   int64_t max_executions = int64_t{1} << 22;
   /// Executions per streamed chunk (the shard-sized unit of work).
   int64_t chunk_executions = int64_t{1} << 16;
 };
 
-/// Precomputes the shared tables, streaming the execution log from the
+/// Precomputes the shared tables, materializing the execution log from the
 /// initial-input odometer in chunk-sized blocks (one pass, optionally
 /// sharded into TaskGraph tasks).
 std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
-    const Workflow& workflow, const WorkflowTablesOptions& opts);
-
-/// Back-compat wrapper: materializes the log (as world enumeration needs)
-/// and refuses initial-input spaces beyond `max_executions`.
-std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
-    const Workflow& workflow, int64_t max_executions = 1 << 22);
+    const Workflow& workflow, const WorkflowTablesOptions& opts = {});
 
 /// Enumerates joint choices of total functions (g_1, ..., g_n) — keeping
 /// g_i = m_i for every module index in `fixed_modules` (Definition 4's
@@ -288,22 +277,18 @@ std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
 /// walk early, and the walk is sharded over the first walked slot's
 /// feasible codes as TaskGraph tasks. Byte-identical results to
 /// EnumerateWorkflowWorldsNaive on full runs.
-WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
-                                       const Bitset64& visible,
-                                       const std::vector<int>& fixed_modules,
-                                       const WorkflowEnumerationOptions& opts);
+WorkflowWorlds EnumerateWorkflowWorlds(
+    const WorkflowTables& tables, const Bitset64& visible,
+    const std::vector<int>& fixed_modules,
+    const WorkflowEnumerationOptions& opts = {});
 
-/// Convenience overload building the tables internally.
-WorkflowWorlds EnumerateWorkflowWorlds(const Workflow& workflow,
-                                       const Bitset64& visible,
-                                       const std::vector<int>& fixed_modules,
-                                       const WorkflowEnumerationOptions& opts);
-
-/// Back-compat wrapper with the historical signature.
-WorkflowWorlds EnumerateWorkflowWorlds(const Workflow& workflow,
-                                       const Bitset64& visible,
-                                       const std::vector<int>& fixed_modules,
-                                       int64_t max_candidates = 40000000);
+/// Convenience overload building the tables internally (with the default
+/// WorkflowTablesOptions and `opts.control`); a non-OK build comes back as
+/// the result's status.
+WorkflowWorlds EnumerateWorkflowWorlds(
+    const Workflow& workflow, const Bitset64& visible,
+    const std::vector<int>& fixed_modules,
+    const WorkflowEnumerationOptions& opts = {});
 
 /// The original joint odometer over the unpruned ∏ |Range_i|^{|Dom_i|}
 /// space. Exponentially slower than EnumerateWorkflowWorlds; kept as the

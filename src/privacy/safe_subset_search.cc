@@ -56,15 +56,6 @@ int LatticeTaskCount(int64_t total, int threads, int64_t min_parallel) {
                 total}));
 }
 
-// The explicit materialize_threshold parameter of the Module convenience
-// overloads wins when the caller moved it off the default; otherwise the
-// EngineConfig field applies.
-int64_t ResolveThreshold(int64_t param, const SubsetSearchOptions& opts) {
-  return param != Module::kDefaultMaterializeRows
-             ? param
-             : opts.materialize_threshold;
-}
-
 }  // namespace
 
 std::vector<Bitset64> MinimalSafeHiddenSets(SafetyMemo* memo,
@@ -274,10 +265,9 @@ MinCostSafeResult MinCostSafeHiddenSet(const Relation& rel,
 std::vector<Bitset64> MinimalSafeHiddenSets(const Module& module,
                                             int64_t gamma,
                                             SafeSearchStats* stats,
-                                            int64_t materialize_threshold,
                                             const SubsetSearchOptions& opts) {
   SafeSearchStats local_stats;
-  SafetyMemo memo(module, ResolveThreshold(materialize_threshold, opts));
+  SafetyMemo memo(module, opts.materialize_threshold);
   std::vector<Bitset64> minimal =
       MinimalSafeHiddenSets(&memo, module.inputs(), module.outputs(),
                             module.catalog()->size(), gamma, &local_stats,
@@ -287,10 +277,9 @@ std::vector<Bitset64> MinimalSafeHiddenSets(const Module& module,
 }
 
 MinCostSafeResult MinCostSafeHiddenSet(const Module& module, int64_t gamma,
-                                       int64_t materialize_threshold,
                                        const SubsetSearchOptions& opts) {
   MinCostSafeResult result;
-  SafetyMemo memo(module, ResolveThreshold(materialize_threshold, opts));
+  SafetyMemo memo(module, opts.materialize_threshold);
   std::vector<Bitset64> minimal =
       MinimalSafeHiddenSets(&memo, module.inputs(), module.outputs(),
                             module.catalog()->size(), gamma, &result.stats,
@@ -454,9 +443,8 @@ std::vector<CardinalityPair> MinimalSafeCardinalityPairs(
 }
 
 std::vector<CardinalityPair> MinimalSafeCardinalityPairs(
-    const Module& module, int64_t gamma, int64_t materialize_threshold,
-    const SubsetSearchOptions& opts) {
-  SafetyMemo memo(module, ResolveThreshold(materialize_threshold, opts));
+    const Module& module, int64_t gamma, const SubsetSearchOptions& opts) {
+  SafetyMemo memo(module, opts.materialize_threshold);
   return MinimalSafeCardinalityPairs(&memo, module.inputs(), module.outputs(),
                                      module.catalog()->size(), gamma, opts);
 }

@@ -99,20 +99,15 @@ MinCostSafeResult MinCostSafeHiddenSet(const Relation& rel,
                                        int64_t gamma);
 
 /// Convenience overloads over the module relation. Domains of at most
-/// `materialize_threshold` rows use the materialized fast path; larger
+/// `opts.materialize_threshold` rows use the materialized fast path; larger
 /// domains stream rows from the module's function on every checker pass, so
 /// the searches work past the 2^22 materialization wall (subject to the
-/// k <= 24 subset-space limit). The explicit parameter wins when it differs
-/// from the default; otherwise opts.materialize_threshold (the EngineConfig
-/// field) applies, so a single config can carry the knob.
+/// k <= 24 subset-space limit).
 std::vector<Bitset64> MinimalSafeHiddenSets(
     const Module& module, int64_t gamma, SafeSearchStats* stats = nullptr,
-    int64_t materialize_threshold = Module::kDefaultMaterializeRows,
     const SubsetSearchOptions& opts = {});
-MinCostSafeResult MinCostSafeHiddenSet(
-    const Module& module, int64_t gamma,
-    int64_t materialize_threshold = Module::kDefaultMaterializeRows,
-    const SubsetSearchOptions& opts = {});
+MinCostSafeResult MinCostSafeHiddenSet(const Module& module, int64_t gamma,
+                                       const SubsetSearchOptions& opts = {});
 
 /// A cardinality requirement pair (α, β): hiding ANY α inputs and β outputs
 /// of the module is safe (§4.2, cardinality constraints).
@@ -150,9 +145,7 @@ std::vector<CardinalityPair> MinimalSafeCardinalityPairs(
     const SubsetSearchOptions& opts, SafeSearchStats* stats = nullptr);
 
 std::vector<CardinalityPair> MinimalSafeCardinalityPairs(
-    const Module& module, int64_t gamma,
-    int64_t materialize_threshold = Module::kDefaultMaterializeRows,
-    const SubsetSearchOptions& opts = {});
+    const Module& module, int64_t gamma, const SubsetSearchOptions& opts = {});
 
 }  // namespace provview
 

@@ -279,8 +279,13 @@ int64_t GroundTruthWorkflowGamma(const Workflow& workflow,
     PV_CHECK_MSG(workflow.module(i).is_public(),
                  "module " << i << " is not public");
   }
+  WorkflowEnumerationOptions opts;
+  opts.max_candidates = max_candidates;
   WorkflowWorlds worlds = EnumerateWorkflowWorlds(
-      workflow, hidden.Complement(), visible_public_modules, max_candidates);
+      workflow, hidden.Complement(), visible_public_modules, opts);
+  // No status channel: an over-budget enumeration has empty OUT sets, whose
+  // INT64_MAX minimum must not read as "private".
+  PV_CHECK_MSG(worlds.status.ok(), worlds.status.message());
   int64_t min_gamma = std::numeric_limits<int64_t>::max();
   for (int i : workflow.PrivateModuleIndices()) {
     min_gamma = std::min(min_gamma, worlds.MinOutSize(i));

@@ -83,8 +83,8 @@ struct WorkflowCertificationRequest {
 /// work-stealing pool; `control` is
 /// polled between requests and at engine chunk boundaries, a trip
 /// surfacing as WorkflowBatchResult::status — partial stats, no certified
-/// verdicts. When control is null, guards keep the historical
-/// PV_CHECK-abort behavior.
+/// verdicts. With or without a control, a ground-truth table build or walk
+/// over its size budget surfaces there as RESOURCE_EXHAUSTED.
 struct WorkflowBatchOptions : EngineConfig {
   WorkflowBatchOptions() { num_threads = 0; }
 
@@ -117,7 +117,10 @@ struct WorkflowBatchResult {
   /// Non-OK when a service-mode control tripped (DEADLINE_EXCEEDED /
   /// RESOURCE_EXHAUSTED) or a request was structurally invalid
   /// (INVALID_ARGUMENT). Entries then carry no certified verdicts — only
-  /// `stats` reflects the partial work done.
+  /// `stats` reflects the partial work done. Also RESOURCE_EXHAUSTED when
+  /// a ground-truth table build or walk exceeded its size budget; the
+  /// certificates then stand and the refused requests keep
+  /// ground_truth_private false.
   Status status;
 };
 
@@ -185,7 +188,8 @@ WorkflowBatchResult CertifyWorkflowBatch(
 /// min over private modules and their original inputs of |OUT_{x,W}|, with
 /// the public modules in `visible_public_modules` held fixed (Definition 4)
 /// and all other modules free. The workflow is Γ-private iff the returned
-/// value is ≥ Γ.
+/// value is ≥ Γ. Aborts with the enumerator's message when the tables or the
+/// pruned world space exceed their budgets.
 int64_t GroundTruthWorkflowGamma(const Workflow& workflow,
                                  const Bitset64& hidden,
                                  const std::vector<int>& visible_public_modules,

@@ -1,9 +1,10 @@
 // Streaming access to a workflow's execution log: yields the provenance
 // rows of executions [begin, end) of the initial-input odometer in blocks,
-// without ever materializing the full log. This is how BuildWorkflowTables
-// scans initial-input spaces past the 2^22 materialization wall, and each
-// shard of a parallel scan owns its own supplier over a contiguous
-// execution range while sharing one immutable ExecutionPlan.
+// without ever materializing the full log. BuildWorkflowTables fills its
+// per-execution arrays through it in chunk-sized blocks (the tables keep
+// the whole log, so max_executions bounds the scan), and each shard of a
+// parallel scan owns its own supplier over a contiguous execution range
+// while sharing one immutable ExecutionPlan.
 #ifndef PROVVIEW_WORKFLOW_EXECUTION_SUPPLIER_H_
 #define PROVVIEW_WORKFLOW_EXECUTION_SUPPLIER_H_
 

@@ -78,9 +78,11 @@ TEST(PossibleWorldsEquivalenceTest, LargerInputSpaceMatchesNaive) {
     StandaloneWorlds naive = EnumerateStandaloneWorldsNaive(
         inst.relation, inst.module->inputs(), inst.module->outputs(),
         inst.visible, int64_t{1} << 40);
+    EnumerationOptions opts;
+    opts.max_candidates = int64_t{1} << 40;
     StandaloneWorlds fast = EnumerateStandaloneWorlds(
         inst.relation, inst.module->inputs(), inst.module->outputs(),
-        inst.visible, int64_t{1} << 40);
+        inst.visible, opts);
     ExpectIdentical(naive, fast, seed);
   }
 }

@@ -53,6 +53,42 @@ TEST(StandaloneWorldsTest, FullyVisibleLeavesSingleWorld) {
   EXPECT_EQ(worlds.MinOutSize(), 1);
 }
 
+// Every size guard returns RESOURCE_EXHAUSTED in `status`, with or without
+// an ExecControl, and leaves the OUT sets empty.
+TEST(StandaloneWorldsTest, OverBudgetReturnsResourceExhaustedWithoutControl) {
+  Fig1Workflow fig = MakeFig1Workflow();
+  const Module& m1 = fig.workflow->module(fig.m1_index);
+  Relation rel = m1.FullRelation();
+  Bitset64 v = Bitset64::Of(7, {fig.a1, fig.a3, fig.a5});
+  // |Range| = 8 outputs: a budget of 4 trips the output-range guard, a
+  // budget of 8 the pruned-space guard (64 worlds need at least 64
+  // candidates).
+  for (int64_t budget : {4, 8}) {
+    EnumerationOptions opts;
+    opts.max_candidates = budget;
+    StandaloneWorlds worlds =
+        EnumerateStandaloneWorlds(rel, m1.inputs(), m1.outputs(), v, opts);
+    EXPECT_EQ(worlds.status.code(), StatusCode::kResourceExhausted)
+        << "budget " << budget;
+    EXPECT_TRUE(worlds.out_sets.empty()) << "budget " << budget;
+    EXPECT_EQ(worlds.num_worlds, 0) << "budget " << budget;
+  }
+}
+
+TEST(StandaloneWorldsDeathTest, SafetyCheckDiesOverBudget) {
+  // A bare verdict has no status channel: empty OUT sets (min INT64_MAX)
+  // must never read as "safe".
+  Fig1Workflow fig = MakeFig1Workflow();
+  const Module& m1 = fig.workflow->module(fig.m1_index);
+  Relation rel = m1.FullRelation();
+  Bitset64 v = Bitset64::Of(7, {fig.a1, fig.a3, fig.a5});
+  EnumerationOptions opts;
+  opts.max_candidates = 8;
+  EXPECT_DEATH(IsStandaloneSafeByEnumeration(rel, m1.inputs(), m1.outputs(),
+                                             v, 2, opts),
+               "too large after pruning");
+}
+
 // Property (Lemma 2 + flip construction): the Algorithm-2 counting
 // semantics agree EXACTLY with brute-force world enumeration — both the
 // minimum OUT size and every individual OUT set.
@@ -125,6 +161,32 @@ TEST(WorkflowWorldsTest, FixedModulesConstrainWorlds) {
   // Once the public module is free (privatized), 2 outputs are possible.
   WorkflowWorlds free = EnumerateWorkflowWorlds(*chain.workflow, visible, {});
   EXPECT_EQ(free.MinOutSize(chain.bijection_index), 2);
+}
+
+TEST(WorkflowWorldsTest, OverBudgetTablesReturnResourceExhausted) {
+  // fig1's log has one execution per (a1, a2): 4 executions.
+  Fig1Workflow fig = MakeFig1Workflow();
+  WorkflowTablesOptions topts;
+  topts.max_executions = 3;
+  std::shared_ptr<const WorkflowTables> tables =
+      BuildWorkflowTables(*fig.workflow, topts);
+  EXPECT_EQ(tables->status.code(), StatusCode::kResourceExhausted);
+  EXPECT_TRUE(tables->orig_rows.empty());
+  // The enumerator hands the build's status back instead of walking.
+  WorkflowWorlds worlds = EnumerateWorkflowWorlds(
+      *tables, Bitset64::Of(7, {fig.a1, fig.a7}), {});
+  EXPECT_EQ(worlds.status.code(), StatusCode::kResourceExhausted);
+}
+
+TEST(WorkflowWorldsTest, OverBudgetWalkReturnsResourceExhausted) {
+  Fig1Workflow fig = MakeFig1Workflow();
+  WorkflowEnumerationOptions opts;
+  opts.max_candidates = 1;
+  WorkflowWorlds worlds = EnumerateWorkflowWorlds(
+      *fig.workflow, Bitset64::Of(7, {fig.a1, fig.a7}), {}, opts);
+  EXPECT_EQ(worlds.status.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(worlds.num_function_choices, 0);
+  for (const auto& sets : worlds.out_sets) EXPECT_TRUE(sets.empty());
 }
 
 TEST(WorkflowWorldsTest, AllVisibleSingleWorld) {

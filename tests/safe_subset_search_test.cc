@@ -184,9 +184,9 @@ TEST(SafeSubsetSearchTest, ShardedMinimalSetsMatchSequential) {
     par.min_parallel_subsets = 0;
     SafeSearchStats seq_stats, par_stats;
     std::vector<Bitset64> a = MinimalSafeHiddenSets(
-        *m, gamma, &seq_stats, Module::kDefaultMaterializeRows, seq);
+        *m, gamma, &seq_stats, seq);
     std::vector<Bitset64> b = MinimalSafeHiddenSets(
-        *m, gamma, &par_stats, Module::kDefaultMaterializeRows, par);
+        *m, gamma, &par_stats, par);
     EXPECT_EQ(a, b) << "gamma " << gamma;  // same sets, same order
     // Exact aggregation: every examined subset is counted exactly once
     // across the shards — the total is the closed-form lattice size, the
@@ -216,18 +216,18 @@ TEST(SafeSubsetSearchTest, ShardedMinCostAndCardinalityMatchSequential) {
   par.min_parallel_subsets = 0;
   for (int64_t gamma : {int64_t{2}, int64_t{4}}) {
     MinCostSafeResult a =
-        MinCostSafeHiddenSet(*m, gamma, Module::kDefaultMaterializeRows, seq);
+        MinCostSafeHiddenSet(*m, gamma, seq);
     MinCostSafeResult b =
-        MinCostSafeHiddenSet(*m, gamma, Module::kDefaultMaterializeRows, par);
+        MinCostSafeHiddenSet(*m, gamma, par);
     EXPECT_EQ(a.found, b.found) << "gamma " << gamma;
     if (a.found) {
       EXPECT_EQ(a.hidden, b.hidden);
       EXPECT_DOUBLE_EQ(a.cost, b.cost);
     }
     std::vector<CardinalityPair> fa = MinimalSafeCardinalityPairs(
-        *m, gamma, Module::kDefaultMaterializeRows, seq);
+        *m, gamma, seq);
     std::vector<CardinalityPair> fb = MinimalSafeCardinalityPairs(
-        *m, gamma, Module::kDefaultMaterializeRows, par);
+        *m, gamma, par);
     EXPECT_EQ(fa, fb) << "gamma " << gamma;
   }
 }
@@ -529,7 +529,7 @@ TEST(SafeSubsetSearchTest, ThreadCountsByteIdenticalAndMatchBruteForce) {
     seq.num_threads = 1;
     SafeSearchStats seq_stats;
     std::vector<Bitset64> want = MinimalSafeHiddenSets(
-        *m, gamma, &seq_stats, Module::kDefaultMaterializeRows, seq);
+        *m, gamma, &seq_stats, seq);
     EXPECT_EQ(want, BruteForceMinimalSafe(*m, gamma)) << "seed " << seed;
 
     for (int threads : {2, 4, 8}) {
@@ -538,7 +538,7 @@ TEST(SafeSubsetSearchTest, ThreadCountsByteIdenticalAndMatchBruteForce) {
       par.min_parallel_subsets = 0;
       SafeSearchStats par_stats;
       std::vector<Bitset64> got = MinimalSafeHiddenSets(
-          *m, gamma, &par_stats, Module::kDefaultMaterializeRows, par);
+          *m, gamma, &par_stats, par);
       EXPECT_EQ(got, want) << "seed " << seed << " threads " << threads;
       EXPECT_EQ(par_stats.subsets_examined, seq_stats.subsets_examined);
       EXPECT_EQ(par_stats.checker_calls, seq_stats.checker_calls)
@@ -584,14 +584,14 @@ TEST(SafeSubsetSearchTest, CardinalityPairsMatchAcrossThreadCounts) {
       }
     }
     std::vector<CardinalityPair> want = MinimalSafeCardinalityPairs(
-        *m, gamma, Module::kDefaultMaterializeRows, seq);
+        *m, gamma, seq);
     EXPECT_EQ(want, oracle) << "gamma " << gamma;
     for (int threads : {2, 4, 8}) {
       SubsetSearchOptions par;
       par.num_threads = threads;
       par.min_parallel_subsets = 0;
       EXPECT_EQ(MinimalSafeCardinalityPairs(
-                    *m, gamma, Module::kDefaultMaterializeRows, par),
+                    *m, gamma, par),
                 want)
           << "gamma " << gamma << " threads " << threads;
     }

@@ -1,8 +1,9 @@
 // Randomized equivalence suite for the streaming row paths: on instances
 // small enough to also materialize, the streaming engines (supplier-fed
 // MaxStandaloneGamma, streaming SafetyMemo, supplier-fed standalone world
-// enumeration, streamed workflow-table builds) must return verdicts,
-// world counts and aggregates identical to the materialized paths.
+// enumeration, sharded workflow-table builds) must return verdicts,
+// world counts and tables identical to the materialized or sequential
+// paths.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -11,7 +12,6 @@
 #include "privacy/possible_worlds.h"
 #include "privacy/safe_subset_search.h"
 #include "privacy/standalone_privacy.h"
-#include "workflow/fig1_workflow.h"
 
 namespace provview {
 namespace {
@@ -81,14 +81,17 @@ TEST(StreamingEquivalenceTest, SubsetSearchMatchesAcrossPaths) {
     RandomModule inst = MakeRandomModule(2, 2, 3, seed);
     const Module& m = *inst.module;
     for (int64_t gamma : {2, 4}) {
+      SubsetSearchOptions mat_opts, stream_opts;
+      mat_opts.materialize_threshold = m.DomainSize();
+      stream_opts.materialize_threshold = 0;
       SafeSearchStats mat_stats, stream_stats;
-      std::vector<Bitset64> mat = MinimalSafeHiddenSets(
-          m, gamma, &mat_stats, /*materialize_threshold=*/m.DomainSize());
-      std::vector<Bitset64> stream = MinimalSafeHiddenSets(
-          m, gamma, &stream_stats, /*materialize_threshold=*/0);
+      std::vector<Bitset64> mat =
+          MinimalSafeHiddenSets(m, gamma, &mat_stats, mat_opts);
+      std::vector<Bitset64> stream =
+          MinimalSafeHiddenSets(m, gamma, &stream_stats, stream_opts);
       EXPECT_EQ(mat, stream) << "seed " << seed << " gamma " << gamma;
-      EXPECT_EQ(MinimalSafeCardinalityPairs(m, gamma, m.DomainSize()),
-                MinimalSafeCardinalityPairs(m, gamma, 0))
+      EXPECT_EQ(MinimalSafeCardinalityPairs(m, gamma, mat_opts),
+                MinimalSafeCardinalityPairs(m, gamma, stream_opts))
           << "seed " << seed << " gamma " << gamma;
     }
   }
@@ -109,61 +112,31 @@ TEST(StreamingEquivalenceTest, SupplierWorldsMatchNaiveEnumeration) {
   }
 }
 
-TEST(StreamingEquivalenceTest, StreamedTablesMatchMaterializedAggregates) {
+TEST(StreamingEquivalenceTest, ShardedTableBuildMatchesSequential) {
   for (uint64_t seed = 200; seed < 206; ++seed) {
     Rng rng(seed);
     RandomWorkflowOptions options;
     options.num_modules = 3;
     GeneratedWorkflow rw = MakeRandomWorkflow(options, &rng);
-    std::shared_ptr<const WorkflowTables> mat =
+    std::shared_ptr<const WorkflowTables> seq =
         BuildWorkflowTables(*rw.workflow);
-    ASSERT_TRUE(mat->log_materialized);
+    ASSERT_TRUE(seq->status.ok());
 
-    WorkflowTablesOptions stream_opts;
-    stream_opts.materialize_threshold = 0;  // force the aggregate-only scan
-    stream_opts.chunk_executions = 3;       // exercise chunk boundaries
-    std::shared_ptr<const WorkflowTables> streamed =
-        BuildWorkflowTables(*rw.workflow, stream_opts);
-    EXPECT_FALSE(streamed->log_materialized);
-    EXPECT_EQ(streamed->num_execs, mat->num_execs);
-    EXPECT_EQ(streamed->orig_input_codes, mat->orig_input_codes)
+    // Small chunks over four shards exercise the chunk and shard
+    // boundaries of the streamed scan.
+    WorkflowTablesOptions sharded_opts;
+    sharded_opts.num_threads = 4;
+    sharded_opts.chunk_executions = 1;
+    std::shared_ptr<const WorkflowTables> sharded =
+        BuildWorkflowTables(*rw.workflow, sharded_opts);
+    ASSERT_TRUE(sharded->status.ok());
+    EXPECT_EQ(sharded->num_execs, seq->num_execs) << "seed " << seed;
+    EXPECT_EQ(sharded->orig_rows, seq->orig_rows) << "seed " << seed;
+    EXPECT_EQ(sharded->orig_in_code, seq->orig_in_code) << "seed " << seed;
+    EXPECT_EQ(sharded->init_values, seq->init_values) << "seed " << seed;
+    EXPECT_EQ(sharded->orig_input_codes, seq->orig_input_codes)
         << "seed " << seed;
-    EXPECT_TRUE(streamed->orig_rows.empty());
-
-    // The sharded scan merges to the same aggregates.
-    WorkflowTablesOptions parallel_opts = stream_opts;
-    parallel_opts.num_threads = 4;
-    parallel_opts.chunk_executions = 1;
-    std::shared_ptr<const WorkflowTables> parallel =
-        BuildWorkflowTables(*rw.workflow, parallel_opts);
-    EXPECT_EQ(parallel->orig_input_codes, mat->orig_input_codes)
-        << "seed " << seed;
-
-    // A materialized build through the chunked scan is byte-identical to
-    // the default build.
-    WorkflowTablesOptions chunked_mat;
-    chunked_mat.chunk_executions = 2;
-    chunked_mat.num_threads = 2;
-    std::shared_ptr<const WorkflowTables> remat =
-        BuildWorkflowTables(*rw.workflow, chunked_mat);
-    EXPECT_TRUE(remat->log_materialized);
-    EXPECT_EQ(remat->orig_rows, mat->orig_rows) << "seed " << seed;
-    EXPECT_EQ(remat->orig_in_code, mat->orig_in_code) << "seed " << seed;
-    EXPECT_EQ(remat->init_values, mat->init_values) << "seed " << seed;
   }
-}
-
-TEST(StreamingEquivalenceTest, WorldEnumerationRefusesStreamedTables) {
-  Fig1Workflow fig = MakeFig1Workflow();
-  WorkflowTablesOptions opts;
-  opts.materialize_threshold = 0;
-  std::shared_ptr<const WorkflowTables> streamed =
-      BuildWorkflowTables(*fig.workflow, opts);
-  WorkflowEnumerationOptions wopts;
-  EXPECT_DEATH(EnumerateWorkflowWorlds(*streamed,
-                                       Bitset64::All(fig.catalog->size()), {},
-                                       wopts),
-               "materialized execution log");
 }
 
 }  // namespace

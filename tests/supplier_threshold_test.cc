@@ -80,18 +80,18 @@ TEST(SupplierThresholdTest, BothPathsCertifyIdenticallyWithIdenticalStats) {
 TEST(SupplierThresholdTest, SubsetSearchesAgreeAcrossTheCutoff) {
   BoundaryFixture fx;
   for (int64_t gamma : {2, 6}) {
+    SubsetSearchOptions mat_opts, stream_opts;
+    mat_opts.materialize_threshold = BoundaryFixture::kCutoff;
+    stream_opts.materialize_threshold = BoundaryFixture::kCutoff - 1;
     SafeSearchStats mat_stats, stream_stats;
-    std::vector<Bitset64> mat = MinimalSafeHiddenSets(
-        *fx.module, gamma, &mat_stats, BoundaryFixture::kCutoff);
-    std::vector<Bitset64> stream = MinimalSafeHiddenSets(
-        *fx.module, gamma, &stream_stats, BoundaryFixture::kCutoff - 1);
+    std::vector<Bitset64> mat =
+        MinimalSafeHiddenSets(*fx.module, gamma, &mat_stats, mat_opts);
+    std::vector<Bitset64> stream =
+        MinimalSafeHiddenSets(*fx.module, gamma, &stream_stats, stream_opts);
     EXPECT_EQ(mat, stream) << "gamma " << gamma;
     EXPECT_TRUE(StatsEqual(mat_stats, stream_stats)) << "gamma " << gamma;
-    EXPECT_EQ(
-        MinimalSafeCardinalityPairs(*fx.module, gamma,
-                                    BoundaryFixture::kCutoff),
-        MinimalSafeCardinalityPairs(*fx.module, gamma,
-                                    BoundaryFixture::kCutoff - 1))
+    EXPECT_EQ(MinimalSafeCardinalityPairs(*fx.module, gamma, mat_opts),
+              MinimalSafeCardinalityPairs(*fx.module, gamma, stream_opts))
         << "gamma " << gamma;
     EXPECT_EQ(MaxStandaloneGamma(*fx.module, Bitset64(fx.catalog->size()),
                                  BoundaryFixture::kCutoff),

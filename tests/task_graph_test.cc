@@ -207,33 +207,6 @@ TEST(TaskGraphTest, ManyGraphsInterleaveOnOneExecutor) {
   EXPECT_EQ(total.load(), 4 * 10 * 11);
 }
 
-TEST(TaskGraphTest, AdmissionGateBoundsAndReleases) {
-  TaskGraphExecutor executor(1, /*max_pending=*/10);
-  EXPECT_EQ(executor.max_pending(), 10);
-  EXPECT_TRUE(executor.TryAdmit(6));
-  EXPECT_EQ(executor.admitted_units(), 6);
-  EXPECT_FALSE(executor.TryAdmit(5));  // 6 + 5 > 10
-  EXPECT_TRUE(executor.TryAdmit(4));
-  EXPECT_FALSE(executor.TryAdmit(1));  // full
-  executor.Release(4);
-  EXPECT_TRUE(executor.TryAdmit(1));
-  executor.Release(7);
-  EXPECT_EQ(executor.admitted_units(), 0);
-}
-
-TEST(TaskGraphTest, AdmissionTicketReleasesOnEveryPath) {
-  TaskGraphExecutor executor(1, /*max_pending=*/4);
-  ASSERT_TRUE(executor.TryAdmit(3));
-  {
-    AdmissionTicket ticket(&executor, 3);
-    EXPECT_EQ(executor.admitted_units(), 3);
-    // Move keeps a single owner.
-    AdmissionTicket moved(std::move(ticket));
-    EXPECT_EQ(executor.admitted_units(), 3);
-  }
-  EXPECT_EQ(executor.admitted_units(), 0);
-}
-
 TEST(TaskGraphTest, EmptyGraphCompletes) {
   TaskGraphExecutor executor(2);
   TaskGraph graph;

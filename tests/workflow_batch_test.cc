@@ -10,6 +10,7 @@
 #include "generators/families.h"
 #include "generators/random_workflow.h"
 #include "privacy/workflow_privacy.h"
+#include "workflow/fig1_workflow.h"
 
 namespace provview {
 namespace {
@@ -201,6 +202,22 @@ TEST(WorkflowBatchTest, GroundTruthMatchesSingleCalls) {
   // Example 7's point: standalone-certified but not workflow-private while
   // the public constant stays visible.
   EXPECT_TRUE(batch.entries[0].certificate.certified);
+  EXPECT_FALSE(batch.entries[0].ground_truth_private);
+}
+
+TEST(WorkflowBatchTest, OverBudgetGroundTruthReturnsResourceExhausted) {
+  // No ExecControl attached: the enumerator's candidate budget still comes
+  // back as a typed status, and no ground-truth verdict is claimed.
+  Fig1Workflow fig = MakeFig1Workflow();
+  const Bitset64 hidden = Bitset64::Of(7, {fig.a2, fig.a4});
+  WorkflowBatchOptions opts;
+  opts.with_ground_truth = true;
+  opts.max_candidates = 1;
+  WorkflowBatchResult batch =
+      CertifyWorkflowBatch(*fig.workflow, {{hidden, 2}}, opts);
+  EXPECT_EQ(batch.status.code(), StatusCode::kResourceExhausted)
+      << batch.status.message();
+  ASSERT_EQ(batch.entries.size(), 1u);
   EXPECT_FALSE(batch.entries[0].ground_truth_private);
 }
 

@@ -9,6 +9,7 @@
 #include "privacy/safe_subset_search.h"
 #include "privacy/standalone_privacy.h"
 #include "privacy/workflow_privacy.h"
+#include "workflow/fig1_workflow.h"
 
 namespace provview {
 namespace {
@@ -173,6 +174,16 @@ TEST(PerModuleGammaTest, PublicModulesReportMax) {
   EXPECT_EQ(gammas[static_cast<size_t>(chain.constant_index)],
             std::numeric_limits<int64_t>::max());
   EXPECT_EQ(gammas[static_cast<size_t>(chain.bijection_index)], 1);
+}
+
+TEST(WorkflowPrivacyDeathTest, GroundTruthDiesOverBudget) {
+  // A bare Γ has no status channel: the empty OUT sets of a refused walk
+  // (min INT64_MAX) must never read as "private".
+  Fig1Workflow fig = MakeFig1Workflow();
+  const Bitset64 hidden = Bitset64::Of(7, {fig.a2, fig.a4});
+  EXPECT_DEATH(GroundTruthWorkflowGamma(*fig.workflow, hidden, {},
+                                        /*max_candidates=*/1),
+               "too large after pruning");
 }
 
 }  // namespace
