@@ -337,85 +337,7 @@ void WorkflowSpeedupTable() {
 // uses >2^22-row instances the eager path refuses outright.
 bool ShortMode() { return std::getenv("PODS_BENCH_SHORT") != nullptr; }
 
-// --- E1f: feasible-set fixpoint on deep workflows + sharded lattice. ---
-
-struct DeepCase {
-  std::string label;
-  std::shared_ptr<const WorkflowTables> tables;
-  Bitset64 visible;
-};
-
-void FixpointSpeedupTable() {
-  PrintBanner(
-      "E1f: feasible-set fixpoint engine vs determined-input engine "
-      "(>=4-stage workflows)");
-  Rng rng(612);
-  // The generated workflows must outlive their tables (WorkflowTables
-  // borrows the Workflow).
-  // 4-stage one-one chain, 2 bits per layer, hide layer 3 (the inputs of
-  // the last stage): the fixpoint forces stages 1-2 through the visible
-  // layers and prunes stage 3 against the view; the determined-input engine
-  // walks stages 2-4 at full range.
-  OneOneChain chain = MakeOneOneChain(4, 2, &rng);
-  // Diamond with tail (longest path 4 modules), hide the sink's outputs:
-  // both branches and the source get forced, the sink prunes, the tail is
-  // walked by both engines.
-  DiamondWorkflow dia = MakeDiamondWorkflow(1, /*with_tail=*/true, &rng);
-
-  std::vector<DeepCase> cases;
-  {
-    Bitset64 hidden(chain.catalog->size());
-    for (AttrId id : chain.layer_attrs[3]) hidden.Set(id);
-    cases.push_back({"chain 4-stage k=2, hide layer 3",
-                     BuildWorkflowTables(*chain.workflow),
-                     hidden.Complement()});
-  }
-  {
-    Bitset64 hidden(dia.catalog->size());
-    for (AttrId id : dia.y) hidden.Set(id);
-    cases.push_back({"diamond k=1 + tail, hide sink out",
-                     BuildWorkflowTables(*dia.workflow),
-                     hidden.Complement()});
-  }
-
-  TablePrinter t({"config", "off walked", "on walked", "fn choices",
-                  "off ms", "on ms", "speedup"});
-  double min_speedup = 1e100;
-  for (const DeepCase& c : cases) {
-    WorkflowEnumerationOptions on, off;
-    on.max_candidates = off.max_candidates = int64_t{1} << 33;
-    on.num_threads = off.num_threads = 0;  // auto
-    off.use_feasible_sets = false;
-    WorkflowWorlds won, woff;
-    double off_ms = TimeMs(1, [&] {
-      woff = EnumerateWorkflowWorlds(*c.tables, c.visible, {}, off);
-    });
-    double on_ms = TimeMs(3, [&] {
-      won = EnumerateWorkflowWorlds(*c.tables, c.visible, {}, on);
-    });
-    PV_CHECK_MSG(won.num_function_choices == woff.num_function_choices &&
-                     won.num_distinct_relations ==
-                         woff.num_distinct_relations &&
-                     won.out_sets == woff.out_sets,
-                 "fixpoint engine diverged from the base engine on "
-                     << c.label);
-    double speedup = off_ms / std::max(on_ms, 1e-6);
-    min_speedup = std::min(min_speedup, speedup);
-    t.NewRow()
-        .AddCell(c.label)
-        .AddCell(woff.pruned_candidates)
-        .AddCell(won.pruned_candidates)
-        .AddCell(won.num_function_choices)
-        .AddCell(off_ms, 2)
-        .AddCell(on_ms, 2)
-        .AddCell(speedup, 1);
-  }
-  t.Print();
-  std::cout << "  deep min speedup " << min_speedup
-            << "x (acceptance target: >= 5x on >=4-stage shapes; function "
-               "choices, distinct relations and OUT sets verified identical "
-               "per row)\n";
-}
+// --- E1f: sharded subset-lattice search. ---
 
 void ShardedSubsetSearchTable() {
   PrintBanner("E1f: sharded subset-lattice search scaling");
@@ -542,7 +464,6 @@ int main() {
   SpeedupTable();
   WorkflowSpeedupTable();
   StreamingStandaloneTable();
-  FixpointSpeedupTable();
   ShardedSubsetSearchTable();
   std::cout << "\n[bench_possible_worlds done in " << sw.ElapsedSeconds()
             << "s]\n";

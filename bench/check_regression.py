@@ -16,7 +16,6 @@ THRESHOLD = 0.5
 METRICS = [
     ("standalone_min_speedup_x", ("standalone_min_speedup_x", "e1c_min_speedup_x")),
     ("workflow_min_speedup_x", ("workflow_min_speedup_x",)),
-    ("e1f_deep_chain_speedup_x", ("e1f_deep_chain_speedup_x",)),
     ("sharded_search_speedup_x", ("sharded_search_speedup_x",)),
     ("podsd_throughput_rps", ("podsd_throughput_rps",)),
     ("podsd_idle_conns_supported", ("podsd_idle_conns_supported",)),

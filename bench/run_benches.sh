@@ -42,9 +42,7 @@ PW_WF_MIN_SPEEDUP="$(grep -o 'workflow min speedup [0-9.]*' "${PW_LOG}" | awk '{
 E1E_ROWS="$(grep -o 'E1e standalone: rows=[0-9]*' "${PW_LOG}" | awk -F= '{print $2}' | head -1 || true)"
 E1E_GAMMA="$(grep -o 'E1e standalone: rows=[0-9]* gamma=[0-9]*' "${PW_LOG}" | awk -F= '{print $3}' | head -1 || true)"
 E1E_MS="$(grep -o 'E1e standalone: .* stream_ms=[0-9.]*' "${PW_LOG}" | awk -F= '{print $NF}' | head -1 || true)"
-# E1f: "deep min speedup 243.9x" from the fixpoint race and the sharded
-# subset-lattice summary line.
-E1F_SPEEDUP="$(grep -o 'deep min speedup [0-9.]*' "${PW_LOG}" | awk '{print $4}' | head -1 || true)"
+# E1f: the sharded subset-lattice summary line.
 E1F_K="$(grep -o 'E1f sharded subset search: k=[0-9]*' "${PW_LOG}" | awk -F= '{print $2}' | head -1 || true)"
 E1F_MINIMAL="$(grep -o 'minimal_sets=[0-9]*' "${PW_LOG}" | awk -F= '{print $2}' | head -1 || true)"
 E1F_SEQ_MS="$(grep -o 'seq_ms=[0-9.]*' "${PW_LOG}" | awk -F= '{print $2}' | head -1 || true)"
@@ -127,7 +125,6 @@ cat >"${LATEST_JSON}" <<EOF
   "e1e_stream_rows": ${E1E_ROWS:-null},
   "e1e_stream_gamma": ${E1E_GAMMA:-null},
   "e1e_stream_ms": ${E1E_MS:-null},
-  "e1f_deep_chain_speedup_x": ${E1F_SPEEDUP:-null},
   "e1f_sharded_search_k": ${E1F_K:-null},
   "e1f_minimal_sets": ${E1F_MINIMAL:-null},
   "k24_seq_search_ms": ${E1F_SEQ_MS:-null},
@@ -166,7 +163,7 @@ HIST_KEYS = [
     "date_utc", "git_rev", "host_threads", "short_mode",
     "standalone_min_speedup_x", "workflow_min_speedup_x",
     "e1e_stream_ms",
-    "e1f_deep_chain_speedup_x", "e1f_sharded_search_k",
+    "e1f_sharded_search_k",
     "k24_seq_search_ms", "k24_sharded_search_ms",
     "sharded_search_speedup_x", "podsd_throughput_rps",
     "podsd_p50_ms", "podsd_p95_ms", "podsd_p99_ms",

@@ -22,11 +22,6 @@ struct EngineConfig {
   /// Worker threads. 0 = hardware concurrency, 1 = fully sequential.
   int num_threads = 1;
 
-  /// Module domains of at most this many rows use the materialized
-  /// relation fast path; larger domains stream rows from the module's
-  /// function per pass. Mirrors Module::kDefaultMaterializeRows.
-  int64_t materialize_threshold = int64_t{1} << 22;
-
   /// Optional shared executor (e.g. the daemon's). nullptr = a private
   /// executor per call sized so the calling thread plus its workers total
   /// num_threads runners.

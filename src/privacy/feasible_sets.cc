@@ -228,8 +228,7 @@ FeasibleSetAnalysis AnalyzeFeasibleSets(const WorkflowTables& tables,
   };
 
   // Recomputes module mi's per-reached-slot candidate lists (mi determined
-  // and free) through the shared DeterminedSlotPruner — the same
-  // visible-projection test the use_feasible_sets=false engine runs, here
+  // and free) through the DeterminedSlotPruner's visible-projection test,
   // with the extended pinned set and intersected with the per-attribute
   // feasible sets of ALL outputs (hidden ones included: that is where
   // downstream narrowing bites). The O(num_execs) log scan depends only on

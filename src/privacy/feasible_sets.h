@@ -1,7 +1,8 @@
 // Feasible-set fixpoint analysis over the workflow DAG: an abstract
 // interpretation run once per (workflow tables, visible set, fixed set)
-// before world enumeration, so the enumerator can shrink candidate lists of
-// slots the determined-input pruning of the base engine cannot touch.
+// before every world enumeration. It supplies the enumerator's per-slot
+// candidate lists and the domain points it factors out of the walk, reaching
+// slots that pruning by initial-input determinedness alone cannot touch.
 //
 // Abstract domain (one element per attribute / module, all finite):
 //
@@ -24,7 +25,7 @@
 //     input-code set through its function; a free module's reached output
 //     codes are those whose per-attribute values are all feasible (for a
 //     determined free module, additionally those surviving the per-slot
-//     visible-projection test of the base engine); output attributes then
+//     per-slot visible-projection test); output attributes then
 //     narrow to the projections of the surviving codes;
 //   - backward, in reverse topological order, through FIXED modules only
 //     (a free module can map any input to any feasible output, so its
@@ -52,8 +53,9 @@
 //     reached in NO consistent world, so its slot's choice multiplies the
 //     world count by |Range| without changing any candidate relation or any
 //     tracked OUT set (tracked inputs are original codes, which are always
-//     feasible) — the enumerator walks it as a singleton pinned to the
-//     original code and multiplies the factored count instead.
+//     feasible) — the enumerator factors it out of the walk, multiplying
+//     the count by |Range|, and cuts any branch that still routes an
+//     execution there.
 #ifndef PROVVIEW_PRIVACY_FEASIBLE_SETS_H_
 #define PROVVIEW_PRIVACY_FEASIBLE_SETS_H_
 
@@ -69,10 +71,8 @@
 
 namespace provview {
 
-/// The determined-module visible-projection pruning core, shared verbatim by
-/// the use_feasible_sets=false engine (plain determined-attribute rule, no
-/// value filter) and the fixpoint (extended pinned set plus feasible-value
-/// filtering) — one implementation, so the two engines cannot drift.
+/// The determined-module visible-projection pruning core of the fixpoint,
+/// run with its extended pinned set and a feasible-value filter.
 ///
 /// For a determined free module every execution reaches its original input
 /// code, so a candidate output code c is allowed on a reached slot iff for
@@ -140,7 +140,7 @@ struct FeasibleSetAnalysis {
   std::vector<std::vector<int32_t>> feasible_out_codes;
 
   /// Σ over non-determined modules of dom points proven unreachable — the
-  /// slots the enumerator factors that the base engine walks at full range.
+  /// slots the enumerator factors instead of walking at full range.
   int64_t factored_free_slots = 0;
 };
 

@@ -35,10 +35,10 @@ std::vector<int> VisiblePositions(const std::vector<AttrId>& attrs,
 // Runs fn(shard, begin, end) over the non-empty TaskRanges of `shards`
 // partitioning [0, total), as the independent tasks of one graph on
 // `shared` or a private executor of `shards` runners. The world walks
-// shard slot 0's feasible codes this way; each shard writes only its own
-// partial, merged by the caller. A single shard is a plain call: batch
-// ground truth runs one sequential walk per request, and a graph per walk
-// would be pure overhead there.
+// shard their first branch point's codes this way; each shard writes only
+// its own partial, merged by the caller. A single shard is a plain call:
+// batch ground truth runs one sequential walk per request, and a graph per
+// walk would be pure overhead there.
 void RunRanges(TaskGraphExecutor* shared, int64_t total, int shards,
                const std::function<void(int, int64_t, int64_t)>& fn) {
   if (shards <= 1) {
@@ -126,6 +126,7 @@ struct ShardMarks {
     seen.reserve(widths.size());
     for (size_t w : widths) {
       seen.emplace_back(w, 0);
+      left.push_back(static_cast<int64_t>(w));
       unseen += static_cast<int64_t>(w);
     }
   }
@@ -135,11 +136,22 @@ struct ShardMarks {
     uint8_t& s = seen[pair][static_cast<size_t>(j)];
     if (s) return;
     s = 1;
+    --left[pair];
     --unseen;
     seen_union->Mark(pair, j, stop);
   }
 
+  // Marks every feasible index of `pair`: a leaf of the lazy workflow walk
+  // stands for every code of a slot no execution reached.
+  void MarkAll(size_t pair, SeenUnion* seen_union, std::atomic<bool>* stop) {
+    if (left[pair] == 0) return;
+    for (size_t j = 0; j < seen[pair].size(); ++j) {
+      Mark(pair, static_cast<int32_t>(j), seen_union, stop);
+    }
+  }
+
   std::vector<std::vector<uint8_t>> seen;
+  std::vector<int64_t> left;  // per pair: indices not yet seen
   int64_t unseen = 0;
 };
 
@@ -700,39 +712,50 @@ std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
 }
 
 // ----------------------------------------------------------------------------
-// Pruned incremental workflow engine.
+// Lazy workflow walk.
 //
-// One walked slot per (free module, reachable domain point). Modules whose
-// inputs are determined in every world (fed by initial inputs through fixed
-// modules only) always receive their original input codes, so their
-// unreached slots are factored out of the walk (every value is consistent
-// whenever the rest is) and their reached slots are pruned to the output
-// codes whose determined-visible row fragment occurs in the target view.
-// Executions are re-run incrementally: an odometer step re-executes only the
-// executions whose trace crosses a changed slot, from the changed module
-// onward, while a count-per-target-id multiset plus an invalid-row counter
-// give an O(1) consistency test per step.
+// One slot per walked (free module, domain point). Modules whose inputs are
+// pinned in every world (privacy/feasible_sets.h) always receive their
+// original input codes, so their unreached domain points are factored out of
+// the walk and their reached slots keep only the fixpoint's candidate codes.
+// Domain points of other free modules that the fixpoint proved unreachable
+// in every consistent world are factored out too; a branch in which an
+// execution still reaches one is cut.
+//
+// The walk is depth-first over the executions in log order. A slot gets a
+// code only when an execution first reaches it, and the walk branches over
+// its feasible list there; every other slot stays unassigned. A branch is
+// cut as soon as a finished execution's row is outside the target view, or
+// the executions left cannot cover the target ids still uncovered. A leaf
+// (every execution finished, every target id covered) is consistent for
+// every code of every slot it left unassigned, since no execution reads
+// them: it stands for the product of their widths in function choices,
+// marks a tracked pair on an unassigned slot with its whole feasible list,
+// and adds one candidate relation. Full runs therefore give the joint
+// odometer's counts, OUT sets and distinct relations exactly.
+//
+// The walk keeps an explicit frame stack, one frame per assigned slot, so
+// its depth is bounded by the slots and never by the execution count.
+// Backtracking to a frame uncovers the rows of the executions since it
+// that read its slot or a later one, and resumes that frame's execution at
+// the module that reached the slot.
 // ----------------------------------------------------------------------------
 
 namespace {
 
 struct WfInstance {
   const WorkflowTables* tables = nullptr;
-  int num_free = 0;
-  std::vector<int> free_modules;  // module index per free order
-  std::vector<int> free_index;    // module -> free order, -1 if fixed
+  std::vector<int> free_modules;  // free module indices, ascending
+  std::vector<bool> is_free;      // per module
   std::vector<int> topo;          // module evaluation order
-  std::vector<int> topo_pos;      // module -> position in topo
 
-  struct Slot {
-    int module = 0;
-    int32_t in_code = 0;
-    const std::vector<int32_t>* codes = nullptr;  // feasible output codes
-  };
-  std::vector<Slot> slots;
+  // Feasible output codes per walked slot.
+  std::vector<const std::vector<int32_t>*> slots;
   // Per module (free only): input code -> walked slot index. -1 marks a
   // factored slot, which no execution can ever query.
   std::vector<std::vector<int32_t>> slot_of;
+  // ∏ |feasible_s| over the walked slots: the pruned space.
+  int64_t space = 1;
 
   std::vector<int> visible_pos;  // visible positions in the prov row
   const TupleInterner* target = nullptr;
@@ -749,23 +772,17 @@ struct WfInstance {
   std::vector<int32_t> group_of_exec;
   std::vector<std::vector<int32_t>> tid_tables;  // per group, nd-space wide
 
-  // Hot-loop structure-of-arrays mirrors, filled by FinalizeSlots().
+  // Hot-loop mirrors, filled by FinalizeSlots().
   std::vector<const int32_t*> slot_codes;  // raw feasible-code arrays
   std::vector<int32_t> slot_len;
-  std::vector<int32_t> slot_in_code;
-  std::vector<int> slot_fi;    // free index of the owning module
-  std::vector<int> slot_topo;  // topo position of the owning module
   int64_t nd_space = 1;
   std::vector<int32_t> tid_flat;        // concatenated tid tables
   std::vector<int64_t> exec_tid_base;   // per exec: offset into tid_flat
 
   void FinalizeSlots() {
-    for (const Slot& s : slots) {
-      slot_codes.push_back(s.codes->data());
-      slot_len.push_back(static_cast<int32_t>(s.codes->size()));
-      slot_in_code.push_back(s.in_code);
-      slot_fi.push_back(free_index[static_cast<size_t>(s.module)]);
-      slot_topo.push_back(topo_pos[static_cast<size_t>(s.module)]);
+    for (const std::vector<int32_t>* codes : slots) {
+      slot_codes.push_back(codes->data());
+      slot_len.push_back(static_cast<int32_t>(codes->size()));
     }
     if (use_nd) {
       tid_flat.reserve(tid_tables.size() * static_cast<size_t>(nd_space));
@@ -801,121 +818,153 @@ struct WfShardResult {
       distinct_relations;
 };
 
-// Walks the sub-space where slot 0's feasible index runs over [begin, end)
-// and every other slot runs over its full feasible list (slot 0 is the
-// most-significant digit, so shards are contiguous ranges of the walk).
-void WfWalkShard(const WfInstance& inst, int64_t begin, int64_t end,
-                 SeenUnion* seen_union, std::atomic<bool>* stop,
-                 const ExecControl* control, WfShardResult* out) {
+// One assigned slot on the walk's stack.
+struct WfFrame {
+  int32_t slot = 0;
+  int32_t end = 0;   // one past the last feasible index this walk tries
+  int64_t exec = 0;  // the execution that first reached the slot
+  size_t pos = 0;    // topo position of the module that reached it
+};
+
+// RunExec's results other than a slot index.
+constexpr int32_t kExecFinished = -1;
+constexpr int32_t kExecDeadEnd = -2;  // reached a factored domain point
+
+// Runs execution e from topo position *pos under the partial assignment
+// `idx` (-1 = unassigned), writing its attribute values into `vals`. With
+// `frame_of`, raises *dep to the largest frame_of[s] over the slots it
+// reads. Returns the first unassigned slot it reaches, with *pos at the
+// module that reached it; kExecDeadEnd when it reaches a domain point no
+// consistent world reaches; else kExecFinished once it has finished.
+int32_t RunExec(const WfInstance& inst, const int32_t* idx,
+                const int32_t* frame_of, int64_t e, int32_t* vals,
+                size_t* pos, int32_t* dep) {
   const WorkflowTables& t = *inst.tables;
-  const int m = static_cast<int>(inst.slots.size());
+  if (*pos == 0) {
+    const std::vector<AttrId>& init_ids = t.workflow->initial_input_ids();
+    const int32_t* init =
+        &t.init_values[static_cast<size_t>(e) * init_ids.size()];
+    for (size_t k = 0; k < init_ids.size(); ++k) {
+      vals[static_cast<size_t>(init_ids[k])] = init[k];
+    }
+  }
+  for (size_t p = *pos; p < inst.topo.size(); ++p) {
+    const size_t mi = static_cast<size_t>(inst.topo[p]);
+    int64_t in_code = 0;
+    const auto& ins = t.in_attrs[mi];
+    for (size_t j = 0; j < ins.size(); ++j) {
+      in_code += static_cast<int64_t>(vals[static_cast<size_t>(ins[j])]) *
+                 t.in_strides[mi][j];
+    }
+    int32_t out_code;
+    if (!inst.is_free[mi]) {
+      out_code = t.original_fn[mi][static_cast<size_t>(in_code)];
+    } else {
+      const int32_t s = inst.slot_of[mi][static_cast<size_t>(in_code)];
+      if (s < 0) return kExecDeadEnd;
+      const int32_t j = idx[s];
+      if (j < 0) {
+        *pos = p;
+        return s;
+      }
+      if (frame_of != nullptr) *dep = std::max(*dep, frame_of[s]);
+      out_code = inst.slot_codes[static_cast<size_t>(s)][j];
+    }
+    const auto& outs = t.out_attrs[mi];
+    const int32_t* out_vals =
+        &t.out_values[mi][static_cast<size_t>(out_code) * outs.size()];
+    for (size_t j = 0; j < outs.size(); ++j) {
+      vals[static_cast<size_t>(outs[j])] = out_vals[j];
+    }
+  }
+  return kExecFinished;
+}
+
+// Interned target id of finished execution e's visible row, -1 if the row
+// is outside the target view.
+int32_t RowTid(const WfInstance& inst, int64_t e, const int32_t* vals,
+               Tuple* vis_buf) {
+  if (inst.use_nd) {
+    int64_t code = inst.exec_tid_base[static_cast<size_t>(e)];
+    for (size_t j = 0; j < inst.nd_attr_ids.size(); ++j) {
+      code += static_cast<int64_t>(
+                  vals[static_cast<size_t>(inst.nd_attr_ids[j])]) *
+              inst.nd_strides[j];
+    }
+    return inst.tid_flat[static_cast<size_t>(code)];
+  }
+  const WorkflowTables& t = *inst.tables;
+  for (size_t p = 0; p < inst.visible_pos.size(); ++p) {
+    (*vis_buf)[p] = vals[static_cast<size_t>(
+        t.prov_ids[static_cast<size_t>(inst.visible_pos[p])])];
+  }
+  return inst.target->Find(*vis_buf);
+}
+
+// Width of the walk's first multi-code branch point. Every slot the walk
+// reaches before it is a singleton, so the walk is forced up to there and
+// shards can split that point's codes. 1 when the walk reaches none.
+int64_t FirstBranchWidth(const WfInstance& inst) {
+  const WorkflowTables& t = *inst.tables;
+  std::vector<int32_t> idx(inst.slots.size(), -1);
+  std::vector<int32_t> vals(static_cast<size_t>(t.num_attrs), -1);
+  int32_t dep = -1;
+  for (int64_t e = 0; e < t.num_execs; ++e) {
+    size_t pos = 0;
+    int32_t s;
+    while ((s = RunExec(inst, idx.data(), nullptr, e, vals.data(), &pos,
+                        &dep)) >= 0) {
+      if (inst.slot_len[static_cast<size_t>(s)] > 1) {
+        return inst.slot_len[static_cast<size_t>(s)];
+      }
+      idx[static_cast<size_t>(s)] = 0;
+    }
+    if (s == kExecDeadEnd) break;
+  }
+  return 1;
+}
+
+// Walks every consistent partial assignment, trying only the feasible
+// indices [split_begin, split_end) at the first multi-code branch point
+// (a shard's share; [0, kMax) walks them all).
+//
+// A finished execution remembers dep[e], the deepest frame among the slots
+// it read. Only the slots of frames >= k differ when the walk backtracks
+// to frame k, and they were all first reached at or after frame k's
+// execution, so exactly the executions from there on with dep >= k lose
+// their rows; the others stay finished and covered.
+void WfWalk(const WfInstance& inst, int64_t split_begin, int64_t split_end,
+            SeenUnion* seen_union, std::atomic<bool>* stop,
+            const ExecControl* control, WfShardResult* out) {
+  constexpr int32_t kUnfinished = -2;
+  const WorkflowTables& t = *inst.tables;
   const int64_t num_execs = t.num_execs;
   const size_t prov_arity = t.prov_ids.size();
   const size_t num_attrs = static_cast<size_t>(t.num_attrs);
-  const size_t trace_width = static_cast<size_t>(std::max(inst.num_free, 1));
 
-  std::vector<int32_t> idx(static_cast<size_t>(std::max(m, 1)), 0);
-  if (m > 0) idx[0] = static_cast<int32_t>(begin);
-
-  // Per-execution state: attribute values, per-free-module input codes, and
-  // the interned target id of the visible row projection (-1 = not in the
-  // target, i.e. the row alone disproves consistency).
+  std::vector<int32_t> idx(inst.slots.size(), -1);
+  std::vector<int32_t> frame_of(inst.slots.size(), -1);
+  std::vector<WfFrame> frames;
+  frames.reserve(inst.slots.size());
   std::vector<int32_t> values(static_cast<size_t>(num_execs) * num_attrs, -1);
-  std::vector<int32_t> trace(static_cast<size_t>(num_execs) * trace_width, -1);
   std::vector<int32_t> row_tid(static_cast<size_t>(num_execs), -1);
+  std::vector<int32_t> dep(static_cast<size_t>(num_execs), kUnfinished);
   std::vector<int32_t> counts(static_cast<size_t>(inst.target->size()), 0);
   int32_t uncovered = inst.target->size();
-  int64_t invalid = 0;
-
-  auto cover = [&](int32_t tid) {
-    if (tid < 0) {
-      ++invalid;
-    } else if (counts[static_cast<size_t>(tid)]++ == 0) {
-      --uncovered;
-    }
-  };
-  auto uncover = [&](int32_t tid) {
-    if (tid < 0) {
-      --invalid;
-    } else if (--counts[static_cast<size_t>(tid)] == 0) {
-      ++uncovered;
-    }
-  };
-
+  int64_t finished = 0;  // executions whose rows are covered
   Tuple vis_buf(inst.visible_pos.size());
-  const std::vector<AttrId>& init_ids = t.workflow->initial_input_ids();
-  const size_t num_init = init_ids.size();
-
-  // (Re-)executes execution e from topo position `from` on; updates values
-  // and trace and returns the new row target id.
-  auto run_exec = [&](int64_t e, size_t from) {
-    int32_t* vals = &values[static_cast<size_t>(e) * num_attrs];
-    if (from == 0) {
-      const int32_t* init =
-          &t.init_values[static_cast<size_t>(e) * num_init];
-      for (size_t k = 0; k < num_init; ++k) {
-        vals[static_cast<size_t>(init_ids[k])] = init[k];
-      }
-    }
-    for (size_t p = from; p < inst.topo.size(); ++p) {
-      const int mi = inst.topo[p];
-      const size_t smi = static_cast<size_t>(mi);
-      int64_t in_code = 0;
-      const auto& ins = t.in_attrs[smi];
-      for (size_t j = 0; j < ins.size(); ++j) {
-        in_code += static_cast<int64_t>(vals[static_cast<size_t>(ins[j])]) *
-                   t.in_strides[smi][j];
-      }
-      int32_t out_code;
-      const int fi = inst.free_index[smi];
-      if (fi < 0) {
-        out_code = t.original_fn[smi][static_cast<size_t>(in_code)];
-      } else {
-        trace[static_cast<size_t>(e) * trace_width +
-              static_cast<size_t>(fi)] = static_cast<int32_t>(in_code);
-        const int32_t s = inst.slot_of[smi][static_cast<size_t>(in_code)];
-        out_code = inst.slot_codes[static_cast<size_t>(s)]
-                                  [static_cast<size_t>(
-                                      idx[static_cast<size_t>(s)])];
-      }
-      const auto& outs = t.out_attrs[smi];
-      const int32_t* out_vals =
-          &t.out_values[smi][static_cast<size_t>(out_code) * outs.size()];
-      for (size_t j = 0; j < outs.size(); ++j) {
-        vals[static_cast<size_t>(outs[j])] = out_vals[j];
-      }
-    }
-    if (inst.use_nd) {
-      int64_t code = inst.exec_tid_base[static_cast<size_t>(e)];
-      for (size_t j = 0; j < inst.nd_attr_ids.size(); ++j) {
-        code += static_cast<int64_t>(
-                    vals[static_cast<size_t>(inst.nd_attr_ids[j])]) *
-                inst.nd_strides[j];
-      }
-      return inst.tid_flat[static_cast<size_t>(code)];
-    }
-    for (size_t p = 0; p < inst.visible_pos.size(); ++p) {
-      vis_buf[p] = vals[static_cast<size_t>(
-          t.prov_ids[static_cast<size_t>(inst.visible_pos[p])])];
-    }
-    return inst.target->Find(vis_buf);
-  };
-
-  for (int64_t e = 0; e < num_execs; ++e) {
-    if (control != nullptr && control->Expired()) {
-      stop->store(true, std::memory_order_relaxed);
-      return;
-    }
-    row_tid[static_cast<size_t>(e)] = run_exec(e, 0);
-    cover(row_tid[static_cast<size_t>(e)]);
-  }
-
   ShardMarks marks(inst.input_widths);
-  std::vector<int> changed;
+  bool split_ahead = true;  // the first multi-code branch point not reached
+  int64_t free_product = inst.space;  // ∏ widths of the unassigned slots
+
   // Scratch for distinct-relation capture: rows flattened back to back plus
-  // a row-index permutation, reused across consistent worlds.
-  std::vector<int32_t> rows_flat(static_cast<size_t>(num_execs) * prov_arity);
-  std::vector<int32_t> row_order(static_cast<size_t>(num_execs));
+  // a row-index permutation, reused across leaves.
+  std::vector<int32_t> rows_flat;
+  std::vector<int32_t> row_order;
+  if (inst.collect_distinct) {
+    rows_flat.resize(static_cast<size_t>(num_execs) * prov_arity);
+    row_order.resize(static_cast<size_t>(num_execs));
+  }
   std::vector<int32_t> rel_key;
   auto row_less = [&](int32_t a, int32_t b) {
     const int32_t* ra = &rows_flat[static_cast<size_t>(a) * prov_arity];
@@ -923,106 +972,119 @@ void WfWalkShard(const WfInstance& inst, int64_t begin, int64_t end,
     return std::lexicographical_compare(ra, ra + prov_arity, rb,
                                         rb + prov_arity);
   };
-  for (;;) {
-    if (stop->load(std::memory_order_relaxed)) return;
-    // Deadline/cancel poll: Expired() amortizes the clock read over a
-    // thread-local stride, so this costs one relaxed load per step.
-    if (control != nullptr && control->Expired()) {
-      stop->store(true, std::memory_order_relaxed);
-      return;
-    }
-    if (invalid == 0 && uncovered == 0) {
-      ++out->num_function_choices;
-      if (inst.collect_distinct) {
-        for (int64_t e = 0; e < num_execs; ++e) {
-          const int32_t* vals = &values[static_cast<size_t>(e) * num_attrs];
-          int32_t* row = &rows_flat[static_cast<size_t>(e) * prov_arity];
-          for (size_t p = 0; p < prov_arity; ++p) {
-            row[p] = vals[static_cast<size_t>(t.prov_ids[p])];
-          }
-          row_order[static_cast<size_t>(e)] = static_cast<int32_t>(e);
-        }
-        std::sort(row_order.begin(), row_order.end(), row_less);
-        rel_key.clear();
-        for (size_t r = 0; r < row_order.size(); ++r) {
-          const int32_t* row =
-              &rows_flat[static_cast<size_t>(row_order[r]) * prov_arity];
-          if (r > 0) {  // drop duplicate rows (set semantics)
-            const int32_t* prev =
-                &rows_flat[static_cast<size_t>(row_order[r - 1]) * prov_arity];
-            if (std::equal(row, row + prov_arity, prev)) continue;
-          }
-          rel_key.insert(rel_key.end(), row, row + prov_arity);
-        }
-        out->distinct_relations.insert(rel_key);
-      }
-      if (marks.unseen > 0) {
-        for (size_t p = 0; p < inst.inputs.size(); ++p) {
-          marks.Mark(p, idx[static_cast<size_t>(inst.inputs[p].slot)],
-                     seen_union, stop);
-        }
-      }
-    }
-    if (m == 0) return;  // all modules fixed: a single joint state
-    // Advance one step (slot 1 cycles fastest, slot 0 last within this
-    // shard's range), collecting every digit the carry chain changed.
-    changed.clear();
-    {
-      int d = m > 1 ? 1 : 0;
-      bool exhausted = false;
-      for (;;) {
-        if (d == 0) {
-          if (++idx[0] == end) {
-            exhausted = true;
-          } else {
-            changed.push_back(0);
-          }
-          break;
-        }
-        if (++idx[static_cast<size_t>(d)] <
-            inst.slot_len[static_cast<size_t>(d)]) {
-          changed.push_back(d);
-          break;
-        }
-        idx[static_cast<size_t>(d)] = 0;
-        changed.push_back(d);
-        if (++d == m) d = 0;
-      }
-      if (exhausted) return;
-    }
-    // Re-run the executions whose trace crosses a changed slot, from the
-    // earliest changed module onward. The one-digit step is by far the most
-    // common shape, so it gets a branch-light fast path.
-    if (changed.size() == 1) {
-      const size_t s = static_cast<size_t>(changed[0]);
-      const size_t fi = static_cast<size_t>(inst.slot_fi[s]);
-      const int32_t in_code = inst.slot_in_code[s];
-      const size_t tp = static_cast<size_t>(inst.slot_topo[s]);
+  auto record_leaf = [&] {
+    out->num_function_choices += free_product;
+    if (inst.collect_distinct) {
       for (int64_t e = 0; e < num_execs; ++e) {
-        if (trace[static_cast<size_t>(e) * trace_width + fi] != in_code) {
-          continue;
+        const int32_t* vals = &values[static_cast<size_t>(e) * num_attrs];
+        int32_t* row = &rows_flat[static_cast<size_t>(e) * prov_arity];
+        for (size_t p = 0; p < prov_arity; ++p) {
+          row[p] = vals[static_cast<size_t>(t.prov_ids[p])];
         }
-        uncover(row_tid[static_cast<size_t>(e)]);
-        row_tid[static_cast<size_t>(e)] = run_exec(e, tp);
-        cover(row_tid[static_cast<size_t>(e)]);
+        row_order[static_cast<size_t>(e)] = static_cast<int32_t>(e);
       }
-      continue;
+      std::sort(row_order.begin(), row_order.end(), row_less);
+      rel_key.clear();
+      for (size_t r = 0; r < row_order.size(); ++r) {
+        const int32_t* row =
+            &rows_flat[static_cast<size_t>(row_order[r]) * prov_arity];
+        if (r > 0) {  // drop duplicate rows (set semantics)
+          const int32_t* prev =
+              &rows_flat[static_cast<size_t>(row_order[r - 1]) * prov_arity];
+          if (std::equal(row, row + prov_arity, prev)) continue;
+        }
+        rel_key.insert(rel_key.end(), row, row + prov_arity);
+      }
+      out->distinct_relations.insert(rel_key);
     }
-    for (int64_t e = 0; e < num_execs; ++e) {
-      size_t from = std::numeric_limits<size_t>::max();
-      for (int s : changed) {
-        const size_t ss = static_cast<size_t>(s);
-        if (trace[static_cast<size_t>(e) * trace_width +
-                  static_cast<size_t>(inst.slot_fi[ss])] ==
-            inst.slot_in_code[ss]) {
-          from = std::min(from, static_cast<size_t>(inst.slot_topo[ss]));
+    if (marks.unseen > 0) {
+      for (size_t p = 0; p < inst.inputs.size(); ++p) {
+        const int32_t j = idx[static_cast<size_t>(inst.inputs[p].slot)];
+        if (j >= 0) {
+          marks.Mark(p, j, seen_union, stop);
+        } else {
+          marks.MarkAll(p, seen_union, stop);
         }
       }
-      if (from == std::numeric_limits<size_t>::max()) continue;
-      uncover(row_tid[static_cast<size_t>(e)]);
-      row_tid[static_cast<size_t>(e)] = run_exec(e, from);
-      cover(row_tid[static_cast<size_t>(e)]);
     }
+  };
+
+  int64_t e = 0;   // the next execution to (re)run
+  size_t pos = 0;  // topo position at which execution e resumes
+  int32_t e_dep = -1;
+  for (;;) {
+    // Descend: finish the unfinished executions in order until a row
+    // leaves the view, the cover bound fails, or all are finished (a leaf).
+    for (;;) {
+      while (e < num_execs && dep[static_cast<size_t>(e)] != kUnfinished) {
+        ++e;
+      }
+      if (e == num_execs) {
+        record_leaf();
+        break;
+      }
+      int32_t* vals = &values[static_cast<size_t>(e) * num_attrs];
+      const int32_t s = RunExec(inst, idx.data(), frame_of.data(), e, vals,
+                                &pos, &e_dep);
+      if (s >= 0) {
+        // First reach of slot s: branch over its feasible list.
+        const int32_t width = inst.slot_len[static_cast<size_t>(s)];
+        int64_t begin = 0;
+        int64_t end = width;
+        if (split_ahead && width > 1) {
+          split_ahead = false;
+          begin = split_begin;
+          end = std::min<int64_t>(split_end, width);
+        }
+        frame_of[static_cast<size_t>(s)] =
+            static_cast<int32_t>(frames.size());
+        frames.push_back(WfFrame{s, static_cast<int32_t>(end), e, pos});
+        idx[static_cast<size_t>(s)] = static_cast<int32_t>(begin);
+        free_product /= width;
+        continue;
+      }
+      if (s == kExecDeadEnd) break;
+      const int32_t tid = RowTid(inst, e, vals, &vis_buf);
+      if (tid < 0) break;
+      row_tid[static_cast<size_t>(e)] = tid;
+      dep[static_cast<size_t>(e)] = e_dep;
+      if (counts[static_cast<size_t>(tid)]++ == 0) --uncovered;
+      ++finished;
+      ++e;
+      pos = 0;
+      e_dep = -1;
+      if (uncovered > num_execs - finished) break;
+    }
+    // Backtrack to the deepest frame with a code left to try.
+    for (;;) {
+      if (frames.empty()) return;  // walk exhausted
+      if (stop->load(std::memory_order_relaxed)) return;
+      if (control != nullptr && control->Expired()) {
+        stop->store(true, std::memory_order_relaxed);
+        return;
+      }
+      const WfFrame& f = frames.back();
+      if (++idx[static_cast<size_t>(f.slot)] < f.end) break;
+      idx[static_cast<size_t>(f.slot)] = -1;
+      free_product *= inst.slot_len[static_cast<size_t>(f.slot)];
+      frames.pop_back();
+    }
+    // Unfinish the executions that read the advanced slot or a popped one.
+    const WfFrame& f = frames.back();
+    const int32_t k = static_cast<int32_t>(frames.size()) - 1;
+    for (int64_t x = f.exec; x < num_execs; ++x) {
+      int32_t& d = dep[static_cast<size_t>(x)];
+      if (d < k) continue;  // unfinished, or reads only frames below k
+      if (--counts[static_cast<size_t>(row_tid[static_cast<size_t>(x)])] ==
+          0) {
+        ++uncovered;
+      }
+      d = kUnfinished;
+      --finished;
+    }
+    e = f.exec;
+    pos = f.pos;
+    e_dep = k;
   }
 }
 
@@ -1056,18 +1118,14 @@ WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
 
   WfInstance inst;
   inst.tables = &tables;
-  inst.free_index.assign(static_cast<size_t>(n), -1);
+  inst.is_free.assign(static_cast<size_t>(n), false);
   for (int i = 0; i < n; ++i) {
     if (!fixed[static_cast<size_t>(i)]) {
-      inst.free_index[static_cast<size_t>(i)] = inst.num_free++;
+      inst.is_free[static_cast<size_t>(i)] = true;
       inst.free_modules.push_back(i);
     }
   }
   inst.topo = workflow.topo_order();
-  inst.topo_pos.assign(static_cast<size_t>(n), -1);
-  for (size_t p = 0; p < inst.topo.size(); ++p) {
-    inst.topo_pos[static_cast<size_t>(inst.topo[p])] = static_cast<int>(p);
-  }
   inst.collect_distinct = opts.collect_distinct_relations;
 
   result.naive_candidates = 1;
@@ -1104,47 +1162,17 @@ WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
   }
   inst.target = &target;
 
-  // Modules whose input is the same in every world. The base rule: every
-  // input attribute is an initial input or produced by a fixed module that
-  // is itself determined. With the feasible-set pass on, the fixpoint's
-  // pinned set extends this through forced free modules and supplies the
-  // per-slot candidate lists and unreachable-domain-point factoring below.
-  std::unique_ptr<FeasibleSetAnalysis> analysis;
-  if (opts.use_feasible_sets) {
-    analysis = std::make_unique<FeasibleSetAnalysis>(
-        AnalyzeFeasibleSets(tables, visible, fixed_modules));
-  }
-  std::vector<bool> det_attr(static_cast<size_t>(tables.num_attrs), false);
-  std::vector<bool> determined(static_cast<size_t>(n), false);
-  if (analysis != nullptr) {
-    det_attr.assign(analysis->pinned_attr.begin(), analysis->pinned_attr.end());
-    determined.assign(analysis->determined.begin(),
-                      analysis->determined.end());
-  } else {
-    for (AttrId id : workflow.initial_input_ids()) {
-      det_attr[static_cast<size_t>(id)] = true;
-    }
-    for (int mi : inst.topo) {
-      const size_t smi = static_cast<size_t>(mi);
-      bool det = true;
-      for (AttrId id : tables.in_attrs[smi]) {
-        det = det && det_attr[static_cast<size_t>(id)];
-      }
-      determined[smi] = det;
-      if (det && fixed[smi]) {
-        for (AttrId id : tables.out_attrs[smi]) {
-          det_attr[static_cast<size_t>(id)] = true;
-        }
-      }
-    }
-  }
+  // The feasible-set fixpoint: attributes pinned to their original values
+  // in every world, modules whose inputs are all pinned, per-slot candidate
+  // lists and the domain points no consistent world reaches.
+  const FeasibleSetAnalysis analysis =
+      AnalyzeFeasibleSets(tables, visible, fixed_modules);
+  const std::vector<bool>& det_attr = analysis.pinned_attr;
   // Positions (in the prov row) of visible determined attributes: the part
   // of every execution's row no world can change.
   std::vector<int> det_vis_pos;
-  std::vector<int> pos_of_attr(static_cast<size_t>(tables.num_attrs), -1);
   for (size_t p = 0; p < prov_arity; ++p) {
     const AttrId id = tables.prov_ids[p];
-    pos_of_attr[static_cast<size_t>(id)] = static_cast<int>(p);
     if (det_attr[static_cast<size_t>(id)] && id < visible.size() &&
         visible.Test(id)) {
       det_vis_pos.push_back(static_cast<int>(p));
@@ -1210,122 +1238,46 @@ WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
     }
   }
 
-  // Build the walked slots, grouped by free module in reverse topological
-  // order: digit 1 cycles fastest, so the most frequent odometer steps hit
-  // the topologically last module and re-execute the shortest suffix.
-  // Non-determined modules keep the full output range on every slot (their
-  // reachedness varies across worlds, so no code can be excluded soundly);
-  // determined modules are pruned against the visible provenance view and
-  // their unreached slots are factored out.
-  std::vector<int> slot_module_order = inst.free_modules;
-  std::sort(slot_module_order.begin(), slot_module_order.end(),
-            [&](int a, int b) {
-              return inst.topo_pos[static_cast<size_t>(a)] >
-                     inst.topo_pos[static_cast<size_t>(b)];
-            });
+  // Build the walked slots. Non-determined modules keep the full output
+  // range on every slot the fixpoint left reachable (their reachedness
+  // varies across worlds, so no code can be excluded soundly); determined
+  // modules keep the fixpoint's candidate lists on their reached slots.
+  // Domain points no consistent world reaches are factored out: they
+  // multiply the function choices by |Range| each, and a branch in which
+  // an execution reaches one is cut.
   std::vector<std::vector<int32_t>> all_codes(static_cast<size_t>(n));
-  std::vector<std::vector<std::vector<int32_t>>> det_codes(
-      static_cast<size_t>(n));
-  // Singleton lists for domain points of free modules the fixpoint proved
-  // unreachable in every consistent world: walked pinned to the original
-  // code (so inconsistent mid-walk states that still route an execution
-  // there stay well-defined) while the factored multiplier accounts for
-  // their |Range| free choices.
-  std::vector<std::vector<std::vector<int32_t>>> nd_pinned(
-      static_cast<size_t>(n));
   int64_t factored_multiplier = 1;
   inst.slot_of.assign(static_cast<size_t>(n), {});
-  result.pruned_candidates = 1;
-  for (int i : slot_module_order) {
+  for (int i : inst.free_modules) {
     const size_t si = static_cast<size_t>(i);
-    const int64_t range = tables.range_size[si];
-    inst.slot_of[si].assign(static_cast<size_t>(tables.dom_size[si]), -1);
-    if (!determined[si]) {
-      all_codes[si].resize(static_cast<size_t>(range));
+    const bool det = analysis.determined[si];
+    // The walked domain points: the reached ones of a determined module,
+    // the fixpoint's feasible ones of any other.
+    const std::vector<int32_t>& points =
+        det ? tables.orig_input_codes[si] : analysis.feasible_in_codes[si];
+    if (det) {
+      PV_CHECK(analysis.det_slot_codes[si].size() == points.size());
+    } else {
+      all_codes[si].resize(static_cast<size_t>(tables.range_size[si]));
       std::iota(all_codes[si].begin(), all_codes[si].end(), 0);
-      const std::vector<int32_t>* din =
-          analysis != nullptr ? &analysis->feasible_in_codes[si] : nullptr;
-      if (din != nullptr) {
-        // Exact-size reserve keeps the singleton lists' addresses stable
-        // while slots still point at them.
-        nd_pinned[si].reserve(static_cast<size_t>(tables.dom_size[si]) -
-                              din->size());
-      }
-      size_t fit = 0;
-      for (int64_t d = 0; d < tables.dom_size[si]; ++d) {
-        bool reachable = true;
-        if (din != nullptr) {
-          if (fit < din->size() &&
-              (*din)[fit] == static_cast<int32_t>(d)) {
-            ++fit;
-          } else {
-            reachable = false;
-          }
-        }
-        inst.slot_of[si][static_cast<size_t>(d)] =
-            static_cast<int32_t>(inst.slots.size());
-        if (reachable) {
-          inst.slots.push_back(WfInstance::Slot{
-              i, static_cast<int32_t>(d), &all_codes[si]});
-          result.pruned_candidates =
-              SaturatingMul(result.pruned_candidates, range);
-        } else {
-          nd_pinned[si].push_back(
-              {tables.original_fn[si][static_cast<size_t>(d)]});
-          inst.slots.push_back(WfInstance::Slot{
-              i, static_cast<int32_t>(d), &nd_pinned[si].back()});
-          factored_multiplier = SaturatingMul(factored_multiplier, range);
-        }
-      }
-      continue;
     }
-    if (analysis != nullptr) {
-      // The fixpoint already ran the visible-projection pruning (with the
-      // extended pinned set) and the feasible-value narrowing; consume its
-      // per-reached-slot lists and factor the unreached domain points.
-      const auto& lists = analysis->det_slot_codes[si];
-      const auto& reached = tables.orig_input_codes[si];
-      PV_CHECK(lists.size() == reached.size());
-      for (int64_t u = static_cast<int64_t>(reached.size());
-           u < tables.dom_size[si]; ++u) {
-        factored_multiplier = SaturatingMul(factored_multiplier, range);
-      }
-      for (size_t k = 0; k < reached.size(); ++k) {
-        inst.slot_of[si][static_cast<size_t>(reached[k])] =
-            static_cast<int32_t>(inst.slots.size());
-        inst.slots.push_back(WfInstance::Slot{i, reached[k], &lists[k]});
-        result.pruned_candidates = SaturatingMul(
-            result.pruned_candidates, static_cast<int64_t>(lists[k].size()));
-      }
-      continue;
-    }
-    // Shared pruning core (privacy/feasible_sets.h): allowed
-    // (determined-visible prefix, visible-output fragment) pairs are the
-    // target view's projection onto those positions — a slot code whose
-    // fragment never co-occurs with one of its executions' prefixes forces
-    // that execution's row out of the view in every world. The fixpoint
-    // engine runs the identical core with its extended pinned set and a
-    // feasible-value filter.
-    DeterminedSlotPruner pruner(tables, i, visible);
-    pruner.RescanLog(det_attr);
-    det_codes[si] = pruner.CandidateLists(/*value_ok=*/nullptr);
-    const auto& reached = tables.orig_input_codes[si];
-    PV_CHECK(det_codes[si].size() == reached.size());
-    // Slots reached by no execution multiply the world count without
-    // changing any candidate relation: factor them out of the walk.
-    for (int64_t u = static_cast<int64_t>(reached.size());
-         u < tables.dom_size[si]; ++u) {
-      factored_multiplier = SaturatingMul(factored_multiplier, range);
-    }
-    for (size_t k = 0; k < reached.size(); ++k) {
-      inst.slot_of[si][static_cast<size_t>(reached[k])] =
+    inst.slot_of[si].assign(static_cast<size_t>(tables.dom_size[si]), -1);
+    for (size_t k = 0; k < points.size(); ++k) {
+      const std::vector<int32_t>& codes =
+          det ? analysis.det_slot_codes[si][k] : all_codes[si];
+      inst.slot_of[si][static_cast<size_t>(points[k])] =
           static_cast<int32_t>(inst.slots.size());
-      inst.slots.push_back(WfInstance::Slot{i, reached[k], &det_codes[si][k]});
-      result.pruned_candidates = SaturatingMul(
-          result.pruned_candidates,
-          static_cast<int64_t>(det_codes[si][k].size()));
+      inst.slots.push_back(&codes);
+      inst.space =
+          SaturatingMul(inst.space, static_cast<int64_t>(codes.size()));
     }
+    const int64_t unwalked =
+        tables.dom_size[si] - static_cast<int64_t>(points.size());
+    factored_multiplier = SaturatingMul(
+        factored_multiplier,
+        SaturatingPow(tables.range_size[si], static_cast<int>(unwalked)));
   }
+  result.pruned_candidates = inst.space;
   if (result.pruned_candidates > opts.max_candidates) {
     result.status = Status::ResourceExhausted(
         "workflow world space too large after pruning: " +
@@ -1333,27 +1285,6 @@ WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
     return result;
   }
   if (result.pruned_candidates == 0) return result;  // some slot infeasible
-
-  // Sharding splits slot 0's candidate list across the pool, but the
-  // feasible-set pass can leave slot 0 a singleton (forced, or a factored
-  // unreachable point) — which would silently serialize the whole walk.
-  // Swap the first multi-candidate slot into position 0 (before tracked
-  // inputs capture slot indices): the walker carries every slot's
-  // module/topo metadata with it, so slot order is a pure performance
-  // choice — digit 1 stays the fastest-cycling digit.
-  if (!inst.slots.empty() && inst.slots[0].codes->size() <= 1) {
-    for (size_t j = 1; j < inst.slots.size(); ++j) {
-      if (inst.slots[j].codes->size() > 1) {
-        std::swap(inst.slots[0], inst.slots[j]);
-        inst.slot_of[static_cast<size_t>(inst.slots[0].module)]
-                    [static_cast<size_t>(inst.slots[0].in_code)] = 0;
-        inst.slot_of[static_cast<size_t>(inst.slots[j].module)]
-                    [static_cast<size_t>(inst.slots[j].in_code)] =
-            static_cast<int32_t>(j);
-        break;
-      }
-    }
-  }
 
   // OUT-set marks: one pair per (free module, original input code). The
   // Γ short-circuit tracks every free private module (fixed modules have
@@ -1367,7 +1298,7 @@ WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
       PV_CHECK(s >= 0);
       inst.inputs.push_back(WfInstance::TrackedInput{i, d, s});
       inst.input_widths.push_back(
-          inst.slots[static_cast<size_t>(s)].codes->size());
+          inst.slots[static_cast<size_t>(s)]->size());
       inst.input_gamma.push_back(gamma_tracked);
       if (gamma_tracked) ++tracked_pairs;
     }
@@ -1380,35 +1311,41 @@ WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
 
   inst.FinalizeSlots();
 
-  // Shard the walk over the first walked slot's feasible codes.
-  const int64_t slot0 =
-      inst.slots.empty()
-          ? 1
-          : static_cast<int64_t>(inst.slots[0].codes->size());
+  // Shard the walk over the codes of its first multi-code branch point.
   int threads = ResolveThreads(opts.num_threads);
   if (result.pruned_candidates <= opts.min_parallel_candidates) threads = 1;
-  const int shards = static_cast<int>(std::min<int64_t>(threads, slot0));
+  const int64_t branch_width = threads > 1 ? FirstBranchWidth(inst) : 1;
+  const int shards = static_cast<int>(std::min<int64_t>(threads, branch_width));
 
   SeenUnion seen_union(inst.input_widths, inst.input_gamma, opts.gamma);
   std::atomic<bool> stop(false);
   std::vector<WfShardResult> partials(static_cast<size_t>(shards));
-  // Each shard keeps per-execution values/trace/row_tid arrays; charge the
-  // whole fleet against the request budget up front (released after the
-  // walk — the charge covers peak transient footprint, not retained state).
-  const int64_t walk_bytes =
-      static_cast<int64_t>(shards) * tables.num_execs *
-      static_cast<int64_t>((static_cast<size_t>(tables.num_attrs) +
-                            static_cast<size_t>(std::max(inst.num_free, 1)) +
-                            1) *
-                           sizeof(int32_t));
+  // Each shard keeps per-execution values, row ids and frame dependencies,
+  // the target counts, the per-slot assignment and frame index, and the
+  // frame stack, plus the distinct-relation scratch when it is collected.
+  // Charge the whole fleet against the request budget up front (released
+  // after the walk — the charge covers peak transient footprint, not
+  // retained state).
+  const int64_t execs = tables.num_execs;
+  const int64_t num_slots = static_cast<int64_t>(inst.slots.size());
+  int64_t shard_bytes =
+      (execs * (tables.num_attrs + 2) + target.size() + 2 * num_slots) *
+          static_cast<int64_t>(sizeof(int32_t)) +
+      num_slots * static_cast<int64_t>(sizeof(WfFrame));
+  if (inst.collect_distinct) {
+    shard_bytes += execs * static_cast<int64_t>(prov_arity + 1) *
+                   static_cast<int64_t>(sizeof(int32_t));
+  }
+  const int64_t walk_bytes = shards * shard_bytes;
   if (control != nullptr && !control->TryCharge(walk_bytes)) {
     result.status = control->Check();
     return result;
   }
-  RunRanges(opts.executor, slot0, shards,
+  RunRanges(opts.executor, branch_width, shards,
             [&](int shard, int64_t begin, int64_t end) {
-              WfWalkShard(inst, begin, end, &seen_union, &stop, control,
-                          &partials[static_cast<size_t>(shard)]);
+              // One shard tries every code of the branch point.
+              WfWalk(inst, begin, shards == 1 ? kMax : end, &seen_union,
+                     &stop, control, &partials[static_cast<size_t>(shard)]);
             });
   if (control != nullptr) {
     control->Release(walk_bytes);
@@ -1431,7 +1368,7 @@ WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
   for (size_t p = 0; p < inst.inputs.size(); ++p) {
     const auto& ti = inst.inputs[p];
     const size_t si = static_cast<size_t>(ti.module);
-    const auto& codes = *inst.slots[static_cast<size_t>(ti.slot)].codes;
+    const auto& codes = *inst.slots[static_cast<size_t>(ti.slot)];
     const auto& seen = seen_union.seen[p];
     const Tuple x = DecodeMixedRadix(ti.in_code, tables.in_radices[si]);
     for (size_t j = 0; j < seen.size(); ++j) {

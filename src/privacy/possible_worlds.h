@@ -139,8 +139,8 @@ struct WorkflowWorlds {
   std::vector<std::map<Tuple, std::set<Tuple>>> out_sets;
   /// True iff the Γ short-circuit fired before the walk finished.
   bool early_stopped = false;
-  /// Joint states actually walked by the pruned engine: ∏ |feasible_s| over
-  /// the walked slots (factored always-unreached slots excluded).
+  /// The pruned joint space: ∏ |feasible_s| over the walked slots (factored
+  /// always-unreached slots excluded), which `max_candidates` bounds.
   int64_t pruned_candidates = 0;
   /// ∏ |Range_i|^{|Dom_i|} over free modules: the naive joint space.
   int64_t naive_candidates = 0;
@@ -156,10 +156,9 @@ struct WorkflowWorlds {
 
 /// Tuning knobs of the optimized workflow enumerator. The shared execution
 /// knobs (num_threads, executor, control) come from the embedded
-/// EngineConfig; materialize_threshold is accepted (one config can drive a
-/// whole pipeline) but unused here. Sharded enumeration splits the first
-/// walked slot's feasible codes into contiguous ranges, run as TaskGraph
-/// tasks; results merge by commutative sums/unions, so the outcome is
+/// EngineConfig. Sharded enumeration splits the codes of the walk's first
+/// multi-code branch point into contiguous ranges, run as TaskGraph tasks;
+/// results merge by commutative sums/unions, so the outcome is
 /// deterministic regardless of thread count.
 struct WorkflowEnumerationOptions : EngineConfig {
   /// Refuse (RESOURCE_EXHAUSTED) if the pruned walked joint space exceeds
@@ -174,14 +173,6 @@ struct WorkflowEnumerationOptions : EngineConfig {
   /// Maintain the distinct-relation set. The Γ-certification path only
   /// needs OUT sets and can turn this off (num_distinct_relations stays 0).
   bool collect_distinct_relations = true;
-  /// Run the feasible-set fixpoint (privacy/feasible_sets.h) before the
-  /// walk: determinedness then crosses forced free modules, candidate lists
-  /// shrink from per-attribute feasible sets (including hidden outputs
-  /// narrowed backward through fixed modules), and domain points of free
-  /// modules proven unreachable are factored instead of walked at full
-  /// range. Exact — identical results with the pass on or off; off
-  /// reproduces the determined-input-only engine for A/B benchmarking.
-  bool use_feasible_sets = true;
 };
 
 /// Immutable per-workflow tables shared by every enumeration over the same
@@ -241,11 +232,10 @@ struct WorkflowTables {
 /// The build is one TaskGraph — the per-module function sweeps and
 /// output-decode tables are independent tasks and the scan shards start
 /// the moment the sweeps settle — run inline at one resolved thread, else
-/// on `executor` or a private executor. materialize_threshold is accepted
-/// but unused: the execution log is always materialized, and
-/// max_executions is its one size bound. `control`'s memory budget is
-/// charged before the per-execution arrays allocate, a trip surfacing as
-/// WorkflowTables::status.
+/// on `executor` or a private executor. The execution log is always
+/// materialized, and max_executions is its one size bound. `control`'s
+/// memory budget is charged before the per-execution arrays allocate, a
+/// trip surfacing as WorkflowTables::status.
 struct WorkflowTablesOptions : EngineConfig {
   /// Budget on the initial-input product space (the execution count);
   /// larger spaces come back RESOURCE_EXHAUSTED.
@@ -266,17 +256,20 @@ std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
 /// the original provenance relation, and keeps the worlds whose visible
 /// projection matches. OUT sets are recorded for every module.
 ///
-/// This is the pruned engine: slots whose input is determined in every
-/// world (fed by initial inputs through fixed modules only) are pruned to
-/// the output codes consistent with the visible provenance view — fully
-/// visible outputs collapse to the forced codes, fully hidden ones keep the
-/// whole range — and determined slots reached by no execution are factored
-/// out of the walk entirely (they multiply num_function_choices without
-/// changing any relation). The covered-target multiset is maintained
-/// incrementally across odometer steps, the Γ short-circuit can stop the
-/// walk early, and the walk is sharded over the first walked slot's
-/// feasible codes as TaskGraph tasks. Byte-identical results to
-/// EnumerateWorkflowWorldsNaive on full runs.
+/// This is the pruned engine. The feasible-set fixpoint
+/// (privacy/feasible_sets.h) runs first: slots of modules whose inputs are
+/// pinned in every world are pruned to the output codes consistent with the
+/// visible provenance view, and domain points no consistent world reaches
+/// are factored out of the walk (they multiply num_function_choices without
+/// changing any relation). The walk is then depth-first over the
+/// executions: a slot gets a code only when an execution first reaches it,
+/// and a branch is cut as soon as a finished row leaves the view or the
+/// executions left cannot cover the view. A consistent leaf stands for
+/// every code of the slots it left unassigned. The Γ short-circuit can stop
+/// the walk early, and the walk is sharded over the codes of its first
+/// multi-code branch point (everything before it is forced) as TaskGraph
+/// tasks. Byte-identical results to EnumerateWorkflowWorldsNaive on full
+/// runs.
 WorkflowWorlds EnumerateWorkflowWorlds(
     const WorkflowTables& tables, const Bitset64& visible,
     const std::vector<int>& fixed_modules,

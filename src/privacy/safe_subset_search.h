@@ -22,8 +22,7 @@ namespace provview {
 class TaskGraphExecutor;
 
 /// Knobs of the subset-lattice searches. The shared execution knobs
-/// (num_threads, executor, control, materialize_threshold) come from the
-/// embedded EngineConfig.
+/// (num_threads, executor, control) come from the embedded EngineConfig.
 ///
 /// The lattice walk is level-synchronous: subsets of one cardinality are
 /// pairwise incomparable, so a level can shard across worker threads
@@ -45,6 +44,10 @@ class TaskGraphExecutor;
 /// MUST treat results as partial whenever control->Check() is non-OK
 /// afterwards.
 struct SubsetSearchOptions : EngineConfig {
+  /// Module domains of at most this many rows use the materialized
+  /// relation fast path; larger domains stream rows from the module's
+  /// function on every checker pass.
+  int64_t materialize_threshold = Module::kDefaultMaterializeRows;
   /// Levels with at most this many subsets always run inline (the task /
   /// memo-overlay overhead would dominate).
   int64_t min_parallel_subsets = 4096;

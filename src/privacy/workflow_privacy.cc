@@ -152,8 +152,8 @@ WorkflowBatchResult CertifyWorkflowBatch(
   std::vector<std::unique_ptr<SafetyMemo>> local_memos;
   if (verdicts == nullptr) {
     for (int m_index : private_modules) {
-      local_memos.push_back(
-          std::make_unique<SafetyMemo>(workflow.module(m_index)));
+      local_memos.push_back(std::make_unique<SafetyMemo>(
+          workflow.module(m_index), opts.materialize_threshold));
     }
   }
 

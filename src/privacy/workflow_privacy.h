@@ -97,6 +97,12 @@ struct WorkflowBatchOptions : EngineConfig {
   std::vector<int> visible_public_modules;
   /// Pruned-space budget for the ground-truth enumeration.
   int64_t max_candidates = 40000000;
+  /// Private-module domains of at most this many rows materialize their
+  /// relation in the batch-local memos; larger domains stream rows from the
+  /// module's function on every checker pass. A batch answering from a
+  /// WorkflowCacheNamespace uses the namespace's memos, whose threshold was
+  /// fixed when it bound.
+  int64_t materialize_threshold = Module::kDefaultMaterializeRows;
 };
 
 /// Per-request batch output.
@@ -135,7 +141,10 @@ struct WorkflowBatchResult {
 /// verdicts, never corrupts them). Pass no cache for a private unbounded
 /// one — the historical single-owner behavior. Destroying the object drops
 /// its namespaces and every verdict filed under them from the cache, so an
-/// unregistered workflow gives its cache bytes back.
+/// unregistered workflow gives its cache bytes back. The memos fix their
+/// materialization threshold when the namespace binds
+/// (Module::kDefaultMaterializeRows); WorkflowBatchOptions'
+/// materialize_threshold does not reach them.
 class WorkflowCacheNamespace {
  public:
   /// Binds one namespace per private module of `workflow` in `cache`

@@ -25,10 +25,9 @@ void ExpectIdenticalWorlds(const WorkflowWorlds& a, const WorkflowWorlds& b) {
 }
 
 WorkflowWorlds Enumerate(const WorkflowTables& tables, const Bitset64& visible,
-                         const std::vector<int>& fixed, bool use_fixpoint) {
+                         const std::vector<int>& fixed) {
   WorkflowEnumerationOptions opts;
   opts.max_candidates = int64_t{1} << 33;
-  opts.use_feasible_sets = use_fixpoint;
   return EnumerateWorkflowWorlds(tables, visible, fixed, opts);
 }
 
@@ -64,11 +63,22 @@ TEST(FeasibleSetsTest, ForcedPropagationCrossesVisibleFreeStages) {
   // Termination bound from the header: depth + 2 sweeps.
   EXPECT_LE(a.iterations, chain.workflow->Depth() + 2);
 
-  // The enumeration consuming the analysis is exact.
-  WorkflowWorlds on = Enumerate(*tables, visible, {}, true);
-  WorkflowWorlds off = Enumerate(*tables, visible, {}, false);
-  ExpectIdenticalWorlds(on, off);
-  EXPECT_LT(on.pruned_candidates, off.pruned_candidates);
+  // The same shape at k = 1 (naive joint space 4^4 = 256; at k = 2 it is
+  // 2^32): the enumeration consuming the analysis is exact.
+  Rng small_rng(5);
+  OneOneChain small = MakeOneOneChain(4, 1, &small_rng);
+  Bitset64 small_hidden(small.catalog->size());
+  for (AttrId id : small.layer_attrs[3]) small_hidden.Set(id);
+  const Bitset64 small_visible = small_hidden.Complement();
+  auto small_tables = BuildWorkflowTables(*small.workflow);
+  FeasibleSetAnalysis sa =
+      AnalyzeFeasibleSets(*small_tables, small_visible, {});
+  EXPECT_TRUE(sa.forced[0] && sa.forced[1]);
+  EXPECT_TRUE(sa.determined[2]);
+  EXPECT_FALSE(sa.determined[3]);
+  ExpectIdenticalWorlds(
+      EnumerateWorkflowWorldsNaive(*small.workflow, small_visible, {}),
+      Enumerate(*small_tables, small_visible, {}));
 }
 
 TEST(FeasibleSetsTest, BackwardNarrowingThroughFixedModuleForcesHiddenStage) {
@@ -101,13 +111,11 @@ TEST(FeasibleSetsTest, BackwardNarrowingThroughFixedModuleForcesHiddenStage) {
   EXPECT_TRUE(a.forced[0]);
   EXPECT_LE(a.iterations, wf.Depth() + 2);
 
-  WorkflowWorlds on = Enumerate(*tables, visible, {1}, true);
-  WorkflowWorlds off = Enumerate(*tables, visible, {1}, false);
-  ExpectIdenticalWorlds(on, off);
-  // The fixpoint collapses the walk to the single consistent world; the
-  // determined-input engine still walks the hidden stage at full range.
+  WorkflowWorlds on = Enumerate(*tables, visible, {1});
+  ExpectIdenticalWorlds(EnumerateWorkflowWorldsNaive(wf, visible, {1}), on);
+  // The fixpoint collapses the walk to the single consistent world, where
+  // determinedness alone would walk the hidden stage at full range.
   EXPECT_EQ(on.pruned_candidates, 1);
-  EXPECT_GT(off.pruned_candidates, 1);
 }
 
 TEST(FeasibleSetsTest, UnreachableDomainPointsOfFreeModulesAreFactored) {
@@ -116,9 +124,8 @@ TEST(FeasibleSetsTest, UnreachableDomainPointsOfFreeModulesAreFactored) {
   // non-determined. The fixpoint still proves every (t0 = !t0_const, *)
   // domain point of m2 unreachable in any consistent world and factors
   // those slots out of the walk. With t0_const = 1 the factored points are
-  // m2's LOWEST domain codes, so the first walked slot starts as a
-  // singleton and the enumerator must re-seat its sharding pivot — the
-  // parallel run below exercises that path.
+  // m2's LOWEST domain codes; the parallel run below shards the walk's
+  // first branch point.
   for (int32_t t0_const : {0, 1}) {
     auto catalog = std::make_shared<AttributeCatalog>();
     std::vector<AttrId> x;
@@ -150,14 +157,14 @@ TEST(FeasibleSetsTest, UnreachableDomainPointsOfFreeModulesAreFactored) {
     EXPECT_EQ(a.factored_free_slots, 2);  // the (t0 = !t0_const, *) points
     ASSERT_EQ(a.feasible_in_codes[1].size(), 2u);
 
-    // Exact against the naive reference and the base engine, sequentially
-    // and with the walk sharded across a forced pool.
+    // Exact against the naive reference, sequentially and with the walk
+    // sharded across a forced pool.
     WorkflowWorlds naive = EnumerateWorkflowWorldsNaive(wf, visible, {});
-    WorkflowWorlds on = Enumerate(*tables, visible, {}, true);
-    WorkflowWorlds off = Enumerate(*tables, visible, {}, false);
+    WorkflowWorlds on = Enumerate(*tables, visible, {});
     ExpectIdenticalWorlds(naive, on);
-    ExpectIdenticalWorlds(naive, off);
-    EXPECT_LT(on.pruned_candidates, off.pruned_candidates);
+    // Pruning m1's slots and factoring m2's unreachable points shrink the
+    // walked space below the naive joint space.
+    EXPECT_LT(on.pruned_candidates, naive.pruned_candidates);
 
     WorkflowEnumerationOptions parallel;
     parallel.max_candidates = int64_t{1} << 33;

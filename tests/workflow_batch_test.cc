@@ -4,6 +4,8 @@
 // count.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -203,6 +205,69 @@ TEST(WorkflowBatchTest, GroundTruthMatchesSingleCalls) {
   // the public constant stays visible.
   EXPECT_TRUE(batch.entries[0].certificate.certified);
   EXPECT_FALSE(batch.entries[0].ground_truth_private);
+}
+
+TEST(WorkflowBatchTest, StreamedMemosMatchDefaultThreshold) {
+  // materialize_threshold = 0 streams every private module's rows in the
+  // batch-local memos; verdicts and SafeSearchStats must equal the default
+  // (materialized) batch at 1 and 4 threads.
+  Fig1Workflow fig = MakeFig1Workflow();
+  std::vector<WorkflowCertificationRequest> requests =
+      AllSubsetRequests(*fig.workflow, 2);
+  for (int threads : {1, 4}) {
+    WorkflowBatchOptions materialized;
+    materialized.num_threads = threads;
+    WorkflowBatchOptions streamed = materialized;
+    streamed.materialize_threshold = 0;
+    const WorkflowBatchResult want =
+        CertifyWorkflowBatch(*fig.workflow, requests, materialized);
+    const WorkflowBatchResult got =
+        CertifyWorkflowBatch(*fig.workflow, requests, streamed);
+    ASSERT_TRUE(want.status.ok());
+    ASSERT_TRUE(got.status.ok());
+    ASSERT_EQ(got.entries.size(), want.entries.size());
+    for (size_t r = 0; r < got.entries.size(); ++r) {
+      EXPECT_EQ(got.entries[r].certificate.certified,
+                want.entries[r].certificate.certified)
+          << "threads " << threads << " request " << r;
+      EXPECT_EQ(got.entries[r].certificate.module_gammas,
+                want.entries[r].certificate.module_gammas);
+      EXPECT_EQ(got.entries[r].certificate.required_privatizations,
+                want.entries[r].certificate.required_privatizations);
+    }
+    EXPECT_EQ(got.stats.subsets_examined, want.stats.subsets_examined);
+    EXPECT_EQ(got.stats.checker_calls, want.stats.checker_calls);
+    EXPECT_EQ(got.stats.cache_hits, want.stats.cache_hits);
+  }
+
+  // The threshold reaches the memos: a streamed module is evaluated on
+  // every checker pass, a materialized one once per domain point.
+  auto catalog = std::make_shared<AttributeCatalog>();
+  const AttrId x0 = catalog->Add("x0");
+  const AttrId x1 = catalog->Add("x1");
+  const AttrId y0 = catalog->Add("y0");
+  const AttrId y1 = catalog->Add("y1");
+  auto evals = std::make_shared<std::atomic<int64_t>>(0);
+  Workflow wf(catalog);
+  wf.AddModule(std::make_unique<LambdaModule>(
+      "swap", catalog, std::vector<AttrId>{x0, x1},
+      std::vector<AttrId>{y0, y1}, [evals](const Tuple& in) {
+        evals->fetch_add(1, std::memory_order_relaxed);
+        return Tuple{in[1], in[0]};
+      }));
+  ASSERT_TRUE(wf.Validate().ok());
+  const std::vector<WorkflowCertificationRequest> swap_requests =
+      AllSubsetRequests(wf, 2);
+  auto evals_of = [&](int64_t threshold) {
+    WorkflowBatchOptions opts;
+    opts.num_threads = 1;
+    opts.materialize_threshold = threshold;
+    evals->store(0);
+    EXPECT_TRUE(CertifyWorkflowBatch(wf, swap_requests, opts).status.ok());
+    return evals->load();
+  };
+  EXPECT_EQ(evals_of(Module::kDefaultMaterializeRows), 4);
+  EXPECT_GT(evals_of(0), 4);
 }
 
 TEST(WorkflowBatchTest, OverBudgetGroundTruthReturnsResourceExhausted) {

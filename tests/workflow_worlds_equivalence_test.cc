@@ -13,6 +13,7 @@
 #include "generators/families.h"
 #include "generators/random_workflow.h"
 #include "module/module_library.h"
+#include "privacy/feasible_sets.h"
 #include "privacy/possible_worlds.h"
 
 namespace provview {
@@ -113,8 +114,9 @@ TEST(WorkflowWorldsEquivalenceTest, FixedModulesMatchNaive) {
 }
 
 TEST(WorkflowWorldsEquivalenceTest, ParallelShardsMatchSequential) {
-  // The slot-0 walk runs as contiguous rank-range tasks of one graph, on a
-  // private executor or on the caller's shared one; the tables build
+  // The walk's first multi-code branch point splits into contiguous
+  // rank-range tasks of one graph, on a private executor or on the
+  // caller's shared one; the tables build
   // shards its scan the same way. With the size gate off, 2/4/8 threads —
   // on either executor — must reproduce the one-thread run byte for byte,
   // and all of them the naive joint odometer.
@@ -255,27 +257,37 @@ TEST(WorkflowWorldsEquivalenceTest, Example7FreeChainsMatchNaive) {
 }
 
 // ---------------------------------------------------------------------
-// Deep (>=4-stage) fixtures: the feasible-set fixpoint engine must agree
-// with both the naive reference and the determined-input engine
-// (use_feasible_sets = false) on the shapes E1f makes its speedup claims on.
+// Deep (>=4-stage) fixtures: the feasible-set fixpoint feeds the walk, and
+// the engine must agree with the naive reference on the shapes where the
+// fixpoint prunes across free stages.
 // ---------------------------------------------------------------------
 
 namespace {
 
-WorkflowWorlds EnumerateWithFixpoint(const Workflow& w, const Bitset64& visible,
-                                     const std::vector<int>& fixed,
-                                     bool use_fixpoint) {
+WorkflowWorlds EnumerateDeep(const Workflow& w, const Bitset64& visible,
+                             const std::vector<int>& fixed,
+                             int num_threads = 1) {
   WorkflowEnumerationOptions opts;
   opts.max_candidates = int64_t{1} << 33;
-  opts.use_feasible_sets = use_fixpoint;
+  opts.num_threads = num_threads;
+  opts.min_parallel_candidates = 0;
   return EnumerateWorkflowWorlds(w, visible, fixed, opts);
+}
+
+// Γ-privacy verdict per private module: |OUT| reaches Γ on every input.
+std::vector<bool> PrivateVerdicts(const Workflow& w, const WorkflowWorlds& r,
+                                  int64_t gamma) {
+  std::vector<bool> verdicts;
+  for (int i : w.PrivateModuleIndices()) {
+    verdicts.push_back(r.early_stopped || r.MinOutSize(i) >= gamma);
+  }
+  return verdicts;
 }
 
 }  // namespace
 
 TEST(WorkflowWorldsEquivalenceTest, DeepChainMatchesNaiveEveryHiddenLayer) {
-  // 4-stage one-bit chain (naive joint 4^4 = 256): hide each layer in turn
-  // and compare naive vs fixpoint-on vs fixpoint-off.
+  // 4-stage one-bit chain (naive joint 4^4 = 256): hide each layer in turn.
   for (int hidden_layer = 1; hidden_layer <= 3; ++hidden_layer) {
     Rng rng(static_cast<uint64_t>(hidden_layer) * 19 + 2);
     OneOneChain chain = MakeOneOneChain(4, 1, &rng);
@@ -286,37 +298,22 @@ TEST(WorkflowWorldsEquivalenceTest, DeepChainMatchesNaiveEveryHiddenLayer) {
     Bitset64 visible = hidden.Complement();
     WorkflowWorlds naive =
         EnumerateWorkflowWorldsNaive(*chain.workflow, visible, {});
-    WorkflowWorlds on =
-        EnumerateWithFixpoint(*chain.workflow, visible, {}, true);
-    WorkflowWorlds off =
-        EnumerateWithFixpoint(*chain.workflow, visible, {}, false);
-    ExpectIdentical(naive, on, static_cast<uint64_t>(hidden_layer));
-    ExpectIdentical(naive, off, static_cast<uint64_t>(hidden_layer));
-    EXPECT_LE(on.pruned_candidates, off.pruned_candidates)
-        << "layer " << hidden_layer;
+    ExpectIdentical(naive, EnumerateDeep(*chain.workflow, visible, {}),
+                    static_cast<uint64_t>(hidden_layer));
   }
 }
 
-TEST(WorkflowWorldsEquivalenceTest, RandomizedDeepChainsOnOffNaive) {
-  // Random visible subsets over random 4- and 5-stage one-bit chains.
-  int naive_checked = 0;
+TEST(WorkflowWorldsEquivalenceTest, RandomizedDeepChainsMatchNaive) {
+  // Random visible subsets over random 4- and 5-stage one-bit chains (naive
+  // joint at most 4^5 = 1024).
   for (uint64_t seed = 500; seed < 540; ++seed) {
     Rng rng(seed * 37 + 5);
     OneOneChain chain = MakeOneOneChain(seed % 2 == 0 ? 4 : 5, 1, &rng);
     Bitset64 visible = RandomVisible(*chain.workflow, &rng, 0.5);
-    WorkflowWorlds on =
-        EnumerateWithFixpoint(*chain.workflow, visible, {}, true);
-    WorkflowWorlds off =
-        EnumerateWithFixpoint(*chain.workflow, visible, {}, false);
-    ExpectIdentical(off, on, seed);
-    if (NaiveJoint(*chain.workflow, {}) <= (1 << 16)) {
-      WorkflowWorlds naive =
-          EnumerateWorkflowWorldsNaive(*chain.workflow, visible, {});
-      ExpectIdentical(naive, on, seed);
-      ++naive_checked;
-    }
+    ASSERT_LE(NaiveJoint(*chain.workflow, {}), 1 << 16);
+    ExpectIdentical(EnumerateWorkflowWorldsNaive(*chain.workflow, visible, {}),
+                    EnumerateDeep(*chain.workflow, visible, {}), seed);
   }
-  EXPECT_GE(naive_checked, 10);
 }
 
 TEST(WorkflowWorldsEquivalenceTest, DiamondWithFixedSourceMatchesNaive) {
@@ -330,42 +327,25 @@ TEST(WorkflowWorldsEquivalenceTest, DiamondWithFixedSourceMatchesNaive) {
   Bitset64 visible = hidden.Complement();
   WorkflowWorlds naive = EnumerateWorkflowWorldsNaive(
       *dia.workflow, visible, {dia.source_index});
-  WorkflowWorlds on = EnumerateWithFixpoint(*dia.workflow, visible,
-                                            {dia.source_index}, true);
-  WorkflowWorlds off = EnumerateWithFixpoint(*dia.workflow, visible,
-                                             {dia.source_index}, false);
-  ExpectIdentical(naive, on, 0);
-  ExpectIdentical(naive, off, 0);
+  ExpectIdentical(naive,
+                  EnumerateDeep(*dia.workflow, visible, {dia.source_index}),
+                  0);
 }
 
-TEST(WorkflowWorldsEquivalenceTest, DiamondWithTailOnVsOff) {
+TEST(WorkflowWorldsEquivalenceTest, DiamondWithTailShardsAndGammaAgree) {
   // The all-free E1f diamond (too large for the naive reference): the
-  // fixpoint forces the source and both branches, prunes the sink, and
-  // must agree with the determined-input engine exactly — including under
-  // thread sharding and the Γ short-circuit verdict.
+  // fixpoint forces the source and both branches and prunes the sink. The
+  // sharded walk must reproduce the sequential one, and the Γ
+  // short-circuit its verdict.
   Rng rng(78);
   DiamondWorkflow dia = MakeDiamondWorkflow(1, /*with_tail=*/true, &rng);
   Bitset64 hidden(dia.catalog->size());
   for (AttrId id : dia.y) hidden.Set(id);
   Bitset64 visible = hidden.Complement();
-  WorkflowWorlds on = EnumerateWithFixpoint(*dia.workflow, visible, {}, true);
-  WorkflowWorlds off =
-      EnumerateWithFixpoint(*dia.workflow, visible, {}, false);
-  ExpectIdentical(off, on, 0);
-  EXPECT_LT(on.pruned_candidates, off.pruned_candidates);
+  WorkflowWorlds full = EnumerateDeep(*dia.workflow, visible, {});
+  EXPECT_GT(full.num_function_choices, 0);
+  ExpectIdentical(full, EnumerateDeep(*dia.workflow, visible, {}, 4), 0);
 
-  WorkflowEnumerationOptions parallel;
-  parallel.max_candidates = int64_t{1} << 33;
-  parallel.num_threads = 4;
-  parallel.min_parallel_candidates = 0;
-  WorkflowWorlds sharded =
-      EnumerateWorkflowWorlds(*dia.workflow, visible, {}, parallel);
-  ExpectIdentical(on, sharded, 0);
-
-  int64_t min_out = std::numeric_limits<int64_t>::max();
-  for (int i = 0; i < dia.workflow->num_modules(); ++i) {
-    min_out = std::min(min_out, on.MinOutSize(i));
-  }
   for (int64_t gamma : {int64_t{1}, int64_t{2}}) {
     WorkflowEnumerationOptions gopts;
     gopts.max_candidates = int64_t{1} << 33;
@@ -373,15 +353,95 @@ TEST(WorkflowWorldsEquivalenceTest, DiamondWithTailOnVsOff) {
     gopts.collect_distinct_relations = false;
     WorkflowWorlds early =
         EnumerateWorkflowWorlds(*dia.workflow, visible, {}, gopts);
-    bool verdict = early.early_stopped;
-    if (!verdict) {
-      verdict = true;
-      for (int i = 0; i < dia.workflow->num_modules(); ++i) {
-        verdict = verdict && early.MinOutSize(i) >= gamma;
-      }
-    }
-    EXPECT_EQ(min_out >= gamma, verdict) << "gamma " << gamma;
+    EXPECT_EQ(PrivateVerdicts(*dia.workflow, full, gamma),
+              PrivateVerdicts(*dia.workflow, early, gamma))
+        << "gamma " << gamma;
   }
+}
+
+// ---------------------------------------------------------------------
+// The lazy walk: thread invariance and early stop. The audit-verdict and
+// deep-log oracles live in workflow_walk_oracle_equivalence_test.
+// ---------------------------------------------------------------------
+
+TEST(WorkflowWorldsEquivalenceTest, FullRunsAreThreadInvariant) {
+  // Full runs at 1, 2 and 4 threads, with the size gate off. The deep
+  // chains' first stage is forced, so their walks first reach a singleton
+  // slot and shard a later branch point.
+  Rng rng(91);
+  Prop2Chain prop2 = MakeProp2Chain(2);
+  OneOneChain chain1 = MakeOneOneChain(4, 1, &rng);
+  OneOneChain chain2 = MakeOneOneChain(4, 2, &rng);
+  DiamondWorkflow dia = MakeDiamondWorkflow(1, /*with_tail=*/true, &rng);
+  auto hide = [](const CatalogPtr& catalog, const std::vector<AttrId>& ids) {
+    Bitset64 hidden(catalog->size());
+    for (AttrId id : ids) hidden.Set(id);
+    return hidden.Complement();
+  };
+  struct Case {
+    const Workflow* workflow;
+    Bitset64 visible;
+    bool first_stage_forced;
+  };
+  const std::vector<Case> cases = {
+      {prop2.workflow.get(), Bitset64::Of(6, {2}).Complement(), false},
+      {chain1.workflow.get(), hide(chain1.catalog, chain1.layer_attrs[3]),
+       true},
+      {chain2.workflow.get(), hide(chain2.catalog, chain2.layer_attrs[3]),
+       true},
+      {dia.workflow.get(), hide(dia.catalog, dia.y), true},
+  };
+  for (size_t c = 0; c < cases.size(); ++c) {
+    const Workflow& w = *cases[c].workflow;
+    if (cases[c].first_stage_forced) {
+      auto tables = BuildWorkflowTables(w);
+      FeasibleSetAnalysis a =
+          AnalyzeFeasibleSets(*tables, cases[c].visible, {});
+      ASSERT_TRUE(a.forced[static_cast<size_t>(w.topo_order()[0])])
+          << "case " << c;
+    }
+    WorkflowWorlds one = EnumerateDeep(w, cases[c].visible, {}, 1);
+    EXPECT_GT(one.num_function_choices, 0) << "case " << c;
+    for (int threads : {2, 4}) {
+      WorkflowWorlds many = EnumerateDeep(w, cases[c].visible, {}, threads);
+      ExpectIdentical(one, many, c);
+      EXPECT_FALSE(many.early_stopped);
+    }
+  }
+}
+
+TEST(WorkflowWorldsEquivalenceTest, EarlyStopKeepsFullRunVerdicts) {
+  // Under Γ the walk may stop early; early_stopped and every private
+  // module's verdict must equal what the full run's OUT sets say, and the
+  // function-choice count is only a lower bound.
+  int checked = 0;
+  for (uint64_t seed = 600; seed < 640; ++seed) {
+    Rng rng(seed * 43 + 1);
+    GeneratedWorkflow g =
+        MakeRandomWorkflow(SmallOptions(seed % 2 == 0 ? 2 : 3), &rng);
+    if (g.workflow->PrivateModuleIndices().empty()) continue;
+    Bitset64 visible = RandomVisible(*g.workflow, &rng, 0.5);
+    WorkflowWorlds full = EnumerateDeep(*g.workflow, visible, {});
+    for (int64_t gamma : {int64_t{1}, int64_t{2}, int64_t{3}, int64_t{4}}) {
+      bool full_private = true;
+      for (bool v : PrivateVerdicts(*g.workflow, full, gamma)) {
+        full_private = full_private && v;
+      }
+      WorkflowEnumerationOptions opts;
+      opts.gamma = gamma;
+      opts.collect_distinct_relations = false;
+      WorkflowWorlds early =
+          EnumerateWorkflowWorlds(*g.workflow, visible, {}, opts);
+      EXPECT_EQ(full_private, early.early_stopped)
+          << "seed " << seed << " gamma " << gamma;
+      EXPECT_EQ(PrivateVerdicts(*g.workflow, full, gamma),
+                PrivateVerdicts(*g.workflow, early, gamma))
+          << "seed " << seed << " gamma " << gamma;
+      EXPECT_LE(early.num_function_choices, full.num_function_choices);
+    }
+    ++checked;
+  }
+  EXPECT_GE(checked, 10);
 }
 
 TEST(WorkflowWorldsEquivalenceTest, AllModulesFixedSingleWorld) {
