@@ -6,13 +6,17 @@
 // along so the gap they leave on the table is recorded next to the timings.
 //
 // Summary lines, recorded by run_benches.sh into
-// BENCH_possible_worlds.json:
+// BENCH_possible_worlds.json. A short-mode run (PODS_BENCH_SHORT=1) on a
+// 4-core Xeon host, so threads=4:
 //
-//   E10 optimizer: instances=3 modules=120 attrs=412 threads=8
-//   E10 optimizer: pruned_ms=301.2 parallel_ms=120.8
-//   E10 optimizer: bnb_parallel_speedup_x=2.49
-//   E10 optimizer: greedy_ratio=1.18 rounding_ratio=1.07
-//       threshold_ratio=1.24 exact_cost=193.4
+//   E10 optimizer: instances=3 modules=60 attrs=153 threads=4
+//   E10 optimizer: pruned_ms=19.6 parallel_ms=17.7
+//   E10 optimizer: bnb_parallel_speedup_x=1.11
+//   E10 optimizer: greedy_ratio=1.181 rounding_ratio=1.183
+//       threshold_ratio=1.183 exact_cost=118.76
+//
+// The speedup is noisy on that host: two quiet short-mode runs read 1.11
+// and 1.05.
 //
 //   * bnb_parallel_speedup_x — single thread over hardware threads:
 //                              wave-engine scaling.

@@ -117,8 +117,8 @@ struct BnbResult {
   double gap = 0.0;
   int nodes_explored = 0;   ///< nodes popped into waves
   int64_t lp_solves = 0;    ///< simplex relaxations actually run
-  /// Simplex iterations over all node solves: the root's primal pivots
-  /// and bound flips plus every other node's dual pivots.
+  /// Dual simplex pivots over all node solves: the root's cold solve plus
+  /// every other node's re-solve.
   int64_t lp_iterations = 0;
   int64_t oracle_fathoms = 0;  ///< nodes closed by the oracle alone
 };

@@ -8,6 +8,7 @@ namespace provview {
 int LinearProgram::AddVariable(double lb, double ub, double obj,
                                std::string name) {
   PV_CHECK_MSG(std::isfinite(lb), "lower bound must be finite");
+  PV_CHECK_MSG(std::isfinite(ub), "upper bound must be finite");
   PV_CHECK_MSG(ub >= lb, "upper bound below lower bound");
   obj_.push_back(obj);
   lb_.push_back(lb);
@@ -41,10 +42,8 @@ double LinearProgram::MaxViolation(const std::vector<double>& x) const {
   for (int v = 0; v < num_vars(); ++v) {
     worst = std::max(worst, lb_[static_cast<size_t>(v)] -
                                 x[static_cast<size_t>(v)]);
-    if (std::isfinite(ub_[static_cast<size_t>(v)])) {
-      worst = std::max(worst, x[static_cast<size_t>(v)] -
-                                  ub_[static_cast<size_t>(v)]);
-    }
+    worst = std::max(worst, x[static_cast<size_t>(v)] -
+                                ub_[static_cast<size_t>(v)]);
   }
   for (const LpConstraint& c : constraints_) {
     double lhs = 0.0;

@@ -6,7 +6,6 @@
 #define PROVVIEW_LP_LINEAR_PROGRAM_H_
 
 #include <cmath>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -28,10 +27,9 @@ struct LpConstraint {
 /// AddVariable and referenced by index.
 class LinearProgram {
  public:
-  static constexpr double kInf = std::numeric_limits<double>::infinity();
-
   /// Adds a variable with bounds [lb, ub] and objective coefficient `obj`.
-  /// Returns its index. lb must be finite; ub may be +inf.
+  /// Returns its index. Both bounds must be finite: the simplex starts from
+  /// every variable at the bound its cost prefers.
   int AddVariable(double lb, double ub, double obj,
                   std::string name = std::string());
 
@@ -46,11 +44,13 @@ class LinearProgram {
                      ConstraintSense sense, double rhs);
 
   /// Overwrites a variable's bounds in place (e.g. pinning an attribute
-  /// visible before a solve). lb must stay finite; lb > ub is allowed and
-  /// makes the LP an empty box, which the simplex reports as Infeasible.
-  /// Branch-and-bound never edits the LP: its nodes' boxes go to ResolveLp.
+  /// visible before a solve). Both bounds must stay finite; lb > ub is
+  /// allowed and makes the LP an empty box, which the simplex reports as
+  /// Infeasible. Branch-and-bound never edits the LP: its nodes' boxes go to
+  /// ResolveLp.
   void SetVarBounds(int var, double lb, double ub) {
     PV_CHECK_MSG(std::isfinite(lb), "lower bound must be finite");
+    PV_CHECK_MSG(std::isfinite(ub), "upper bound must be finite");
     lb_[Check(var)] = lb;
     ub_[Check(var)] = ub;
   }
@@ -80,7 +80,8 @@ class LinearProgram {
   std::vector<LpConstraint> constraints_;
 };
 
-/// Solver outcome. `status` is OK, Infeasible, Unbounded, or Timeout.
+/// Solver outcome. `status` is OK, Infeasible, Timeout, or a tripped
+/// control's status.
 struct LpSolution {
   Status status;
   std::vector<double> x;

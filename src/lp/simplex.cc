@@ -12,10 +12,9 @@ namespace provview {
 namespace lp_internal {
 
 // Dense tableau B^-1 [A | S | b] over m rows, flat and row-major. Columns:
-// [0, n) structural variables, [n, n + m) one slack per row (coefficient +1
-// on <= and = rows, -1 on >= rows; bounds [0, inf), or [0, 0] on = rows),
-// then the transformed rhs. Artificial variables are numbered [cols, cols +
-// m), one per row, but have no column: they only ever sit in the basis.
+// [0, n) structural variables, [n, n + m) one slack per row (bounds
+// [0, inf), or [0, 0] on = rows; a >= row is negated into a <= row, so
+// every slack has coefficient +1), then the transformed rhs.
 struct Tableau {
   int n = 0;      // structural variables
   int m = 0;      // rows
@@ -24,7 +23,7 @@ struct Tableau {
   std::vector<double> tab;       // m x width
   std::vector<double> d;         // reduced cost of each column
   std::vector<double> cost;      // objective coefficient of each structural
-  std::vector<double> lb, ub;    // cols + m: columns, then artificials
+  std::vector<double> lb, ub;    // bounds of each column
   std::vector<int> basis;        // basic variable of each row
   std::vector<int> row_of;       // basis row of each column, -1 if nonbasic
   std::vector<uint8_t> at_upper; // nonbasic column sits at its upper bound
@@ -59,8 +58,9 @@ class Simplex {
   Simplex(Tableau* t, const SimplexOptions& options, LpSolution* solution)
       : t_(*t), opt_(options), sol_(*solution) {}
 
-  // Builds the slack-basis tableau of `lp`, then runs phase 1 (when some
-  // row needs an artificial) and phase 2 with primal pivots.
+  // Builds the slack-basis tableau of `lp` with every structural variable
+  // at the bound its cost prefers. Every variable is boxed, so that basis
+  // is dual feasible and the dual simplex solves the LP from it.
   void SolveCold(const LinearProgram& lp) {
     if (opt_.control != nullptr && opt_.control->ExpiredNow()) {
       sol_.status = opt_.control->Check();
@@ -72,54 +72,8 @@ class Simplex {
         return;
       }
     }
-    const bool phase1 = Build(lp);
-    if (phase1) {
-      // Phase 1: minimize the sum of the artificials (cost 1 each).
-      for (int j = 0; j < t_.cols; ++j) t_.d[static_cast<size_t>(j)] = 0.0;
-      for (int i = 0; i < t_.m; ++i) {
-        if (t_.basis[static_cast<size_t>(i)] < t_.cols) continue;
-        const double* r = t_.row(i);
-        for (int j = 0; j < t_.cols; ++j) t_.d[static_cast<size_t>(j)] -= r[j];
-      }
-      for (int i = 0; i < t_.m; ++i) {
-        const int b = t_.basis[static_cast<size_t>(i)];
-        if (b < t_.cols) t_.d[static_cast<size_t>(b)] = 0.0;
-      }
-      if (!Finished(Primal())) return;
-      double infeasibility = 0.0;
-      for (int i = 0; i < t_.m; ++i) {
-        const int b = t_.basis[static_cast<size_t>(i)];
-        if (b < t_.cols) continue;
-        infeasibility += t_.xb[static_cast<size_t>(i)];
-        // A basic artificial left at zero (a redundant row) is fixed there:
-        // the ratio tests drive it out like any other basic variable.
-        t_.ub[static_cast<size_t>(b)] = 0.0;
-      }
-      if (infeasibility > opt_.eps) {
-        sol_.status = Status::Infeasible("phase-1 objective positive");
-        return;
-      }
-    }
-    // Phase 2: price the true objective against the current basis.
-    for (int j = 0; j < t_.cols; ++j) {
-      t_.d[static_cast<size_t>(j)] =
-          j < t_.n ? t_.cost[static_cast<size_t>(j)] : 0.0;
-    }
-    for (int i = 0; i < t_.m; ++i) {
-      const int b = t_.basis[static_cast<size_t>(i)];
-      if (b >= t_.n) continue;  // slacks and artificials cost nothing
-      const double cb = t_.cost[static_cast<size_t>(b)];
-      if (cb == 0.0) continue;
-      const double* r = t_.row(i);
-      for (int j = 0; j < t_.cols; ++j) {
-        t_.d[static_cast<size_t>(j)] -= cb * r[j];
-      }
-    }
-    for (int i = 0; i < t_.m; ++i) {
-      const int b = t_.basis[static_cast<size_t>(i)];
-      if (b < t_.cols) t_.d[static_cast<size_t>(b)] = 0.0;
-    }
-    if (Finished(Primal())) Extract();
+    Build(lp);
+    SolveFromBasis();
   }
 
   // Installs the box [lb, ub] on the structural variables of an optimal
@@ -131,8 +85,57 @@ class Simplex {
       t_.lb[static_cast<size_t>(v)] = lb[static_cast<size_t>(v)];
       t_.ub[static_cast<size_t>(v)] = ub[static_cast<size_t>(v)];
     }
-    // Basic values from the transformed rhs: x_B = B^-1 b - B^-1 N x_N.
-    // Most nonbasic variables sit at zero, so only the others are summed.
+    SolveFromBasis();
+  }
+
+ private:
+  // Fills the tableau at the slack basis, each row scaled so its slack has
+  // coefficient +1, with every structural variable nonbasic at its lower
+  // bound, or at its upper bound when its cost is negative.
+  void Build(const LinearProgram& lp) {
+    const int n = lp.num_vars();
+    const int m = lp.num_constraints();
+    t_.n = n;
+    t_.m = m;
+    t_.cols = n + m;
+    t_.width = t_.cols + 1;
+    t_.tab.assign(static_cast<size_t>(m) * static_cast<size_t>(t_.width), 0.0);
+    t_.d.assign(static_cast<size_t>(t_.cols), 0.0);
+    t_.cost.resize(static_cast<size_t>(n));
+    t_.lb.assign(static_cast<size_t>(t_.cols), 0.0);
+    t_.ub.assign(static_cast<size_t>(t_.cols), kInf);
+    t_.at_upper.assign(static_cast<size_t>(t_.cols), 0);
+    for (int v = 0; v < n; ++v) {
+      const double c = lp.objective_coeff(v);
+      t_.cost[static_cast<size_t>(v)] = c;
+      t_.d[static_cast<size_t>(v)] = c;
+      t_.lb[static_cast<size_t>(v)] = lp.lower_bound(v);
+      t_.ub[static_cast<size_t>(v)] = lp.upper_bound(v);
+      t_.at_upper[static_cast<size_t>(v)] = c < 0.0 ? 1 : 0;
+    }
+    t_.basis.resize(static_cast<size_t>(m));
+    t_.row_of.assign(static_cast<size_t>(t_.cols), -1);
+    t_.xb.resize(static_cast<size_t>(m));
+    for (int i = 0; i < m; ++i) {
+      const LpConstraint& c = lp.constraints()[static_cast<size_t>(i)];
+      const int slack = n + i;
+      const double sign = c.sense == ConstraintSense::kGe ? -1.0 : 1.0;
+      double* r = t_.row(i);
+      for (const auto& [var, coeff] : c.terms) r[var] += sign * coeff;
+      r[slack] = 1.0;
+      r[t_.cols] = sign * c.rhs;
+      if (c.sense == ConstraintSense::kEq) {
+        t_.ub[static_cast<size_t>(slack)] = 0.0;
+      }
+      t_.basis[static_cast<size_t>(i)] = slack;
+      t_.row_of[static_cast<size_t>(slack)] = i;
+    }
+  }
+
+  // Sets the basic values from the transformed rhs, x_B = B^-1 b -
+  // B^-1 N x_N, then runs dual pivots to optimality. Most nonbasic
+  // variables sit at zero, so only the others are summed.
+  void SolveFromBasis() {
     nz_.clear();
     for (int j = 0; j < t_.cols; ++j) {
       if (t_.row_of[static_cast<size_t>(j)] < 0 && t_.value(j) != 0.0) {
@@ -145,81 +148,12 @@ class Simplex {
       for (int j : nz_) v -= r[j] * t_.value(j);
       t_.xb[static_cast<size_t>(i)] = v;
     }
-    if (Finished(Dual())) Extract();
-  }
-
- private:
-  // Fills the tableau at the slack basis with every structural variable at
-  // its lower bound. Returns whether some row needed an artificial.
-  bool Build(const LinearProgram& lp) {
-    const int n = lp.num_vars();
-    const int m = lp.num_constraints();
-    t_.n = n;
-    t_.m = m;
-    t_.cols = n + m;
-    t_.width = t_.cols + 1;
-    t_.tab.assign(static_cast<size_t>(m) * static_cast<size_t>(t_.width), 0.0);
-    t_.d.assign(static_cast<size_t>(t_.cols), 0.0);
-    t_.cost.resize(static_cast<size_t>(n));
-    t_.lb.assign(static_cast<size_t>(t_.cols + m), 0.0);
-    t_.ub.assign(static_cast<size_t>(t_.cols + m), kInf);
-    for (int v = 0; v < n; ++v) {
-      t_.cost[static_cast<size_t>(v)] = lp.objective_coeff(v);
-      t_.lb[static_cast<size_t>(v)] = lp.lower_bound(v);
-      t_.ub[static_cast<size_t>(v)] = lp.upper_bound(v);
+    Status st = Dual();
+    if (st.ok()) {
+      Extract();
+    } else {
+      sol_.status = std::move(st);
     }
-    t_.basis.assign(static_cast<size_t>(m), -1);
-    t_.row_of.assign(static_cast<size_t>(t_.cols), -1);
-    t_.at_upper.assign(static_cast<size_t>(t_.cols), 0);
-    t_.xb.assign(static_cast<size_t>(m), 0.0);
-
-    bool phase1 = false;
-    for (int i = 0; i < m; ++i) {
-      const LpConstraint& c = lp.constraints()[static_cast<size_t>(i)];
-      double* r = t_.row(i);
-      double residual = c.rhs;  // rhs minus the row at the lower bounds
-      for (const auto& [var, coeff] : c.terms) {
-        r[var] += coeff;
-        residual -= coeff * lp.lower_bound(var);
-      }
-      const int slack = n + i;
-      const double sign = c.sense == ConstraintSense::kGe ? -1.0 : 1.0;
-      r[slack] = sign;
-      r[t_.cols] = c.rhs;
-      if (c.sense == ConstraintSense::kEq) {
-        t_.ub[static_cast<size_t>(slack)] = 0.0;
-      }
-      const double slack_value = sign * residual;
-      const bool feasible = c.sense == ConstraintSense::kEq
-                                ? std::abs(slack_value) <= opt_.eps
-                                : slack_value >= -opt_.eps;
-      // Scale the row so its basic variable has coefficient +1: the slack
-      // (coefficient `sign`) or an artificial oriented to start >= 0.
-      double scale;
-      if (feasible) {
-        scale = sign;
-        t_.basis[static_cast<size_t>(i)] = slack;
-        t_.row_of[static_cast<size_t>(slack)] = i;
-        t_.xb[static_cast<size_t>(i)] =
-            std::clamp(slack_value, 0.0, t_.ub[static_cast<size_t>(slack)]);
-      } else {
-        scale = residual > 0 ? 1.0 : -1.0;
-        t_.basis[static_cast<size_t>(i)] = t_.cols + i;
-        t_.xb[static_cast<size_t>(i)] = std::abs(residual);
-        phase1 = true;
-      }
-      if (scale < 0) {
-        for (int j = 0; j < t_.width; ++j) r[j] = -r[j];
-      }
-    }
-    return phase1;
-  }
-
-  // Records a loop's stop status; true when it reached optimality.
-  bool Finished(Status st) {
-    if (st.ok()) return true;
-    sol_.status = std::move(st);
-    return false;
   }
 
   // Iteration budget and deadline, checked before every pivot.
@@ -232,92 +166,6 @@ class Simplex {
       return opt_.control->Check();
     }
     return Status::OK();
-  }
-
-  // Primal simplex from a primal-feasible basis under the current reduced
-  // costs. A bound flip of the entering variable counts as an iteration.
-  Status Primal() {
-    int stall = 0;
-    while (true) {
-      Status st = Poll();
-      if (!st.ok()) return st;
-      const bool bland = stall >= opt_.bland_threshold;
-      // Entering column: the largest improvement rate (Bland: the first).
-      int enter = -1;
-      double best = opt_.eps;
-      for (int j = 0; j < t_.cols; ++j) {
-        if (t_.row_of[static_cast<size_t>(j)] >= 0 ||
-            t_.lb[static_cast<size_t>(j)] == t_.ub[static_cast<size_t>(j)]) {
-          continue;
-        }
-        const double dj = t_.d[static_cast<size_t>(j)];
-        const double rate = t_.at_upper[static_cast<size_t>(j)] ? dj : -dj;
-        if (rate > best) {
-          enter = j;
-          if (bland) break;
-          best = rate;
-        }
-      }
-      if (enter < 0) return Status::OK();  // optimal
-
-      // Ratio test. The entering variable moves by theta in direction dir;
-      // its own bound flip competes with every row and wins ties (no basis
-      // change). Among tied rows: Bland's smallest basic variable, else the
-      // largest pivot.
-      const double dir = t_.at_upper[static_cast<size_t>(enter)] ? -1.0 : 1.0;
-      double theta = t_.ub[static_cast<size_t>(enter)] -
-                     t_.lb[static_cast<size_t>(enter)];
-      int leave = -1;
-      double leave_alpha = 0.0;
-      for (int i = 0; i < t_.m; ++i) {
-        const double alpha = dir * t_.row(i)[enter];
-        if (std::abs(alpha) <= opt_.eps) continue;
-        const int b = t_.basis[static_cast<size_t>(i)];
-        const double x = t_.xb[static_cast<size_t>(i)];
-        double limit;
-        if (alpha > 0) {
-          limit = (x - t_.lb[static_cast<size_t>(b)]) / alpha;
-        } else {
-          if (t_.ub[static_cast<size_t>(b)] == kInf) continue;
-          limit = (t_.ub[static_cast<size_t>(b)] - x) / -alpha;
-        }
-        limit = std::max(limit, 0.0);
-        const bool take =
-            limit < theta - opt_.eps ||
-            (leave >= 0 && limit <= theta + opt_.eps &&
-             (bland ? b < t_.basis[static_cast<size_t>(leave)]
-                    : std::abs(alpha) > std::abs(leave_alpha)));
-        if (take) {
-          leave = i;
-          leave_alpha = alpha;
-          theta = limit;
-        }
-      }
-      if (theta == kInf) return Status::Unbounded("no blocking row");
-
-      const double step = dir * theta;
-      const double entering_value = t_.value(enter) + step;
-      for (int i = 0; i < t_.m; ++i) {
-        t_.xb[static_cast<size_t>(i)] -= step * t_.row(i)[enter];
-      }
-      if (t_.d[static_cast<size_t>(enter)] * step < -opt_.eps) {
-        stall = 0;
-      } else {
-        ++stall;
-      }
-      if (leave < 0) {
-        t_.at_upper[static_cast<size_t>(enter)] ^= 1;  // bound flip
-      } else {
-        const int left = t_.basis[static_cast<size_t>(leave)];
-        Pivot(leave, enter);
-        t_.xb[static_cast<size_t>(leave)] = entering_value;
-        // alpha > 0: the leaving variable fell to its lower bound.
-        if (left < t_.cols) {
-          t_.at_upper[static_cast<size_t>(left)] = leave_alpha < 0 ? 1 : 0;
-        }
-      }
-      ++sol_.iterations;
-    }
   }
 
   // Dual simplex from a dual-feasible basis: repairs the most violated
@@ -394,9 +242,7 @@ class Simplex {
       }
       Pivot(r, enter);
       t_.xb[static_cast<size_t>(r)] = entering_value;
-      if (left < t_.cols) {
-        t_.at_upper[static_cast<size_t>(left)] = raise ? 0 : 1;
-      }
+      t_.at_upper[static_cast<size_t>(left)] = raise ? 0 : 1;
       ++sol_.iterations;
     }
   }
@@ -429,8 +275,7 @@ class Simplex {
       }
       t_.d[static_cast<size_t>(enter)] = 0.0;
     }
-    const int left = t_.basis[static_cast<size_t>(r)];
-    if (left < t_.cols) t_.row_of[static_cast<size_t>(left)] = -1;
+    t_.row_of[static_cast<size_t>(t_.basis[static_cast<size_t>(r)])] = -1;
     t_.basis[static_cast<size_t>(r)] = enter;
     t_.row_of[static_cast<size_t>(enter)] = r;
   }

@@ -2,21 +2,20 @@
 // the relaxations produced by the Secure-View encoders (up to a few
 // thousand variables/constraints).
 //
-//   * Variable bounds are implicit: a nonbasic variable sits at its lower
-//     or its upper bound, and the primal ratio test can flip it from one to
-//     the other without a basis change. There are no `x <= u` rows.
-//   * Every row gets one slack column. A row that is feasible at the slack
-//     basis (a >= row whose rhs is already met at the lower bounds, a <=
-//     row whose rhs is not exceeded) starts with its slack basic; only the
-//     other rows get an artificial, and a phase 1 drives those to zero.
-//     Artificials have no tableau column: once one leaves the basis it can
-//     never come back.
+//   * Every variable is boxed (LinearProgram requires finite bounds), and
+//     bounds are implicit: a nonbasic variable sits at its lower or its
+//     upper bound. There are no `x <= u` rows.
+//   * Every row gets one slack column, and a cold solve starts from the
+//     slack basis with each structural variable at the bound its cost
+//     prefers. That basis is dual feasible, so one loop, the dual simplex,
+//     solves cold LPs and re-solves alike: each pivot repairs a basic
+//     variable outside its bounds, and an unrepairable one proves the LP
+//     infeasible.
 //   * The transformed rhs B^-1 b is pivoted along with the tableau, so an
 //     optimal tableau (SolvedLp) can be re-solved under tighter variable
-//     bounds by the dual simplex (ResolveLp) in a few pivots instead of a
-//     cold solve.
-//   * Dantzig pricing, with Bland's rule after a run of non-improving
-//     pivots to guarantee termination, in both the primal and the dual.
+//     bounds (ResolveLp) in a few pivots instead of a cold solve.
+//   * Dantzig pricing (the most violated row leaves), with Bland's rule
+//     after a run of non-improving pivots to guarantee termination.
 #ifndef PROVVIEW_LP_SIMPLEX_H_
 #define PROVVIEW_LP_SIMPLEX_H_
 
@@ -28,10 +27,10 @@
 
 namespace provview {
 
-/// Tuning knobs for the simplex solver (primal and dual loops alike).
+/// Tuning knobs for the dual simplex loop (cold solves and re-solves).
 struct SimplexOptions {
   double eps = 1e-9;           ///< pivot / feasibility tolerance
-  int max_iterations = 500000; ///< pivots and bound flips, across phases
+  int max_iterations = 500000; ///< pivots per solve
   /// Switch from Dantzig pricing to Bland's rule after this many
   /// consecutive non-improving iterations (anti-cycling).
   int bland_threshold = 2000;
@@ -42,7 +41,8 @@ struct SimplexOptions {
 };
 
 /// Solves `lp` to optimality (minimization). Statuses: OK (optimal),
-/// Infeasible, Unbounded, Timeout (iteration budget exhausted).
+/// Infeasible, Timeout (iteration budget exhausted), or a tripped control's
+/// status. `iterations` counts the dual pivots.
 LpSolution SolveLp(const LinearProgram& lp, const SimplexOptions& options = {});
 
 namespace lp_internal {

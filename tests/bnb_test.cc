@@ -15,7 +15,7 @@ namespace {
 
 TEST(BnbTest, PureLpWhenNoIntegerVars) {
   LinearProgram lp;
-  int x = lp.AddVariable(0, LinearProgram::kInf, 1.0);
+  int x = lp.AddVariable(0, 10.0, 1.0);
   lp.AddConstraint({{x, 2.0}}, ConstraintSense::kGe, 3.0);
   BnbResult r = SolveIlp(lp, {});
   ASSERT_TRUE(r.status.ok());
@@ -25,7 +25,7 @@ TEST(BnbTest, PureLpWhenNoIntegerVars) {
 TEST(BnbTest, RoundsUpWhenIntegral) {
   // min x s.t. 2x >= 3, x integer → x = 2.
   LinearProgram lp;
-  int x = lp.AddVariable(0, LinearProgram::kInf, 1.0);
+  int x = lp.AddVariable(0, 10.0, 1.0);
   lp.AddConstraint({{x, 2.0}}, ConstraintSense::kGe, 3.0);
   BnbResult r = SolveIlp(lp, {x});
   ASSERT_TRUE(r.status.ok());

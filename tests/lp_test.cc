@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -12,11 +13,11 @@ namespace provview {
 namespace {
 
 TEST(SimplexTest, TrivialTwoVariableLp) {
-  // min x + y  s.t.  x + 2y >= 4, 3x + y >= 6, x,y >= 0.
+  // min x + y  s.t.  x + 2y >= 4, 3x + y >= 6, x,y in [0, 10].
   // Optimum at intersection: x = 8/5, y = 6/5, objective 14/5.
   LinearProgram lp;
-  int x = lp.AddVariable(0, LinearProgram::kInf, 1.0);
-  int y = lp.AddVariable(0, LinearProgram::kInf, 1.0);
+  int x = lp.AddVariable(0, 10.0, 1.0);
+  int y = lp.AddVariable(0, 10.0, 1.0);
   lp.AddConstraint({{x, 1.0}, {y, 2.0}}, ConstraintSense::kGe, 4.0);
   lp.AddConstraint({{x, 3.0}, {y, 1.0}}, ConstraintSense::kGe, 6.0);
   LpSolution s = SolveLp(lp);
@@ -28,10 +29,10 @@ TEST(SimplexTest, TrivialTwoVariableLp) {
 }
 
 TEST(SimplexTest, MaximizationViaNegatedCosts) {
-  // max 3x + 2y s.t. x + y <= 4, x <= 2  ⇔  min -3x - 2y.
+  // max 3x + 2y s.t. x + y <= 4, x <= 2, x,y in [0, 10]  ⇔  min -3x - 2y.
   LinearProgram lp;
-  int x = lp.AddVariable(0, LinearProgram::kInf, -3.0);
-  int y = lp.AddVariable(0, LinearProgram::kInf, -2.0);
+  int x = lp.AddVariable(0, 10.0, -3.0);
+  int y = lp.AddVariable(0, 10.0, -2.0);
   lp.AddConstraint({{x, 1.0}, {y, 1.0}}, ConstraintSense::kLe, 4.0);
   lp.AddConstraint({{x, 1.0}}, ConstraintSense::kLe, 2.0);
   LpSolution s = SolveLp(lp);
@@ -42,8 +43,8 @@ TEST(SimplexTest, MaximizationViaNegatedCosts) {
 TEST(SimplexTest, EqualityConstraints) {
   // min 2x + 3y s.t. x + y = 5, x - y = 1 → x=3, y=2, obj 12.
   LinearProgram lp;
-  int x = lp.AddVariable(0, LinearProgram::kInf, 2.0);
-  int y = lp.AddVariable(0, LinearProgram::kInf, 3.0);
+  int x = lp.AddVariable(0, 10.0, 2.0);
+  int y = lp.AddVariable(0, 10.0, 3.0);
   lp.AddConstraint({{x, 1.0}, {y, 1.0}}, ConstraintSense::kEq, 5.0);
   lp.AddConstraint({{x, 1.0}, {y, -1.0}}, ConstraintSense::kEq, 1.0);
   LpSolution s = SolveLp(lp);
@@ -54,17 +55,34 @@ TEST(SimplexTest, EqualityConstraints) {
 
 TEST(SimplexTest, DetectsInfeasibility) {
   LinearProgram lp;
-  int x = lp.AddVariable(0, LinearProgram::kInf, 1.0);
+  int x = lp.AddVariable(0, 10.0, 1.0);
   lp.AddConstraint({{x, 1.0}}, ConstraintSense::kLe, 1.0);
   lp.AddConstraint({{x, 1.0}}, ConstraintSense::kGe, 2.0);
   EXPECT_EQ(SolveLp(lp).status.code(), StatusCode::kInfeasible);
 }
 
-TEST(SimplexTest, DetectsUnboundedness) {
+TEST(SimplexTest, ColdStartSitsAtCostPreferredBounds) {
+  // With no rows, the starting basis is optimal: every variable sits at
+  // the bound its cost prefers, and the solve takes no pivot.
   LinearProgram lp;
-  int x = lp.AddVariable(0, LinearProgram::kInf, -1.0);  // maximize x
-  lp.AddConstraint({{x, -1.0}}, ConstraintSense::kLe, 0.0);
-  EXPECT_EQ(SolveLp(lp).status.code(), StatusCode::kUnbounded);
+  int x = lp.AddVariable(0, 3.0, -1.0);
+  int y = lp.AddVariable(1.0, 4.0, 2.0);
+  LpSolution s = SolveLp(lp);
+  ASSERT_TRUE(s.status.ok()) << s.status;
+  EXPECT_EQ(s.iterations, 0);
+  EXPECT_EQ(s.x[static_cast<size_t>(x)], 3.0);
+  EXPECT_EQ(s.x[static_cast<size_t>(y)], 1.0);
+  EXPECT_EQ(s.objective, -1.0);
+}
+
+TEST(LinearProgramDeathTest, RejectsNonFiniteUpperBounds) {
+  const double inf = std::numeric_limits<double>::infinity();
+  LinearProgram lp;
+  EXPECT_DEATH(lp.AddVariable(0.0, inf, 1.0), "upper bound must be finite");
+  const int x = lp.AddVariable(0.0, 1.0, 1.0);
+  EXPECT_DEATH(lp.SetVarBounds(x, 0.0, inf), "upper bound must be finite");
+  EXPECT_DEATH(lp.SetVarBounds(x, 0.0, std::nan("")),
+               "upper bound must be finite");
 }
 
 TEST(SimplexTest, RespectsUpperBounds) {
@@ -104,8 +122,8 @@ TEST(SimplexTest, NegativeRhsNormalization) {
 TEST(SimplexTest, DegenerateLpTerminates) {
   // Multiple redundant constraints through the same vertex.
   LinearProgram lp;
-  int x = lp.AddVariable(0, LinearProgram::kInf, 1.0);
-  int y = lp.AddVariable(0, LinearProgram::kInf, 1.0);
+  int x = lp.AddVariable(0, 10.0, 1.0);
+  int y = lp.AddVariable(0, 10.0, 1.0);
   for (int i = 0; i < 6; ++i) {
     lp.AddConstraint({{x, 1.0 + i}, {y, 1.0}}, ConstraintSense::kGe, 1.0);
   }
@@ -117,7 +135,7 @@ TEST(SimplexTest, DegenerateLpTerminates) {
 TEST(SimplexTest, DuplicateTermsAccumulate) {
   // x appearing twice in a constraint: 2x >= 4 effectively.
   LinearProgram lp;
-  int x = lp.AddVariable(0, LinearProgram::kInf, 1.0);
+  int x = lp.AddVariable(0, 10.0, 1.0);
   lp.AddConstraint({{x, 1.0}, {x, 1.0}}, ConstraintSense::kGe, 4.0);
   LpSolution s = SolveLp(lp);
   ASSERT_TRUE(s.status.ok());
@@ -299,14 +317,25 @@ bool ExpectMatchesOracle(const LinearProgram& lp, const LpSolution& s,
   return true;
 }
 
-class VertexOracleTest : public ::testing::TestWithParam<int> {};
+// Parameters: a seed, and whether Bland's rule is on from the first pivot
+// (bland_threshold 0), the only anti-cycling guarantee on degenerate LPs.
+class VertexOracleTest
+    : public ::testing::TestWithParam<std::tuple<int, bool>> {
+ protected:
+  int Seed() const { return std::get<0>(GetParam()); }
+  SimplexOptions Options() const {
+    SimplexOptions opt;
+    if (std::get<1>(GetParam())) opt.bland_threshold = 0;
+    return opt;
+  }
+};
 
 TEST_P(VertexOracleTest, ColdSolveMatchesVertexEnumeration) {
-  Rng rng(static_cast<uint64_t>(GetParam()) * 7919 + 11);
+  Rng rng(static_cast<uint64_t>(Seed()) * 7919 + 11);
   int feasible = 0;
   for (int trial = 0; trial < 50; ++trial) {
     const LinearProgram lp = TinyBoxedLp(&rng);
-    feasible += ExpectMatchesOracle(lp, SolveLp(lp),
+    feasible += ExpectMatchesOracle(lp, SolveLp(lp, Options()),
                                     "trial " + std::to_string(trial));
   }
   // The family exercises both outcomes.
@@ -318,12 +347,12 @@ TEST_P(VertexOracleTest, ColdSolveMatchesVertexEnumeration) {
 // and infeasible ones included) agree with a cold solve of the tightened
 // LP and with the oracle, and never disturb the state they start from.
 TEST_P(VertexOracleTest, ResolveMatchesColdSolveAndOracle) {
-  Rng rng(static_cast<uint64_t>(GetParam()) * 104729 + 5);
+  Rng rng(static_cast<uint64_t>(Seed()) * 104729 + 5);
   int resolved = 0;
   int feasible = 0;
   for (int trial = 0; trial < 50; ++trial) {
     const LinearProgram lp = TinyBoxedLp(&rng);
-    const SolvedLp solved(lp);
+    const SolvedLp solved(lp, Options());
     if (!solved.solution().status.ok()) continue;
     SolvedLp work;
     for (int box = 0; box < 6; ++box) {
@@ -346,8 +375,8 @@ TEST_P(VertexOracleTest, ResolveMatchesColdSolveAndOracle) {
       }
       const std::string what =
           "trial " + std::to_string(trial) + " box " + std::to_string(box);
-      const LpSolution& re = ResolveLp(solved, lb, ub, {}, &work);
-      const LpSolution cold = SolveLp(tight);
+      const LpSolution& re = ResolveLp(solved, lb, ub, Options(), &work);
+      const LpSolution cold = SolveLp(tight, Options());
       EXPECT_EQ(re.status.code(), cold.status.code()) << what;
       if (re.status.ok() && cold.status.ok()) {
         EXPECT_NEAR(re.objective, cold.objective, 1e-7) << what;
@@ -361,7 +390,7 @@ TEST_P(VertexOracleTest, ResolveMatchesColdSolveAndOracle) {
       lb0.push_back(lp.lower_bound(v));
       ub0.push_back(lp.upper_bound(v));
     }
-    const LpSolution& again = ResolveLp(solved, lb0, ub0, {}, &work);
+    const LpSolution& again = ResolveLp(solved, lb0, ub0, Options(), &work);
     ASSERT_TRUE(again.status.ok());
     EXPECT_EQ(again.iterations, 0);
     EXPECT_NEAR(again.objective, solved.solution().objective, 1e-9);
@@ -370,7 +399,9 @@ TEST_P(VertexOracleTest, ResolveMatchesColdSolveAndOracle) {
   EXPECT_LT(feasible, resolved);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, VertexOracleTest, ::testing::Range(0, 20));
+INSTANTIATE_TEST_SUITE_P(Seeds, VertexOracleTest,
+                         ::testing::Combine(::testing::Range(0, 20),
+                                            ::testing::Bool()));
 
 TEST(ResolveLpTest, RejectsBoxesOutsideTheSolvedBounds) {
   LinearProgram lp;
