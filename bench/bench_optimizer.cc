@@ -10,13 +10,13 @@
 // 4-core Xeon host, so threads=4:
 //
 //   E10 optimizer: instances=3 modules=60 attrs=153 threads=4
-//   E10 optimizer: pruned_ms=19.6 parallel_ms=17.7
-//   E10 optimizer: bnb_parallel_speedup_x=1.11
+//   E10 optimizer: pruned_ms=7.9 parallel_ms=6.0
+//   E10 optimizer: bnb_parallel_speedup_x=1.31
 //   E10 optimizer: greedy_ratio=1.181 rounding_ratio=1.183
 //       threshold_ratio=1.183 exact_cost=118.76
 //
-// The speedup is noisy on that host: two quiet short-mode runs read 1.11
-// and 1.05.
+// The speedup is noisy on that host: two consecutive short-mode runs read
+// 1.31 and 1.15.
 //
 //   * bnb_parallel_speedup_x — single thread over hardware threads:
 //                              wave-engine scaling.

@@ -235,9 +235,9 @@ class Engine {
     }
 
     // The root node takes the caller's cold-solved root as is; every other
-    // node re-solves a copy of its tableau, in its bucket's buffer, under
-    // the node's box with dual pivots. A node never starts from whatever
-    // its bucket solved last, so its outcome depends on the node alone.
+    // node re-solves it, in its bucket's buffer, under the node's box with
+    // dual pivots. A node never starts from whatever its bucket solved
+    // last, so its outcome depends on the node alone.
     const LpSolution& relax =
         node.bounds.empty()
             ? root_.solution()
@@ -319,7 +319,9 @@ class Engine {
   SimplexOptions simplex_;
 
   std::vector<double> base_lb_, base_ub_;
-  std::vector<SolvedLp> work_;  // re-solve buffer, one per bucket
+  // Re-solve buffer, one per bucket: a node's basis state and eta file
+  // over the root's shared tableau.
+  std::vector<SolvedLp> work_;
   std::vector<Node> open_;  // best-bound heap
   int64_t next_id_ = 0;
   double best_obj_ = kInf;

@@ -19,11 +19,12 @@
 //     any thread count, including 1.
 //   * The root relaxation is solved cold once — by SolveIlp, or by a
 //     caller that needs it anyway and hands it in — and its optimal tableau
-//     kept read-only (SolvedLp). Every other node copies that tableau into
-//     its bucket's buffer and re-solves it under the node's box with dual
-//     simplex pivots (ResolveLp) — a few pivots instead of a cold solve,
-//     and always from the root's state, so a node's outcome never depends
-//     on which node its bucket solved before.
+//     kept read-only (SolvedLp). Every other node re-solves it under the
+//     node's box with dual simplex pivots (ResolveLp) in its bucket's
+//     buffer, which receives the root's O(rows + cols) basis state and one
+//     eta column per pivot but shares the tableau itself — a few pivots
+//     instead of a cold solve, and always from the root's state, so a
+//     node's outcome never depends on which node its bucket solved before.
 //   * Branching picks the fractional variable with the largest
 //     objective-coefficient × fractionality score, which drives the child
 //     bounds apart fastest on weighted covering LPs.

@@ -11,9 +11,14 @@
 //     solves cold LPs and re-solves alike: each pivot repairs a basic
 //     variable outside its bounds, and an unrepairable one proves the LP
 //     infeasible.
-//   * The transformed rhs B^-1 b is pivoted along with the tableau, so an
-//     optimal tableau (SolvedLp) can be re-solved under tighter variable
-//     bounds (ResolveLp) in a few pivots instead of a cold solve.
+//   * A cold solve pivots in place on the tableau it owns (the transformed
+//     rhs B^-1 b included). Its optimal tableau (SolvedLp) then stays
+//     read-only and can be re-solved under tighter variable bounds
+//     (ResolveLp) in a few pivots instead of a cold solve. A re-solve
+//     shares that tableau and keeps only O(rows + cols) state of its own
+//     plus one eta column per pivot (the product form of the inverse): its
+//     pivot row and entering column are formed from root rows and columns
+//     through those etas, and no tableau is copied.
 //   * Dantzig pricing (the most violated row leaves), with Bland's rule
 //     after a run of non-improving pivots to guarantee termination.
 #ifndef PROVVIEW_LP_SIMPLEX_H_
@@ -46,12 +51,16 @@ struct SimplexOptions {
 LpSolution SolveLp(const LinearProgram& lp, const SimplexOptions& options = {});
 
 namespace lp_internal {
-struct Tableau;  // defined in simplex.cc
+struct LpState;  // defined in simplex.cc
 }  // namespace lp_internal
 
-/// An LP solved cold together with its final tableau, kept so the same LP
-/// can be re-solved under tighter variable bounds by ResolveLp. Opaque and
-/// move-only; a default-constructed SolvedLp is an empty work buffer.
+/// An optimal basis of an LP, kept so the same LP can be re-solved under
+/// tighter variable bounds by ResolveLp. It holds the final tableau of the
+/// cold solve it descends from by shared ownership, so that tableau lives
+/// as long as any state that references it, plus its own basis, bounds,
+/// basic values, reduced costs and eta file (empty after a cold solve).
+/// Opaque and move-only; a default-constructed SolvedLp is an empty work
+/// buffer.
 class SolvedLp {
  public:
   SolvedLp();
@@ -72,20 +81,24 @@ class SolvedLp {
                                      const std::vector<double>& ub,
                                      const SimplexOptions& options,
                                      SolvedLp* work);
-  std::unique_ptr<lp_internal::Tableau> tableau_;
+  std::unique_ptr<lp_internal::LpState> state_;
   LpSolution solution_;
 };
 
 /// Re-solves `solved`'s LP with every variable v boxed to [lb[v], ub[v]],
 /// which must lie within the bounds `solved` was solved under. Copies
-/// `solved` into `work` and runs dual simplex pivots there, so `solved`
-/// itself is only read (several threads may re-solve one SolvedLp at once,
-/// each into its own `work`) and the result depends on `solved` and the box
-/// alone, never on what `work` held before. Returns work->solution():
-/// statuses as SolveLp, with Infeasible for an empty or infeasible box and
-/// InvalidArgument for a box outside the bounds or a `solved` that is not
-/// OK. `iterations` counts the dual pivots. On OK, `work` holds the
-/// re-solved tableau and can itself be re-solved under a tighter box.
+/// `solved`'s O(rows + cols) basis state and eta file into `work` (never
+/// the shared tableau), moves the basic values by each nonbasic variable's
+/// bound shift, and runs dual simplex pivots there, each appending one eta
+/// to `work`. So `solved` itself is only read (several threads may re-solve
+/// one SolvedLp at once, each into its own `work`) and the result depends
+/// on `solved` and the box alone, never on what `work` held before; `work`
+/// may be `&solved`, which equals re-solving a copy. Returns
+/// work->solution(): statuses as SolveLp, with Infeasible for an empty or
+/// infeasible box and InvalidArgument for a box outside the bounds or a
+/// `solved` that is not OK. `iterations` counts the dual pivots. On OK,
+/// `work` holds the re-solved basis and can itself be re-solved under a
+/// tighter box.
 const LpSolution& ResolveLp(const SolvedLp& solved,
                             const std::vector<double>& lb,
                             const std::vector<double>& ub,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -317,6 +318,58 @@ bool ExpectMatchesOracle(const LinearProgram& lp, const LpSolution& s,
   return true;
 }
 
+std::vector<double> LowerBounds(const LinearProgram& lp) {
+  std::vector<double> lb;
+  for (int v = 0; v < lp.num_vars(); ++v) lb.push_back(lp.lower_bound(v));
+  return lb;
+}
+
+std::vector<double> UpperBounds(const LinearProgram& lp) {
+  std::vector<double> ub;
+  for (int v = 0; v < lp.num_vars(); ++v) ub.push_back(lp.upper_bound(v));
+  return ub;
+}
+
+// A random sub-box of [lo, hi]: each variable keeps its range, raises its
+// lower bound or lowers its upper bound (either may empty the box), or is
+// fixed somewhere in the range.
+void RandomSubBox(const std::vector<double>& lo, const std::vector<double>& hi,
+                  Rng* rng, std::vector<double>* lb, std::vector<double>* ub) {
+  *lb = lo;
+  *ub = hi;
+  for (size_t v = 0; v < lo.size(); ++v) {
+    double& l = (*lb)[v];
+    double& h = (*ub)[v];
+    const uint64_t kind = rng->NextBelow(4);
+    if (kind == 1) l += static_cast<double>(rng->NextInt(0, 3));
+    if (kind == 2) h -= static_cast<double>(rng->NextInt(0, 3));
+    if (kind == 3) {
+      l = h = l + static_cast<double>(
+                      rng->NextInt(0, static_cast<int64_t>(h - l)));
+    }
+  }
+}
+
+// `lp` with every variable v boxed to [lb[v], ub[v]] (lb > ub: empty).
+LinearProgram Boxed(const LinearProgram& lp, const std::vector<double>& lb,
+                    const std::vector<double>& ub) {
+  LinearProgram tight = lp;
+  for (int v = 0; v < lp.num_vars(); ++v) {
+    tight.SetVarBounds(v, lb[static_cast<size_t>(v)],
+                       ub[static_cast<size_t>(v)]);
+  }
+  return tight;
+}
+
+// Two solves agree exactly: status, pivots and point.
+void ExpectSameSolution(const LpSolution& a, const LpSolution& b,
+                        const std::string& what) {
+  EXPECT_EQ(a.status.code(), b.status.code()) << what;
+  EXPECT_EQ(a.iterations, b.iterations) << what;
+  EXPECT_EQ(a.x, b.x) << what;
+  EXPECT_EQ(a.objective, b.objective) << what;
+}
+
 // Parameters: a seed, and whether Bland's rule is on from the first pivot
 // (bland_threshold 0), the only anti-cycling guarantee on degenerate LPs.
 class VertexOracleTest
@@ -327,6 +380,18 @@ class VertexOracleTest
     SimplexOptions opt;
     if (std::get<1>(GetParam())) opt.bland_threshold = 0;
     return opt;
+  }
+
+  // Checks a re-solve under `tight`'s box against a cold solve of `tight`
+  // and against the oracle; returns whether the box is feasible.
+  bool ExpectMatchesColdSolve(const LinearProgram& tight, const LpSolution& re,
+                              const std::string& what) const {
+    const LpSolution cold = SolveLp(tight, Options());
+    EXPECT_EQ(re.status.code(), cold.status.code()) << what;
+    if (re.status.ok() && cold.status.ok()) {
+      EXPECT_NEAR(re.objective, cold.objective, 1e-7) << what;
+    }
+    return ExpectMatchesOracle(tight, re, what);
   }
 };
 
@@ -346,8 +411,11 @@ TEST_P(VertexOracleTest, ColdSolveMatchesVertexEnumeration) {
 // Dual re-solves of one solved state under random tightened boxes (empty
 // and infeasible ones included) agree with a cold solve of the tightened
 // LP and with the oracle, and never disturb the state they start from.
+// Each re-solved state is re-solved in turn, into a second buffer, under a
+// sub-box of its own: that one starts from the first one's eta file.
 TEST_P(VertexOracleTest, ResolveMatchesColdSolveAndOracle) {
   Rng rng(static_cast<uint64_t>(Seed()) * 104729 + 5);
+  Rng sub_rng(static_cast<uint64_t>(Seed()) * 15485863 + 7);
   int resolved = 0;
   int feasible = 0;
   for (int trial = 0; trial < 50; ++trial) {
@@ -355,48 +423,62 @@ TEST_P(VertexOracleTest, ResolveMatchesColdSolveAndOracle) {
     const SolvedLp solved(lp, Options());
     if (!solved.solution().status.ok()) continue;
     SolvedLp work;
+    SolvedLp work2;
     for (int box = 0; box < 6; ++box) {
-      LinearProgram tight = lp;
-      std::vector<double> lb(static_cast<size_t>(lp.num_vars()));
-      std::vector<double> ub(static_cast<size_t>(lp.num_vars()));
-      for (int v = 0; v < lp.num_vars(); ++v) {
-        double lo = lp.lower_bound(v);
-        double hi = lp.upper_bound(v);
-        const uint64_t kind = rng.NextBelow(4);
-        if (kind == 1) lo += static_cast<double>(rng.NextInt(0, 3));
-        if (kind == 2) hi -= static_cast<double>(rng.NextInt(0, 3));
-        if (kind == 3) {  // fixed somewhere in the box
-          lo = hi = lo + static_cast<double>(rng.NextInt(
-                             0, static_cast<int64_t>(hi - lo)));
-        }
-        lb[static_cast<size_t>(v)] = lo;
-        ub[static_cast<size_t>(v)] = hi;
-        tight.SetVarBounds(v, lo, hi);  // lo > hi: an empty box
-      }
+      std::vector<double> lb, ub;
+      RandomSubBox(LowerBounds(lp), UpperBounds(lp), &rng, &lb, &ub);
       const std::string what =
           "trial " + std::to_string(trial) + " box " + std::to_string(box);
       const LpSolution& re = ResolveLp(solved, lb, ub, Options(), &work);
-      const LpSolution cold = SolveLp(tight, Options());
-      EXPECT_EQ(re.status.code(), cold.status.code()) << what;
-      if (re.status.ok() && cold.status.ok()) {
-        EXPECT_NEAR(re.objective, cold.objective, 1e-7) << what;
-      }
-      feasible += ExpectMatchesOracle(tight, re, what);
+      feasible += ExpectMatchesColdSolve(Boxed(lp, lb, ub), re, what);
       ++resolved;
+      if (!re.status.ok()) continue;
+      std::vector<double> lb2, ub2;
+      RandomSubBox(lb, ub, &sub_rng, &lb2, &ub2);
+      ExpectMatchesColdSolve(Boxed(lp, lb2, ub2),
+                             ResolveLp(work, lb2, ub2, Options(), &work2),
+                             what + " sub-box");
     }
     // The root state is read-only: it re-solves to its own optimum.
-    std::vector<double> lb0, ub0;
-    for (int v = 0; v < lp.num_vars(); ++v) {
-      lb0.push_back(lp.lower_bound(v));
-      ub0.push_back(lp.upper_bound(v));
-    }
-    const LpSolution& again = ResolveLp(solved, lb0, ub0, Options(), &work);
+    const LpSolution& again = ResolveLp(solved, LowerBounds(lp),
+                                        UpperBounds(lp), Options(), &work);
     ASSERT_TRUE(again.status.ok());
     EXPECT_EQ(again.iterations, 0);
     EXPECT_NEAR(again.objective, solved.solution().objective, 1e-9);
   }
   EXPECT_GT(feasible, 0);
   EXPECT_LT(feasible, resolved);
+}
+
+// Re-solving a state in place, ResolveLp(work, ..., &work), equals
+// re-solving it into another buffer: the same solution, and a state that
+// re-solves the same way again.
+TEST_P(VertexOracleTest, AliasedResolveEqualsResolvingACopy) {
+  Rng rng(static_cast<uint64_t>(Seed()) * 7727 + 2);
+  int aliased = 0;
+  for (int trial = 0; trial < 50; ++trial) {
+    const LinearProgram lp = TinyBoxedLp(&rng);
+    const SolvedLp solved(lp, Options());
+    if (!solved.solution().status.ok()) continue;
+    std::vector<double> lb, ub, lb2, ub2, lb3, ub3;
+    RandomSubBox(LowerBounds(lp), UpperBounds(lp), &rng, &lb, &ub);
+    SolvedLp work;
+    if (!ResolveLp(solved, lb, ub, Options(), &work).status.ok()) continue;
+    RandomSubBox(lb, ub, &rng, &lb2, &ub2);
+    const std::string what = "trial " + std::to_string(trial);
+    SolvedLp copy;
+    const LpSolution& expected = ResolveLp(work, lb2, ub2, Options(), &copy);
+    const LpSolution& in_place = ResolveLp(work, lb2, ub2, Options(), &work);
+    ExpectSameSolution(in_place, expected, what);
+    ++aliased;
+    if (!expected.status.ok()) continue;
+    RandomSubBox(lb2, ub2, &rng, &lb3, &ub3);
+    SolvedLp a, b;
+    ExpectSameSolution(ResolveLp(work, lb3, ub3, Options(), &a),
+                       ResolveLp(copy, lb3, ub3, Options(), &b),
+                       what + " again");
+  }
+  EXPECT_GT(aliased, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VertexOracleTest,
@@ -440,6 +522,102 @@ TEST(ResolveLpTest, TrippedControlSurfacesItsStatus) {
   ASSERT_TRUE(ok.status.ok());
   EXPECT_NEAR(ok.objective, 1.5, 1e-9);
   EXPECT_GT(ok.iterations, 0);
+}
+
+// A re-solved state shares its root's tableau, so it stays valid and
+// re-solvable after the SolvedLp it came from is destroyed.
+TEST(ResolveLpTest, WorkOutlivesItsRoot) {
+  // min x + 2y + 3z, x + y + z >= 2: x is basic at 2. Capping x at 0.5
+  // takes one pivot (y enters at 1.5); capping y at 1 then takes another
+  // (z enters at 0.5).
+  LinearProgram lp;
+  int x = lp.AddVariable(0.0, 2.0, 1.0);
+  int y = lp.AddVariable(0.0, 2.0, 2.0);
+  int z = lp.AddVariable(0.0, 2.0, 3.0);
+  lp.AddConstraint({{x, 1.0}, {y, 1.0}, {z, 1.0}}, ConstraintSense::kGe, 2.0);
+  SolvedLp work;
+  {
+    const SolvedLp root(lp);
+    ASSERT_TRUE(root.solution().status.ok());
+    const LpSolution& re = ResolveLp(root, {0.0, 0.0, 0.0}, {0.5, 2.0, 2.0},
+                                     {}, &work);
+    ASSERT_TRUE(re.status.ok());
+    EXPECT_NEAR(re.objective, 3.5, 1e-9);
+    EXPECT_EQ(re.iterations, 1);
+  }
+  const std::vector<double> lb = {0.0, 0.0, 0.0};
+  const std::vector<double> ub = {0.5, 1.0, 2.0};
+  SolvedLp child;
+  const LpSolution& re = ResolveLp(work, lb, ub, {}, &child);
+  ASSERT_TRUE(re.status.ok());
+  EXPECT_EQ(re.iterations, 1);
+  EXPECT_NEAR(re.objective, 4.0, 1e-9);
+  EXPECT_NEAR(re.objective, SolveLp(Boxed(lp, lb, ub)).objective, 1e-9);
+  ExpectSameSolution(ResolveLp(work, lb, ub, {}, &work), re, "in place");
+}
+
+// Several threads may re-solve one SolvedLp at once, each into its own
+// buffer: every result equals the sequential run's.
+TEST(ResolveLpTest, ConcurrentResolvesMatchSequential) {
+  Rng rng(17);
+  LinearProgram lp;
+  const int n = 12;
+  for (int v = 0; v < n; ++v) {
+    lp.AddVariable(0.0, 1.0, 0.5 + rng.NextDouble() * 4.0);
+  }
+  for (int c = 0; c < 10; ++c) {
+    std::vector<std::pair<int, double>> terms;
+    for (int v = 0; v < n; ++v) {
+      if (rng.NextBernoulli(0.4)) terms.emplace_back(v, 0.5 + rng.NextDouble());
+    }
+    if (terms.empty()) terms.emplace_back(c, 1.0);
+    lp.AddConstraint(terms, ConstraintSense::kGe,
+                     0.3 * static_cast<double>(terms.size()));
+  }
+  const SolvedLp solved(lp);
+  ASSERT_TRUE(solved.solution().status.ok());
+  // Boxes that fix one to three variables at 0 or 1.
+  constexpr int kThreads = 4;
+  constexpr int kBoxes = 40;
+  std::vector<std::vector<double>> lbs, ubs;
+  for (int b = 0; b < kBoxes; ++b) {
+    std::vector<double> lb(n, 0.0), ub(n, 1.0);
+    const int fixes = 1 + static_cast<int>(rng.NextBelow(3));
+    for (int f = 0; f < fixes; ++f) {
+      const size_t v = rng.NextBelow(n);
+      lb[v] = ub[v] = rng.NextBernoulli(0.5) ? 1.0 : 0.0;
+    }
+    lbs.push_back(lb);
+    ubs.push_back(ub);
+  }
+  std::vector<LpSolution> sequential(kBoxes);
+  SolvedLp work;
+  int pivots = 0;
+  for (int b = 0; b < kBoxes; ++b) {
+    sequential[static_cast<size_t>(b)] =
+        ResolveLp(solved, lbs[static_cast<size_t>(b)],
+                  ubs[static_cast<size_t>(b)], {}, &work);
+    pivots += sequential[static_cast<size_t>(b)].iterations;
+  }
+  EXPECT_GT(pivots, 0);
+  std::vector<LpSolution> concurrent(kBoxes);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      SolvedLp own;
+      for (int b = t; b < kBoxes; b += kThreads) {
+        concurrent[static_cast<size_t>(b)] =
+            ResolveLp(solved, lbs[static_cast<size_t>(b)],
+                      ubs[static_cast<size_t>(b)], {}, &own);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int b = 0; b < kBoxes; ++b) {
+    ExpectSameSolution(concurrent[static_cast<size_t>(b)],
+                       sequential[static_cast<size_t>(b)],
+                       "box " + std::to_string(b));
+  }
 }
 
 }  // namespace
