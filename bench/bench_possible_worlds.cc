@@ -12,6 +12,10 @@
 //   (c) the pruned/interned/parallel engine vs. the naive |Range|^N
 //       odometer: identical worlds and OUT sets, >= 5x faster on the
 //       largest configurations (the point of the optimized hot path).
+//   (g) batch ground truth per audit target at 1 thread and at hardware
+//       threads, and the one walk that dominates it (fig1, a3..a7 hidden)
+//       at 1 vs 2 shards — report-only, no gate key.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -19,6 +23,7 @@
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,11 +32,13 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "common/table_printer.h"
+#include "common/task_graph.h"
 #include "generators/families.h"
 #include "module/module_library.h"
 #include "privacy/possible_worlds.h"
 #include "privacy/safe_subset_search.h"
 #include "privacy/standalone_privacy.h"
+#include "privacy/workflow_privacy.h"
 #include "workflow/fig1_workflow.h"
 #include "workflow/workflow.h"
 
@@ -406,6 +413,140 @@ void ShardedSubsetSearchTable() {
   std::cout << line;
 }
 
+// --- E1g: batch ground truth on the batch's own executor. ---
+
+struct AuditTarget {
+  std::string name;
+  CatalogPtr catalog;
+  WorkflowPtr workflow;
+  std::vector<Bitset64> masks;
+};
+
+// Every subset of `attrs` as a hidden mask over a `universe`-wide catalog.
+std::vector<Bitset64> SubsetMasks(int universe, const std::vector<int>& attrs) {
+  std::vector<Bitset64> masks;
+  for (uint32_t bits = 0; bits < (1u << attrs.size()); ++bits) {
+    Bitset64 m(universe);
+    for (size_t b = 0; b < attrs.size(); ++b) {
+      if ((bits >> b) & 1u) m.Set(attrs[b]);
+    }
+    masks.push_back(std::move(m));
+  }
+  return masks;
+}
+
+// Per-target ground-truth batch time at 1 thread vs hardware threads (the
+// worlds-audit shape: every tractable mask of fig1 / prop2-chain /
+// example7-chain at Γ = 2, the chains built as podsd registers them), then
+// the fig1 all-hidden walk — the batch's critical path — at 1 vs 2 shards.
+// Report-only: check_regression.py reads no key from this row.
+void BatchGroundTruthTable() {
+  PrintBanner("E1g: batch ground truth, 1 thread vs hardware threads");
+  constexpr int64_t kAuditGamma = 2;
+  std::vector<AuditTarget> targets;
+  {
+    Fig1Workflow fig = MakeFig1Workflow();
+    AuditTarget t{"fig1", fig.catalog, std::move(fig.workflow), {}};
+    t.masks = SubsetMasks(t.catalog->size(),
+                          {fig.a3, fig.a4, fig.a5, fig.a6, fig.a7});
+    targets.push_back(std::move(t));
+  }
+  {
+    Prop2Chain chain = MakeProp2Chain(/*k=*/2);
+    targets.push_back({"prop2-chain", chain.catalog, std::move(chain.workflow),
+                       {}});
+  }
+  {
+    Rng rng(0x706f6475u);  // the seed podsd's built-in registry uses
+    Example7Chain chain = MakeExample7Chain(/*k=*/2, &rng);
+    targets.push_back({"example7-chain", chain.catalog,
+                       std::move(chain.workflow), {}});
+  }
+  for (size_t i = 1; i < targets.size(); ++i) {
+    std::vector<int> all(static_cast<size_t>(targets[i].catalog->size()));
+    std::iota(all.begin(), all.end(), 0);
+    targets[i].masks = SubsetMasks(targets[i].catalog->size(), all);
+  }
+
+  const int hw = DefaultThreads();
+  const int reps = ShortMode() ? 3 : 40;
+  // The hardware-threads side runs on one caller-owned executor, as podsd
+  // and perfbench do, so no batch pays for starting its own workers.
+  std::unique_ptr<TaskGraphExecutor> executor =
+      hw > 1 ? std::make_unique<TaskGraphExecutor>(hw - 1) : nullptr;
+  TablePrinter t({"target", "masks", "gt private", "1-thread ms",
+                  std::to_string(hw) + "-thread ms"});
+  for (const AuditTarget& target : targets) {
+    std::vector<WorkflowCertificationRequest> requests;
+    for (const Bitset64& m : target.masks) {
+      requests.push_back({m, kAuditGamma});
+    }
+    // Median of `reps` interleaved batches per thread count.
+    std::vector<double> ms[2];
+    std::vector<WorkflowBatchEntry> entries[2];
+    for (int rep = 0; rep < reps; ++rep) {
+      for (int side = 0; side < 2; ++side) {
+        WorkflowBatchOptions opts;
+        opts.with_ground_truth = true;
+        opts.num_threads = side == 0 ? 1 : hw;
+        opts.executor = side == 0 ? nullptr : executor.get();
+        Stopwatch sw;
+        WorkflowBatchResult r =
+            CertifyWorkflowBatch(*target.workflow, requests, opts);
+        ms[side].push_back(sw.ElapsedMillis());
+        PV_CHECK_MSG(r.status.ok(), r.status.message());
+        entries[side] = std::move(r.entries);
+      }
+    }
+    int64_t gt_private = 0;
+    for (size_t r = 0; r < requests.size(); ++r) {
+      PV_CHECK_MSG(entries[0][r].ground_truth_private ==
+                           entries[1][r].ground_truth_private &&
+                       entries[0][r].certificate.module_gammas ==
+                           entries[1][r].certificate.module_gammas,
+                   "batch diverged across thread counts on " << target.name);
+      gt_private += entries[0][r].ground_truth_private ? 1 : 0;
+    }
+    for (std::vector<double>& v : ms) std::sort(v.begin(), v.end());
+    t.NewRow()
+        .AddCell(target.name)
+        .AddCell(static_cast<int64_t>(requests.size()))
+        .AddCell(gt_private)
+        .AddCell(ms[0][ms[0].size() / 2], 3)
+        .AddCell(ms[1][ms[1].size() / 2], 3);
+  }
+  t.Print();
+
+  // The dominant walk: fig1 with a3..a7 hidden. One depth-first shard must
+  // exhaust the subtree under the first branch code before it can meet a
+  // second one; two shards feed the shared seen union both codes at once.
+  const AuditTarget& fig1 = targets[0];
+  const Bitset64 visible = fig1.masks.back().Complement();
+  std::shared_ptr<const WorkflowTables> tables =
+      BuildWorkflowTables(*fig1.workflow);
+  TablePrinter w({"shards", "fn choices", "early stop", "walk ms"});
+  for (int shards : {1, 2}) {
+    WorkflowEnumerationOptions opts;
+    opts.gamma = kAuditGamma;
+    opts.collect_distinct_relations = false;
+    opts.num_threads = shards;
+    WorkflowWorlds worlds;
+    const double walk_ms = TimeMs(reps, [&] {
+      worlds = EnumerateWorkflowWorlds(*tables, visible, {}, opts);
+    });
+    PV_CHECK_MSG(worlds.status.ok(), worlds.status.message());
+    w.NewRow()
+        .AddCell(static_cast<int64_t>(shards))
+        .AddCell(worlds.num_function_choices)
+        .AddCell(worlds.early_stopped ? "yes" : "no")
+        .AddCell(walk_ms, 3);
+  }
+  w.Print();
+  std::cout << "  fig1 walk with a3..a7 hidden at Gamma=" << kAuditGamma
+            << "; batch ms are medians of " << reps
+            << " interleaved runs, walk ms the best of " << reps << "\n";
+}
+
 void StreamingStandaloneTable() {
   PrintBanner(
       "E1e: streaming certification past the 2^22 materialization wall");
@@ -465,6 +606,7 @@ int main() {
   WorkflowSpeedupTable();
   StreamingStandaloneTable();
   ShardedSubsetSearchTable();
+  BatchGroundTruthTable();
   std::cout << "\n[bench_possible_worlds done in " << sw.ElapsedSeconds()
             << "s]\n";
   return 0;

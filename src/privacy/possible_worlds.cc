@@ -36,9 +36,13 @@ std::vector<int> VisiblePositions(const std::vector<AttrId>& attrs,
 // partitioning [0, total), as the independent tasks of one graph on
 // `shared` or a private executor of `shards` runners. The world walks
 // shard their first branch point's codes this way; each shard writes only
-// its own partial, merged by the caller. A single shard is a plain call:
-// batch ground truth runs one sequential walk per request, and a graph per
-// walk would be pure overhead there.
+// its own partial, merged by the caller. A single shard is a plain call,
+// with no graph. Batch ground truth passes its own executor as `shared`, so
+// a request's shards nest there and idle runners steal them. Under a Γ
+// short-circuit, sharding also changes *when* the walk can stop: the shards
+// feed one seen union several codes of the first branch point at once,
+// where a single depth-first shard meets a second code there only after
+// exhausting the whole subtree under the first.
 void RunRanges(TaskGraphExecutor* shared, int64_t total, int shards,
                const std::function<void(int, int64_t, int64_t)>& fn) {
   if (shards <= 1) {

@@ -140,10 +140,10 @@ WorkflowBatchResult CertifyWorkflowBatch(
 
   // Per-request per-module standalone Γ; public modules carry no
   // requirement and report INT64_MAX (as PerModuleStandaloneGamma does).
-  std::vector<std::vector<int64_t>> gammas(
-      requests.size(),
-      std::vector<int64_t>(static_cast<size_t>(n),
-                           std::numeric_limits<int64_t>::max()));
+  for (WorkflowBatchEntry& e : result.entries) {
+    e.certificate.module_gammas.assign(static_cast<size_t>(n),
+                                       std::numeric_limits<int64_t>::max());
+  }
   std::vector<SafeSearchStats> module_stats(private_modules.size());
   // Without a shared namespace, one batch-local memo per private module:
   // its relation materializes once and every request answers from it, so
@@ -157,52 +157,28 @@ WorkflowBatchResult CertifyWorkflowBatch(
     }
   }
 
-  // One graph. Each private module is a chain of per-request MaxGamma tasks
-  // (the memo is sequential per module), so per-module stats and gammas
-  // come from the same call sequence at any thread count; each request
-  // gets a verdict task gated on every module's answer for it; ground
-  // truth is a tables task (overlapping the memo chains) feeding
-  // per-request enumeration tasks. One thread runs it inline.
+  // One graph. Each private module is one task that answers every request
+  // in request order (the memo is per-module state), so per-module stats and
+  // gammas come from the same call sequence at any thread count. Ground
+  // truth is a tables task (overlapping the memo tasks) feeding
+  // per-request enumerations, whose walks shard on this same executor. One
+  // thread runs the graph inline.
   TaskGraph graph;
-  // cert_tasks[r] = the per-module tasks answering request r.
-  std::vector<std::vector<TaskGraph::TaskId>> cert_tasks(requests.size());
   for (size_t mi = 0; mi < private_modules.size(); ++mi) {
-    TaskGraph::TaskId prev = -1;
-    for (size_t r = 0; r < requests.size(); ++r) {
-      auto body = [&, mi, r] {
-        const size_t m_index = static_cast<size_t>(private_modules[mi]);
-        // Cache-backed memos are concurrent-read safe, so a shared
-        // namespace needs no lock — concurrent batches interleave on the
-        // cache's striped shards at lookup granularity.
-        SafetyMemo* memo = verdicts != nullptr ? verdicts->memo(mi)
-                                               : local_memos[mi].get();
-        gammas[r][m_index] = memo->MaxGamma(
-            requests[r].hidden, &module_stats[mi], nullptr, control);
-      };
-      prev = prev < 0 ? graph.Add(std::move(body))
-                      : graph.Add(std::move(body), {prev});
-      cert_tasks[r].push_back(prev);
-    }
-  }
-  for (size_t r = 0; r < requests.size(); ++r) {
-    graph.Add(
-        [&, r] {
-          PrivacyCertificate& cert = result.entries[r].certificate;
-          cert.module_gammas = std::move(gammas[r]);
-          cert.certified = true;
-          for (int i = 0; i < n; ++i) {
-            const Module& m = workflow.module(i);
-            if (!m.is_public() &&
-                cert.module_gammas[static_cast<size_t>(i)] <
-                    requests[r].gamma) {
-              cert.certified = false;
-            }
-            if (m.is_public() && m.AttrSet().Intersects(requests[r].hidden)) {
-              cert.required_privatizations.push_back(i);
-            }
-          }
-        },
-        cert_tasks[r]);
+    graph.Add([&, mi] {
+      const size_t m_index = static_cast<size_t>(private_modules[mi]);
+      // Cache-backed memos are concurrent-read safe, so a shared namespace
+      // needs no lock — concurrent batches interleave on the cache's
+      // striped shards at lookup granularity.
+      SafetyMemo* memo = verdicts != nullptr ? verdicts->memo(mi)
+                                             : local_memos[mi].get();
+      for (size_t r = 0; r < requests.size(); ++r) {
+        if (control != nullptr && control->ExpiredNow()) return;
+        result.entries[r].certificate.module_gammas[m_index] =
+            memo->MaxGamma(requests[r].hidden, &module_stats[mi], nullptr,
+                           control);
+      }
+    });
   }
 
   // First non-OK ground-truth status across the fanned-out requests (all
@@ -229,12 +205,16 @@ WorkflowBatchResult CertifyWorkflowBatch(
               note_status(tables->status);
               return;
             }
-            // Sequential inside its task: the batch owns the parallelism.
+            // The walk shards its first branch point on the batch's
+            // executor: idle runners steal shards, and the shared seen
+            // union meets several of that point's codes early, so the Γ
+            // short-circuit fires long before one depth-first shard would.
             WorkflowEnumerationOptions wopts;
             wopts.max_candidates = opts.max_candidates;
             wopts.gamma = requests[r].gamma;
             wopts.collect_distinct_relations = false;
-            wopts.num_threads = 1;
+            wopts.num_threads = max_threads;
+            wopts.executor = executor.get();
             wopts.control = control;
             WorkflowWorlds worlds = EnumerateWorkflowWorlds(
                 *tables, requests[r].hidden.Complement(),
@@ -260,12 +240,27 @@ WorkflowBatchResult CertifyWorkflowBatch(
   for (const SafeSearchStats& s : module_stats) result.stats.Accumulate(s);
   if (control != nullptr && !control->Check().ok()) {
     // Deadline/budget tripped mid-batch: surface the typed status with the
-    // partial stats. A trip skips remaining task bodies, so some entries
-    // may hold half-assembled verdicts; reset them all so a half-computed
-    // Γ can never read as a verdict.
+    // partial stats. A trip skips remaining task bodies and stops the
+    // module tasks between requests, so the module gammas and ground-truth
+    // verdicts are partial; reset every entry so a half-computed Γ can
+    // never read as a verdict.
     result.status = control->Check();
     result.entries.assign(requests.size(), WorkflowBatchEntry{});
     return result;
+  }
+  for (size_t r = 0; r < requests.size(); ++r) {
+    PrivacyCertificate& cert = result.entries[r].certificate;
+    cert.certified = true;
+    for (int i = 0; i < n; ++i) {
+      const Module& m = workflow.module(i);
+      if (!m.is_public() &&
+          cert.module_gammas[static_cast<size_t>(i)] < requests[r].gamma) {
+        cert.certified = false;
+      }
+      if (m.is_public() && m.AttrSet().Intersects(requests[r].hidden)) {
+        cert.required_privatizations.push_back(i);
+      }
+    }
   }
   if (!worlds_status.ok()) result.status = worlds_status;
   return result;

@@ -75,16 +75,19 @@ struct WorkflowCertificationRequest {
 /// Knobs of the batch certification driver. The shared execution knobs
 /// come from the embedded EngineConfig: num_threads defaults to 0 here
 /// (hardware concurrency — certification parallelizes over private
-/// modules, ground truth over requests). The batch runs as one dependency
-/// graph — per-module request chains, per-request verdict tasks, and with
-/// ground truth a tables task feeding per-request enumerations with no
-/// phase barrier — inline at one resolved thread, with field-identical
-/// results at any thread count; `executor` shares the daemon's
-/// work-stealing pool; `control` is
-/// polled between requests and at engine chunk boundaries, a trip
-/// surfacing as WorkflowBatchResult::status — partial stats, no certified
-/// verdicts. With or without a control, a ground-truth table build or walk
-/// over its size budget surfaces there as RESOURCE_EXHAUSTED.
+/// modules, ground truth over requests and within each request's walk).
+/// The batch runs as one dependency graph — one task per private module
+/// answering every request in order, and with ground truth a tables task
+/// feeding per-request enumerations with no phase barrier — inline at one
+/// resolved thread, with field-identical results at any thread count. Each
+/// enumeration shards its walk on the batch's executor (`executor` when
+/// given, e.g. the daemon's work-stealing pool; else one private executor
+/// per batch, never one per walk). `control` is polled between requests
+/// and at engine chunk boundaries, a trip surfacing as
+/// WorkflowBatchResult::status — partial stats, no certified verdicts.
+/// Every running walk charges its shards' state, so the peak charge grows
+/// with num_threads. With or without a control, a ground-truth table build
+/// or walk over its size budget surfaces there as RESOURCE_EXHAUSTED.
 struct WorkflowBatchOptions : EngineConfig {
   WorkflowBatchOptions() { num_threads = 0; }
 
@@ -175,9 +178,10 @@ class WorkflowCacheNamespace {
 /// calling CertifyWorkflowPrivacy per candidate — which re-materializes
 /// every module relation and re-runs Algorithm 2 from scratch each time —
 /// the batch driver materializes each private module's relation once,
-/// shares a per-module SafetyMemo across all requests, runs the per-module
-/// work as task-graph chains, and (optionally) reuses one set of
-/// possible-worlds tables for every ground-truth enumeration.
+/// shares a per-module SafetyMemo across all requests, runs each module's
+/// requests as one task, and (optionally) reuses one set of possible-worlds
+/// tables for every ground-truth enumeration, whose walks shard on the
+/// batch's executor.
 WorkflowBatchResult CertifyWorkflowBatch(
     const Workflow& workflow,
     const std::vector<WorkflowCertificationRequest>& requests,

@@ -5,9 +5,11 @@
 // attach an ExecControl to every request unconditionally.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "common/exec_control.h"
+#include "common/task_graph.h"
 #include "privacy/workflow_privacy.h"
 #include "server/client.h"
 #include "server/daemon.h"
@@ -149,6 +151,137 @@ TEST(DeadlineTest, TinyMemoryBudgetTripsResourceExhausted) {
   // A rejected charge is never recorded: whatever DID fit stayed under the
   // ceiling the whole time.
   EXPECT_LE(control.peak_bytes(), 16);
+}
+
+// -- 4-thread ground truth ----------------------------------------------------
+//
+// Batch ground-truth walks shard on the batch's executor, and each running
+// walk charges shards × shard_bytes, so the budget a batch needs grows with
+// its thread count.
+
+void ExpectEntriesReset(const WorkflowBatchResult& result, size_t requests) {
+  ASSERT_EQ(result.entries.size(), requests);
+  for (size_t i = 0; i < result.entries.size(); ++i) {
+    const WorkflowBatchEntry& e = result.entries[i];
+    EXPECT_FALSE(e.certificate.certified) << "request " << i;
+    EXPECT_TRUE(e.certificate.module_gammas.empty()) << "request " << i;
+    EXPECT_TRUE(e.certificate.required_privatizations.empty())
+        << "request " << i;
+    EXPECT_FALSE(e.ground_truth_private) << "request " << i;
+  }
+}
+
+// fig1 with all of a3..a7 hidden: its walk is large enough to shard.
+std::vector<WorkflowCertificationRequest> Fig1AllHidden(
+    const Fig1Workflow& fig1) {
+  return {Fig1Requests(fig1).back()};
+}
+
+struct Charges {
+  Status status;
+  int64_t peak = 0;
+  int64_t retained = 0;  // the tables' request-scoped charge
+  int64_t walks() const { return peak - retained; }
+};
+
+// Bytes charged by a ground-truth batch at `threads` under `budget`. The
+// verdicts answer from `warm`, settled beforehand, so no memo insert adds
+// its admission probe: the tables and the walks are the only charges.
+Charges GroundTruthCharges(
+    const Fig1Workflow& fig1,
+    const std::vector<WorkflowCertificationRequest>& reqs, int threads,
+    int64_t budget, WorkflowCacheNamespace* warm) {
+  ExecControl control;
+  control.set_memory_budget(budget);
+  WorkflowBatchOptions opts;
+  opts.num_threads = threads;
+  opts.with_ground_truth = true;
+  opts.control = &control;
+  Charges c;
+  c.status = CertifyWorkflowBatch(*fig1.workflow, reqs, opts, warm).status;
+  c.peak = control.peak_bytes();
+  c.retained = control.bytes_in_use();
+  return c;
+}
+
+// A namespace holding every verdict `reqs` asks for.
+std::unique_ptr<WorkflowCacheNamespace> WarmVerdicts(
+    const Fig1Workflow& fig1,
+    const std::vector<WorkflowCertificationRequest>& reqs) {
+  auto warm = std::make_unique<WorkflowCacheNamespace>(*fig1.workflow);
+  WorkflowBatchOptions opts;
+  opts.num_threads = 1;
+  EXPECT_TRUE(
+      CertifyWorkflowBatch(*fig1.workflow, reqs, opts, warm.get()).status.ok());
+  return warm;
+}
+
+TEST(DeadlineTest, ShardedWalkPeakChargeGrowsWithThreads) {
+  // One request, so one walk runs at a time: its charge is shards ×
+  // shard_bytes, one shard at one thread and two at two.
+  Fig1Workflow fig1 = MakeFig1Workflow();
+  const auto requests = Fig1AllHidden(fig1);
+  const auto warm = WarmVerdicts(fig1, requests);
+  const int64_t generous = int64_t{1} << 30;
+  const Charges one = GroundTruthCharges(fig1, requests, 1, generous, warm.get());
+  const Charges two = GroundTruthCharges(fig1, requests, 2, generous, warm.get());
+  const Charges four =
+      GroundTruthCharges(fig1, requests, 4, generous, warm.get());
+  for (const Charges* c : {&one, &two, &four}) {
+    ASSERT_TRUE(c->status.ok()) << c->status.ToString();
+    // Walk charges are released; only the tables' charge stays, and it
+    // does not depend on the thread count.
+    EXPECT_EQ(c->retained, one.retained);
+  }
+  ASSERT_GT(one.walks(), 0);
+  EXPECT_EQ(two.walks(), 2 * one.walks());
+  EXPECT_EQ(four.walks() % one.walks(), 0);
+  EXPECT_GE(four.walks(), two.walks());
+}
+
+TEST(DeadlineTest, BudgetForOneShardTripsShardedWalks) {
+  // The one-thread peak covers the tables plus one unsharded walk: enough
+  // at one thread, too little once the walk shards at four.
+  Fig1Workflow fig1 = MakeFig1Workflow();
+  const auto requests = Fig1AllHidden(fig1);
+  const auto warm = WarmVerdicts(fig1, requests);
+  const int64_t budget =
+      GroundTruthCharges(fig1, requests, 1, int64_t{1} << 30, warm.get()).peak;
+  const Charges fits = GroundTruthCharges(fig1, requests, 1, budget, warm.get());
+  EXPECT_TRUE(fits.status.ok()) << fits.status.ToString();
+
+  ExecControl control;
+  control.set_memory_budget(budget);
+  WorkflowBatchOptions opts;
+  opts.num_threads = 4;
+  opts.with_ground_truth = true;
+  opts.control = &control;
+  const WorkflowBatchResult result =
+      CertifyWorkflowBatch(*fig1.workflow, requests, opts, warm.get());
+  EXPECT_EQ(result.status.code(), StatusCode::kResourceExhausted)
+      << result.status.ToString();
+  EXPECT_LE(control.peak_bytes(), budget);
+  ExpectEntriesReset(result, requests.size());
+}
+
+TEST(DeadlineTest, ExpiredDeadlineResetsFourThreadGroundTruth) {
+  Fig1Workflow fig1 = MakeFig1Workflow();
+  const auto requests = Fig1Requests(fig1);
+  TaskGraphExecutor executor(3);
+  for (TaskGraphExecutor* shared :
+       {static_cast<TaskGraphExecutor*>(nullptr), &executor}) {
+    ExecControl control;
+    control.set_deadline_ms(0);  // already expired at entry
+    WorkflowBatchOptions opts;
+    opts.num_threads = 4;
+    opts.executor = shared;
+    opts.with_ground_truth = true;
+    opts.control = &control;
+    const WorkflowBatchResult result =
+        CertifyWorkflowBatch(*fig1.workflow, requests, opts);
+    EXPECT_EQ(result.status.code(), StatusCode::kDeadlineExceeded);
+    ExpectEntriesReset(result, requests.size());
+  }
 }
 
 // -- daemon round trips ------------------------------------------------------

@@ -6,9 +6,11 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/task_graph.h"
 #include "generators/families.h"
 #include "generators/random_workflow.h"
 #include "privacy/workflow_privacy.h"
@@ -16,6 +18,19 @@
 
 namespace provview {
 namespace {
+
+// Every subset of `attrs` as a hidden mask over a `universe`-wide catalog.
+std::vector<Bitset64> SubsetMasks(int universe, const std::vector<int>& attrs) {
+  std::vector<Bitset64> masks;
+  for (uint32_t bits = 0; bits < (1u << attrs.size()); ++bits) {
+    Bitset64 m(universe);
+    for (size_t b = 0; b < attrs.size(); ++b) {
+      if ((bits >> b) & 1u) m.Set(attrs[b]);
+    }
+    masks.push_back(std::move(m));
+  }
+  return masks;
+}
 
 // Every subset of the workflow's used attributes as a hidden-set request.
 std::vector<WorkflowCertificationRequest> AllSubsetRequests(
@@ -82,8 +97,8 @@ TEST(WorkflowBatchTest, SharesVerdictsAcrossRequests) {
 }
 
 TEST(WorkflowBatchTest, ThreadCountsFieldIdenticalAndMatchOracles) {
-  // Randomized determinism check of the task-graph driver (per-module
-  // request chains + per-request verdict tasks + overlapped ground truth):
+  // Randomized determinism check of the task-graph driver (one task per
+  // module + overlapped, sharded ground truth):
   // at 2/4/8 threads every entry AND the stats must equal the one-thread
   // run (the same graph, run inline), and that run must match the
   // independent oracles — one-at-a-time CertifyWorkflowPrivacy for the
@@ -268,6 +283,104 @@ TEST(WorkflowBatchTest, StreamedMemosMatchDefaultThreshold) {
   };
   EXPECT_EQ(evals_of(Module::kDefaultMaterializeRows), 4);
   EXPECT_GT(evals_of(0), 4);
+}
+
+TEST(WorkflowBatchTest, AuditMasksFieldIdenticalAcrossThreadsAndExecutors) {
+  // Every mask the worlds audit certifies — fig1's 32 subsets of a3..a7 and
+  // all 64 masks of prop2-chain and example7-chain (built as podsd's
+  // registry builds them) — at Γ = 1, 2, 3. Ground-truth walks shard on the
+  // batch's executor, where the Γ short-circuit fires at a
+  // schedule-dependent point; entries and stats must still equal the
+  // one-thread batch at 2 and 4 threads, with and without a caller-owned
+  // executor, and the verdict must equal the full walk's Γ >= target.
+  struct Target {
+    std::string name;
+    CatalogPtr catalog;
+    WorkflowPtr workflow;
+    std::vector<Bitset64> masks;
+  };
+  std::vector<Target> targets;
+  {
+    Fig1Workflow fig = MakeFig1Workflow();
+    std::vector<Bitset64> masks = SubsetMasks(
+        fig.catalog->size(), {fig.a3, fig.a4, fig.a5, fig.a6, fig.a7});
+    targets.push_back(
+        {"fig1", fig.catalog, std::move(fig.workflow), std::move(masks)});
+  }
+  {
+    Prop2Chain chain = MakeProp2Chain(/*k=*/2);
+    targets.push_back(
+        {"prop2-chain", chain.catalog, std::move(chain.workflow), {}});
+  }
+  {
+    Rng rng(0x706f6475u);  // the seed of podsd's built-in example7-chain
+    Example7Chain chain = MakeExample7Chain(/*k=*/2, &rng);
+    targets.push_back(
+        {"example7-chain", chain.catalog, std::move(chain.workflow), {}});
+  }
+  for (size_t t = 1; t < targets.size(); ++t) {
+    std::vector<int> all;
+    for (int a = 0; a < targets[t].catalog->size(); ++a) all.push_back(a);
+    targets[t].masks = SubsetMasks(targets[t].catalog->size(), all);
+  }
+
+  TaskGraphExecutor executor(3);
+  for (const Target& target : targets) {
+    std::vector<int64_t> truth;  // full walk, no short-circuit
+    for (const Bitset64& m : target.masks) {
+      truth.push_back(GroundTruthWorkflowGamma(*target.workflow, m, {}));
+    }
+    for (int64_t gamma : {1, 2, 3}) {
+      std::vector<WorkflowCertificationRequest> requests;
+      for (const Bitset64& m : target.masks) requests.push_back({m, gamma});
+      WorkflowBatchOptions one;
+      one.num_threads = 1;
+      one.with_ground_truth = true;
+      const WorkflowBatchResult want =
+          CertifyWorkflowBatch(*target.workflow, requests, one);
+      ASSERT_TRUE(want.status.ok()) << want.status.ToString();
+      ASSERT_EQ(want.entries.size(), requests.size());
+      for (size_t r = 0; r < requests.size(); ++r) {
+        EXPECT_EQ(want.entries[r].ground_truth_private, truth[r] >= gamma)
+            << target.name << " gamma " << gamma << " mask " << r;
+      }
+      for (int threads : {1, 2, 4}) {
+        for (TaskGraphExecutor* shared : {static_cast<TaskGraphExecutor*>(
+                                              nullptr),
+                                          &executor}) {
+          if (threads == 1 && shared == nullptr) continue;  // `want` itself
+          WorkflowBatchOptions opts = one;
+          opts.num_threads = threads;
+          opts.executor = shared;
+          const WorkflowBatchResult got =
+              CertifyWorkflowBatch(*target.workflow, requests, opts);
+          const std::string where =
+              target.name + " gamma " + std::to_string(gamma) + " threads " +
+              std::to_string(threads) +
+              (shared != nullptr ? " shared executor" : " own executor");
+          ASSERT_TRUE(got.status.ok()) << where << ": " << got.status.ToString();
+          ASSERT_EQ(got.entries.size(), want.entries.size()) << where;
+          for (size_t r = 0; r < got.entries.size(); ++r) {
+            const WorkflowBatchEntry& g = got.entries[r];
+            const WorkflowBatchEntry& w = want.entries[r];
+            EXPECT_EQ(g.certificate.certified, w.certificate.certified)
+                << where << " mask " << r;
+            EXPECT_EQ(g.certificate.module_gammas, w.certificate.module_gammas)
+                << where << " mask " << r;
+            EXPECT_EQ(g.certificate.required_privatizations,
+                      w.certificate.required_privatizations)
+                << where << " mask " << r;
+            EXPECT_EQ(g.ground_truth_private, w.ground_truth_private)
+                << where << " mask " << r;
+          }
+          EXPECT_EQ(got.stats.subsets_examined, want.stats.subsets_examined)
+              << where;
+          EXPECT_EQ(got.stats.checker_calls, want.stats.checker_calls) << where;
+          EXPECT_EQ(got.stats.cache_hits, want.stats.cache_hits) << where;
+        }
+      }
+    }
+  }
 }
 
 TEST(WorkflowBatchTest, OverBudgetGroundTruthReturnsResourceExhausted) {
