@@ -38,11 +38,9 @@ std::vector<int> VisiblePositions(const std::vector<AttrId>& attrs,
 // shard their first branch point's codes this way; each shard writes only
 // its own partial, merged by the caller. A single shard is a plain call,
 // with no graph. Batch ground truth passes its own executor as `shared`, so
-// a request's shards nest there and idle runners steal them. Under a Γ
-// short-circuit, sharding also changes *when* the walk can stop: the shards
-// feed one seen union several codes of the first branch point at once,
-// where a single depth-first shard meets a second code there only after
-// exhausting the whole subtree under the first.
+// a request's shards nest there and idle runners steal them. Under Γ the
+// workflow walk shards only after its Γ-directed probe (see WfWalk) has
+// given up, so the shards mostly run complete walks.
 void RunRanges(TaskGraphExecutor* shared, int64_t total, int shards,
                const std::function<void(int, int64_t, int64_t)>& fn) {
   if (shards <= 1) {
@@ -102,6 +100,11 @@ struct SeenUnion {
       }
     }
   }
+
+  // Under a Γ target: true while Γ-tracked pair p is short of it. Reads
+  // without the lock: only a walker that runs alone (the workflow walk's
+  // probe) asks.
+  bool Short(size_t pair) const { return remaining[pair] > 0; }
 
   // Records (pair, j); when every Γ-tracked pair's distinct count reaches
   // the target, flips `stop`.
@@ -576,11 +579,14 @@ std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
       return t;
     }
     const size_t n_out = t->out_attrs[si].size();
-    if (control != nullptr &&
-        !control->TryCharge(range * static_cast<int64_t>(n_out) *
-                            static_cast<int64_t>(sizeof(int32_t)))) {
-      t->status = control->Check();
-      return t;
+    const int64_t decode_bytes = range * static_cast<int64_t>(n_out) *
+                                 static_cast<int64_t>(sizeof(int32_t));
+    if (control != nullptr) {
+      if (!control->TryCharge(decode_bytes)) {
+        t->status = control->Check();
+        return t;
+      }
+      t->charged_bytes += decode_bytes;
     }
   }
   // The two per-module fills. The execution plan sweeps the module's
@@ -632,14 +638,18 @@ std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
   // The per-execution arrays are the dominant footprint of the build;
   // charge them against the request's budget before allocating so an
   // oversized request trips RESOURCE_EXHAUSTED instead of OOM-ing the
-  // daemon. The charge lives as long as the tables (request scope).
-  if (control != nullptr &&
-      !control->TryCharge(
-          execs * static_cast<int64_t>(
-                      (prov_arity + static_cast<size_t>(n) + num_init) *
-                      sizeof(int32_t)))) {
-    t->status = control->Check();
-    return t;
+  // daemon. The charge is recorded on the tables and released by their
+  // owner once its walks are done.
+  const int64_t log_bytes =
+      execs * static_cast<int64_t>(
+                  (prov_arity + static_cast<size_t>(n) + num_init) *
+                  sizeof(int32_t));
+  if (control != nullptr) {
+    if (!control->TryCharge(log_bytes)) {
+      t->status = control->Check();
+      return t;
+    }
+    t->charged_bytes += log_bytes;
   }
   t->orig_rows.resize(static_cast<size_t>(execs) * prov_arity);
   t->orig_in_code.resize(static_cast<size_t>(execs) * static_cast<size_t>(n));
@@ -743,6 +753,16 @@ std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
 // Backtracking to a frame uncovers the rows of the executions since it
 // that read its slot or a later one, and resumes that frame's execution at
 // the module that reached the slot.
+//
+// Under Γ a plain depth-first walk meets a second code of a slot only
+// after exhausting the subtree beneath its first, which can be most of the
+// space. So a Γ-directed probe runs first, as one walker: after each
+// consistent leaf it backs up to the shallowest slot still short of Γ and
+// varies that slot next (the visiting order of limited-discrepancy search,
+// Harvey & Ginsberg, IJCAI 1995). The probe skips subtrees, so if it ends
+// without the Γ short-circuit firing, the complete walk runs from the
+// start, sharded; it keeps the probe's OUT-set marks, since every probe
+// leaf is a consistent world, and recounts everything else.
 // ----------------------------------------------------------------------------
 
 namespace {
@@ -812,6 +832,9 @@ struct WfInstance {
   std::vector<TrackedInput> inputs;
   std::vector<size_t> input_widths;
   std::vector<bool> input_gamma;
+  // Per walked slot: the Γ-tracked pair it holds, -1 if none (a slot is
+  // one domain point of one module, so it holds at most one pair).
+  std::vector<int32_t> gamma_pair_of_slot;
   bool collect_distinct = true;
 };
 
@@ -932,13 +955,21 @@ int64_t FirstBranchWidth(const WfInstance& inst) {
 // indices [split_begin, split_end) at the first multi-code branch point
 // (a shard's share; [0, kMax) walks them all).
 //
+// With `probe` set this is the Γ-directed probe instead, run alone over the
+// whole space: after each consistent leaf it drops every frame deeper than
+// the shallowest one whose slot holds a Γ-tracked pair still short of Γ,
+// so the backtrack varies that slot next rather than exhausting the
+// subtree beneath it. The probe skips subtrees and so is not a complete
+// walk, but every leaf it records is a consistent world.
+//
 // A finished execution remembers dep[e], the deepest frame among the slots
 // it read. Only the slots of frames >= k differ when the walk backtracks
 // to frame k, and they were all first reached at or after frame k's
 // execution, so exactly the executions from there on with dep >= k lose
-// their rows; the others stay finished and covered.
+// their rows; the others stay finished and covered. That holds however
+// many frames one backtrack pops, the probe's included.
 void WfWalk(const WfInstance& inst, int64_t split_begin, int64_t split_end,
-            SeenUnion* seen_union, std::atomic<bool>* stop,
+            bool probe, SeenUnion* seen_union, std::atomic<bool>* stop,
             const ExecControl* control, WfShardResult* out) {
   constexpr int32_t kUnfinished = -2;
   const WorkflowTables& t = *inst.tables;
@@ -975,6 +1006,26 @@ void WfWalk(const WfInstance& inst, int64_t split_begin, int64_t split_end,
     const int32_t* rb = &rows_flat[static_cast<size_t>(b) * prov_arity];
     return std::lexicographical_compare(ra, ra + prov_arity, rb,
                                         rb + prov_arity);
+  };
+  auto pop_frame = [&] {
+    const int32_t slot = frames.back().slot;
+    idx[static_cast<size_t>(slot)] = -1;
+    free_product *= inst.slot_len[static_cast<size_t>(slot)];
+    frames.pop_back();
+  };
+  // The probe's rule: keep frames up to the shallowest one still short of
+  // Γ. After a leaf every Γ-tracked pair on an unassigned slot is marked
+  // with its whole feasible list, at least Γ wide, so a short pair sits
+  // on a frame unless the short-circuit has fired.
+  auto back_up_to_short_frame = [&] {
+    for (size_t k = 0; k < frames.size(); ++k) {
+      const int32_t p =
+          inst.gamma_pair_of_slot[static_cast<size_t>(frames[k].slot)];
+      if (p >= 0 && seen_union->Short(static_cast<size_t>(p))) {
+        while (frames.size() > k + 1) pop_frame();
+        return;
+      }
+    }
   };
   auto record_leaf = [&] {
     out->num_function_choices += free_product;
@@ -1025,6 +1076,7 @@ void WfWalk(const WfInstance& inst, int64_t split_begin, int64_t split_end,
       }
       if (e == num_execs) {
         record_leaf();
+        if (probe) back_up_to_short_frame();
         break;
       }
       int32_t* vals = &values[static_cast<size_t>(e) * num_attrs];
@@ -1067,11 +1119,11 @@ void WfWalk(const WfInstance& inst, int64_t split_begin, int64_t split_end,
         stop->store(true, std::memory_order_relaxed);
         return;
       }
-      const WfFrame& f = frames.back();
-      if (++idx[static_cast<size_t>(f.slot)] < f.end) break;
-      idx[static_cast<size_t>(f.slot)] = -1;
-      free_product *= inst.slot_len[static_cast<size_t>(f.slot)];
-      frames.pop_back();
+      if (++idx[static_cast<size_t>(frames.back().slot)] <
+          frames.back().end) {
+        break;
+      }
+      pop_frame();
     }
     // Unfinish the executions that read the advanced slot or a popped one.
     const WfFrame& f = frames.back();
@@ -1292,19 +1344,28 @@ WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
 
   // OUT-set marks: one pair per (free module, original input code). The
   // Γ short-circuit tracks every free private module (fixed modules have
-  // singleton OUT sets and would never reach Γ > 1).
+  // singleton OUT sets and would never reach Γ > 1). The Γ-directed probe
+  // pays off only if the short-circuit can fire, which needs every tracked
+  // pair's feasible list to be at least Γ wide.
   int64_t tracked_pairs = 0;
+  bool probe = opts.gamma > 0;
+  inst.gamma_pair_of_slot.assign(inst.slots.size(), -1);
   for (int i : inst.free_modules) {
     const size_t si = static_cast<size_t>(i);
     const bool gamma_tracked = !workflow.module(i).is_public();
     for (int32_t d : tables.orig_input_codes[si]) {
       const int32_t s = inst.slot_of[si][static_cast<size_t>(d)];
       PV_CHECK(s >= 0);
+      const size_t width = inst.slots[static_cast<size_t>(s)]->size();
+      if (gamma_tracked) {
+        inst.gamma_pair_of_slot[static_cast<size_t>(s)] =
+            static_cast<int32_t>(inst.inputs.size());
+        probe = probe && static_cast<int64_t>(width) >= opts.gamma;
+        ++tracked_pairs;
+      }
       inst.inputs.push_back(WfInstance::TrackedInput{i, d, s});
-      inst.input_widths.push_back(
-          inst.slots[static_cast<size_t>(s)]->size());
+      inst.input_widths.push_back(width);
       inst.input_gamma.push_back(gamma_tracked);
-      if (gamma_tracked) ++tracked_pairs;
     }
   }
   if (opts.gamma > 0 && tracked_pairs == 0) {
@@ -1315,7 +1376,8 @@ WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
 
   inst.FinalizeSlots();
 
-  // Shard the walk over the codes of its first multi-code branch point.
+  // The complete walk shards over the codes of its first multi-code branch
+  // point.
   int threads = ResolveThreads(opts.num_threads);
   if (result.pruned_candidates <= opts.min_parallel_candidates) threads = 1;
   const int64_t branch_width = threads > 1 ? FirstBranchWidth(inst) : 1;
@@ -1329,7 +1391,8 @@ WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
   // frame stack, plus the distinct-relation scratch when it is collected.
   // Charge the whole fleet against the request budget up front (released
   // after the walk — the charge covers peak transient footprint, not
-  // retained state).
+  // retained state). The probe is one walker that finishes before the
+  // fleet starts, so the fleet's charge covers it.
   const int64_t execs = tables.num_execs;
   const int64_t num_slots = static_cast<int64_t>(inst.slots.size());
   int64_t shard_bytes =
@@ -1345,12 +1408,24 @@ WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
     result.status = control->Check();
     return result;
   }
-  RunRanges(opts.executor, branch_width, shards,
-            [&](int shard, int64_t begin, int64_t end) {
-              // One shard tries every code of the branch point.
-              WfWalk(inst, begin, shards == 1 ? kMax : end, &seen_union,
-                     &stop, control, &partials[static_cast<size_t>(shard)]);
-            });
+  // Under Γ the probe goes first, on the calling thread. If it ends
+  // without the short-circuit firing, the complete walk starts over: the
+  // probe's counts and relations are dropped, while its marks stay in the
+  // seen union (each came from a consistent world).
+  if (probe) {
+    WfWalk(inst, 0, kMax, /*probe=*/true, &seen_union, &stop, control,
+           &partials[0]);
+    if (!stop.load()) partials[0] = WfShardResult{};
+  }
+  if (!stop.load()) {
+    RunRanges(opts.executor, branch_width, shards,
+              [&](int shard, int64_t begin, int64_t end) {
+                // One shard tries every code of the branch point.
+                WfWalk(inst, begin, shards == 1 ? kMax : end,
+                       /*probe=*/false, &seen_union, &stop, control,
+                       &partials[static_cast<size_t>(shard)]);
+              });
+  }
   if (control != nullptr) {
     control->Release(walk_bytes);
     result.status = control->Check();
@@ -1402,8 +1477,12 @@ WorkflowWorlds EnumerateWorkflowWorlds(const Workflow& workflow,
                                        const WorkflowEnumerationOptions& opts) {
   WorkflowTablesOptions topts;
   topts.control = opts.control;  // the build shares the request's deadline
-  return EnumerateWorkflowWorlds(*BuildWorkflowTables(workflow, topts),
-                                 visible, fixed_modules, opts);
+  const std::shared_ptr<const WorkflowTables> tables =
+      BuildWorkflowTables(workflow, topts);
+  WorkflowWorlds worlds =
+      EnumerateWorkflowWorlds(*tables, visible, fixed_modules, opts);
+  if (opts.control != nullptr) opts.control->Release(tables->charged_bytes);
+  return worlds;
 }
 
 WorkflowWorlds EnumerateWorkflowWorldsNaive(const Workflow& workflow,

@@ -132,7 +132,9 @@ struct WorkflowWorlds {
   /// `collect_distinct_relations` off.
   int64_t num_distinct_relations = 0;
   /// Number of consistent joint function choices (≥ num_distinct_relations).
-  /// A lower bound if `early_stopped` is set.
+  /// If `early_stopped` is set, only a lower bound: the choices the walk
+  /// (under Γ, its Γ-directed probe) visited before it stopped. Otherwise
+  /// exact, whether or not a probe ran first.
   int64_t num_function_choices = 0;
   /// out_sets[i][x] = OUT_{x,W} restricted to functional worlds, for module
   /// index i and module-i input x.
@@ -215,6 +217,11 @@ struct WorkflowTables {
   std::vector<int32_t> orig_in_code;
   /// Initial-input values per execution, flattened num_execs × |I_0|.
   std::vector<int32_t> init_values;
+  /// Bytes the build charged to WorkflowTablesOptions::control: every
+  /// charge that succeeded, a tripped build's included. The build never
+  /// releases them; whoever owns the tables releases them once its walks
+  /// over them are done.
+  int64_t charged_bytes = 0;
   /// OK on a completed build. RESOURCE_EXHAUSTED when a module or the
   /// initial-input space exceeds a size guard (with or without an
   /// ExecControl); DEADLINE_EXCEEDED / RESOURCE_EXHAUSTED when
@@ -235,7 +242,8 @@ struct WorkflowTables {
 /// on `executor` or a private executor. The execution log is always
 /// materialized, and max_executions is its one size bound. `control`'s
 /// memory budget is charged before the per-execution arrays allocate, a
-/// trip surfacing as WorkflowTables::status.
+/// trip surfacing as WorkflowTables::status; the charge is recorded in
+/// WorkflowTables::charged_bytes for the caller to release.
 struct WorkflowTablesOptions : EngineConfig {
   /// Budget on the initial-input product space (the execution count);
   /// larger spaces come back RESOURCE_EXHAUSTED.
@@ -265,10 +273,20 @@ std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
 /// executions: a slot gets a code only when an execution first reaches it,
 /// and a branch is cut as soon as a finished row leaves the view or the
 /// executions left cannot cover the view. A consistent leaf stands for
-/// every code of the slots it left unassigned. The Γ short-circuit can stop
-/// the walk early, and the walk is sharded over the codes of its first
-/// multi-code branch point (everything before it is forced) as TaskGraph
-/// tasks. Byte-identical results to EnumerateWorkflowWorldsNaive on full
+/// every code of the slots it left unassigned. The complete walk is
+/// sharded over the codes of its first multi-code branch point (everything
+/// before it is forced) as TaskGraph tasks.
+///
+/// With `gamma` > 0, and at least Γ feasible codes for every original
+/// input of every free private module (else the short-circuit cannot
+/// fire), a Γ-directed probe runs first on the calling thread: the same
+/// walk, except that after each consistent leaf it backs up to the
+/// shallowest slot still short of Γ. If the short-circuit fires there, the
+/// result is the probe's. Otherwise the complete walk runs, keeping only
+/// the probe's OUT-set marks, so every field of a run that does not stop
+/// early equals that of the run with `gamma` = 0 and the other options
+/// unchanged. The up-front memory charge for the walk's shards covers both
+/// phases. Byte-identical results to EnumerateWorkflowWorldsNaive on full
 /// runs.
 WorkflowWorlds EnumerateWorkflowWorlds(
     const WorkflowTables& tables, const Bitset64& visible,
@@ -276,8 +294,8 @@ WorkflowWorlds EnumerateWorkflowWorlds(
     const WorkflowEnumerationOptions& opts = {});
 
 /// Convenience overload building the tables internally (with the default
-/// WorkflowTablesOptions and `opts.control`); a non-OK build comes back as
-/// the result's status.
+/// WorkflowTablesOptions and `opts.control`, whose table charge it releases
+/// after the walk); a non-OK build comes back as the result's status.
 WorkflowWorlds EnumerateWorkflowWorlds(
     const Workflow& workflow, const Bitset64& visible,
     const std::vector<int>& fixed_modules,

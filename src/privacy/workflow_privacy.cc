@@ -205,10 +205,9 @@ WorkflowBatchResult CertifyWorkflowBatch(
               note_status(tables->status);
               return;
             }
-            // The walk shards its first branch point on the batch's
-            // executor: idle runners steal shards, and the shared seen
-            // union meets several of that point's codes early, so the Γ
-            // short-circuit fires long before one depth-first shard would.
+            // The walk's Γ-directed probe runs on this task; a walk the
+            // probe cannot settle shards its first branch point on the
+            // batch's executor, where idle runners steal the shards.
             WorkflowEnumerationOptions wopts;
             wopts.max_candidates = opts.max_candidates;
             wopts.gamma = requests[r].gamma;
@@ -237,6 +236,11 @@ WorkflowBatchResult CertifyWorkflowBatch(
   }
 
   (void)graph.Run(executor.get(), control);  // trips surface just below
+  // Every walk is done: the tables' charge returns to the control (and to
+  // its shared pool, if any).
+  if (control != nullptr && tables != nullptr) {
+    control->Release(tables->charged_bytes);
+  }
   for (const SafeSearchStats& s : module_stats) result.stats.Accumulate(s);
   if (control != nullptr && !control->Check().ok()) {
     // Deadline/budget tripped mid-batch: surface the typed status with the

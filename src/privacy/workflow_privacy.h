@@ -80,14 +80,16 @@ struct WorkflowCertificationRequest {
 /// answering every request in order, and with ground truth a tables task
 /// feeding per-request enumerations with no phase barrier — inline at one
 /// resolved thread, with field-identical results at any thread count. Each
-/// enumeration shards its walk on the batch's executor (`executor` when
-/// given, e.g. the daemon's work-stealing pool; else one private executor
-/// per batch, never one per walk). `control` is polled between requests
-/// and at engine chunk boundaries, a trip surfacing as
-/// WorkflowBatchResult::status — partial stats, no certified verdicts.
-/// Every running walk charges its shards' state, so the peak charge grows
-/// with num_threads. With or without a control, a ground-truth table build
-/// or walk over its size budget surfaces there as RESOURCE_EXHAUSTED.
+/// enumeration runs its Γ-directed probe on its own task; a walk the probe
+/// cannot settle shards on the batch's executor (`executor` when given,
+/// e.g. the daemon's work-stealing pool; else one private executor per
+/// batch, never one per walk). `control` is polled between requests and at
+/// engine chunk boundaries, a trip surfacing as WorkflowBatchResult::status
+/// — partial stats, no certified verdicts. Every running walk charges its
+/// shards' state, so the peak charge grows with num_threads; the tables'
+/// charge is held until the last walk ends, and the batch returns with
+/// every charge released. With or without a control, a ground-truth table
+/// build or walk over its size budget surfaces there as RESOURCE_EXHAUSTED.
 struct WorkflowBatchOptions : EngineConfig {
   WorkflowBatchOptions() { num_threads = 0; }
 
@@ -180,8 +182,9 @@ class WorkflowCacheNamespace {
 /// the batch driver materializes each private module's relation once,
 /// shares a per-module SafetyMemo across all requests, runs each module's
 /// requests as one task, and (optionally) reuses one set of possible-worlds
-/// tables for every ground-truth enumeration, whose walks shard on the
-/// batch's executor.
+/// tables for every ground-truth enumeration. Each enumeration is one task
+/// whose Γ-directed probe usually settles the request alone; only a walk
+/// the probe cannot settle shards on the batch's executor.
 WorkflowBatchResult CertifyWorkflowBatch(
     const Workflow& workflow,
     const std::vector<WorkflowCertificationRequest>& requests,

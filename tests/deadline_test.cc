@@ -10,6 +10,7 @@
 
 #include "common/exec_control.h"
 #include "common/task_graph.h"
+#include "privacy/possible_worlds.h"
 #include "privacy/workflow_privacy.h"
 #include "server/client.h"
 #include "server/daemon.h"
@@ -177,11 +178,25 @@ std::vector<WorkflowCertificationRequest> Fig1AllHidden(
   return {Fig1Requests(fig1).back()};
 }
 
+// The bytes a fig1 table build charges to its control, as recorded on the
+// tables. The charge does not depend on the build's thread count.
+int64_t Fig1TablesCharge(const Fig1Workflow& fig1) {
+  ExecControl control;
+  WorkflowTablesOptions topts;
+  topts.control = &control;
+  const int64_t charged =
+      BuildWorkflowTables(*fig1.workflow, topts)->charged_bytes;
+  // The build charges exactly what it records, and never releases it.
+  EXPECT_EQ(control.bytes_in_use(), charged);
+  return charged;
+}
+
 struct Charges {
   Status status;
   int64_t peak = 0;
-  int64_t retained = 0;  // the tables' request-scoped charge
-  int64_t walks() const { return peak - retained; }
+  int64_t retained = 0;  // still charged after the batch returned
+  int64_t tables = 0;    // the tables' charge, held while the walks run
+  int64_t walks() const { return peak - tables; }
 };
 
 // Bytes charged by a ground-truth batch at `threads` under `budget`. The
@@ -201,6 +216,7 @@ Charges GroundTruthCharges(
   c.status = CertifyWorkflowBatch(*fig1.workflow, reqs, opts, warm).status;
   c.peak = control.peak_bytes();
   c.retained = control.bytes_in_use();
+  c.tables = Fig1TablesCharge(fig1);
   return c;
 }
 
@@ -229,10 +245,10 @@ TEST(DeadlineTest, ShardedWalkPeakChargeGrowsWithThreads) {
       GroundTruthCharges(fig1, requests, 4, generous, warm.get());
   for (const Charges* c : {&one, &two, &four}) {
     ASSERT_TRUE(c->status.ok()) << c->status.ToString();
-    // Walk charges are released; only the tables' charge stays, and it
-    // does not depend on the thread count.
-    EXPECT_EQ(c->retained, one.retained);
+    // The walk charges and the tables' charge are all released.
+    EXPECT_EQ(c->retained, 0);
   }
+  ASSERT_GT(one.tables, 0);
   ASSERT_GT(one.walks(), 0);
   EXPECT_EQ(two.walks(), 2 * one.walks());
   EXPECT_EQ(four.walks() % one.walks(), 0);
@@ -262,6 +278,29 @@ TEST(DeadlineTest, BudgetForOneShardTripsShardedWalks) {
       << result.status.ToString();
   EXPECT_LE(control.peak_bytes(), budget);
   ExpectEntriesReset(result, requests.size());
+}
+
+TEST(DeadlineTest, GroundTruthBatchReturnsSharedPoolToBaseline) {
+  // A control drawing from a shared pool, as podsd's handler sets one up:
+  // after a ground-truth batch the tables' and walks' charges are back in
+  // the pool, at one thread and at four.
+  Fig1Workflow fig1 = MakeFig1Workflow();
+  const auto requests = Fig1Requests(fig1);
+  MemoryBudget pool(int64_t{1} << 30);
+  for (int threads : {1, 4}) {
+    ExecControl control;
+    control.set_shared_budget(&pool);
+    WorkflowBatchOptions opts;
+    opts.num_threads = threads;
+    opts.with_ground_truth = true;
+    opts.control = &control;
+    const WorkflowBatchResult result =
+        CertifyWorkflowBatch(*fig1.workflow, requests, opts);
+    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+    EXPECT_GT(control.peak_bytes(), 0) << threads << " threads";
+    EXPECT_EQ(control.bytes_in_use(), 0) << threads << " threads";
+    EXPECT_EQ(pool.bytes_in_use(), 0) << threads << " threads";
+  }
 }
 
 TEST(DeadlineTest, ExpiredDeadlineResetsFourThreadGroundTruth) {

@@ -15,6 +15,7 @@
 #include "module/module_library.h"
 #include "privacy/feasible_sets.h"
 #include "privacy/possible_worlds.h"
+#include "workflow/fig1_workflow.h"
 
 namespace provview {
 namespace {
@@ -442,6 +443,81 @@ TEST(WorkflowWorldsEquivalenceTest, EarlyStopKeepsFullRunVerdicts) {
     ++checked;
   }
   EXPECT_GE(checked, 10);
+}
+
+TEST(WorkflowWorldsEquivalenceTest, ProbeThatGivesUpLeavesNoTrace) {
+  // Under Γ the walk first runs a Γ-directed probe. When the probe ends
+  // without the short-circuit firing, the complete walk starts over, and a
+  // run that does not stop early must then equal the Γ = 0 full run in
+  // every field: nothing the probe counted may leak into the result. Two
+  // output bits per module give feasible lists up to 4 wide, so the probe
+  // runs at every Γ here.
+  RandomWorkflowOptions options = SmallOptions(2);
+  options.max_outputs = 2;
+  int not_stopped = 0;
+  for (uint64_t seed = 700; seed < 740; ++seed) {
+    Rng rng(seed * 53 + 9);
+    options.num_modules = seed % 2 == 0 ? 2 : 3;
+    GeneratedWorkflow g = MakeRandomWorkflow(options, &rng);
+    Bitset64 visible = RandomVisible(*g.workflow, &rng, 0.5);
+    auto tables = BuildWorkflowTables(*g.workflow);
+    WorkflowEnumerationOptions full_opts;
+    full_opts.max_candidates = int64_t{1} << 33;
+    full_opts.min_parallel_candidates = 0;
+    const WorkflowWorlds full =
+        EnumerateWorkflowWorlds(*tables, visible, {}, full_opts);
+    ASSERT_TRUE(full.status.ok()) << "seed " << seed;
+    for (int64_t gamma = 1; gamma <= 4; ++gamma) {
+      for (int threads : {1, 4}) {
+        WorkflowEnumerationOptions opts = full_opts;
+        opts.gamma = gamma;
+        opts.num_threads = threads;
+        const WorkflowWorlds r =
+            EnumerateWorkflowWorlds(*tables, visible, {}, opts);
+        if (r.early_stopped) continue;
+        ++not_stopped;
+        EXPECT_EQ(r.num_function_choices, full.num_function_choices)
+            << "seed " << seed << " gamma " << gamma << " threads " << threads;
+        EXPECT_EQ(r.num_distinct_relations, full.num_distinct_relations)
+            << "seed " << seed << " gamma " << gamma << " threads " << threads;
+        EXPECT_EQ(r.out_sets, full.out_sets)
+            << "seed " << seed << " gamma " << gamma << " threads " << threads;
+        EXPECT_EQ(r.pruned_candidates, full.pruned_candidates)
+            << "seed " << seed << " gamma " << gamma << " threads " << threads;
+        EXPECT_EQ(r.status.code(), full.status.code())
+            << "seed " << seed << " gamma " << gamma << " threads " << threads;
+      }
+    }
+  }
+  EXPECT_GE(not_stopped, 20);
+}
+
+TEST(WorkflowWorldsEquivalenceTest, ProbeCutsFig1AllHiddenWalk) {
+  // fig1 with a3..a7 hidden at Γ = 2: a plain depth-first walk exhausts
+  // the subtree under the first branch code and stops only after 131,104
+  // function choices. The Γ-directed probe varies the shallowest slot
+  // still short of Γ after each leaf and stops far sooner. It is one
+  // walker at any thread count, so its count does not depend on threads.
+  Fig1Workflow fig1 = MakeFig1Workflow();
+  Bitset64 hidden(fig1.catalog->size());
+  for (int a : {fig1.a3, fig1.a4, fig1.a5, fig1.a6, fig1.a7}) hidden.Set(a);
+  auto tables = BuildWorkflowTables(*fig1.workflow);
+  WorkflowEnumerationOptions opts;
+  opts.gamma = 2;
+  opts.collect_distinct_relations = false;
+  opts.num_threads = 1;
+  const WorkflowWorlds one =
+      EnumerateWorkflowWorlds(*tables, hidden.Complement(), {}, opts);
+  ASSERT_TRUE(one.status.ok());
+  EXPECT_TRUE(one.early_stopped);
+  EXPECT_GT(one.num_function_choices, 0);
+  EXPECT_LT(one.num_function_choices, 131104);
+  opts.num_threads = 4;
+  opts.min_parallel_candidates = 0;
+  const WorkflowWorlds four =
+      EnumerateWorkflowWorlds(*tables, hidden.Complement(), {}, opts);
+  EXPECT_TRUE(four.early_stopped);
+  EXPECT_EQ(four.num_function_choices, one.num_function_choices);
 }
 
 TEST(WorkflowWorldsEquivalenceTest, AllModulesFixedSingleWorld) {
