@@ -437,7 +437,8 @@ std::vector<Bitset64> SubsetMasks(int universe, const std::vector<int>& attrs) {
 
 // Per-target ground-truth batch time at 1 thread vs hardware threads (the
 // worlds-audit shape: every tractable mask of fig1 / prop2-chain /
-// example7-chain at Γ = 2, the chains built as podsd registers them), then
+// example7-chain at Γ = 2, the chains built as podsd registers them) and
+// the walks the batch ran (the rest are inferred by monotonicity), then
 // the fig1 all-hidden walk — the largest walk of the batch — at 1, 2 and 4
 // threads. Report-only: check_regression.py reads no key from this row.
 void BatchGroundTruthTable() {
@@ -474,7 +475,7 @@ void BatchGroundTruthTable() {
   // and perfbench do, so no batch pays for starting its own workers.
   std::unique_ptr<TaskGraphExecutor> executor =
       hw > 1 ? std::make_unique<TaskGraphExecutor>(hw - 1) : nullptr;
-  TablePrinter t({"target", "masks", "gt private", "1-thread ms",
+  TablePrinter t({"target", "masks", "walks", "gt private", "1-thread ms",
                   std::to_string(hw) + "-thread ms"});
   for (const AuditTarget& target : targets) {
     std::vector<WorkflowCertificationRequest> requests;
@@ -484,6 +485,7 @@ void BatchGroundTruthTable() {
     // Median of `reps` interleaved batches per thread count.
     std::vector<double> ms[2];
     std::vector<WorkflowBatchEntry> entries[2];
+    int64_t walks[2] = {0, 0};
     for (int rep = 0; rep < reps; ++rep) {
       for (int side = 0; side < 2; ++side) {
         WorkflowBatchOptions opts;
@@ -496,8 +498,11 @@ void BatchGroundTruthTable() {
         ms[side].push_back(sw.ElapsedMillis());
         PV_CHECK_MSG(r.status.ok(), r.status.message());
         entries[side] = std::move(r.entries);
+        walks[side] = r.ground_truth_walks;
       }
     }
+    PV_CHECK_MSG(walks[0] == walks[1],
+                 "walk count diverged across thread counts on " << target.name);
     int64_t gt_private = 0;
     for (size_t r = 0; r < requests.size(); ++r) {
       PV_CHECK_MSG(entries[0][r].ground_truth_private ==
@@ -511,6 +516,7 @@ void BatchGroundTruthTable() {
     t.NewRow()
         .AddCell(target.name)
         .AddCell(static_cast<int64_t>(requests.size()))
+        .AddCell(walks[0])
         .AddCell(gt_private)
         .AddCell(ms[0][ms[0].size() / 2], 3)
         .AddCell(ms[1][ms[1].size() / 2], 3);

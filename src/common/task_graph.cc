@@ -230,10 +230,16 @@ void TaskGraphExecutor::Execute(TaskGraph::Task* t) {
     }
   }
   if (g->remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    g->done_.store(true, std::memory_order_release);
-    // Wake every sleeper: the graph's helper may be parked here.
+    // Wake the sleepers only if the graph's helper is parked among them.
+    // A helper still running sees done_ at its next check; skipping the
+    // broadcast spares the completing thread a wait on sleepers the last
+    // Push() woke but the OS has not yet scheduled. The flag is read before
+    // done_ is published: once the helper sees done_, Run() may return and
+    // destroy the graph.
     std::lock_guard<std::mutex> lock(wake_mu_);
-    wake_cv_.notify_all();
+    const bool parked = g->helper_parked_;
+    g->done_.store(true, std::memory_order_release);
+    if (parked) wake_cv_.notify_all();
   }
 }
 
@@ -255,10 +261,12 @@ void TaskGraphExecutor::HelpUntilDone(TaskGraph* graph) {
       continue;
     }
     std::unique_lock<std::mutex> lock(wake_mu_);
+    graph->helper_parked_ = true;
     wake_cv_.wait(lock, [&] {
       return graph->done_.load(std::memory_order_acquire) ||
              ready_.load(std::memory_order_acquire) > 0;
     });
+    graph->helper_parked_ = false;
   }
   tls_executor = saved_executor;
   tls_slot = saved_slot;

@@ -127,6 +127,8 @@ class TaskGraph {
 
   std::atomic<int64_t> remaining_{0};
   std::atomic<bool> done_{false};
+  bool helper_parked_ = false;  // the Run() caller waits; guarded by the
+                                // executor's wake_mu_
 };
 
 /// Long-lived work-stealing executor: `num_threads` background workers,

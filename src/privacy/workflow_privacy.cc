@@ -1,8 +1,8 @@
 #include "privacy/workflow_privacy.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
-#include <mutex>
 
 #include "common/task_graph.h"
 #include "privacy/possible_worlds.h"
@@ -91,6 +91,140 @@ WorkflowBatchResult CertifyWorkflowBatch(
   return CertifyWorkflowBatch(workflow, requests, opts, /*verdicts=*/nullptr);
 }
 
+namespace {
+
+// a ⊆ b, false across widths. Inline because the lattice asks it of every
+// pair of keys: the out-of-line Bitset64::IsSubsetOf doubles the build.
+bool IsSubset(const Bitset64& a, const Bitset64& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.blocks().size(); ++i) {
+    if ((a.blocks()[i] & ~b.blocks()[i]) != 0) return false;
+  }
+  return true;
+}
+
+// The ground-truth verdicts of a batch over its distinct (hidden, Γ) keys,
+// walked in waves and inferred by monotonicity. Key k lies below key j
+// when H_k ⊆ H_j and Γ_k ≥ Γ_j. A view over fewer visible attributes
+// admits every world a finer one does, and a lower Γ asks less of the same
+// OUT sets, so private(k) ⇒ private(j) and non-private(j) ⇒ non-private(k).
+// Each wave is the set of minimal undecided keys, so the schedule depends
+// on the key set and the verdicts alone — never on thread count, timing or
+// request order.
+class MaskLattice {
+ public:
+  explicit MaskLattice(
+      const std::vector<WorkflowCertificationRequest>& requests)
+      : requests_(requests), request_key_(requests.size()) {
+    std::vector<size_t> order(requests.size());
+    for (size_t r = 0; r < order.size(); ++r) order[r] = r;
+    auto key_less = [&](size_t a, size_t b) {
+      if (requests[a].gamma != requests[b].gamma) {
+        return requests[a].gamma < requests[b].gamma;
+      }
+      return requests[a].hidden < requests[b].hidden;
+    };
+    std::stable_sort(order.begin(), order.end(), key_less);
+    for (size_t r : order) {
+      if (key_request_.empty() || key_less(key_request_.back(), r)) {
+        key_request_.push_back(r);
+      }
+      request_key_[r] = key_request_.size() - 1;
+    }
+    const size_t keys = key_request_.size();
+    verdict_.assign(keys, Verdict::kOpen);
+    undecided_ = Bitset64::All(static_cast<int>(keys));
+    if (keys < 2) return;  // a lone key has nothing to infer
+    words_ = undecided_.blocks().size();
+    above_.assign(keys * words_, 0);
+    below_.assign(keys * words_, 0);
+    for (size_t k = 0; k < keys; ++k) {
+      const WorkflowCertificationRequest& lo = requests_[key_request_[k]];
+      for (size_t j = 0; j < keys; ++j) {
+        const WorkflowCertificationRequest& hi = requests_[key_request_[j]];
+        if (lo.gamma >= hi.gamma && IsSubset(lo.hidden, hi.hidden)) {
+          above_[k * words_ + j / 64] |= uint64_t{1} << (j % 64);
+          below_[j * words_ + k / 64] |= uint64_t{1} << (k % 64);
+        }
+      }
+    }
+  }
+
+  // The bytes of the comparability rows, charged to the batch's control.
+  int64_t RowBytes() const {
+    return static_cast<int64_t>((above_.size() + below_.size()) *
+                                sizeof(uint64_t));
+  }
+
+  bool done() const { return undecided_.empty(); }
+
+  const WorkflowCertificationRequest& key(int k) const {
+    return requests_[key_request_[static_cast<size_t>(k)]];
+  }
+
+  // The next wave: the minimal undecided keys, an antichain. The lowest
+  // keys hide the least, so their walks prune the most and cost the least,
+  // and a private verdict there settles every undecided key above it.
+  std::vector<int> NextWave() const {
+    std::vector<int> wave;
+    for (int k = undecided_.First(); k >= 0; k = undecided_.NextAfter(k)) {
+      if (words_ == 0 || Undecided(below_, k) == 1) wave.push_back(k);
+    }
+    return wave;
+  }
+
+  // An OK walk of key k: settles k and every undecided key above it
+  // (private) or below it (not private).
+  void Settle(int k, bool is_private) {
+    const Verdict v = is_private ? Verdict::kPrivate : Verdict::kNotPrivate;
+    verdict_[static_cast<size_t>(k)] = v;
+    undecided_.Reset(k);
+    if (words_ == 0) return;
+    const uint64_t* row =
+        &(is_private ? above_ : below_)[static_cast<size_t>(k) * words_];
+    for (int j = undecided_.First(); j >= 0; j = undecided_.NextAfter(j)) {
+      if ((row[static_cast<size_t>(j) / 64] >> (j % 64)) & 1u) {
+        verdict_[static_cast<size_t>(j)] = v;
+        undecided_.Reset(j);
+      }
+    }
+  }
+
+  // A walk that ended non-OK decides nothing, not even its own key.
+  void Refuse(int k) { undecided_.Reset(k); }
+
+  bool IsPrivate(size_t request) const {
+    return verdict_[request_key_[request]] == Verdict::kPrivate;
+  }
+
+ private:
+  enum class Verdict : uint8_t { kOpen, kPrivate, kNotPrivate };
+
+  // |rows[k] ∩ undecided|.
+  int Undecided(const std::vector<uint64_t>& rows, int k) const {
+    const uint64_t* row = &rows[static_cast<size_t>(k) * words_];
+    int count = 0;
+    for (size_t w = 0; w < words_; ++w) {
+      count += std::popcount(row[w] & undecided_.blocks()[w]);
+    }
+    return count;
+  }
+
+  const std::vector<WorkflowCertificationRequest>& requests_;
+  std::vector<size_t> key_request_;  // a representative request per key
+  std::vector<size_t> request_key_;  // aligned with the requests
+  // Comparability rows, words_ words per key (none for a lone key):
+  // above_ row k holds the keys j ≥ k, below_ row k the keys j ≤ k, k
+  // itself in both.
+  size_t words_ = 0;
+  std::vector<uint64_t> above_;
+  std::vector<uint64_t> below_;
+  std::vector<Verdict> verdict_;
+  Bitset64 undecided_;
+};
+
+}  // namespace
+
 WorkflowBatchResult CertifyWorkflowBatch(
     const Workflow& workflow,
     const std::vector<WorkflowCertificationRequest>& requests,
@@ -160,9 +294,9 @@ WorkflowBatchResult CertifyWorkflowBatch(
   // One graph. Each private module is one task that answers every request
   // in request order (the memo is per-module state), so per-module stats and
   // gammas come from the same call sequence at any thread count. Ground
-  // truth is a tables task (overlapping the memo tasks) feeding
-  // per-request enumerations, whose walks shard on this same executor. One
-  // thread runs the graph inline.
+  // truth is a tables task and a lattice task (both overlapping the memo
+  // tasks) feeding one driver task that walks the distinct keys in waves.
+  // One thread runs the graph inline.
   TaskGraph graph;
   for (size_t mi = 0; mi < private_modules.size(); ++mi) {
     graph.Add([&, mi] {
@@ -181,15 +315,12 @@ WorkflowBatchResult CertifyWorkflowBatch(
     });
   }
 
-  // First non-OK ground-truth status across the fanned-out requests (all
-  // derive from the shared control or from a per-request space blowup).
+  // The first non-OK ground-truth status, in wave and key order: the
+  // tables' own, or a walk's over-budget refusal.
   std::shared_ptr<const WorkflowTables> tables;
-  std::mutex status_mu;
+  std::unique_ptr<MaskLattice> lattice;
+  int64_t lattice_bytes = 0;
   Status worlds_status;
-  auto note_status = [&](const Status& st) {
-    std::lock_guard<std::mutex> g(status_mu);
-    if (worlds_status.ok()) worlds_status = st;
-  };
   if (opts.with_ground_truth) {
     const TaskGraph::TaskId tables_task = graph.Add([&] {
       WorkflowTablesOptions topts;
@@ -198,49 +329,82 @@ WorkflowBatchResult CertifyWorkflowBatch(
       topts.executor = executor.get();  // nested Run helps on this executor
       tables = BuildWorkflowTables(workflow, topts);
     });
-    for (size_t r = 0; r < requests.size(); ++r) {
-      graph.Add(
-          [&, r] {
-            if (!tables->status.ok()) {
-              note_status(tables->status);
-              return;
+    const TaskGraph::TaskId lattice_task = graph.Add([&] {
+      lattice = std::make_unique<MaskLattice>(requests);
+      if (control != nullptr && control->TryCharge(lattice->RowBytes())) {
+        lattice_bytes = lattice->RowBytes();
+      }
+    });
+    graph.Add(
+        [&] {
+          if (!tables->status.ok()) {
+            worlds_status = tables->status;
+            return;
+          }
+          struct Walk {
+            bool is_private = false;
+            Status status;
+          };
+          while (!lattice->done()) {
+            const std::vector<int> wave = lattice->NextWave();
+            std::vector<Walk> walks(wave.size());
+            // One task per walk, nested on the batch's executor. Each
+            // walk's Γ-directed probe runs on its task; a walk the probe
+            // cannot settle shards its first branch point on the same
+            // executor, where idle runners steal the shards.
+            TaskGraph wave_graph;
+            for (size_t w = 0; w < wave.size(); ++w) {
+              wave_graph.Add([&, w] {
+                const WorkflowCertificationRequest& req = lattice->key(wave[w]);
+                WorkflowEnumerationOptions wopts;
+                wopts.max_candidates = opts.max_candidates;
+                wopts.gamma = req.gamma;
+                wopts.collect_distinct_relations = false;
+                wopts.num_threads = max_threads;
+                wopts.executor = executor.get();
+                wopts.control = control;
+                const WorkflowWorlds worlds = EnumerateWorkflowWorlds(
+                    *tables, req.hidden.Complement(),
+                    opts.visible_public_modules, wopts);
+                Walk& out = walks[w];
+                out.status = worlds.status;
+                out.is_private = true;
+                if (!worlds.early_stopped) {
+                  for (int i : private_modules) {
+                    out.is_private =
+                        out.is_private && worlds.MinOutSize(i) >= req.gamma;
+                  }
+                }
+              });
             }
-            // The walk's Γ-directed probe runs on this task; a walk the
-            // probe cannot settle shards its first branch point on the
-            // batch's executor, where idle runners steal the shards.
-            WorkflowEnumerationOptions wopts;
-            wopts.max_candidates = opts.max_candidates;
-            wopts.gamma = requests[r].gamma;
-            wopts.collect_distinct_relations = false;
-            wopts.num_threads = max_threads;
-            wopts.executor = executor.get();
-            wopts.control = control;
-            WorkflowWorlds worlds = EnumerateWorkflowWorlds(
-                *tables, requests[r].hidden.Complement(),
-                opts.visible_public_modules, wopts);
-            if (!worlds.status.ok()) {
-              note_status(worlds.status);
-              return;  // leave ground_truth_private at its default (false)
-            }
-            bool is_private = true;
-            if (!worlds.early_stopped) {
-              for (int i : private_modules) {
-                is_private = is_private &&
-                             worlds.MinOutSize(i) >= requests[r].gamma;
+            // A tripped control skips the rest; the batch then resets.
+            if (!wave_graph.Run(executor.get(), control).ok()) return;
+            result.ground_truth_walks += static_cast<int64_t>(wave.size());
+            // Only an OK walk decides anything; a refused one leaves its
+            // requests false and the first refusal becomes the status.
+            for (size_t w = 0; w < wave.size(); ++w) {
+              if (walks[w].status.ok()) {
+                lattice->Settle(wave[w], walks[w].is_private);
+              } else {
+                lattice->Refuse(wave[w]);
+                if (worlds_status.ok()) worlds_status = walks[w].status;
               }
             }
-            result.entries[r].ground_truth_private = is_private;
-          },
-          {tables_task});
-    }
+          }
+          for (size_t r = 0; r < requests.size(); ++r) {
+            result.entries[r].ground_truth_private = lattice->IsPrivate(r);
+          }
+        },
+        {tables_task, lattice_task});
   }
 
   (void)graph.Run(executor.get(), control);  // trips surface just below
-  // Every walk is done: the tables' charge returns to the control (and to
-  // its shared pool, if any).
+  // Every walk is done: the tables' and the lattice's charges return to
+  // the control (and to its shared pool, if any).
   if (control != nullptr && tables != nullptr) {
     control->Release(tables->charged_bytes);
   }
+  if (control != nullptr) control->Release(lattice_bytes);
   for (const SafeSearchStats& s : module_stats) result.stats.Accumulate(s);
   if (control != nullptr && !control->Check().ok()) {
     // Deadline/budget tripped mid-batch: surface the typed status with the

@@ -75,32 +75,40 @@ struct WorkflowCertificationRequest {
 /// Knobs of the batch certification driver. The shared execution knobs
 /// come from the embedded EngineConfig: num_threads defaults to 0 here
 /// (hardware concurrency — certification parallelizes over private
-/// modules, ground truth over requests and within each request's walk).
+/// modules, ground truth over the walks of a wave and within each walk).
 /// The batch runs as one dependency graph — one task per private module
-/// answering every request in order, and with ground truth a tables task
-/// feeding per-request enumerations with no phase barrier — inline at one
-/// resolved thread, with field-identical results at any thread count. Each
-/// enumeration runs its Γ-directed probe on its own task; a walk the probe
-/// cannot settle shards on the batch's executor (`executor` when given,
-/// e.g. the daemon's work-stealing pool; else one private executor per
-/// batch, never one per walk). `control` is polled between requests and at
-/// engine chunk boundaries, a trip surfacing as WorkflowBatchResult::status
-/// — partial stats, no certified verdicts. Every running walk charges its
-/// shards' state, so the peak charge grows with num_threads; the tables'
-/// charge is held until the last walk ends, and the batch returns with
+/// answering every request in order and, with ground truth, a tables task
+/// and a lattice task feeding one driver task — inline at one resolved
+/// thread, with field-identical results at any thread count. Ground truth
+/// is monotone in (hidden set, Γ): hiding more or asking a lower Γ never
+/// turns a private verdict non-private. So the driver dedupes the requests
+/// into distinct (hidden, Γ) keys and walks them in waves. Each wave is the
+/// set of minimal undecided keys, walked as a nested graph on the batch's
+/// executor (`executor` when given, e.g. the daemon's work-stealing pool;
+/// else one private executor per batch, never one per walk), one task per
+/// walk. Between waves every undecided key above a private walk or below a
+/// non-private one is settled without a walk. The schedule depends on the
+/// request set alone, so the walk count, the verdicts and the status are
+/// the same at any thread count and in any request order. `control` is
+/// polled between requests, between waves and at engine chunk boundaries,
+/// a trip surfacing as WorkflowBatchResult::status — partial stats, no
+/// certified verdicts. Every running walk charges its shards' state, so the
+/// peak charge grows with num_threads; the tables' and the lattice rows'
+/// charges are held until the last wave ends, and the batch returns with
 /// every charge released. With or without a control, a ground-truth table
 /// build or walk over its size budget surfaces there as RESOURCE_EXHAUSTED.
 struct WorkflowBatchOptions : EngineConfig {
   WorkflowBatchOptions() { num_threads = 0; }
 
-  /// Additionally run the pruned possible-worlds engine per request with
-  /// the Γ short-circuit engaged (tiny workflows only), sharing one
-  /// WorkflowTables build across all requests.
+  /// Additionally decide every request's Γ-privacy with the pruned
+  /// possible-worlds engine, the Γ short-circuit engaged (tiny workflows
+  /// only): one WorkflowTables build shared by every walk, and walks only
+  /// for the keys that monotone inference from earlier waves leaves open.
   bool with_ground_truth = false;
   /// Public modules held fixed for the ground-truth enumeration
   /// (Definition 4); ignored unless with_ground_truth.
   std::vector<int> visible_public_modules;
-  /// Pruned-space budget for the ground-truth enumeration.
+  /// Pruned-space budget for each ground-truth walk.
   int64_t max_candidates = 40000000;
   /// Private-module domains of at most this many rows materialize their
   /// relation in the batch-local memos; larger domains stream rows from the
@@ -125,13 +133,18 @@ struct WorkflowBatchResult {
   /// have the same effective-visible signature on a module share one
   /// checker call.
   SafeSearchStats stats;
+  /// Ground-truth walks the batch ran (0 without ground truth); the other
+  /// distinct requests were inferred from them by monotonicity. Partial, as
+  /// `stats`, when a control tripped.
+  int64_t ground_truth_walks = 0;
   /// Non-OK when a service-mode control tripped (DEADLINE_EXCEEDED /
   /// RESOURCE_EXHAUSTED) or a request was structurally invalid
   /// (INVALID_ARGUMENT). Entries then carry no certified verdicts — only
   /// `stats` reflects the partial work done. Also RESOURCE_EXHAUSTED when
   /// a ground-truth table build or walk exceeded its size budget; the
   /// certificates then stand and the refused requests keep
-  /// ground_truth_private false.
+  /// ground_truth_private false. A refused walk decides nothing, while the
+  /// verdicts of the OK walks still settle the keys they imply.
   Status status;
 };
 
@@ -181,10 +194,12 @@ class WorkflowCacheNamespace {
 /// every module relation and re-runs Algorithm 2 from scratch each time —
 /// the batch driver materializes each private module's relation once,
 /// shares a per-module SafetyMemo across all requests, runs each module's
-/// requests as one task, and (optionally) reuses one set of possible-worlds
-/// tables for every ground-truth enumeration. Each enumeration is one task
-/// whose Γ-directed probe usually settles the request alone; only a walk
-/// the probe cannot settle shards on the batch's executor.
+/// requests as one task, and (optionally) decides ground truth over the
+/// lattice of distinct (hidden, Γ) keys: waves of minimal undecided keys
+/// are walked on one set of possible-worlds tables, and every other key is
+/// inferred by monotonicity. Each walk is one task whose Γ-directed probe
+/// usually settles its key alone; only a walk the probe cannot settle
+/// shards on the batch's executor.
 WorkflowBatchResult CertifyWorkflowBatch(
     const Workflow& workflow,
     const std::vector<WorkflowCertificationRequest>& requests,

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/exec_control.h"
@@ -282,24 +283,34 @@ TEST(DeadlineTest, BudgetForOneShardTripsShardedWalks) {
 
 TEST(DeadlineTest, GroundTruthBatchReturnsSharedPoolToBaseline) {
   // A control drawing from a shared pool, as podsd's handler sets one up:
-  // after a ground-truth batch the tables' and walks' charges are back in
-  // the pool, at one thread and at four.
+  // after a ground-truth batch the tables', the lattice's and the walks'
+  // charges are back in the pool, at one thread and at four, and at four
+  // also when the waves' nested runs share a caller-owned executor.
   Fig1Workflow fig1 = MakeFig1Workflow();
   const auto requests = Fig1Requests(fig1);
   MemoryBudget pool(int64_t{1} << 30);
-  for (int threads : {1, 4}) {
-    ExecControl control;
-    control.set_shared_budget(&pool);
-    WorkflowBatchOptions opts;
-    opts.num_threads = threads;
-    opts.with_ground_truth = true;
-    opts.control = &control;
-    const WorkflowBatchResult result =
-        CertifyWorkflowBatch(*fig1.workflow, requests, opts);
-    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
-    EXPECT_GT(control.peak_bytes(), 0) << threads << " threads";
-    EXPECT_EQ(control.bytes_in_use(), 0) << threads << " threads";
-    EXPECT_EQ(pool.bytes_in_use(), 0) << threads << " threads";
+  TaskGraphExecutor executor(3);
+  for (TaskGraphExecutor* shared :
+       {static_cast<TaskGraphExecutor*>(nullptr), &executor}) {
+    for (int threads : {1, 4}) {
+      if (shared != nullptr && threads == 1) continue;
+      const std::string where =
+          std::to_string(threads) + " threads" +
+          (shared != nullptr ? ", shared executor" : "");
+      ExecControl control;
+      control.set_shared_budget(&pool);
+      WorkflowBatchOptions opts;
+      opts.num_threads = threads;
+      opts.executor = shared;
+      opts.with_ground_truth = true;
+      opts.control = &control;
+      const WorkflowBatchResult result =
+          CertifyWorkflowBatch(*fig1.workflow, requests, opts);
+      ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+      EXPECT_GT(control.peak_bytes(), 0) << where;
+      EXPECT_EQ(control.bytes_in_use(), 0) << where;
+      EXPECT_EQ(pool.bytes_in_use(), 0) << where;
+    }
   }
 }
 

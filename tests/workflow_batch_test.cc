@@ -4,6 +4,7 @@
 // count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -13,6 +14,7 @@
 #include "common/task_graph.h"
 #include "generators/families.h"
 #include "generators/random_workflow.h"
+#include "privacy/possible_worlds.h"
 #include "privacy/workflow_privacy.h"
 #include "workflow/fig1_workflow.h"
 
@@ -397,6 +399,104 @@ TEST(WorkflowBatchTest, OverBudgetGroundTruthReturnsResourceExhausted) {
       << batch.status.message();
   ASSERT_EQ(batch.entries.size(), 1u);
   EXPECT_FALSE(batch.entries[0].ground_truth_private);
+}
+
+TEST(WorkflowBatchTest, BudgetedWavesInferOnlyFromOkWalks) {
+  // fig1's 32 masks at Γ = 2 (mostly private) and Γ = 3 (none private),
+  // under candidate budgets that refuse the larger walks. A refused walk
+  // decides nothing, but an OK walk's verdict still settles the keys it
+  // implies by monotonicity. So a private entry is private without the
+  // budget, and every mask whose own budgeted batch is OK gets that
+  // batch's verdict.
+  Fig1Workflow fig = MakeFig1Workflow();
+  const std::vector<Bitset64> masks = SubsetMasks(
+      fig.catalog->size(), {fig.a3, fig.a4, fig.a5, fig.a6, fig.a7});
+  const std::shared_ptr<const WorkflowTables> tables =
+      BuildWorkflowTables(*fig.workflow);
+  std::vector<int64_t> spaces;
+  for (const Bitset64& m : masks) {
+    WorkflowEnumerationOptions wopts;
+    wopts.gamma = 2;
+    wopts.collect_distinct_relations = false;
+    spaces.push_back(
+        EnumerateWorkflowWorlds(*tables, m.Complement(), {}, wopts)
+            .pruned_candidates);
+  }
+  std::sort(spaces.begin(), spaces.end());
+  ASSERT_LT(spaces.front(), spaces.back());
+
+  bool some_refused = false;
+  for (int64_t gamma : {2, 3}) {
+    std::vector<WorkflowCertificationRequest> requests;
+    for (const Bitset64& m : masks) requests.push_back({m, gamma});
+    WorkflowBatchOptions free_opts;
+    free_opts.num_threads = 1;
+    free_opts.with_ground_truth = true;
+    const WorkflowBatchResult unbudgeted =
+        CertifyWorkflowBatch(*fig.workflow, requests, free_opts);
+    ASSERT_TRUE(unbudgeted.status.ok()) << unbudgeted.status.ToString();
+
+    for (size_t q : {spaces.size() / 4, spaces.size() / 2,
+                     3 * spaces.size() / 4}) {
+      WorkflowBatchOptions one = free_opts;
+      one.max_candidates = spaces[q];
+      const WorkflowBatchResult got =
+          CertifyWorkflowBatch(*fig.workflow, requests, one);
+      const std::string where = "gamma " + std::to_string(gamma) +
+                                " budget " + std::to_string(spaces[q]);
+      ASSERT_TRUE(got.status.ok() ||
+                  got.status.code() == StatusCode::kResourceExhausted)
+          << where << ": " << got.status.ToString();
+      some_refused = some_refused || !got.status.ok();
+      bool single_refused = false;
+      for (size_t r = 0; r < requests.size(); ++r) {
+        const WorkflowBatchResult single =
+            CertifyWorkflowBatch(*fig.workflow, {requests[r]}, one);
+        if (single.status.ok()) {
+          EXPECT_EQ(got.entries[r].ground_truth_private,
+                    single.entries[0].ground_truth_private)
+              << where << " mask " << r;
+        } else {
+          EXPECT_EQ(single.status.code(), StatusCode::kResourceExhausted);
+          single_refused = true;
+        }
+        if (got.entries[r].ground_truth_private) {
+          EXPECT_TRUE(unbudgeted.entries[r].ground_truth_private)
+              << where << " mask " << r;
+        }
+        // The certificates do not depend on the walks.
+        EXPECT_EQ(got.entries[r].certificate.certified,
+                  unbudgeted.entries[r].certificate.certified);
+      }
+      EXPECT_TRUE(single_refused) << where;
+      if (got.status.ok()) {
+        // No walk was refused, so every key was walked or inferred.
+        for (size_t r = 0; r < requests.size(); ++r) {
+          EXPECT_EQ(got.entries[r].ground_truth_private,
+                    unbudgeted.entries[r].ground_truth_private)
+              << where << " mask " << r;
+        }
+      }
+
+      WorkflowBatchOptions four = one;
+      four.num_threads = 4;
+      const WorkflowBatchResult wide =
+          CertifyWorkflowBatch(*fig.workflow, requests, four);
+      EXPECT_EQ(wide.status.code(), got.status.code()) << where;
+      EXPECT_EQ(wide.status.message(), got.status.message()) << where;
+      EXPECT_EQ(wide.ground_truth_walks, got.ground_truth_walks) << where;
+      for (size_t r = 0; r < requests.size(); ++r) {
+        EXPECT_EQ(wide.entries[r].ground_truth_private,
+                  got.entries[r].ground_truth_private)
+            << where << " mask " << r;
+        EXPECT_EQ(wide.entries[r].certificate.module_gammas,
+                  got.entries[r].certificate.module_gammas)
+            << where << " mask " << r;
+      }
+    }
+  }
+  // At least one budget made a batch walk a key it had to refuse.
+  EXPECT_TRUE(some_refused);
 }
 
 }  // namespace
