@@ -6,7 +6,6 @@
 // thread count, with or without a caller-owned executor.
 #include <gtest/gtest.h>
 
-#include <iostream>
 #include <set>
 #include <string>
 #include <utility>
@@ -117,12 +116,11 @@ TEST(WorkflowLatticeEquivalenceTest, WavesMatchSingleRequestsAtAnyThreads) {
           CertifyWorkflowBatch(*c.workflow, requests, one);
       ASSERT_TRUE(want.status.ok()) << where << ": " << want.status.ToString();
       ASSERT_EQ(want.entries.size(), requests.size());
+      const int64_t distinct = static_cast<int64_t>(DistinctKeys(requests));
       EXPECT_GE(want.ground_truth_walks, 1) << where;
-      EXPECT_LE(want.ground_truth_walks,
-                static_cast<int64_t>(DistinctKeys(requests)))
-          << where;
+      EXPECT_LE(want.ground_truth_walks, distinct) << where;
       walks += want.ground_truth_walks;
-      keys += static_cast<int64_t>(DistinctKeys(requests));
+      keys += distinct;
 
       // The oracle: each mask walked on its own.
       for (size_t r = 0; r < requests.size(); ++r) {
@@ -174,8 +172,6 @@ TEST(WorkflowLatticeEquivalenceTest, WavesMatchSingleRequestsAtAnyThreads) {
   EXPECT_LT(walks, keys);
   EXPECT_GT(private_entries, 0);
   EXPECT_LT(private_entries, entries);
-  std::cout << "walks " << walks << " of " << keys << " keys; "
-            << private_entries << " of " << entries << " entries private\n";
 }
 
 TEST(WorkflowLatticeEquivalenceTest, RequestOrderDoesNotChangeTheWaves) {
