@@ -14,7 +14,11 @@
 //       largest configurations (the point of the optimized hot path).
 //   (g) batch ground truth per audit target at 1 thread and at hardware
 //       threads, and the one walk that dominates it (fig1, a3..a7 hidden)
-//       at 1 vs 2 shards — report-only, no gate key.
+//       at 1 vs 2 shards, then the fixed cost of one walk (fig1, nothing
+//       hidden) and of its feasible-set fixpoint — report-only, no gate
+//       key;
+//   (h) the fixpoint and the walk on a 2^17-execution log — report-only,
+//       checked against the known count of consistent worlds.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -35,6 +39,7 @@
 #include "common/task_graph.h"
 #include "generators/families.h"
 #include "module/module_library.h"
+#include "privacy/feasible_sets.h"
 #include "privacy/possible_worlds.h"
 #include "privacy/safe_subset_search.h"
 #include "privacy/standalone_privacy.h"
@@ -555,6 +560,138 @@ void BatchGroundTruthTable() {
             << " interleaved runs, walk ms the best of " << reps << "\n";
 }
 
+// The fixed cost of one ground-truth walk: fig1 with nothing hidden, where
+// the fixpoint forces every module and the pruned space is 1, so the walk
+// is all setup. Median µs at 1 thread of the walk as batch ground truth
+// runs it (WalkWorkflowWorlds), of the same walk with its OUT-set maps
+// (EnumerateWorkflowWorlds), and of AnalyzeFeasibleSets alone on the same
+// mask. The verdict must not change at hardware threads. Report-only.
+void WalkFixedCostTable() {
+  PrintBanner(
+      "E1g: fixed cost of one ground-truth walk (fig1, nothing hidden)");
+  constexpr int64_t kAuditGamma = 2;
+  const Fig1Workflow fig1 = MakeFig1Workflow();
+  const std::shared_ptr<const WorkflowTables> tables =
+      BuildWorkflowTables(*fig1.workflow);
+  const Bitset64 visible = Bitset64::All(fig1.catalog->size());
+  const int reps = ShortMode() ? 1000 : 4000;
+  WorkflowEnumerationOptions opts;
+  opts.gamma = kAuditGamma;
+  opts.collect_distinct_relations = false;
+  opts.num_threads = 1;
+  // The batch's verdict: the short-circuit fired, or every private module's
+  // smallest OUT set reaches Γ.
+  auto is_private = [&](const WorkflowWorlds& worlds,
+                        const std::vector<int64_t>& min_out) {
+    PV_CHECK_MSG(worlds.status.ok(), worlds.status.message());
+    bool verdict = true;
+    for (int i : fig1.workflow->PrivateModuleIndices()) {
+      verdict = verdict && min_out[static_cast<size_t>(i)] >= kAuditGamma;
+    }
+    return worlds.early_stopped || verdict;
+  };
+  std::vector<double> fixpoint_us, walk_us, maps_us;
+  WorkflowWorlds walk;
+  std::vector<int64_t> min_out;
+  for (int rep = 0; rep < reps; ++rep) {
+    Stopwatch fixpoint_sw;
+    const FeasibleSetAnalysis analysis =
+        AnalyzeFeasibleSets(*tables, visible, {});
+    fixpoint_us.push_back(fixpoint_sw.ElapsedMillis() * 1e3);
+    Stopwatch walk_sw;
+    walk = WalkWorkflowWorlds(*tables, visible, {}, opts, &min_out);
+    walk_us.push_back(walk_sw.ElapsedMillis() * 1e3);
+    Stopwatch maps_sw;
+    const WorkflowWorlds maps =
+        EnumerateWorkflowWorlds(*tables, visible, {}, opts);
+    maps_us.push_back(maps_sw.ElapsedMillis() * 1e3);
+  }
+  PV_CHECK_MSG(walk.pruned_candidates == 1,
+               "fig1 with nothing hidden should prune to one candidate, got "
+                   << walk.pruned_candidates);
+  WorkflowEnumerationOptions hw_opts = opts;
+  hw_opts.num_threads = DefaultThreads();
+  hw_opts.min_parallel_candidates = 0;
+  std::vector<int64_t> hw_min_out;
+  const WorkflowWorlds hw =
+      WalkWorkflowWorlds(*tables, visible, {}, hw_opts, &hw_min_out);
+  PV_CHECK_MSG(is_private(walk, min_out) == is_private(hw, hw_min_out),
+               "fig1 walk verdict diverged across thread counts");
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  TablePrinter t({"fixpoint us", "walk us", "walk + OUT maps us",
+                  "pruned space", "private"});
+  t.NewRow()
+      .AddCell(median(fixpoint_us), 2)
+      .AddCell(median(walk_us), 2)
+      .AddCell(median(maps_us), 2)
+      .AddCell(walk.pruned_candidates)
+      .AddCell(is_private(walk, min_out) ? "yes" : "no");
+  t.Print();
+  char line[160];
+  std::snprintf(line, sizeof(line),
+                "E1g walk fixed cost: fixpoint_us=%.2f walk_us=%.2f "
+                "maps_walk_us=%.2f (medians of %d, 1 thread)\n",
+                median(fixpoint_us), median(walk_us), median(maps_us), reps);
+  std::cout << line;
+}
+
+// The fixpoint on a deep log: 2^17 executions (17 boolean initial inputs)
+// and one free module negating x0, with x1..x16 feeding a fixed public
+// parity and y hidden. Every execution reaches one of the free module's two
+// slots, so the determined-slot test scans the whole log; all four
+// functions of the free module stay consistent. Best of the runs, 1
+// thread. Report-only.
+void DeepLogFixpointTable() {
+  PrintBanner("E1h: feasible-set fixpoint and walk on a 2^17-execution log");
+  auto catalog = std::make_shared<AttributeCatalog>();
+  std::vector<AttrId> x;
+  for (int i = 0; i < 17; ++i) {
+    x.push_back(catalog->Add("x" + std::to_string(i)));
+  }
+  const AttrId y = catalog->Add("y");
+  const AttrId z = catalog->Add("z");
+  Workflow wf(catalog);
+  wf.AddModule(MakeNegation("free", catalog, {x[0]}, {y}));
+  ModulePtr parity = MakeParity(
+      "parity", catalog, std::vector<AttrId>(x.begin() + 1, x.end()), z);
+  parity->set_public(true);
+  wf.AddModule(std::move(parity));
+  PV_CHECK(wf.Validate().ok());
+  const std::shared_ptr<const WorkflowTables> tables = BuildWorkflowTables(wf);
+  PV_CHECK_MSG(tables->status.ok(), tables->status.message());
+  Bitset64 hidden(catalog->size());
+  hidden.Set(y);
+  const Bitset64 visible = hidden.Complement();
+  const std::vector<int> fixed = {1};
+  const int reps = ShortMode() ? 1 : 3;
+  const double fixpoint_ms =
+      TimeMs(reps, [&] { (void)AnalyzeFeasibleSets(*tables, visible, fixed); });
+  WorkflowEnumerationOptions opts;
+  opts.collect_distinct_relations = false;
+  opts.num_threads = 1;
+  WorkflowWorlds worlds;
+  const double walk_ms = TimeMs(reps, [&] {
+    worlds = EnumerateWorkflowWorlds(*tables, visible, fixed, opts);
+  });
+  PV_CHECK_MSG(worlds.status.ok(), worlds.status.message());
+  PV_CHECK_MSG(worlds.num_function_choices == 4,
+               "deep-log walk found " << worlds.num_function_choices
+                                      << " consistent functions, expected 4");
+  TablePrinter t({"executions", "fn choices", "fixpoint ms", "walk ms"});
+  t.NewRow()
+      .AddCell(tables->num_execs)
+      .AddCell(worlds.num_function_choices)
+      .AddCell(fixpoint_ms, 1)
+      .AddCell(walk_ms, 1);
+  t.Print();
+  std::cout << "E1h deep log: executions=" << tables->num_execs
+            << " fixpoint_ms=" << fixpoint_ms << " walk_ms=" << walk_ms
+            << " (best of " << reps << ", 1 thread)\n";
+}
+
 void StreamingStandaloneTable() {
   PrintBanner(
       "E1e: streaming certification past the 2^22 materialization wall");
@@ -615,6 +752,8 @@ int main() {
   StreamingStandaloneTable();
   ShardedSubsetSearchTable();
   BatchGroundTruthTable();
+  WalkFixedCostTable();
+  DeepLogFixpointTable();
   std::cout << "\n[bench_possible_worlds done in " << sw.ElapsedSeconds()
             << "s]\n";
   return 0;

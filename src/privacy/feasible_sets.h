@@ -25,8 +25,8 @@
 //     input-code set through its function; a free module's reached output
 //     codes are those whose per-attribute values are all feasible (for a
 //     determined free module, additionally those surviving the per-slot
-//     per-slot visible-projection test); output attributes then
-//     narrow to the projections of the surviving codes;
+//     visible-projection test below); output attributes then narrow to the
+//     projections of the surviving codes;
 //   - backward, in reverse topological order, through FIXED modules only
 //     (a free module can map any input to any feasible output, so its
 //     outputs never constrain its inputs): input codes whose image left the
@@ -56,60 +56,38 @@
 //     feasible) — the enumerator factors it out of the walk, multiplying
 //     the count by |Range|, and cuts any branch that still routes an
 //     execution there.
+//
+// The determined-slot test. Every execution reaching a slot of a
+// determined free module reaches it in every world, with the same
+// determined-visible row prefix. So a candidate code c survives on a slot
+// iff, for every prefix of an execution reaching it, (prefix, visible
+// output values of c) occurs among the original rows. Prefixes are
+// numbered densely (ProjectionIds, privacy/projection_ids.h) and the test
+// runs on mixed-radix keys prefix · |visible outputs| + code of the
+// visible output values, held in flat sorted arrays: the keys the log
+// allows, and the (reached input code, prefix) pairs per slot. The prefix
+// ids are rebuilt only when a pin lands, once for all modules. The test is
+// internal to the fixpoint: this header exports only its candidate lists.
+//
+// Representation. The fixpoint itself runs on flat arrays
+// (FlatFeasibleSets): one value bitmap laid out by
+// WorkflowTables::value_offset, per-module code bitmaps, the determined
+// slots' candidate lists concatenated per module, and scratch reused
+// across sweeps. The world walk reads that form directly;
+// AnalyzeFeasibleSets expands it into the nested vectors of
+// FeasibleSetAnalysis. The mask-independent inputs (original-value
+// bitmaps, provenance positions, decoded input and output codes) come
+// prebuilt with the WorkflowTables.
 #ifndef PROVVIEW_PRIVACY_FEASIBLE_SETS_H_
 #define PROVVIEW_PRIVACY_FEASIBLE_SETS_H_
 
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <set>
 #include <vector>
 
 #include "common/bitset64.h"
-#include "common/interner.h"
 #include "privacy/possible_worlds.h"
 
 namespace provview {
-
-/// The determined-module visible-projection pruning core of the fixpoint,
-/// run with its extended pinned set and a feasible-value filter.
-///
-/// For a determined free module every execution reaches its original input
-/// code, so a candidate output code c is allowed on a reached slot iff for
-/// every determined-visible row prefix of an execution reaching that slot,
-/// (prefix, visible output fragment of c) occurs in the target view's
-/// projection onto those positions. RescanLog() builds the projection
-/// interner and the per-slot prefix sets for a given determined set (one
-/// pass over the materialized log — callers cache it while the determined
-/// set is unchanged); CandidateLists() filters the range against it.
-class DeterminedSlotPruner {
- public:
-  /// Filter on decoded output values: (output index within the module's
-  /// output list, value) -> keep. Empty function = no extra filter.
-  using ValueFilter = std::function<bool(size_t, int32_t)>;
-
-  DeterminedSlotPruner(const WorkflowTables& tables, int module,
-                       const Bitset64& visible);
-
-  /// (Re)builds the log-scan structures for the given determined set.
-  void RescanLog(const std::vector<bool>& det_attr);
-
-  /// Candidate output-code lists per reached slot, aligned with
-  /// WorkflowTables::orig_input_codes[module]. Requires a prior RescanLog.
-  std::vector<std::vector<int32_t>> CandidateLists(
-      const ValueFilter& value_ok) const;
-
- private:
-  const WorkflowTables* tables_;
-  int module_;
-  std::vector<bool> vis_attr_;      // per attribute id
-  std::vector<int> vis_out_pos_;    // prov positions of visible outputs
-  std::vector<size_t> vis_out_local_;
-  bool scanned_ = false;
-  std::vector<int> det_vis_pos_;    // prov positions of det+visible attrs
-  TupleInterner allowed_;
-  std::map<int32_t, std::set<Tuple>> prefixes_;  // per reached input code
-};
 
 /// Result of the feasible-set fixpoint for one (tables, visible, fixed) key.
 struct FeasibleSetAnalysis {
@@ -144,8 +122,43 @@ struct FeasibleSetAnalysis {
   int64_t factored_free_slots = 0;
 };
 
-/// Runs the fixpoint. Requires a completed build (tables.status OK): the
-/// analysis replays the original execution log.
+/// The same fixpoint in the flat form the world walk reads: every field of
+/// FeasibleSetAnalysis, as bitmaps and concatenated lists.
+struct FlatFeasibleSets {
+  int iterations = 0;
+  /// feasible[WorkflowTables::value_offset[a] + v] = 1 iff v is a feasible
+  /// value of attribute a.
+  std::vector<uint8_t> feasible;
+  std::vector<uint8_t> pinned;      ///< per attribute id
+  std::vector<uint8_t> determined;  ///< per module
+  std::vector<uint8_t> forced;      ///< per module
+  /// out_ok[range_offset[i] + c] = 1 iff c is a feasible output code of
+  /// module i; range_offset has num_modules + 1 entries.
+  std::vector<int64_t> range_offset;
+  std::vector<uint8_t> out_ok;
+  /// in_ok[dom_offset[i] + d] = 1 iff d is a feasible input code of the
+  /// non-determined module i (all 0 for determined modules).
+  std::vector<int64_t> dom_offset;
+  std::vector<uint8_t> in_ok;
+  /// A determined free module's candidate lists, concatenated: list k
+  /// (aligned with WorkflowTables::orig_input_codes[i]) is
+  /// codes[ends[k - 1] .. ends[k]), ends[-1] = 0. Empty for other modules.
+  struct SlotLists {
+    std::vector<int32_t> codes;
+    std::vector<int32_t> ends;
+  };
+  std::vector<SlotLists> det_lists;  ///< per module
+  int64_t factored_free_slots = 0;
+};
+
+/// Runs the fixpoint into `out`. Requires a completed build (tables.status
+/// OK): the analysis replays the original execution log.
+void RunFeasibleSetFixpoint(const WorkflowTables& tables,
+                            const Bitset64& visible,
+                            const std::vector<int>& fixed_modules,
+                            FlatFeasibleSets* out);
+
+/// Runs the fixpoint and expands it into a FeasibleSetAnalysis.
 FeasibleSetAnalysis AnalyzeFeasibleSets(const WorkflowTables& tables,
                                         const Bitset64& visible,
                                         const std::vector<int>& fixed_modules);

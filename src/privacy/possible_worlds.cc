@@ -12,6 +12,7 @@
 #include "common/interner.h"
 #include "common/task_graph.h"
 #include "privacy/feasible_sets.h"
+#include "privacy/projection_ids.h"
 #include "workflow/execution_supplier.h"
 
 namespace provview {
@@ -83,14 +84,17 @@ struct PrunedInstance {
 // standalone walk, a (free module, original input) of the workflow walk.
 // The union is shared across shards so the Γ short-circuit fires on the
 // global OUT sets. Marks are rare (bounded by Σ_p |feasible_p| per shard),
-// so a single mutex is fine.
+// so a single mutex is fine. The marks of every pair sit in one flat array,
+// pair p's at seen[offset[p] .. offset[p + 1]).
 struct SeenUnion {
   // widths[p] = feasible codes of pair p. With gamma_target > 0 the
   // short-circuit waits on every pair p with gamma_tracked[p].
   SeenUnion(const std::vector<size_t>& widths,
             const std::vector<bool>& gamma_tracked, int64_t gamma_target) {
-    seen.reserve(widths.size());
-    for (size_t w : widths) seen.emplace_back(w, 0);
+    offset.reserve(widths.size() + 1);
+    offset.push_back(0);
+    for (size_t w : widths) offset.push_back(offset.back() + w);
+    seen.assign(offset.back(), 0);
     if (gamma_target > 0) {
       remaining.assign(widths.size(), 0);
       for (size_t p = 0; p < widths.size(); ++p) {
@@ -110,7 +114,7 @@ struct SeenUnion {
   // the target, flips `stop`.
   void Mark(size_t pair, int32_t j, std::atomic<bool>* stop) {
     std::lock_guard<std::mutex> lock(mu);
-    uint8_t& s = seen[pair][static_cast<size_t>(j)];
+    uint8_t& s = seen[offset[pair] + static_cast<size_t>(j)];
     if (s) return;
     s = 1;
     if (!remaining.empty() && remaining[pair] > 0 &&
@@ -120,27 +124,30 @@ struct SeenUnion {
   }
 
   std::mutex mu;
-  std::vector<std::vector<uint8_t>> seen;
+  std::vector<size_t> offset;
+  std::vector<uint8_t> seen;
   std::vector<int64_t> remaining;  // per pair: marks left to reach Γ
   int64_t pairs_below = 0;         // Γ-tracked pairs still short
 };
 
-// Shard-local first-seen flags over the union's pairs: spare the union's
-// lock for pairs this shard already reported. Once every pair is seen,
-// `unseen` is 0 and the walks skip the marking loop entirely.
+// Shard-local first-seen flags over the union's pairs, in the union's
+// layout: spare the union's lock for pairs this shard already reported.
+// Once every pair is seen, `unseen` is 0 and the walks skip the marking
+// loop entirely.
 struct ShardMarks {
-  explicit ShardMarks(const std::vector<size_t>& widths) {
-    seen.reserve(widths.size());
-    for (size_t w : widths) {
-      seen.emplace_back(w, 0);
-      left.push_back(static_cast<int64_t>(w));
-      unseen += static_cast<int64_t>(w);
+  explicit ShardMarks(const SeenUnion& seen_union)
+      : offset(seen_union.offset),
+        seen(seen_union.seen.size(), 0),
+        left(offset.size() - 1),
+        unseen(static_cast<int64_t>(seen.size())) {
+    for (size_t p = 0; p + 1 < offset.size(); ++p) {
+      left[p] = static_cast<int64_t>(offset[p + 1] - offset[p]);
     }
   }
 
   void Mark(size_t pair, int32_t j, SeenUnion* seen_union,
             std::atomic<bool>* stop) {
-    uint8_t& s = seen[pair][static_cast<size_t>(j)];
+    uint8_t& s = seen[offset[pair] + static_cast<size_t>(j)];
     if (s) return;
     s = 1;
     --left[pair];
@@ -152,12 +159,14 @@ struct ShardMarks {
   // stands for every code of a slot no execution reached.
   void MarkAll(size_t pair, SeenUnion* seen_union, std::atomic<bool>* stop) {
     if (left[pair] == 0) return;
-    for (size_t j = 0; j < seen[pair].size(); ++j) {
+    const size_t width = offset[pair + 1] - offset[pair];
+    for (size_t j = 0; j < width; ++j) {
       Mark(pair, static_cast<int32_t>(j), seen_union, stop);
     }
   }
 
-  std::vector<std::vector<uint8_t>> seen;
+  const std::vector<size_t>& offset;
+  std::vector<uint8_t> seen;
   std::vector<int64_t> left;  // per pair: indices not yet seen
   int64_t unseen = 0;
 };
@@ -171,10 +180,9 @@ struct ShardResult {
 // most-significant digit, so shards are contiguous ranges of the global
 // walk. The covered-target multiset is maintained incrementally: one digit
 // changes per step (amortized O(1) updates).
-void WalkShard(const PrunedInstance& inst, const std::vector<size_t>& widths,
-               int64_t begin, int64_t end, SeenUnion* seen_union,
-               std::atomic<bool>* stop, const ExecControl* control,
-               ShardResult* out) {
+void WalkShard(const PrunedInstance& inst, int64_t begin, int64_t end,
+               SeenUnion* seen_union, std::atomic<bool>* stop,
+               const ExecControl* control, ShardResult* out) {
   if (begin >= end) return;
   const int n = inst.n;
   std::vector<int32_t> idx(static_cast<size_t>(n), 0);
@@ -192,7 +200,7 @@ void WalkShard(const PrunedInstance& inst, const std::vector<size_t>& widths,
     cover(inst.tids[static_cast<size_t>(i)][static_cast<size_t>(idx[i])]);
   }
 
-  ShardMarks marks(widths);
+  ShardMarks marks(*seen_union);
   for (;;) {
     if (stop->load(std::memory_order_relaxed)) return;
     if (control != nullptr && control->Expired()) {
@@ -396,7 +404,7 @@ StandaloneWorlds EnumerateStandaloneWorlds(RowSupplier* rows,
   std::vector<ShardResult> partials(static_cast<size_t>(shards));
   RunRanges(/*shared=*/nullptr, slot0, shards,
             [&](int shard, int64_t begin, int64_t end) {
-              WalkShard(inst, widths, begin, end, &seen_union, &stop, control,
+              WalkShard(inst, begin, end, &seen_union, &stop, control,
                         &partials[static_cast<size_t>(shard)]);
             });
   for (const ShardResult& p : partials) result.num_worlds += p.num_worlds;
@@ -406,9 +414,9 @@ StandaloneWorlds EnumerateStandaloneWorlds(RowSupplier* rows,
   // Materialize OUT sets from the union of seen (slot, code) pairs.
   for (int i = 0; i < n; ++i) {
     const Tuple& x = input_interner.TupleOf(i);
-    const auto& seen = seen_union.seen[static_cast<size_t>(i)];
-    for (size_t j = 0; j < seen.size(); ++j) {
-      if (!seen[j]) continue;
+    const size_t first = seen_union.offset[static_cast<size_t>(i)];
+    for (size_t j = 0; j < widths[static_cast<size_t>(i)]; ++j) {
+      if (!seen_union.seen[first + j]) continue;
       result.out_sets[x].insert(DecodeMixedRadix(
           inst.codes[static_cast<size_t>(i)][j], out_radices));
     }
@@ -545,6 +553,8 @@ std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
   t->original_fn.resize(static_cast<size_t>(n));
   t->orig_input_codes.resize(static_cast<size_t>(n));
   t->out_values.resize(static_cast<size_t>(n));
+  t->in_values.resize(static_cast<size_t>(n));
+  t->all_out_codes.resize(static_cast<size_t>(n));
   // One shared execution plan for the whole build. The cheap per-module
   // metadata (attrs, radices, strides, size guards, budget charges) is
   // computed inline in module order — deterministic trip points — while
@@ -578,9 +588,11 @@ std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
           "module " + m.name() + " too large for world enumeration");
       return t;
     }
-    const size_t n_out = t->out_attrs[si].size();
-    const int64_t decode_bytes = range * static_cast<int64_t>(n_out) *
-                                 static_cast<int64_t>(sizeof(int32_t));
+    // out_values, all_out_codes and in_values.
+    const int64_t decode_bytes =
+        (range * static_cast<int64_t>(t->out_attrs[si].size() + 1) +
+         dom * static_cast<int64_t>(t->in_attrs[si].size())) *
+        static_cast<int64_t>(sizeof(int32_t));
     if (control != nullptr) {
       if (!control->TryCharge(decode_bytes)) {
         t->status = control->Check();
@@ -589,9 +601,37 @@ std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
       t->charged_bytes += decode_bytes;
     }
   }
-  // The two per-module fills. The execution plan sweeps the module's
-  // domain in the same odometer order / little-endian output encoding
-  // original_fn needs, so one sweep serves both tables.
+  // The per-attribute layout: value offsets, original-value bitmaps and
+  // provenance positions.
+  const int64_t num_values = [&] {
+    int64_t total = 0;
+    for (int a = 0; a < t->num_attrs; ++a) total += catalog.DomainSize(a);
+    return total;
+  }();
+  const int64_t attr_bytes =
+      num_values +
+      static_cast<int64_t>(t->num_attrs) *
+          static_cast<int64_t>(sizeof(int64_t) + sizeof(int32_t)) +
+      static_cast<int64_t>(sizeof(int64_t));
+  if (control != nullptr) {
+    if (!control->TryCharge(attr_bytes)) {
+      t->status = control->Check();
+      return t;
+    }
+    t->charged_bytes += attr_bytes;
+  }
+  t->value_offset.resize(static_cast<size_t>(t->num_attrs) + 1);
+  t->value_offset[0] = 0;
+  for (int a = 0; a < t->num_attrs; ++a) {
+    t->value_offset[static_cast<size_t>(a) + 1] =
+        t->value_offset[static_cast<size_t>(a)] + catalog.DomainSize(a);
+  }
+  t->orig_values.assign(static_cast<size_t>(num_values), 0);
+  t->prov_pos.assign(static_cast<size_t>(t->num_attrs), -1);
+
+  // The per-module fills. The execution plan sweeps the module's domain in
+  // the same odometer order / little-endian output encoding original_fn
+  // needs, so one sweep serves both tables.
   auto fill_fn = [&, plan](int i) {
     const size_t si = static_cast<size_t>(i);
     ExecutionSupplier::TabulateModule(plan.get(), i);
@@ -599,7 +639,7 @@ std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
              t->dom_size[si]);
     t->original_fn[si] = plan->modules[si].fn;
   };
-  auto fill_out_values = [&](int i) {
+  auto fill_decode = [&](int i) {
     const size_t si = static_cast<size_t>(i);
     const size_t n_out = t->out_attrs[si].size();
     const int64_t range = t->range_size[si];
@@ -609,6 +649,18 @@ std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
         t->out_values[si][static_cast<size_t>(c) * n_out + j] =
             static_cast<int32_t>((c / t->out_strides[si][j]) %
                                  t->out_radices[si][j]);
+      }
+    }
+    t->all_out_codes[si].resize(static_cast<size_t>(range));
+    std::iota(t->all_out_codes[si].begin(), t->all_out_codes[si].end(), 0);
+    const size_t n_in = t->in_attrs[si].size();
+    const int64_t dom = t->dom_size[si];
+    t->in_values[si].resize(static_cast<size_t>(dom) * n_in);
+    for (int64_t d = 0; d < dom; ++d) {
+      for (size_t j = 0; j < n_in; ++j) {
+        t->in_values[si][static_cast<size_t>(d) * n_in + j] =
+            static_cast<int32_t>((d / t->in_strides[si][j]) %
+                                 t->in_radices[si][j]);
       }
     }
   };
@@ -626,6 +678,9 @@ std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
   }
   t->num_execs = execs;
   t->prov_ids = workflow.ProvenanceAttrIds();
+  for (size_t p = 0; p < t->prov_ids.size(); ++p) {
+    t->prov_pos[static_cast<size_t>(t->prov_ids[p])] = static_cast<int32_t>(p);
+  }
 
   // The original run, streamed from the initial-input odometer in
   // chunk-sized blocks of provenance rows into the per-execution arrays
@@ -689,7 +744,7 @@ std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
   };
   // Per-module sweeps run as independent tasks, the scan shards depend
   // only on the sweeps (which the streamed supplier reads), and the
-  // output-decode tables overlap the scan. One thread runs the same graph
+  // decode tables overlap the scan. One thread runs the same graph
   // inline.
   TaskGraph graph;
   std::vector<TaskGraph::TaskId> fn_tasks;
@@ -697,7 +752,7 @@ std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
   for (int i = 0; i < n; ++i) {
     const TaskGraph::TaskId fi = graph.Add([&fill_fn, i] { fill_fn(i); });
     fn_tasks.push_back(fi);
-    graph.Add([&fill_out_values, i] { fill_out_values(i); }, {fi});
+    graph.Add([&fill_decode, i] { fill_decode(i); }, {fi});
   }
   for (int s = 0; s < shards; ++s) {
     const auto [begin, end] = TaskRange(execs, shards, s);
@@ -709,7 +764,15 @@ std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
   // Without a control the run is always OK (task exceptions rethrow).
   t->status = graph.Run(executor.get(), control);
   if (!t->status.ok()) return t;  // partially-scanned tables are unusable
-  // The distinct original input codes per module, sorted, from the log.
+  // The original-value bitmaps and the distinct original input codes per
+  // module, sorted, from the log.
+  for (int64_t e = 0; e < execs; ++e) {
+    const int32_t* row = &t->orig_rows[static_cast<size_t>(e) * prov_arity];
+    for (size_t p = 0; p < prov_arity; ++p) {
+      t->orig_values[static_cast<size_t>(
+          t->value_offset[static_cast<size_t>(t->prov_ids[p])] + row[p])] = 1;
+    }
+  }
   for (int i = 0; i < n; ++i) {
     const size_t si = static_cast<size_t>(i);
     std::vector<uint8_t> reached(static_cast<size_t>(t->dom_size[si]), 0);
@@ -769,56 +832,29 @@ namespace {
 
 struct WfInstance {
   const WorkflowTables* tables = nullptr;
-  std::vector<int> free_modules;  // free module indices, ascending
-  std::vector<bool> is_free;      // per module
-  std::vector<int> topo;          // module evaluation order
+  const std::vector<int>* topo = nullptr;  // module evaluation order
+  std::vector<uint8_t> is_free;            // per module
 
-  // Feasible output codes per walked slot.
-  std::vector<const std::vector<int32_t>*> slots;
-  // Per module (free only): input code -> walked slot index. -1 marks a
-  // factored slot, which no execution can ever query.
-  std::vector<std::vector<int32_t>> slot_of;
+  // Per walked slot: its feasible output codes, held by the fixpoint (a
+  // determined module's lists) or by the tables (a full range).
+  std::vector<const int32_t*> slot_codes;
+  std::vector<int32_t> slot_len;
+  // Free module i's input code d -> walked slot index at
+  // slot_of[slot_of_base[i] + d]. -1 marks a factored slot, which no
+  // execution can ever query.
+  std::vector<int64_t> slot_of_base;
+  std::vector<int32_t> slot_of;
   // ∏ |feasible_s| over the walked slots: the pruned space.
   int64_t space = 1;
 
-  std::vector<int> visible_pos;  // visible positions in the prov row
-  const TupleInterner* target = nullptr;
-
-  // Fast row -> target-id lookup. An execution's candidate row always keeps
-  // its determined visible values, so its target id is a function of the
-  // non-determined visible fragment alone. Executions sharing a determined
-  // prefix share one flat table indexed by the encoded fragment; -1 marks
-  // "not in the target". Falls back to interner lookups (use_nd = false)
-  // when the fragment space is too large to materialize.
-  bool use_nd = false;
-  std::vector<AttrId> nd_attr_ids;  // visible non-determined prov attrs
-  std::vector<int64_t> nd_strides;
+  // Row -> target id. An execution's candidate row always keeps its
+  // determined visible values, so the executions sharing a determined
+  // visible prefix form one group, and the target id of a finished row is
+  // the group's projection node reached by the row's non-determined
+  // visible values (-1: not in the target view). Both are numbered from
+  // the original rows' mixed-radix codes (ProjectionIds).
   std::vector<int32_t> group_of_exec;
-  std::vector<std::vector<int32_t>> tid_tables;  // per group, nd-space wide
-
-  // Hot-loop mirrors, filled by FinalizeSlots().
-  std::vector<const int32_t*> slot_codes;  // raw feasible-code arrays
-  std::vector<int32_t> slot_len;
-  int64_t nd_space = 1;
-  std::vector<int32_t> tid_flat;        // concatenated tid tables
-  std::vector<int64_t> exec_tid_base;   // per exec: offset into tid_flat
-
-  void FinalizeSlots() {
-    for (const std::vector<int32_t>* codes : slots) {
-      slot_codes.push_back(codes->data());
-      slot_len.push_back(static_cast<int32_t>(codes->size()));
-    }
-    if (use_nd) {
-      tid_flat.reserve(tid_tables.size() * static_cast<size_t>(nd_space));
-      for (const auto& table : tid_tables) {
-        tid_flat.insert(tid_flat.end(), table.begin(), table.end());
-      }
-      exec_tid_base.reserve(group_of_exec.size());
-      for (int32_t g : group_of_exec) {
-        exec_tid_base.push_back(static_cast<int64_t>(g) * nd_space);
-      }
-    }
-  }
+  ProjectionIds targets;
 
   // Flattened (free module, original input) pairs whose OUT sets are
   // recorded: the SeenUnion's pairs, in order. input_widths[p] is the
@@ -867,6 +903,7 @@ int32_t RunExec(const WfInstance& inst, const int32_t* idx,
                 const int32_t* frame_of, int64_t e, int32_t* vals,
                 size_t* pos, int32_t* dep) {
   const WorkflowTables& t = *inst.tables;
+  const std::vector<int>& topo = *inst.topo;
   if (*pos == 0) {
     const std::vector<AttrId>& init_ids = t.workflow->initial_input_ids();
     const int32_t* init =
@@ -875,8 +912,8 @@ int32_t RunExec(const WfInstance& inst, const int32_t* idx,
       vals[static_cast<size_t>(init_ids[k])] = init[k];
     }
   }
-  for (size_t p = *pos; p < inst.topo.size(); ++p) {
-    const size_t mi = static_cast<size_t>(inst.topo[p]);
+  for (size_t p = *pos; p < topo.size(); ++p) {
+    const size_t mi = static_cast<size_t>(topo[p]);
     int64_t in_code = 0;
     const auto& ins = t.in_attrs[mi];
     for (size_t j = 0; j < ins.size(); ++j) {
@@ -887,7 +924,8 @@ int32_t RunExec(const WfInstance& inst, const int32_t* idx,
     if (!inst.is_free[mi]) {
       out_code = t.original_fn[mi][static_cast<size_t>(in_code)];
     } else {
-      const int32_t s = inst.slot_of[mi][static_cast<size_t>(in_code)];
+      const int32_t s =
+          inst.slot_of[static_cast<size_t>(inst.slot_of_base[mi] + in_code)];
       if (s < 0) return kExecDeadEnd;
       const int32_t j = idx[s];
       if (j < 0) {
@@ -907,25 +945,10 @@ int32_t RunExec(const WfInstance& inst, const int32_t* idx,
   return kExecFinished;
 }
 
-// Interned target id of finished execution e's visible row, -1 if the row
-// is outside the target view.
-int32_t RowTid(const WfInstance& inst, int64_t e, const int32_t* vals,
-               Tuple* vis_buf) {
-  if (inst.use_nd) {
-    int64_t code = inst.exec_tid_base[static_cast<size_t>(e)];
-    for (size_t j = 0; j < inst.nd_attr_ids.size(); ++j) {
-      code += static_cast<int64_t>(
-                  vals[static_cast<size_t>(inst.nd_attr_ids[j])]) *
-              inst.nd_strides[j];
-    }
-    return inst.tid_flat[static_cast<size_t>(code)];
-  }
-  const WorkflowTables& t = *inst.tables;
-  for (size_t p = 0; p < inst.visible_pos.size(); ++p) {
-    (*vis_buf)[p] = vals[static_cast<size_t>(
-        t.prov_ids[static_cast<size_t>(inst.visible_pos[p])])];
-  }
-  return inst.target->Find(*vis_buf);
+// Target id of finished execution e's visible row, -1 if the row is
+// outside the target view.
+int32_t RowTid(const WfInstance& inst, int64_t e, const int32_t* vals) {
+  return inst.targets.Find(inst.group_of_exec[static_cast<size_t>(e)], vals);
 }
 
 // Width of the walk's first multi-code branch point. Every slot the walk
@@ -933,7 +956,7 @@ int32_t RowTid(const WfInstance& inst, int64_t e, const int32_t* vals,
 // shards can split that point's codes. 1 when the walk reaches none.
 int64_t FirstBranchWidth(const WfInstance& inst) {
   const WorkflowTables& t = *inst.tables;
-  std::vector<int32_t> idx(inst.slots.size(), -1);
+  std::vector<int32_t> idx(inst.slot_len.size(), -1);
   std::vector<int32_t> vals(static_cast<size_t>(t.num_attrs), -1);
   int32_t dep = -1;
   for (int64_t e = 0; e < t.num_execs; ++e) {
@@ -977,18 +1000,29 @@ void WfWalk(const WfInstance& inst, int64_t split_begin, int64_t split_end,
   const size_t prov_arity = t.prov_ids.size();
   const size_t num_attrs = static_cast<size_t>(t.num_attrs);
 
-  std::vector<int32_t> idx(inst.slots.size(), -1);
-  std::vector<int32_t> frame_of(inst.slots.size(), -1);
+  // The walker's int32 state in one buffer, laid out as the walk's memory
+  // charge counts it: per slot the assigned index and frame, per
+  // execution its attribute values, row id and frame dependency, and per
+  // target id its cover count.
+  const size_t num_slots = inst.slot_len.size();
+  const size_t execs = static_cast<size_t>(num_execs);
+  const size_t num_targets = static_cast<size_t>(inst.targets.size());
+  std::vector<int32_t> state(2 * num_slots + execs * (num_attrs + 2) +
+                             num_targets);
+  int32_t* const idx = state.data();
+  int32_t* const frame_of = idx + num_slots;
+  int32_t* const values = frame_of + num_slots;
+  int32_t* const row_tid = values + execs * num_attrs;
+  int32_t* const dep = row_tid + execs;
+  int32_t* const counts = dep + execs;
+  std::fill(idx, counts, -1);
+  std::fill(dep, counts, kUnfinished);
+  std::fill(counts, counts + num_targets, 0);
   std::vector<WfFrame> frames;
-  frames.reserve(inst.slots.size());
-  std::vector<int32_t> values(static_cast<size_t>(num_execs) * num_attrs, -1);
-  std::vector<int32_t> row_tid(static_cast<size_t>(num_execs), -1);
-  std::vector<int32_t> dep(static_cast<size_t>(num_execs), kUnfinished);
-  std::vector<int32_t> counts(static_cast<size_t>(inst.target->size()), 0);
-  int32_t uncovered = inst.target->size();
+  frames.reserve(num_slots);
+  int32_t uncovered = inst.targets.size();
   int64_t finished = 0;  // executions whose rows are covered
-  Tuple vis_buf(inst.visible_pos.size());
-  ShardMarks marks(inst.input_widths);
+  ShardMarks marks(*seen_union);
   bool split_ahead = true;  // the first multi-code branch point not reached
   int64_t free_product = inst.space;  // ∏ widths of the unassigned slots
 
@@ -1080,8 +1114,7 @@ void WfWalk(const WfInstance& inst, int64_t split_begin, int64_t split_end,
         break;
       }
       int32_t* vals = &values[static_cast<size_t>(e) * num_attrs];
-      const int32_t s = RunExec(inst, idx.data(), frame_of.data(), e, vals,
-                                &pos, &e_dep);
+      const int32_t s = RunExec(inst, idx, frame_of, e, vals, &pos, &e_dep);
       if (s >= 0) {
         // First reach of slot s: branch over its feasible list.
         const int32_t width = inst.slot_len[static_cast<size_t>(s)];
@@ -1100,7 +1133,7 @@ void WfWalk(const WfInstance& inst, int64_t split_begin, int64_t split_end,
         continue;
       }
       if (s == kExecDeadEnd) break;
-      const int32_t tid = RowTid(inst, e, vals, &vis_buf);
+      const int32_t tid = RowTid(inst, e, vals);
       if (tid < 0) break;
       row_tid[static_cast<size_t>(e)] = tid;
       dep[static_cast<size_t>(e)] = e_dep;
@@ -1144,154 +1177,87 @@ void WfWalk(const WfInstance& inst, int64_t split_begin, int64_t split_end,
   }
 }
 
-}  // namespace
+// One workflow walk up to its seen marks. `worlds` holds every result
+// field but out_sets; EnumerateWorkflowWorlds materializes those from the
+// marks, WalkWorkflowWorlds reads the minimum OUT sizes off them.
+struct WfRun {
+  WorkflowWorlds worlds;
+  bool started = false;  // passed the status checks (out_sets are sized)
+  bool walked = false;   // the walk ran and the marks are final
+  FlatFeasibleSets analysis;  // owns the determined slots' candidate codes
+  WfInstance inst;
+  // The seen marks, pair p's at seen[seen_offset[p] .. seen_offset[p + 1]).
+  std::vector<size_t> seen_offset;
+  std::vector<uint8_t> seen;
+};
 
-WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
-                                       const Bitset64& visible,
-                                       const std::vector<int>& fixed_modules,
-                                       const WorkflowEnumerationOptions& opts) {
-  WorkflowWorlds result;
+void RunWorkflowWalk(const WorkflowTables& tables, const Bitset64& visible,
+                     const std::vector<int>& fixed_modules,
+                     const WorkflowEnumerationOptions& opts, WfRun* run) {
+  WorkflowWorlds& result = run->worlds;
   const ExecControl* control = opts.control;
   if (!tables.status.ok()) {
     // Tables from an aborted service-mode build carry their trip status;
     // never walk them.
     result.status = tables.status;
-    return result;
+    return;
   }
   if (control != nullptr && control->ExpiredNow()) {
     result.status = control->Check();
-    return result;
+    return;
   }
+  run->started = true;
   const Workflow& workflow = *tables.workflow;
   const int n = tables.num_modules;
-  result.out_sets.resize(static_cast<size_t>(n));
 
-  std::vector<bool> fixed(static_cast<size_t>(n), false);
+  WfInstance& inst = run->inst;
+  inst.tables = &tables;
+  inst.topo = &workflow.topo_order();
+  inst.collect_distinct = opts.collect_distinct_relations;
+  inst.is_free.assign(static_cast<size_t>(n), 1);
   for (int i : fixed_modules) {
     PV_CHECK(i >= 0 && i < n);
-    fixed[static_cast<size_t>(i)] = true;
+    inst.is_free[static_cast<size_t>(i)] = 0;
   }
-
-  WfInstance inst;
-  inst.tables = &tables;
-  inst.is_free.assign(static_cast<size_t>(n), false);
-  for (int i = 0; i < n; ++i) {
-    if (!fixed[static_cast<size_t>(i)]) {
-      inst.is_free[static_cast<size_t>(i)] = true;
-      inst.free_modules.push_back(i);
-    }
-  }
-  inst.topo = workflow.topo_order();
-  inst.collect_distinct = opts.collect_distinct_relations;
 
   result.naive_candidates = 1;
-  for (int i : inst.free_modules) {
+  for (int i = 0; i < n; ++i) {
+    if (!inst.is_free[static_cast<size_t>(i)]) continue;
     result.naive_candidates = SaturatingMul(
         result.naive_candidates,
         SaturatingPow(tables.range_size[static_cast<size_t>(i)],
                       static_cast<int>(tables.dom_size[static_cast<size_t>(i)])));
   }
 
-  // Target view: interned visible projections of the original rows.
-  const size_t prov_arity = tables.prov_ids.size();
-  for (size_t p = 0; p < prov_arity; ++p) {
-    const AttrId id = tables.prov_ids[p];
-    if (id < visible.size() && visible.Test(id)) {
-      inst.visible_pos.push_back(static_cast<int>(p));
-    }
-  }
-  TupleInterner target;
-  std::vector<int32_t> orig_row_tid(static_cast<size_t>(tables.num_execs));
-  {
-    Tuple vis(inst.visible_pos.size());
-    for (int64_t e = 0; e < tables.num_execs; ++e) {
-      if (control != nullptr && control->Expired()) {
-        result.status = control->Check();
-        return result;
-      }
-      const int32_t* row = &tables.orig_rows[static_cast<size_t>(e) * prov_arity];
-      for (size_t p = 0; p < inst.visible_pos.size(); ++p) {
-        vis[p] = row[static_cast<size_t>(inst.visible_pos[p])];
-      }
-      orig_row_tid[static_cast<size_t>(e)] = target.Intern(vis);
-    }
-  }
-  inst.target = &target;
-
   // The feasible-set fixpoint: attributes pinned to their original values
   // in every world, modules whose inputs are all pinned, per-slot candidate
   // lists and the domain points no consistent world reaches.
-  const FeasibleSetAnalysis analysis =
-      AnalyzeFeasibleSets(tables, visible, fixed_modules);
-  const std::vector<bool>& det_attr = analysis.pinned_attr;
-  // Positions (in the prov row) of visible determined attributes: the part
-  // of every execution's row no world can change.
-  std::vector<int> det_vis_pos;
-  for (size_t p = 0; p < prov_arity; ++p) {
-    const AttrId id = tables.prov_ids[p];
-    if (det_attr[static_cast<size_t>(id)] && id < visible.size() &&
-        visible.Test(id)) {
-      det_vis_pos.push_back(static_cast<int>(p));
-    }
-  }
+  RunFeasibleSetFixpoint(tables, visible, fixed_modules, &run->analysis);
+  const FlatFeasibleSets& analysis = run->analysis;
 
-  // Fast row -> target-id lookup tables (see WfInstance): the visible
-  // non-determined fragment indexes a per-determined-prefix-group table.
+  // Target view: the visible projections of the original rows, numbered
+  // per determined-visible prefix group (see WfInstance).
   {
-    const AttributeCatalog& catalog = *workflow.catalog();
-    std::vector<int> nd_pos;  // prov positions of the fragment
-    int64_t space = 1;
-    for (int p : inst.visible_pos) {
-      const AttrId id = tables.prov_ids[static_cast<size_t>(p)];
-      if (det_attr[static_cast<size_t>(id)]) continue;
-      nd_pos.push_back(p);
-      inst.nd_attr_ids.push_back(id);
-      inst.nd_strides.push_back(space);
-      space = SaturatingMul(space, catalog.DomainSize(id));
+    std::vector<AttrId> det_vis;  // in provenance order
+    std::vector<AttrId> nd_vis;
+    det_vis.reserve(tables.prov_ids.size());
+    nd_vis.reserve(tables.prov_ids.size());
+    for (AttrId id : tables.prov_ids) {
+      if (id >= visible.size() || !visible.Test(id)) continue;
+      (analysis.pinned[static_cast<size_t>(id)] ? det_vis : nd_vis)
+          .push_back(id);
     }
-    std::map<Tuple, int32_t> group_ids;
-    Tuple prefix(det_vis_pos.size());
-    if (space <= (1 << 16)) {
-      inst.group_of_exec.resize(static_cast<size_t>(tables.num_execs));
-      for (int64_t e = 0; e < tables.num_execs; ++e) {
-        const int32_t* row =
-            &tables.orig_rows[static_cast<size_t>(e) * prov_arity];
-        for (size_t q = 0; q < det_vis_pos.size(); ++q) {
-          prefix[q] = row[static_cast<size_t>(det_vis_pos[q])];
-        }
-        auto [it, inserted] = group_ids.try_emplace(
-            prefix, static_cast<int32_t>(group_ids.size()));
-        (void)inserted;
-        inst.group_of_exec[static_cast<size_t>(e)] = it->second;
-      }
-      if (SaturatingMul(static_cast<int64_t>(group_ids.size()), space) <=
-          (1 << 22)) {
-        inst.tid_tables.assign(
-            group_ids.size(),
-            std::vector<int32_t>(static_cast<size_t>(space), -1));
-        for (int64_t e = 0; e < tables.num_execs; ++e) {
-          const int32_t* row =
-              &tables.orig_rows[static_cast<size_t>(e) * prov_arity];
-          int64_t code = 0;
-          for (size_t j = 0; j < nd_pos.size(); ++j) {
-            code += static_cast<int64_t>(
-                        row[static_cast<size_t>(nd_pos[j])]) *
-                    inst.nd_strides[j];
-          }
-          inst.tid_tables[static_cast<size_t>(
-              inst.group_of_exec[static_cast<size_t>(e)])]
-              [static_cast<size_t>(code)] =
-                  orig_row_tid[static_cast<size_t>(e)];
-        }
-        inst.nd_space = space;
-        inst.use_nd = true;
-      }
-    }
-    if (!inst.use_nd) {
-      inst.nd_attr_ids.clear();
-      inst.nd_strides.clear();
-      inst.group_of_exec.clear();
-    }
+    // The groups first, then the target ids from them, on one set of
+    // level tables.
+    inst.targets.Build(tables, det_vis, nullptr, 0, &inst.group_of_exec);
+    const int32_t num_groups = inst.targets.size();
+    std::vector<int32_t> tid_of_exec;
+    inst.targets.Build(tables, nd_vis, inst.group_of_exec.data(), num_groups,
+                       &tid_of_exec);
+  }
+  if (control != nullptr && control->Expired()) {
+    result.status = control->Check();
+    return;
   }
 
   // Build the walked slots. Non-determined modules keep the full output
@@ -1301,46 +1267,75 @@ WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
   // Domain points no consistent world reaches are factored out: they
   // multiply the function choices by |Range| each, and a branch in which
   // an execution reaches one is cut.
-  std::vector<std::vector<int32_t>> all_codes(static_cast<size_t>(n));
   int64_t factored_multiplier = 1;
-  inst.slot_of.assign(static_cast<size_t>(n), {});
-  for (int i : inst.free_modules) {
+  inst.slot_of_base.assign(static_cast<size_t>(n), 0);
+  {
+    size_t points = 0;
+    size_t tracked = 0;
+    for (int i = 0; i < n; ++i) {
+      const size_t si = static_cast<size_t>(i);
+      if (!inst.is_free[si]) continue;
+      points += static_cast<size_t>(tables.dom_size[si]);
+      tracked += tables.orig_input_codes[si].size();
+    }
+    inst.slot_of.reserve(points);
+    inst.slot_codes.reserve(points);
+    inst.slot_len.reserve(points);
+    inst.inputs.reserve(tracked);
+    inst.input_widths.reserve(tracked);
+    inst.input_gamma.reserve(tracked);
+  }
+  for (int i = 0; i < n; ++i) {
     const size_t si = static_cast<size_t>(i);
-    const bool det = analysis.determined[si];
-    // The walked domain points: the reached ones of a determined module,
-    // the fixpoint's feasible ones of any other.
-    const std::vector<int32_t>& points =
-        det ? tables.orig_input_codes[si] : analysis.feasible_in_codes[si];
-    if (det) {
-      PV_CHECK(analysis.det_slot_codes[si].size() == points.size());
+    if (!inst.is_free[si]) continue;
+    inst.slot_of_base[si] = static_cast<int64_t>(inst.slot_of.size());
+    inst.slot_of.resize(inst.slot_of.size() +
+                            static_cast<size_t>(tables.dom_size[si]),
+                        -1);
+    int32_t* slot_of =
+        &inst.slot_of[static_cast<size_t>(inst.slot_of_base[si])];
+    auto add_slot = [&](int32_t d, const int32_t* codes, int32_t len) {
+      slot_of[d] = static_cast<int32_t>(inst.slot_codes.size());
+      inst.slot_codes.push_back(codes);
+      inst.slot_len.push_back(len);
+      inst.space = SaturatingMul(inst.space, len);
+    };
+    int64_t walked = 0;
+    if (analysis.determined[si]) {
+      // The reached domain points, with the fixpoint's candidate lists.
+      const FlatFeasibleSets::SlotLists& lists = analysis.det_lists[si];
+      const std::vector<int32_t>& points = tables.orig_input_codes[si];
+      PV_CHECK(lists.ends.size() == points.size());
+      int32_t begin = 0;
+      for (size_t k = 0; k < points.size(); ++k) {
+        add_slot(points[k], lists.codes.data() + begin, lists.ends[k] - begin);
+        begin = lists.ends[k];
+      }
+      walked = static_cast<int64_t>(points.size());
     } else {
-      all_codes[si].resize(static_cast<size_t>(tables.range_size[si]));
-      std::iota(all_codes[si].begin(), all_codes[si].end(), 0);
+      // The fixpoint's feasible domain points, at full range.
+      const uint8_t* in_ok =
+          &analysis.in_ok[static_cast<size_t>(analysis.dom_offset[si])];
+      const int32_t range = static_cast<int32_t>(tables.range_size[si]);
+      for (int32_t d = 0; d < tables.dom_size[si]; ++d) {
+        if (!in_ok[d]) continue;
+        add_slot(d, tables.all_out_codes[si].data(), range);
+        ++walked;
+      }
     }
-    inst.slot_of[si].assign(static_cast<size_t>(tables.dom_size[si]), -1);
-    for (size_t k = 0; k < points.size(); ++k) {
-      const std::vector<int32_t>& codes =
-          det ? analysis.det_slot_codes[si][k] : all_codes[si];
-      inst.slot_of[si][static_cast<size_t>(points[k])] =
-          static_cast<int32_t>(inst.slots.size());
-      inst.slots.push_back(&codes);
-      inst.space =
-          SaturatingMul(inst.space, static_cast<int64_t>(codes.size()));
-    }
-    const int64_t unwalked =
-        tables.dom_size[si] - static_cast<int64_t>(points.size());
     factored_multiplier = SaturatingMul(
         factored_multiplier,
-        SaturatingPow(tables.range_size[si], static_cast<int>(unwalked)));
+        SaturatingPow(tables.range_size[si],
+                      static_cast<int>(tables.dom_size[si] - walked)));
   }
   result.pruned_candidates = inst.space;
   if (result.pruned_candidates > opts.max_candidates) {
     result.status = Status::ResourceExhausted(
         "workflow world space too large after pruning: " +
         std::to_string(result.pruned_candidates));
-    return result;
+    return;
   }
-  if (result.pruned_candidates == 0) return result;  // some slot infeasible
+  if (result.pruned_candidates == 0) return;  // some slot infeasible
 
   // OUT-set marks: one pair per (free module, original input code). The
   // Γ short-circuit tracks every free private module (fixed modules have
@@ -1349,14 +1344,18 @@ WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
   // pair's feasible list to be at least Γ wide.
   int64_t tracked_pairs = 0;
   bool probe = opts.gamma > 0;
-  inst.gamma_pair_of_slot.assign(inst.slots.size(), -1);
-  for (int i : inst.free_modules) {
+  const size_t num_slots = inst.slot_len.size();
+  inst.gamma_pair_of_slot.assign(num_slots, -1);
+  for (int i = 0; i < n; ++i) {
     const size_t si = static_cast<size_t>(i);
+    if (!inst.is_free[si]) continue;
     const bool gamma_tracked = !workflow.module(i).is_public();
     for (int32_t d : tables.orig_input_codes[si]) {
-      const int32_t s = inst.slot_of[si][static_cast<size_t>(d)];
+      const int32_t s =
+          inst.slot_of[static_cast<size_t>(inst.slot_of_base[si] + d)];
       PV_CHECK(s >= 0);
-      const size_t width = inst.slots[static_cast<size_t>(s)]->size();
+      const size_t width =
+          static_cast<size_t>(inst.slot_len[static_cast<size_t>(s)]);
       if (gamma_tracked) {
         inst.gamma_pair_of_slot[static_cast<size_t>(s)] =
             static_cast<int32_t>(inst.inputs.size());
@@ -1371,10 +1370,8 @@ WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
   if (opts.gamma > 0 && tracked_pairs == 0) {
     // No tracked free-module input to protect: Γ is vacuously satisfied.
     result.early_stopped = true;
-    return result;
+    return;
   }
-
-  inst.FinalizeSlots();
 
   // The complete walk shards over the codes of its first multi-code branch
   // point.
@@ -1394,11 +1391,12 @@ WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
   // retained state). The probe is one walker that finishes before the
   // fleet starts, so the fleet's charge covers it.
   const int64_t execs = tables.num_execs;
-  const int64_t num_slots = static_cast<int64_t>(inst.slots.size());
+  const size_t prov_arity = tables.prov_ids.size();
   int64_t shard_bytes =
-      (execs * (tables.num_attrs + 2) + target.size() + 2 * num_slots) *
+      (execs * (tables.num_attrs + 2) + inst.targets.size() +
+       2 * static_cast<int64_t>(num_slots)) *
           static_cast<int64_t>(sizeof(int32_t)) +
-      num_slots * static_cast<int64_t>(sizeof(WfFrame));
+      static_cast<int64_t>(num_slots) * static_cast<int64_t>(sizeof(WfFrame));
   if (inst.collect_distinct) {
     shard_bytes += execs * static_cast<int64_t>(prov_arity + 1) *
                    static_cast<int64_t>(sizeof(int32_t));
@@ -1406,7 +1404,7 @@ WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
   const int64_t walk_bytes = shards * shard_bytes;
   if (control != nullptr && !control->TryCharge(walk_bytes)) {
     result.status = control->Check();
-    return result;
+    return;
   }
   // Under Γ the probe goes first, on the calling thread. If it ends
   // without the short-circuit firing, the complete walk starts over: the
@@ -1441,25 +1439,48 @@ WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
   result.num_distinct_relations = static_cast<int64_t>(distinct.size());
   result.num_function_choices =
       SaturatingMul(result.num_function_choices, factored_multiplier);
+  run->seen_offset = std::move(seen_union.offset);
+  run->seen = std::move(seen_union.seen);
+  run->walked = true;
+}
 
+// Whether a walked run's fixed modules keep their original function on a
+// consistent world: some world was counted, or the short-circuit fired.
+bool FixedOutSetsRecorded(const WfRun& run) {
+  return run.worlds.num_function_choices > 0 || run.worlds.early_stopped;
+}
+
+}  // namespace
+
+WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
+                                       const Bitset64& visible,
+                                       const std::vector<int>& fixed_modules,
+                                       const WorkflowEnumerationOptions& opts) {
+  WfRun run;
+  RunWorkflowWalk(tables, visible, fixed_modules, opts, &run);
+  WorkflowWorlds& result = run.worlds;
+  if (run.started) {
+    result.out_sets.resize(static_cast<size_t>(tables.num_modules));
+  }
+  if (!run.walked) return std::move(result);
   // Materialize OUT sets: free modules from the union of seen marks, fixed
   // modules keep their original function on every consistent world.
+  const WfInstance& inst = run.inst;
   for (size_t p = 0; p < inst.inputs.size(); ++p) {
     const auto& ti = inst.inputs[p];
     const size_t si = static_cast<size_t>(ti.module);
-    const auto& codes = *inst.slots[static_cast<size_t>(ti.slot)];
-    const auto& seen = seen_union.seen[p];
+    const int32_t* codes = inst.slot_codes[static_cast<size_t>(ti.slot)];
     const Tuple x = DecodeMixedRadix(ti.in_code, tables.in_radices[si]);
-    for (size_t j = 0; j < seen.size(); ++j) {
-      if (!seen[j]) continue;
+    for (size_t j = 0; j < inst.input_widths[p]; ++j) {
+      if (!run.seen[run.seen_offset[p] + j]) continue;
       result.out_sets[si][x].insert(
           DecodeMixedRadix(codes[j], tables.out_radices[si]));
     }
   }
-  if (result.num_function_choices > 0 || result.early_stopped) {
-    for (int i = 0; i < n; ++i) {
+  if (FixedOutSetsRecorded(run)) {
+    for (int i = 0; i < tables.num_modules; ++i) {
       const size_t si = static_cast<size_t>(i);
-      if (!fixed[si]) continue;
+      if (inst.is_free[si]) continue;
       for (int32_t d : tables.orig_input_codes[si]) {
         result.out_sets[si][DecodeMixedRadix(d, tables.in_radices[si])]
             .insert(DecodeMixedRadix(
@@ -1468,7 +1489,40 @@ WorkflowWorlds EnumerateWorkflowWorlds(const WorkflowTables& tables,
       }
     }
   }
-  return result;
+  return std::move(result);
+}
+
+WorkflowWorlds WalkWorkflowWorlds(const WorkflowTables& tables,
+                                  const Bitset64& visible,
+                                  const std::vector<int>& fixed_modules,
+                                  const WorkflowEnumerationOptions& opts,
+                                  std::vector<int64_t>* min_out_sizes) {
+  WfRun run;
+  RunWorkflowWalk(tables, visible, fixed_modules, opts, &run);
+  min_out_sizes->assign(static_cast<size_t>(tables.num_modules), kMax);
+  if (!run.walked) return std::move(run.worlds);
+  // A pair's OUT set is its seen marks; a pair with none has no OUT-set
+  // entry, as in the materialized maps.
+  const WfInstance& inst = run.inst;
+  for (size_t p = 0; p < inst.inputs.size(); ++p) {
+    const auto first = run.seen.begin();
+    const int64_t size =
+        std::count(first + static_cast<int64_t>(run.seen_offset[p]),
+                   first + static_cast<int64_t>(run.seen_offset[p + 1]),
+                   uint8_t{1});
+    int64_t& min_out =
+        (*min_out_sizes)[static_cast<size_t>(inst.inputs[p].module)];
+    if (size > 0) min_out = std::min(min_out, size);
+  }
+  if (FixedOutSetsRecorded(run)) {
+    for (int i = 0; i < tables.num_modules; ++i) {
+      const size_t si = static_cast<size_t>(i);
+      if (!inst.is_free[si] && !tables.orig_input_codes[si].empty()) {
+        (*min_out_sizes)[si] = 1;
+      }
+    }
+  }
+  return std::move(run.worlds);
 }
 
 WorkflowWorlds EnumerateWorkflowWorlds(const Workflow& workflow,

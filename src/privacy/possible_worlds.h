@@ -179,10 +179,12 @@ struct WorkflowEnumerationOptions : EngineConfig {
 
 /// Immutable per-workflow tables shared by every enumeration over the same
 /// workflow: interned per-module original functions (encoded input →
-/// encoded output), mixed-radix strides, the original execution log, and
-/// per-module original input codes. Building them costs one full provenance
-/// run; the batch certification driver builds them once and reuses them
-/// across many (visible set, fixed set, Γ) enumerations.
+/// encoded output), mixed-radix strides and decode tables, the original
+/// execution log, per-module original input codes, and the per-attribute
+/// data the feasible-set fixpoint needs whatever the visible set. Building
+/// them costs one full provenance run; the batch certification driver
+/// builds them once and reuses them across many (visible set, fixed set, Γ)
+/// enumerations.
 struct WorkflowTables {
   const Workflow* workflow = nullptr;
   int num_attrs = 0;
@@ -202,9 +204,26 @@ struct WorkflowTables {
   /// Decoded outputs: out_values[i][code * |O_i| + j] = j-th output value of
   /// output code `code` (avoids div/mod decoding in the walk's hot loop).
   std::vector<std::vector<int32_t>> out_values;
+  /// Decoded inputs, mirroring out_values: in_values[i][code * |I_i| + j] =
+  /// j-th input value of input code `code` (the fixpoint's domain sweeps).
+  std::vector<std::vector<int32_t>> in_values;
+  /// Every output code of module i, 0..|Range_i|-1: the candidate list of a
+  /// walked slot of a module whose inputs are not pinned.
+  std::vector<std::vector<int32_t>> all_out_codes;
   /// Distinct original input codes of module i (sorted): the x's whose
   /// OUT sets Definition 5 tracks.
   std::vector<std::vector<int32_t>> orig_input_codes;
+
+  // Per attribute id (catalog-aligned).
+  /// Layout of the flat per-value arrays: value v of attribute a sits at
+  /// value_offset[a] + v; value_offset[num_attrs] is the total over every
+  /// attribute's domain.
+  std::vector<int64_t> value_offset;
+  /// Original-value bitmaps, flat: orig_values[value_offset[a] + v] = 1 iff
+  /// some execution of the original run gives attribute a the value v.
+  std::vector<uint8_t> orig_values;
+  /// Position of attribute a in the provenance row, -1 for none.
+  std::vector<int32_t> prov_pos;
 
   // The original execution log: one execution per initial-input combination.
   std::vector<int> init_radices;
@@ -287,11 +306,25 @@ std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
 /// early equals that of the run with `gamma` = 0 and the other options
 /// unchanged. The up-front memory charge for the walk's shards covers both
 /// phases. Byte-identical results to EnumerateWorkflowWorldsNaive on full
-/// runs.
+/// runs. The OUT-set maps are materialized from the walk's seen marks
+/// after it ends.
 WorkflowWorlds EnumerateWorkflowWorlds(
     const WorkflowTables& tables, const Bitset64& visible,
     const std::vector<int>& fixed_modules,
     const WorkflowEnumerationOptions& opts = {});
+
+/// The walk of EnumerateWorkflowWorlds without its OUT-set maps, for
+/// callers that need only verdicts (batch ground truth): the same single
+/// walk, every field of the result as there except out_sets (left empty),
+/// and `min_out_sizes` set to one entry per module equal to the
+/// MinOutSize(i) of the OUT sets EnumerateWorkflowWorlds would
+/// materialize, read straight off the walk's seen marks (INT64_MAX where
+/// those would be empty, including on every run that did not walk).
+WorkflowWorlds WalkWorkflowWorlds(const WorkflowTables& tables,
+                                  const Bitset64& visible,
+                                  const std::vector<int>& fixed_modules,
+                                  const WorkflowEnumerationOptions& opts,
+                                  std::vector<int64_t>* min_out_sizes);
 
 /// Convenience overload building the tables internally (with the default
 /// WorkflowTablesOptions and `opts.control`, whose table charge it releases

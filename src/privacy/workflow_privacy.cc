@@ -363,16 +363,18 @@ WorkflowBatchResult CertifyWorkflowBatch(
                 wopts.num_threads = max_threads;
                 wopts.executor = executor.get();
                 wopts.control = control;
-                const WorkflowWorlds worlds = EnumerateWorkflowWorlds(
+                std::vector<int64_t> min_out;
+                const WorkflowWorlds worlds = WalkWorkflowWorlds(
                     *tables, req.hidden.Complement(),
-                    opts.visible_public_modules, wopts);
+                    opts.visible_public_modules, wopts, &min_out);
                 Walk& out = walks[w];
                 out.status = worlds.status;
                 out.is_private = true;
                 if (!worlds.early_stopped) {
                   for (int i : private_modules) {
                     out.is_private =
-                        out.is_private && worlds.MinOutSize(i) >= req.gamma;
+                        out.is_private &&
+                        min_out[static_cast<size_t>(i)] >= req.gamma;
                   }
                 }
               });

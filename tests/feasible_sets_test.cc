@@ -1,13 +1,16 @@
 // Unit tests of the feasible-set fixpoint (privacy/feasible_sets.h): pinned
 // propagation through forced free modules, backward narrowing through fixed
-// modules, unreachable-domain-point factoring, the termination bound, and
+// modules, unreachable-domain-point factoring, the termination bound, the
+// determined slots' candidate lists against the naive joint odometer, and
 // the exactness of the enumeration that consumes the result.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "common/combinatorics.h"
 #include "common/rng.h"
 #include "generators/families.h"
+#include "generators/random_workflow.h"
 #include "module/module_library.h"
 #include "privacy/feasible_sets.h"
 #include "privacy/possible_worlds.h"
@@ -209,6 +212,84 @@ TEST(FeasibleSetsTest, OriginalValuesAlwaysSurvive) {
       }
     }
   }
+}
+
+TEST(FeasibleSetsTest, DeterminedSlotsHoldEveryNaiveOutput) {
+  // The naive joint odometer is an oracle independent of the fixpoint: on
+  // random 2–3-module workflows with random visible sets and some fixed
+  // public modules, every output it records for an original input of a
+  // determined free module must survive in that slot's candidate list, and
+  // its values must be feasible. Non-original outputs must occur often
+  // enough that a list missing one reachable code cannot pass.
+  int checked = 0;
+  int non_original = 0;  // (slot, non-original naive output) instances
+  for (uint64_t seed = 1; seed <= 400 && checked < 48; ++seed) {
+    Rng rng(seed * 97 + 11);
+    RandomWorkflowOptions options;
+    options.num_modules = seed % 2 == 0 ? 2 : 3;
+    options.min_inputs = 1;
+    options.max_inputs = 2;
+    options.min_outputs = 1;
+    options.max_outputs = 1;
+    options.all_boolean = true;
+    GeneratedWorkflow g = MakeRandomWorkflow(options, &rng);
+    const Workflow& wf = *g.workflow;
+    std::vector<int> fixed;
+    int64_t joint = 1;
+    for (int i = 0; i < wf.num_modules(); ++i) {
+      if (rng.NextBernoulli(0.3)) {
+        g.workflow->mutable_module(i)->set_public(true);
+        fixed.push_back(i);
+        continue;
+      }
+      const Module& m = wf.module(i);
+      joint = SaturatingMul(joint, SaturatingPow(m.RangeSize(),
+                                                 static_cast<int>(
+                                                     m.DomainSize())));
+    }
+    if (joint > (1 << 16)) continue;
+    Bitset64 visible(g.catalog->size());
+    for (int a = 0; a < g.catalog->size(); ++a) {
+      if (rng.NextBernoulli(0.5)) visible.Set(a);
+    }
+    auto tables = BuildWorkflowTables(wf);
+    const FeasibleSetAnalysis a = AnalyzeFeasibleSets(*tables, visible, fixed);
+    const WorkflowWorlds naive =
+        EnumerateWorkflowWorldsNaive(wf, visible, fixed);
+    for (int mi = 0; mi < wf.num_modules(); ++mi) {
+      if (!a.determined[mi] ||
+          std::find(fixed.begin(), fixed.end(), mi) != fixed.end()) {
+        continue;
+      }
+      const std::vector<int32_t>& points = tables->orig_input_codes[mi];
+      ASSERT_EQ(a.det_slot_codes[mi].size(), points.size()) << "seed " << seed;
+      for (size_t k = 0; k < points.size(); ++k) {
+        const Tuple x = DecodeMixedRadix(points[k], tables->in_radices[mi]);
+        const auto it = naive.out_sets[mi].find(x);
+        ASSERT_TRUE(it != naive.out_sets[mi].end()) << "seed " << seed;
+        const std::vector<int32_t>& list = a.det_slot_codes[mi][k];
+        for (const Tuple& y : it->second) {
+          const int32_t code = static_cast<int32_t>(
+              EncodeMixedRadix(y, tables->out_radices[mi]));
+          EXPECT_TRUE(std::binary_search(list.begin(), list.end(), code))
+              << "seed " << seed << " module " << mi << " slot " << k
+              << " code " << code;
+          for (size_t j = 0; j < y.size(); ++j) {
+            const auto& values = a.feasible_values[tables->out_attrs[mi][j]];
+            EXPECT_TRUE(
+                std::binary_search(values.begin(), values.end(), y[j]))
+                << "seed " << seed << " module " << mi << " output " << j;
+          }
+          if (code != tables->original_fn[mi][static_cast<size_t>(points[k])]) {
+            ++non_original;
+          }
+        }
+      }
+    }
+    ++checked;
+  }
+  EXPECT_GE(checked, 40);
+  EXPECT_GE(non_original, 60);
 }
 
 }  // namespace

@@ -445,6 +445,62 @@ TEST(WorkflowWorldsEquivalenceTest, EarlyStopKeepsFullRunVerdicts) {
   EXPECT_GE(checked, 10);
 }
 
+TEST(WorkflowWorldsEquivalenceTest, MinOutSizesMatchOutSetMaps) {
+  // Batch ground truth reads per-module minimum OUT sizes straight off the
+  // walk's seen marks (WalkWorkflowWorlds) instead of materialized OUT
+  // sets. On the random corpora above, free and with a fixed module, at 1
+  // and 4 threads and Γ from 0 to 4, they must equal MinOutSize over the
+  // maps EnumerateWorkflowWorlds builds whenever the walk did not stop
+  // early.
+  int compared = 0;
+  for (bool with_fixed : {false, true}) {
+    for (uint64_t seed = 0; seed < 40; ++seed) {
+      Rng rng(with_fixed ? (100 + seed) * 131 + 7 : (1 + seed) * 77 + 3);
+      GeneratedWorkflow g = MakeRandomWorkflow(
+          SmallOptions(with_fixed || seed % 2 == 0 ? 3 : 2), &rng);
+      std::vector<int> fixed;
+      if (with_fixed) {
+        fixed.push_back(static_cast<int>(rng.NextBelow(
+            static_cast<uint64_t>(g.workflow->num_modules()))));
+        g.workflow->mutable_module(fixed[0])->set_public(true);
+      }
+      const Bitset64 visible = RandomVisible(*g.workflow, &rng, 0.5);
+      auto tables = BuildWorkflowTables(*g.workflow);
+      for (int64_t gamma = 0; gamma <= 4; ++gamma) {
+        for (int threads : {1, 4}) {
+          WorkflowEnumerationOptions opts;
+          opts.gamma = gamma;
+          opts.num_threads = threads;
+          opts.min_parallel_candidates = 0;
+          opts.collect_distinct_relations = false;
+          const WorkflowWorlds maps =
+              EnumerateWorkflowWorlds(*tables, visible, fixed, opts);
+          std::vector<int64_t> min_out;
+          const WorkflowWorlds walk =
+              WalkWorkflowWorlds(*tables, visible, fixed, opts, &min_out);
+          const std::string where = "seed " + std::to_string(seed) +
+                                    " gamma " + std::to_string(gamma) +
+                                    " threads " + std::to_string(threads);
+          ASSERT_TRUE(maps.status.ok()) << where;
+          ASSERT_TRUE(walk.status.ok()) << where;
+          EXPECT_TRUE(walk.out_sets.empty()) << where;
+          ASSERT_EQ(min_out.size(), maps.out_sets.size()) << where;
+          EXPECT_EQ(walk.early_stopped, maps.early_stopped) << where;
+          if (maps.early_stopped) continue;
+          EXPECT_EQ(walk.num_function_choices, maps.num_function_choices)
+              << where;
+          for (size_t i = 0; i < min_out.size(); ++i) {
+            EXPECT_EQ(min_out[i], maps.MinOutSize(static_cast<int>(i)))
+                << where << " module " << i;
+          }
+          ++compared;
+        }
+      }
+    }
+  }
+  EXPECT_GE(compared, 400);
+}
+
 TEST(WorkflowWorldsEquivalenceTest, ProbeThatGivesUpLeavesNoTrace) {
   // Under Γ the walk first runs a Γ-directed probe. When the probe ends
   // without the short-circuit firing, the complete walk starts over, and a
