@@ -9,14 +9,13 @@
 //       |Worlds(R1,V)| = Γ^(2^k) while |Worlds(R,V)| = (Γ!)^(2^k / Γ) —
 //       the ratio grows doubly exponentially in k — yet per-input OUT
 //       sets (the actual privacy guarantee) are identical.
-//   (c) the pruned/interned/parallel engine vs. the naive |Range|^N
+//   (c) the pruned/interned engine vs. the naive |Range|^N
 //       odometer: identical worlds and OUT sets, >= 5x faster on the
 //       largest configurations (the point of the optimized hot path).
 //   (g) batch ground truth per audit target at 1 thread and at hardware
-//       threads, and the one walk that dominates it (fig1, a3..a7 hidden)
-//       at 1 vs 2 shards, then the fixed cost of one walk (fig1, nothing
-//       hidden) and of its feasible-set fixpoint — report-only, no gate
-//       key;
+//       threads, and the one walk that dominates it (fig1, a3..a7 hidden),
+//       then the fixed cost of one walk (fig1, nothing hidden) and of its
+//       feasible-set fixpoint — report-only, no gate key;
 //   (h) the fixpoint and the walk on a 2^17-execution log — report-only,
 //       checked against the known count of consistent worlds.
 #include <algorithm>
@@ -139,7 +138,7 @@ void Prop2Table() {
                "families, as Lemma 1 proves.)\n";
 }
 
-// --- E1c: naive odometer vs. pruned/interned/parallel engine. ---
+// --- E1c: naive odometer vs. pruned/interned engine. ---
 
 struct SpeedupCase {
   const char* label;
@@ -184,8 +183,7 @@ double RaceTimeMs(const Fn& fn) {
 }
 
 void SpeedupTable() {
-  PrintBanner(
-      "E1c: pruned+interned+parallel engine vs naive |Range|^N odometer");
+  PrintBanner("E1c: pruned+interned engine vs naive |Range|^N odometer");
   // Random modules; one input and one output hidden (the interesting regime:
   // partial visibility). The last rows are the largest configurations the
   // naive engine can still walk in reasonable time.
@@ -227,7 +225,6 @@ void SpeedupTable() {
     });
     EnumerationOptions opts;
     opts.max_candidates = naive_budget;
-    opts.num_threads = 0;  // auto: use whatever cores the host has
     double opt_ms = TimeMs(3, [&] {
       fast = EnumerateStandaloneWorlds(rel, m->inputs(), m->outputs(),
                                        visible, opts);
@@ -252,7 +249,7 @@ void SpeedupTable() {
                "worlds and OUT sets verified identical per row)\n";
 }
 
-// --- E1d: naive joint odometer vs. pruned/sharded workflow engine. ---
+// --- E1d: naive joint odometer vs. pruned workflow engine. ---
 
 struct WorkflowCase {
   std::string label;
@@ -263,7 +260,7 @@ struct WorkflowCase {
 
 void WorkflowSpeedupTable() {
   PrintBanner(
-      "E1d: pruned+sharded workflow engine vs naive joint odometer "
+      "E1d: pruned workflow engine vs naive joint odometer "
       "(E-family instances)");
   Rng rng(2024);
   // The E-family workloads: Proposition 2's identity→negation chain and
@@ -315,7 +312,6 @@ void WorkflowSpeedupTable() {
         BuildWorkflowTables(*c.workflow);
     WorkflowEnumerationOptions opts;
     opts.max_candidates = budget;
-    opts.num_threads = 0;  // auto: use whatever cores the host has
     double opt_ms = TimeMs(3, [&] {
       fast = EnumerateWorkflowWorlds(*tables, c.visible, c.fixed_modules,
                                      opts);
@@ -444,8 +440,9 @@ std::vector<Bitset64> SubsetMasks(int universe, const std::vector<int>& attrs) {
 // worlds-audit shape: every tractable mask of fig1 / prop2-chain /
 // example7-chain at Γ = 2, the chains built as podsd registers them) and
 // the walks the batch ran (the rest are inferred by monotonicity), then
-// the fig1 all-hidden walk — the largest walk of the batch — at 1, 2 and 4
-// threads. Report-only: check_regression.py reads no key from this row.
+// the fig1 all-hidden walk — the largest walk of the batch. Report-only:
+// check_regression.py reads no key from this row, but the walk must repeat
+// its early-stopped counts run after run.
 void BatchGroundTruthTable() {
   PrintBanner("E1g: batch ground truth, 1 thread vs hardware threads");
   constexpr int64_t kAuditGamma = 2;
@@ -531,29 +528,34 @@ void BatchGroundTruthTable() {
   // The largest walk: fig1 with a3..a7 hidden. A plain depth-first walk
   // exhausts the subtree under the first branch code (131,104 function
   // choices) before it meets a second one; the Γ-directed probe varies the
-  // shallowest slot still short of Γ after each leaf. The probe is one
-  // walker, so its count is the same at every thread count.
+  // shallowest slot still short of Γ after each leaf. A walk is one walker,
+  // so even its early-stopped count repeats exactly.
   const AuditTarget& fig1 = targets[0];
   const Bitset64 visible = fig1.masks.back().Complement();
   std::shared_ptr<const WorkflowTables> tables =
       BuildWorkflowTables(*fig1.workflow);
-  TablePrinter w({"threads", "fn choices", "early stop", "walk ms"});
-  for (int threads : {1, 2, 4}) {
-    WorkflowEnumerationOptions opts;
-    opts.gamma = kAuditGamma;
-    opts.collect_distinct_relations = false;
-    opts.num_threads = threads;
-    WorkflowWorlds worlds;
-    const double walk_ms = TimeMs(reps, [&] {
-      worlds = EnumerateWorkflowWorlds(*tables, visible, {}, opts);
-    });
-    PV_CHECK_MSG(worlds.status.ok(), worlds.status.message());
-    w.NewRow()
-        .AddCell(static_cast<int64_t>(threads))
-        .AddCell(worlds.num_function_choices)
-        .AddCell(worlds.early_stopped ? "yes" : "no")
-        .AddCell(walk_ms, 3);
+  WorkflowEnumerationOptions opts;
+  opts.gamma = kAuditGamma;
+  opts.collect_distinct_relations = false;
+  WorkflowWorlds worlds;
+  const double walk_ms = TimeMs(reps, [&] {
+    worlds = EnumerateWorkflowWorlds(*tables, visible, {}, opts);
+  });
+  PV_CHECK_MSG(worlds.status.ok(), worlds.status.message());
+  for (int run = 0; run < 3; ++run) {
+    const WorkflowWorlds again =
+        EnumerateWorkflowWorlds(*tables, visible, {}, opts);
+    PV_CHECK_MSG(again.num_function_choices == worlds.num_function_choices &&
+                     again.early_stopped == worlds.early_stopped,
+                 "fig1 all-hidden walk did not repeat: "
+                     << again.num_function_choices << " function choices vs "
+                     << worlds.num_function_choices);
   }
+  TablePrinter w({"fn choices", "early stop", "walk ms"});
+  w.NewRow()
+      .AddCell(worlds.num_function_choices)
+      .AddCell(worlds.early_stopped ? "yes" : "no")
+      .AddCell(walk_ms, 3);
   w.Print();
   std::cout << "  fig1 walk with a3..a7 hidden at Gamma=" << kAuditGamma
             << "; batch ms are medians of " << reps
@@ -565,7 +567,8 @@ void BatchGroundTruthTable() {
 // is all setup. Median µs at 1 thread of the walk as batch ground truth
 // runs it (WalkWorkflowWorlds), of the same walk with its OUT-set maps
 // (EnumerateWorkflowWorlds), and of AnalyzeFeasibleSets alone on the same
-// mask. The verdict must not change at hardware threads. Report-only.
+// mask. The batch's verdict on that mask must not change at hardware
+// threads. Report-only.
 void WalkFixedCostTable() {
   PrintBanner(
       "E1g: fixed cost of one ground-truth walk (fig1, nothing hidden)");
@@ -578,7 +581,6 @@ void WalkFixedCostTable() {
   WorkflowEnumerationOptions opts;
   opts.gamma = kAuditGamma;
   opts.collect_distinct_relations = false;
-  opts.num_threads = 1;
   // The batch's verdict: the short-circuit fired, or every private module's
   // smallest OUT set reaches Γ.
   auto is_private = [&](const WorkflowWorlds& worlds,
@@ -609,14 +611,18 @@ void WalkFixedCostTable() {
   PV_CHECK_MSG(walk.pruned_candidates == 1,
                "fig1 with nothing hidden should prune to one candidate, got "
                    << walk.pruned_candidates);
-  WorkflowEnumerationOptions hw_opts = opts;
-  hw_opts.num_threads = DefaultThreads();
-  hw_opts.min_parallel_candidates = 0;
-  std::vector<int64_t> hw_min_out;
-  const WorkflowWorlds hw =
-      WalkWorkflowWorlds(*tables, visible, {}, hw_opts, &hw_min_out);
-  PV_CHECK_MSG(is_private(walk, min_out) == is_private(hw, hw_min_out),
-               "fig1 walk verdict diverged across thread counts");
+  for (int threads : {1, DefaultThreads()}) {
+    WorkflowBatchOptions batch_opts;
+    batch_opts.num_threads = threads;
+    batch_opts.with_ground_truth = true;
+    const WorkflowBatchResult batch = CertifyWorkflowBatch(
+        *fig1.workflow, {{Bitset64(fig1.catalog->size()), kAuditGamma}},
+        batch_opts);
+    PV_CHECK_MSG(batch.status.ok(), batch.status.message());
+    PV_CHECK_MSG(batch.entries[0].ground_truth_private ==
+                     is_private(walk, min_out),
+                 "fig1 batch verdict diverged at " << threads << " threads");
+  }
   auto median = [](std::vector<double> v) {
     std::sort(v.begin(), v.end());
     return v[v.size() / 2];
@@ -671,7 +677,6 @@ void DeepLogFixpointTable() {
       TimeMs(reps, [&] { (void)AnalyzeFeasibleSets(*tables, visible, fixed); });
   WorkflowEnumerationOptions opts;
   opts.collect_distinct_relations = false;
-  opts.num_threads = 1;
   WorkflowWorlds worlds;
   const double walk_ms = TimeMs(reps, [&] {
     worlds = EnumerateWorkflowWorlds(*tables, visible, fixed, opts);

@@ -1,6 +1,6 @@
 // Cooperative cancellation, deadlines and memory budgets for the privacy
 // engines. A long-lived service cannot afford PV_CHECK-abort or unbounded
-// walks: each request carries an ExecControl, the sharded hot loops poll it
+// walks: each request carries an ExecControl, the engines' hot loops poll it
 // at chunk boundaries (an atomic load on the fast path; the clock is read
 // only every `kClockStride` polls), and a tripped control makes the engine
 // stop and surface a typed Status — DEADLINE_EXCEEDED for deadlines and
@@ -163,7 +163,7 @@ class ExecControl {
   /// Charges `bytes` against the memory budget. Returns false — and trips
   /// the control with RESOURCE_EXHAUSTED — if the charge would exceed it.
   /// Balanced by Release(); engines charge their dominant allocations
-  /// (execution logs, per-shard walk state) so the ceiling is enforced on
+  /// (execution logs, per-walk walker state) so the ceiling is enforced on
   /// measured bytes, not guesses.
   bool TryCharge(int64_t bytes) const;
 

@@ -1,10 +1,7 @@
 #include "privacy/possible_worlds.h"
 
 #include <algorithm>
-#include <atomic>
-#include <functional>
 #include <limits>
-#include <mutex>
 #include <numeric>
 #include <unordered_set>
 
@@ -33,31 +30,6 @@ std::vector<int> VisiblePositions(const std::vector<AttrId>& attrs,
   return pos;
 }
 
-// Runs fn(shard, begin, end) over the non-empty TaskRanges of `shards`
-// partitioning [0, total), as the independent tasks of one graph on
-// `shared` or a private executor of `shards` runners. The world walks
-// shard their first branch point's codes this way; each shard writes only
-// its own partial, merged by the caller. A single shard is a plain call,
-// with no graph. Batch ground truth passes its own executor as `shared`, so
-// a request's shards nest there and idle runners steal them. Under Γ the
-// workflow walk shards only after its Γ-directed probe (see WfWalk) has
-// given up, so the shards mostly run complete walks.
-void RunRanges(TaskGraphExecutor* shared, int64_t total, int shards,
-               const std::function<void(int, int64_t, int64_t)>& fn) {
-  if (shards <= 1) {
-    fn(0, 0, total);
-    return;
-  }
-  TaskGraph graph;
-  for (int s = 0; s < shards; ++s) {
-    const auto [begin, end] = TaskRange(total, shards, s);
-    if (begin >= end) break;
-    graph.Add([&fn, s, begin = begin, end = end] { fn(s, begin, end); });
-  }
-  const EngineExecutor executor(shared, shards);
-  (void)graph.Run(executor.get());
-}
-
 // ----------------------------------------------------------------------------
 // Pruned incremental engine.
 //
@@ -67,9 +39,20 @@ void RunRanges(TaskGraphExecutor* shared, int64_t total, int shards,
 // view, so no world uses it). A world is then consistent iff the T target
 // ids are all covered by the current digit choices, which we track with a
 // count-per-id multiset updated incrementally on every odometer step.
+//
+// This walk stays separate from the workflow walk below, although
+// Definition 1 is Definition 4 for a workflow of one module. Measured with
+// each E1c module built as a one-module workflow (best of 7, 4-vCPU VM,
+// while both walks could still shard), EnumerateWorkflowWorlds gave
+// identical worlds, OUT sets and pruned candidates on all four rows but
+// was slower where the leaves dominate: ki=4 ko=1 (65,536 consistent
+// worlds) took 5.22 ms against 1.01 ms here at one thread, about 80 ns
+// against 15 ns per leaf, and 7.14 against 2.04 ms at 4 threads; on
+// dom(3,3) it took 10.1 ms against 11.1 ms. Merging the walks waits until
+// WfWalk is cheaper per leaf.
 // ----------------------------------------------------------------------------
 
-// Read-only description of the pruned candidate space, shared by all shards.
+// Read-only description of the pruned candidate space.
 struct PrunedInstance {
   int n = 0;            // input slots
   int32_t num_targets = 0;
@@ -79,13 +62,13 @@ struct PrunedInstance {
   std::vector<std::vector<int32_t>> tids;
 };
 
-// Union of the (pair, feasible-index) marks seen in a consistent world,
-// shared by both walks. A pair is one tracked OUT set: an input slot of the
-// standalone walk, a (free module, original input) of the workflow walk.
-// The union is shared across shards so the Γ short-circuit fires on the
-// global OUT sets. Marks are rare (bounded by Σ_p |feasible_p| per shard),
-// so a single mutex is fine. The marks of every pair sit in one flat array,
-// pair p's at seen[offset[p] .. offset[p + 1]).
+// The union of the (pair, feasible-index) marks over the consistent worlds
+// a walker has seen, owned by that walker; both walks use it. A pair is one
+// tracked OUT set: an input slot of the standalone walk, a (free module,
+// original input) of the workflow walk. The marks of every pair sit in one
+// flat array, pair p's at seen[offset[p] .. offset[p + 1]). `left` and
+// `unseen` count the marks still missing, so a walker whose pairs are all
+// seen skips its marking loop.
 struct SeenUnion {
   // widths[p] = feasible codes of pair p. With gamma_target > 0 the
   // short-circuit waits on every pair p with gamma_tracked[p].
@@ -93,8 +76,12 @@ struct SeenUnion {
             const std::vector<bool>& gamma_tracked, int64_t gamma_target) {
     offset.reserve(widths.size() + 1);
     offset.push_back(0);
-    for (size_t w : widths) offset.push_back(offset.back() + w);
+    for (size_t w : widths) {
+      offset.push_back(offset.back() + w);
+      left.push_back(static_cast<int64_t>(w));
+    }
     seen.assign(offset.back(), 0);
+    unseen = static_cast<int64_t>(seen.size());
     if (gamma_target > 0) {
       remaining.assign(widths.size(), 0);
       for (size_t p = 0; p < widths.size(); ++p) {
@@ -105,88 +92,50 @@ struct SeenUnion {
     }
   }
 
-  // Under a Γ target: true while Γ-tracked pair p is short of it. Reads
-  // without the lock: only a walker that runs alone (the workflow walk's
-  // probe) asks.
+  // Under a Γ target: true while Γ-tracked pair p is short of it.
   bool Short(size_t pair) const { return remaining[pair] > 0; }
 
   // Records (pair, j); when every Γ-tracked pair's distinct count reaches
-  // the target, flips `stop`.
-  void Mark(size_t pair, int32_t j, std::atomic<bool>* stop) {
-    std::lock_guard<std::mutex> lock(mu);
-    uint8_t& s = seen[offset[pair] + static_cast<size_t>(j)];
-    if (s) return;
-    s = 1;
-    if (!remaining.empty() && remaining[pair] > 0 &&
-        --remaining[pair] == 0 && --pairs_below == 0) {
-      stop->store(true, std::memory_order_relaxed);
-    }
-  }
-
-  std::mutex mu;
-  std::vector<size_t> offset;
-  std::vector<uint8_t> seen;
-  std::vector<int64_t> remaining;  // per pair: marks left to reach Γ
-  int64_t pairs_below = 0;         // Γ-tracked pairs still short
-};
-
-// Shard-local first-seen flags over the union's pairs, in the union's
-// layout: spare the union's lock for pairs this shard already reported.
-// Once every pair is seen, `unseen` is 0 and the walks skip the marking
-// loop entirely.
-struct ShardMarks {
-  explicit ShardMarks(const SeenUnion& seen_union)
-      : offset(seen_union.offset),
-        seen(seen_union.seen.size(), 0),
-        left(offset.size() - 1),
-        unseen(static_cast<int64_t>(seen.size())) {
-    for (size_t p = 0; p + 1 < offset.size(); ++p) {
-      left[p] = static_cast<int64_t>(offset[p + 1] - offset[p]);
-    }
-  }
-
-  void Mark(size_t pair, int32_t j, SeenUnion* seen_union,
-            std::atomic<bool>* stop) {
+  // the target, sets `stop`.
+  void Mark(size_t pair, int32_t j) {
     uint8_t& s = seen[offset[pair] + static_cast<size_t>(j)];
     if (s) return;
     s = 1;
     --left[pair];
     --unseen;
-    seen_union->Mark(pair, j, stop);
+    if (!remaining.empty() && remaining[pair] > 0 &&
+        --remaining[pair] == 0 && --pairs_below == 0) {
+      stop = true;
+    }
   }
 
   // Marks every feasible index of `pair`: a leaf of the lazy workflow walk
   // stands for every code of a slot no execution reached.
-  void MarkAll(size_t pair, SeenUnion* seen_union, std::atomic<bool>* stop) {
+  void MarkAll(size_t pair) {
     if (left[pair] == 0) return;
     const size_t width = offset[pair + 1] - offset[pair];
-    for (size_t j = 0; j < width; ++j) {
-      Mark(pair, static_cast<int32_t>(j), seen_union, stop);
-    }
+    for (size_t j = 0; j < width; ++j) Mark(pair, static_cast<int32_t>(j));
   }
 
-  const std::vector<size_t>& offset;
+  std::vector<size_t> offset;
   std::vector<uint8_t> seen;
-  std::vector<int64_t> left;  // per pair: indices not yet seen
-  int64_t unseen = 0;
+  std::vector<int64_t> left;       // per pair: indices not yet seen
+  int64_t unseen = 0;              // indices not yet seen, over every pair
+  std::vector<int64_t> remaining;  // per pair: marks left to reach Γ
+  int64_t pairs_below = 0;         // Γ-tracked pairs still short
+  // The walk stopped early: the Γ short-circuit fired, or the walker's
+  // control tripped.
+  bool stop = false;
 };
 
-struct ShardResult {
-  int64_t num_worlds = 0;
-};
-
-// Walks the sub-space where slot 0's feasible index runs over [begin, end)
-// and every other slot runs over its full feasible list. Slot 0 is the
-// most-significant digit, so shards are contiguous ranges of the global
-// walk. The covered-target multiset is maintained incrementally: one digit
-// changes per step (amortized O(1) updates).
-void WalkShard(const PrunedInstance& inst, int64_t begin, int64_t end,
-               SeenUnion* seen_union, std::atomic<bool>* stop,
-               const ExecControl* control, ShardResult* out) {
-  if (begin >= end) return;
+// Walks the whole pruned space and returns the consistent worlds it
+// counted. Slot 0 is the most-significant digit: slots 1..n-1 cycle
+// fastest. The covered-target multiset is maintained incrementally: one
+// digit changes per step (amortized O(1) updates).
+int64_t WalkPruned(const PrunedInstance& inst, SeenUnion* seen_union,
+                   const ExecControl* control) {
   const int n = inst.n;
   std::vector<int32_t> idx(static_cast<size_t>(n), 0);
-  idx[0] = static_cast<int32_t>(begin);
 
   std::vector<int32_t> counts(static_cast<size_t>(inst.num_targets), 0);
   int32_t uncovered = inst.num_targets;
@@ -196,43 +145,36 @@ void WalkShard(const PrunedInstance& inst, int64_t begin, int64_t end,
   auto uncover = [&](int32_t tid) {
     if (--counts[static_cast<size_t>(tid)] == 0) ++uncovered;
   };
-  for (int i = 0; i < n; ++i) {
-    cover(inst.tids[static_cast<size_t>(i)][static_cast<size_t>(idx[i])]);
-  }
+  for (int i = 0; i < n; ++i) cover(inst.tids[static_cast<size_t>(i)][0]);
 
-  ShardMarks marks(*seen_union);
+  int64_t num_worlds = 0;
   for (;;) {
-    if (stop->load(std::memory_order_relaxed)) return;
+    if (seen_union->stop) return num_worlds;
     if (control != nullptr && control->Expired()) {
-      stop->store(true, std::memory_order_relaxed);
-      return;
+      seen_union->stop = true;
+      return num_worlds;
     }
     if (uncovered == 0) {
-      ++out->num_worlds;
-      if (marks.unseen > 0) {
+      ++num_worlds;
+      if (seen_union->unseen > 0) {
         for (int i = 0; i < n; ++i) {
-          marks.Mark(static_cast<size_t>(i), idx[static_cast<size_t>(i)],
-                     seen_union, stop);
+          seen_union->Mark(static_cast<size_t>(i),
+                           idx[static_cast<size_t>(i)]);
         }
       }
     }
-    // Advance one digit: slots 1..n-1 cycle fastest, slot 0 last (within
-    // this shard's [begin, end) range).
+    // Advance one digit: slots 1..n-1 cycle fastest, slot 0 last.
     int d = n > 1 ? 1 : 0;
     for (;;) {
-      const auto& tids_d = inst.tids[static_cast<size_t>(d)];
-      uncover(tids_d[static_cast<size_t>(idx[static_cast<size_t>(d)])]);
-      if (d == 0) {
-        if (++idx[0] == end) return;  // shard exhausted
-        cover(tids_d[static_cast<size_t>(idx[0])]);
+      const size_t sd = static_cast<size_t>(d);
+      const auto& tids_d = inst.tids[sd];
+      uncover(tids_d[static_cast<size_t>(idx[sd])]);
+      if (++idx[sd] < static_cast<int32_t>(inst.codes[sd].size())) {
+        cover(tids_d[static_cast<size_t>(idx[sd])]);
         break;
       }
-      if (++idx[static_cast<size_t>(d)] <
-          static_cast<int32_t>(inst.codes[static_cast<size_t>(d)].size())) {
-        cover(tids_d[static_cast<size_t>(idx[static_cast<size_t>(d)])]);
-        break;
-      }
-      idx[static_cast<size_t>(d)] = 0;
+      if (d == 0) return num_worlds;  // walk exhausted
+      idx[sd] = 0;
       cover(tids_d[0]);
       if (++d == n) d = 0;  // carry into the next digit, slot 0 last
     }
@@ -389,26 +331,13 @@ StandaloneWorlds EnumerateStandaloneWorlds(RowSupplier* rows,
   }
   if (result.pruned_candidates == 0) return result;  // some slot infeasible
 
-  // Shard the walk over slot 0's feasible codes.
-  const int64_t slot0 = static_cast<int64_t>(inst.codes[0].size());
-  int threads = ResolveThreads(opts.num_threads);
-  if (result.pruned_candidates <= opts.min_parallel_candidates) threads = 1;
-  const int shards = static_cast<int>(std::min<int64_t>(threads, slot0));
-
   // Every input slot is one tracked pair.
   std::vector<size_t> widths;
   for (const auto& c : inst.codes) widths.push_back(c.size());
   SeenUnion seen_union(widths, std::vector<bool>(widths.size(), true),
                        opts.gamma);
-  std::atomic<bool> stop(false);
-  std::vector<ShardResult> partials(static_cast<size_t>(shards));
-  RunRanges(/*shared=*/nullptr, slot0, shards,
-            [&](int shard, int64_t begin, int64_t end) {
-              WalkShard(inst, begin, end, &seen_union, &stop, control,
-                        &partials[static_cast<size_t>(shard)]);
-            });
-  for (const ShardResult& p : partials) result.num_worlds += p.num_worlds;
-  result.early_stopped = stop.load();
+  result.num_worlds = WalkPruned(inst, &seen_union, control);
+  result.early_stopped = seen_union.stop;
   if (control != nullptr) result.status = control->Check();
 
   // Materialize OUT sets from the union of seen (slot, code) pairs.
@@ -824,8 +753,10 @@ std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
 // varies that slot next (the visiting order of limited-discrepancy search,
 // Harvey & Ginsberg, IJCAI 1995). The probe skips subtrees, so if it ends
 // without the Γ short-circuit firing, the complete walk runs from the
-// start, sharded; it keeps the probe's OUT-set marks, since every probe
-// leaf is a consistent world, and recounts everything else.
+// start; it keeps the probe's OUT-set marks, since every probe leaf is a
+// consistent world, and recounts everything else. Both run as one walker
+// on the calling thread, so every field of a run, an early-stopped one's
+// included, is independent of the thread count.
 // ----------------------------------------------------------------------------
 
 namespace {
@@ -874,7 +805,8 @@ struct WfInstance {
   bool collect_distinct = true;
 };
 
-struct WfShardResult {
+// What a walk counts beyond its seen marks.
+struct WfWalkResult {
   int64_t num_function_choices = 0;
   // Sorted-deduplicated candidate relations, rows flattened back to back.
   std::unordered_set<std::vector<int32_t>, TupleVectorHasher>
@@ -884,7 +816,6 @@ struct WfShardResult {
 // One assigned slot on the walk's stack.
 struct WfFrame {
   int32_t slot = 0;
-  int32_t end = 0;   // one past the last feasible index this walk tries
   int64_t exec = 0;  // the execution that first reached the slot
   size_t pos = 0;    // topo position of the module that reached it
 };
@@ -951,38 +882,12 @@ int32_t RowTid(const WfInstance& inst, int64_t e, const int32_t* vals) {
   return inst.targets.Find(inst.group_of_exec[static_cast<size_t>(e)], vals);
 }
 
-// Width of the walk's first multi-code branch point. Every slot the walk
-// reaches before it is a singleton, so the walk is forced up to there and
-// shards can split that point's codes. 1 when the walk reaches none.
-int64_t FirstBranchWidth(const WfInstance& inst) {
-  const WorkflowTables& t = *inst.tables;
-  std::vector<int32_t> idx(inst.slot_len.size(), -1);
-  std::vector<int32_t> vals(static_cast<size_t>(t.num_attrs), -1);
-  int32_t dep = -1;
-  for (int64_t e = 0; e < t.num_execs; ++e) {
-    size_t pos = 0;
-    int32_t s;
-    while ((s = RunExec(inst, idx.data(), nullptr, e, vals.data(), &pos,
-                        &dep)) >= 0) {
-      if (inst.slot_len[static_cast<size_t>(s)] > 1) {
-        return inst.slot_len[static_cast<size_t>(s)];
-      }
-      idx[static_cast<size_t>(s)] = 0;
-    }
-    if (s == kExecDeadEnd) break;
-  }
-  return 1;
-}
-
-// Walks every consistent partial assignment, trying only the feasible
-// indices [split_begin, split_end) at the first multi-code branch point
-// (a shard's share; [0, kMax) walks them all).
+// Walks every consistent partial assignment.
 //
-// With `probe` set this is the Γ-directed probe instead, run alone over the
-// whole space: after each consistent leaf it drops every frame deeper than
-// the shallowest one whose slot holds a Γ-tracked pair still short of Γ,
-// so the backtrack varies that slot next rather than exhausting the
-// subtree beneath it. The probe skips subtrees and so is not a complete
+// With `probe` set this is the Γ-directed probe instead: after each
+// consistent leaf it drops every frame deeper than the shallowest one
+// whose slot holds a Γ-tracked pair still short of Γ, so the backtrack
+// varies that slot next rather than exhausting the subtree beneath it. The probe skips subtrees and so is not a complete
 // walk, but every leaf it records is a consistent world.
 //
 // A finished execution remembers dep[e], the deepest frame among the slots
@@ -991,9 +896,8 @@ int64_t FirstBranchWidth(const WfInstance& inst) {
 // execution, so exactly the executions from there on with dep >= k lose
 // their rows; the others stay finished and covered. That holds however
 // many frames one backtrack pops, the probe's included.
-void WfWalk(const WfInstance& inst, int64_t split_begin, int64_t split_end,
-            bool probe, SeenUnion* seen_union, std::atomic<bool>* stop,
-            const ExecControl* control, WfShardResult* out) {
+void WfWalk(const WfInstance& inst, bool probe, SeenUnion* seen_union,
+            const ExecControl* control, WfWalkResult* out) {
   constexpr int32_t kUnfinished = -2;
   const WorkflowTables& t = *inst.tables;
   const int64_t num_execs = t.num_execs;
@@ -1022,8 +926,6 @@ void WfWalk(const WfInstance& inst, int64_t split_begin, int64_t split_end,
   frames.reserve(num_slots);
   int32_t uncovered = inst.targets.size();
   int64_t finished = 0;  // executions whose rows are covered
-  ShardMarks marks(*seen_union);
-  bool split_ahead = true;  // the first multi-code branch point not reached
   int64_t free_product = inst.space;  // ∏ widths of the unassigned slots
 
   // Scratch for distinct-relation capture: rows flattened back to back plus
@@ -1086,13 +988,13 @@ void WfWalk(const WfInstance& inst, int64_t split_begin, int64_t split_end,
       }
       out->distinct_relations.insert(rel_key);
     }
-    if (marks.unseen > 0) {
+    if (seen_union->unseen > 0) {
       for (size_t p = 0; p < inst.inputs.size(); ++p) {
         const int32_t j = idx[static_cast<size_t>(inst.inputs[p].slot)];
         if (j >= 0) {
-          marks.Mark(p, j, seen_union, stop);
+          seen_union->Mark(p, j);
         } else {
-          marks.MarkAll(p, seen_union, stop);
+          seen_union->MarkAll(p);
         }
       }
     }
@@ -1118,17 +1020,10 @@ void WfWalk(const WfInstance& inst, int64_t split_begin, int64_t split_end,
       if (s >= 0) {
         // First reach of slot s: branch over its feasible list.
         const int32_t width = inst.slot_len[static_cast<size_t>(s)];
-        int64_t begin = 0;
-        int64_t end = width;
-        if (split_ahead && width > 1) {
-          split_ahead = false;
-          begin = split_begin;
-          end = std::min<int64_t>(split_end, width);
-        }
         frame_of[static_cast<size_t>(s)] =
             static_cast<int32_t>(frames.size());
-        frames.push_back(WfFrame{s, static_cast<int32_t>(end), e, pos});
-        idx[static_cast<size_t>(s)] = static_cast<int32_t>(begin);
+        frames.push_back(WfFrame{s, e, pos});
+        idx[static_cast<size_t>(s)] = 0;
         free_product /= width;
         continue;
       }
@@ -1147,13 +1042,14 @@ void WfWalk(const WfInstance& inst, int64_t split_begin, int64_t split_end,
     // Backtrack to the deepest frame with a code left to try.
     for (;;) {
       if (frames.empty()) return;  // walk exhausted
-      if (stop->load(std::memory_order_relaxed)) return;
+      if (seen_union->stop) return;
       if (control != nullptr && control->Expired()) {
-        stop->store(true, std::memory_order_relaxed);
+        seen_union->stop = true;
         return;
       }
-      if (++idx[static_cast<size_t>(frames.back().slot)] <
-          frames.back().end) {
+      const int32_t slot = frames.back().slot;
+      if (++idx[static_cast<size_t>(slot)] <
+          inst.slot_len[static_cast<size_t>(slot)]) {
         break;
       }
       pop_frame();
@@ -1373,72 +1269,50 @@ void RunWorkflowWalk(const WorkflowTables& tables, const Bitset64& visible,
     return;
   }
 
-  // The complete walk shards over the codes of its first multi-code branch
-  // point.
-  int threads = ResolveThreads(opts.num_threads);
-  if (result.pruned_candidates <= opts.min_parallel_candidates) threads = 1;
-  const int64_t branch_width = threads > 1 ? FirstBranchWidth(inst) : 1;
-  const int shards = static_cast<int>(std::min<int64_t>(threads, branch_width));
-
   SeenUnion seen_union(inst.input_widths, inst.input_gamma, opts.gamma);
-  std::atomic<bool> stop(false);
-  std::vector<WfShardResult> partials(static_cast<size_t>(shards));
-  // Each shard keeps per-execution values, row ids and frame dependencies,
+  WfWalkResult walk;
+  // The walker keeps per-execution values, row ids and frame dependencies,
   // the target counts, the per-slot assignment and frame index, and the
   // frame stack, plus the distinct-relation scratch when it is collected.
-  // Charge the whole fleet against the request budget up front (released
-  // after the walk — the charge covers peak transient footprint, not
-  // retained state). The probe is one walker that finishes before the
-  // fleet starts, so the fleet's charge covers it.
+  // Charge it against the request budget up front (released after the
+  // walk — the charge covers peak transient footprint, not retained state).
+  // The probe finishes before the complete walk starts, so one charge
+  // covers both.
   const int64_t execs = tables.num_execs;
   const size_t prov_arity = tables.prov_ids.size();
-  int64_t shard_bytes =
+  int64_t walk_bytes =
       (execs * (tables.num_attrs + 2) + inst.targets.size() +
        2 * static_cast<int64_t>(num_slots)) *
           static_cast<int64_t>(sizeof(int32_t)) +
       static_cast<int64_t>(num_slots) * static_cast<int64_t>(sizeof(WfFrame));
   if (inst.collect_distinct) {
-    shard_bytes += execs * static_cast<int64_t>(prov_arity + 1) *
-                   static_cast<int64_t>(sizeof(int32_t));
+    walk_bytes += execs * static_cast<int64_t>(prov_arity + 1) *
+                  static_cast<int64_t>(sizeof(int32_t));
   }
-  const int64_t walk_bytes = shards * shard_bytes;
   if (control != nullptr && !control->TryCharge(walk_bytes)) {
     result.status = control->Check();
     return;
   }
-  // Under Γ the probe goes first, on the calling thread. If it ends
-  // without the short-circuit firing, the complete walk starts over: the
-  // probe's counts and relations are dropped, while its marks stay in the
-  // seen union (each came from a consistent world).
+  // Under Γ the probe goes first. If it ends without the short-circuit
+  // firing, the complete walk starts over: the probe's counts and relations
+  // are dropped, while its marks stay in the seen union (each came from a
+  // consistent world).
   if (probe) {
-    WfWalk(inst, 0, kMax, /*probe=*/true, &seen_union, &stop, control,
-           &partials[0]);
-    if (!stop.load()) partials[0] = WfShardResult{};
+    WfWalk(inst, /*probe=*/true, &seen_union, control, &walk);
+    if (!seen_union.stop) walk = WfWalkResult{};
   }
-  if (!stop.load()) {
-    RunRanges(opts.executor, branch_width, shards,
-              [&](int shard, int64_t begin, int64_t end) {
-                // One shard tries every code of the branch point.
-                WfWalk(inst, begin, shards == 1 ? kMax : end,
-                       /*probe=*/false, &seen_union, &stop, control,
-                       &partials[static_cast<size_t>(shard)]);
-              });
+  if (!seen_union.stop) {
+    WfWalk(inst, /*probe=*/false, &seen_union, control, &walk);
   }
   if (control != nullptr) {
     control->Release(walk_bytes);
     result.status = control->Check();
   }
-  result.early_stopped = stop.load();
-  std::unordered_set<std::vector<int32_t>, TupleVectorHasher> distinct;
-  for (WfShardResult& p : partials) {
-    result.num_function_choices += p.num_function_choices;
-    if (opts.collect_distinct_relations) {
-      distinct.merge(std::move(p.distinct_relations));
-    }
-  }
-  result.num_distinct_relations = static_cast<int64_t>(distinct.size());
+  result.early_stopped = seen_union.stop;
+  result.num_distinct_relations =
+      static_cast<int64_t>(walk.distinct_relations.size());
   result.num_function_choices =
-      SaturatingMul(result.num_function_choices, factored_multiplier);
+      SaturatingMul(walk.num_function_choices, factored_multiplier);
   run->seen_offset = std::move(seen_union.offset);
   run->seen = std::move(seen_union.seen);
   run->walked = true;

@@ -10,9 +10,8 @@
 // projections to dense ids, prunes each input slot to the output codes whose
 // visible projection actually occurs in the target view (shrinking the walk
 // from |Range|^N to ∏_i |feasible_i|), maintains the projected multiset
-// incrementally as the odometer advances one digit at a time, optionally
-// short-circuits once every input's OUT set has reached Γ, and can shard the
-// walk over the first slot's feasible codes as TaskGraph tasks. Both compute
+// incrementally as the odometer advances one digit at a time, and optionally
+// short-circuits once every input's OUT set has reached Γ. Both compute
 // byte-identical num_worlds / out_sets on full runs.
 #ifndef PROVVIEW_PRIVACY_POSSIBLE_WORLDS_H_
 #define PROVVIEW_PRIVACY_POSSIBLE_WORLDS_H_
@@ -30,8 +29,6 @@
 
 namespace provview {
 
-class TaskGraphExecutor;
-
 /// Tuning knobs of the optimized standalone enumerator.
 struct EnumerationOptions {
   /// Abort if the (pruned) candidate space exceeds this.
@@ -41,14 +38,6 @@ struct EnumerationOptions {
   /// safety check. The returned num_worlds is then only a lower bound and
   /// `early_stopped` is set.
   int64_t gamma = 0;
-  /// Worker threads for sharded enumeration. 0 = hardware concurrency,
-  /// 1 = fully sequential. Shards split the first slot's feasible codes;
-  /// results are merged by commutative sums/unions, so the outcome is
-  /// deterministic regardless of thread count.
-  int num_threads = 1;
-  /// Pruned spaces at or below this size always run sequentially (the
-  /// executor overhead would dominate).
-  int64_t min_parallel_candidates = 4096;
   /// Optional deadline/cancellation/memory-budget token (service mode).
   /// When set, the walk polls it at chunk boundaries and a tripped control
   /// stops the enumeration with a typed `status` (DEADLINE_EXCEEDED /
@@ -84,9 +73,10 @@ struct StandaloneWorlds {
 /// relation projects onto V exactly like R does, i.e. all members of
 /// Worlds(R, V) that keep R's input set. (By the flip construction these
 /// realize every achievable OUT value; see standalone_privacy.h.)
-/// Pruned + incremental + optionally parallel; returns RESOURCE_EXHAUSTED
-/// in `status` if the output range or the pruned space ∏_i |feasible_i|
-/// exceeds `opts.max_candidates`.
+/// Pruned and incremental, one walker on the calling thread, so every field
+/// (an early-stopped run's included) is deterministic; returns
+/// RESOURCE_EXHAUSTED in `status` if the output range or the pruned space
+/// ∏_i |feasible_i| exceeds `opts.max_candidates`.
 StandaloneWorlds EnumerateStandaloneWorlds(const Relation& rel,
                                            const std::vector<AttrId>& inputs,
                                            const std::vector<AttrId>& outputs,
@@ -156,12 +146,10 @@ struct WorkflowWorlds {
   int64_t MinOutSize(int module_index) const;
 };
 
-/// Tuning knobs of the optimized workflow enumerator. The shared execution
-/// knobs (num_threads, executor, control) come from the embedded
-/// EngineConfig. Sharded enumeration splits the codes of the walk's first
-/// multi-code branch point into contiguous ranges, run as TaskGraph tasks;
-/// results merge by commutative sums/unions, so the outcome is
-/// deterministic regardless of thread count.
+/// Tuning knobs of the optimized workflow enumerator. A walk runs as one
+/// walker on the calling thread and reads only `control` of the embedded
+/// EngineConfig (num_threads and executor are ignored), so every field of
+/// its result, an early-stopped run's included, is deterministic.
 struct WorkflowEnumerationOptions : EngineConfig {
   /// Refuse (RESOURCE_EXHAUSTED) if the pruned walked joint space exceeds
   /// this.
@@ -170,8 +158,6 @@ struct WorkflowEnumerationOptions : EngineConfig {
   /// input of every free private module holds at least this many outputs.
   /// Counts become lower bounds and `early_stopped` is set.
   int64_t gamma = 0;
-  /// Pruned spaces at or below this size always run sequentially.
-  int64_t min_parallel_candidates = 4096;
   /// Maintain the distinct-relation set. The Γ-certification path only
   /// needs OUT sets and can turn this off (num_distinct_relations stays 0).
   bool collect_distinct_relations = true;
@@ -292,19 +278,18 @@ std::shared_ptr<const WorkflowTables> BuildWorkflowTables(
 /// executions: a slot gets a code only when an execution first reaches it,
 /// and a branch is cut as soon as a finished row leaves the view or the
 /// executions left cannot cover the view. A consistent leaf stands for
-/// every code of the slots it left unassigned. The complete walk is
-/// sharded over the codes of its first multi-code branch point (everything
-/// before it is forced) as TaskGraph tasks.
+/// every code of the slots it left unassigned. The walk runs as one walker
+/// on the calling thread.
 ///
 /// With `gamma` > 0, and at least Γ feasible codes for every original
 /// input of every free private module (else the short-circuit cannot
-/// fire), a Γ-directed probe runs first on the calling thread: the same
+/// fire), a Γ-directed probe runs first: the same
 /// walk, except that after each consistent leaf it backs up to the
 /// shallowest slot still short of Γ. If the short-circuit fires there, the
 /// result is the probe's. Otherwise the complete walk runs, keeping only
 /// the probe's OUT-set marks, so every field of a run that does not stop
 /// early equals that of the run with `gamma` = 0 and the other options
-/// unchanged. The up-front memory charge for the walk's shards covers both
+/// unchanged. One up-front memory charge for the walker's state covers both
 /// phases. Byte-identical results to EnumerateWorkflowWorldsNaive on full
 /// runs. The OUT-set maps are materialized from the walk's seen marks
 /// after it ends.

@@ -348,10 +348,8 @@ WorkflowBatchResult CertifyWorkflowBatch(
           while (!lattice->done()) {
             const std::vector<int> wave = lattice->NextWave();
             std::vector<Walk> walks(wave.size());
-            // One task per walk, nested on the batch's executor. Each
-            // walk's Γ-directed probe runs on its task; a walk the probe
-            // cannot settle shards its first branch point on the same
-            // executor, where idle runners steal the shards.
+            // One task per walk, nested on the batch's executor; each walk
+            // runs as one walker on its task.
             TaskGraph wave_graph;
             for (size_t w = 0; w < wave.size(); ++w) {
               wave_graph.Add([&, w] {
@@ -360,8 +358,6 @@ WorkflowBatchResult CertifyWorkflowBatch(
                 wopts.max_candidates = opts.max_candidates;
                 wopts.gamma = req.gamma;
                 wopts.collect_distinct_relations = false;
-                wopts.num_threads = max_threads;
-                wopts.executor = executor.get();
                 wopts.control = control;
                 std::vector<int64_t> min_out;
                 const WorkflowWorlds worlds = WalkWorkflowWorlds(

@@ -92,11 +92,12 @@ struct WorkflowCertificationRequest {
 /// the same at any thread count and in any request order. `control` is
 /// polled between requests, between waves and at engine chunk boundaries,
 /// a trip surfacing as WorkflowBatchResult::status — partial stats, no
-/// certified verdicts. Every running walk charges its shards' state, so the
-/// peak charge grows with num_threads; the tables' and the lattice rows'
-/// charges are held until the last wave ends, and the batch returns with
-/// every charge released. With or without a control, a ground-truth table
-/// build or walk over its size budget surfaces there as RESOURCE_EXHAUSTED.
+/// certified verdicts. Every running walk charges one walker's state, the
+/// same at any thread count, so the peak charge grows only with the walks
+/// a wave runs at once; the tables' and the lattice rows' charges are held
+/// until the last wave ends, and the batch returns with every charge
+/// released. With or without a control, a ground-truth table build or walk
+/// over its size budget surfaces there as RESOURCE_EXHAUSTED.
 struct WorkflowBatchOptions : EngineConfig {
   WorkflowBatchOptions() { num_threads = 0; }
 
@@ -197,9 +198,8 @@ class WorkflowCacheNamespace {
 /// requests as one task, and (optionally) decides ground truth over the
 /// lattice of distinct (hidden, Γ) keys: waves of minimal undecided keys
 /// are walked on one set of possible-worlds tables, and every other key is
-/// inferred by monotonicity. Each walk is one task whose Γ-directed probe
-/// usually settles its key alone; only a walk the probe cannot settle
-/// shards on the batch's executor.
+/// inferred by monotonicity. Each walk is one task and runs as one walker,
+/// its Γ-directed probe first.
 WorkflowBatchResult CertifyWorkflowBatch(
     const Workflow& workflow,
     const std::vector<WorkflowCertificationRequest>& requests,

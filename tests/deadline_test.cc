@@ -157,9 +157,10 @@ TEST(DeadlineTest, TinyMemoryBudgetTripsResourceExhausted) {
 
 // -- 4-thread ground truth ----------------------------------------------------
 //
-// Batch ground-truth walks shard on the batch's executor, and each running
-// walk charges shards × shard_bytes, so the budget a batch needs grows with
-// its thread count.
+// Batch ground-truth walks run as concurrent tasks on the batch's executor,
+// and each running walk charges one walker's state, the same at any thread
+// count. So a one-request batch, which runs one walk at a time, needs the
+// same budget at every thread count.
 
 void ExpectEntriesReset(const WorkflowBatchResult& result, size_t requests) {
   ASSERT_EQ(result.entries.size(), requests);
@@ -173,7 +174,7 @@ void ExpectEntriesReset(const WorkflowBatchResult& result, size_t requests) {
   }
 }
 
-// fig1 with all of a3..a7 hidden: its walk is large enough to shard.
+// fig1 with all of a3..a7 hidden: the largest of fig1's walks.
 std::vector<WorkflowCertificationRequest> Fig1AllHidden(
     const Fig1Workflow& fig1) {
   return {Fig1Requests(fig1).back()};
@@ -233,9 +234,9 @@ std::unique_ptr<WorkflowCacheNamespace> WarmVerdicts(
   return warm;
 }
 
-TEST(DeadlineTest, ShardedWalkPeakChargeGrowsWithThreads) {
-  // One request, so one walk runs at a time: its charge is shards ×
-  // shard_bytes, one shard at one thread and two at two.
+TEST(DeadlineTest, WalkPeakChargeIsThreadInvariant) {
+  // One request, so one walk runs at a time: its charge is one walker's
+  // state at one, two and four threads.
   Fig1Workflow fig1 = MakeFig1Workflow();
   const auto requests = Fig1AllHidden(fig1);
   const auto warm = WarmVerdicts(fig1, requests);
@@ -251,34 +252,44 @@ TEST(DeadlineTest, ShardedWalkPeakChargeGrowsWithThreads) {
   }
   ASSERT_GT(one.tables, 0);
   ASSERT_GT(one.walks(), 0);
-  EXPECT_EQ(two.walks(), 2 * one.walks());
-  EXPECT_EQ(four.walks() % one.walks(), 0);
-  EXPECT_GE(four.walks(), two.walks());
+  EXPECT_EQ(two.walks(), one.walks());
+  EXPECT_EQ(four.walks(), one.walks());
 }
 
-TEST(DeadlineTest, BudgetForOneShardTripsShardedWalks) {
-  // The one-thread peak covers the tables plus one unsharded walk: enough
-  // at one thread, too little once the walk shards at four.
+TEST(DeadlineTest, OneThreadBudgetFitsFourThreadWalk) {
+  // The one-thread peak covers the tables plus one walk, and so does the
+  // same budget at four threads, with the one-thread verdicts.
   Fig1Workflow fig1 = MakeFig1Workflow();
   const auto requests = Fig1AllHidden(fig1);
   const auto warm = WarmVerdicts(fig1, requests);
   const int64_t budget =
       GroundTruthCharges(fig1, requests, 1, int64_t{1} << 30, warm.get()).peak;
-  const Charges fits = GroundTruthCharges(fig1, requests, 1, budget, warm.get());
-  EXPECT_TRUE(fits.status.ok()) << fits.status.ToString();
-
-  ExecControl control;
-  control.set_memory_budget(budget);
-  WorkflowBatchOptions opts;
-  opts.num_threads = 4;
-  opts.with_ground_truth = true;
-  opts.control = &control;
-  const WorkflowBatchResult result =
-      CertifyWorkflowBatch(*fig1.workflow, requests, opts, warm.get());
-  EXPECT_EQ(result.status.code(), StatusCode::kResourceExhausted)
-      << result.status.ToString();
-  EXPECT_LE(control.peak_bytes(), budget);
-  ExpectEntriesReset(result, requests.size());
+  WorkflowBatchResult runs[2];
+  const int threads[2] = {1, 4};
+  for (int t = 0; t < 2; ++t) {
+    ExecControl control;
+    control.set_memory_budget(budget);
+    WorkflowBatchOptions opts;
+    opts.num_threads = threads[t];
+    opts.with_ground_truth = true;
+    opts.control = &control;
+    runs[t] = CertifyWorkflowBatch(*fig1.workflow, requests, opts, warm.get());
+    ASSERT_TRUE(runs[t].status.ok())
+        << threads[t] << " threads: " << runs[t].status.ToString();
+    EXPECT_LE(control.peak_bytes(), budget) << threads[t] << " threads";
+    EXPECT_EQ(control.bytes_in_use(), 0) << threads[t] << " threads";
+  }
+  ASSERT_EQ(runs[0].entries.size(), requests.size());
+  ASSERT_EQ(runs[1].entries.size(), requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const WorkflowBatchEntry& a = runs[0].entries[i];
+    const WorkflowBatchEntry& b = runs[1].entries[i];
+    EXPECT_EQ(a.certificate.certified, b.certificate.certified);
+    EXPECT_EQ(a.certificate.module_gammas, b.certificate.module_gammas);
+    EXPECT_EQ(a.certificate.required_privatizations,
+              b.certificate.required_privatizations);
+    EXPECT_EQ(a.ground_truth_private, b.ground_truth_private);
+  }
 }
 
 TEST(DeadlineTest, GroundTruthBatchReturnsSharedPoolToBaseline) {

@@ -127,8 +127,7 @@ TEST(FeasibleSetsTest, UnreachableDomainPointsOfFreeModulesAreFactored) {
   // non-determined. The fixpoint still proves every (t0 = !t0_const, *)
   // domain point of m2 unreachable in any consistent world and factors
   // those slots out of the walk. With t0_const = 1 the factored points are
-  // m2's LOWEST domain codes; the parallel run below shards the walk's
-  // first branch point.
+  // m2's LOWEST domain codes.
   for (int32_t t0_const : {0, 1}) {
     auto catalog = std::make_shared<AttributeCatalog>();
     std::vector<AttrId> x;
@@ -160,22 +159,13 @@ TEST(FeasibleSetsTest, UnreachableDomainPointsOfFreeModulesAreFactored) {
     EXPECT_EQ(a.factored_free_slots, 2);  // the (t0 = !t0_const, *) points
     ASSERT_EQ(a.feasible_in_codes[1].size(), 2u);
 
-    // Exact against the naive reference, sequentially and with the walk
-    // sharded across a forced pool.
+    // Exact against the naive reference.
     WorkflowWorlds naive = EnumerateWorkflowWorldsNaive(wf, visible, {});
     WorkflowWorlds on = Enumerate(*tables, visible, {});
     ExpectIdenticalWorlds(naive, on);
     // Pruning m1's slots and factoring m2's unreachable points shrink the
     // walked space below the naive joint space.
     EXPECT_LT(on.pruned_candidates, naive.pruned_candidates);
-
-    WorkflowEnumerationOptions parallel;
-    parallel.max_candidates = int64_t{1} << 33;
-    parallel.num_threads = 4;
-    parallel.min_parallel_candidates = 0;
-    WorkflowWorlds sharded =
-        EnumerateWorkflowWorlds(*tables, visible, {}, parallel);
-    ExpectIdenticalWorlds(naive, sharded);
   }
 }
 

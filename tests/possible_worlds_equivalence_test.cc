@@ -87,76 +87,6 @@ TEST(PossibleWorldsEquivalenceTest, LargerInputSpaceMatchesNaive) {
   }
 }
 
-TEST(PossibleWorldsEquivalenceTest, ParallelShardsMatchSequential) {
-  // The slot-0 walk runs as contiguous rank-range tasks of one graph. With
-  // the size gate off, 2/4/8 threads must reproduce the one-thread run
-  // byte for byte, and all of them the naive odometer.
-  for (uint64_t seed = 200; seed < 212; ++seed) {
-    RandomInstance inst = seed % 2 == 0 ? MakeInstance(2, 2, 3, 2, seed)
-                                        : MakeInstance(2, 1, 2, 4, seed);
-    const StandaloneWorlds naive = EnumerateStandaloneWorldsNaive(
-        inst.relation, inst.module->inputs(), inst.module->outputs(),
-        inst.visible);
-    EnumerationOptions sequential;
-    sequential.num_threads = 1;
-    sequential.min_parallel_candidates = 0;
-    const StandaloneWorlds a = EnumerateStandaloneWorlds(
-        inst.relation, inst.module->inputs(), inst.module->outputs(),
-        inst.visible, sequential);
-    ExpectIdentical(naive, a, seed);
-    for (int threads : {2, 4, 8}) {
-      EnumerationOptions parallel = sequential;
-      parallel.num_threads = threads;
-      const StandaloneWorlds b = EnumerateStandaloneWorlds(
-          inst.relation, inst.module->inputs(), inst.module->outputs(),
-          inst.visible, parallel);
-      ExpectIdentical(a, b, seed);
-      EXPECT_EQ(a.pruned_candidates, b.pruned_candidates);
-      EXPECT_EQ(a.early_stopped, b.early_stopped);
-    }
-  }
-}
-
-TEST(PossibleWorldsEquivalenceTest, ParallelMatchesWhenShardsDivideUnevenly) {
-  // Regression: slot-0 feasible counts that are not a multiple of the
-  // thread count once produced an empty trailing shard whose walker read
-  // past the feasible-code array (6 feasible codes over 4 threads shards as
-  // ceil(6/4)=2 → starts 0,2,4,6 — the last is out of range).
-  for (uint64_t seed = 500; seed < 510; ++seed) {
-    auto catalog = std::make_shared<AttributeCatalog>();
-    std::vector<AttrId> in, out;
-    for (int i = 0; i < 3; ++i) {
-      in.push_back(catalog->Add("i" + std::to_string(i)));
-    }
-    out.push_back(catalog->Add("o0", 3));
-    out.push_back(catalog->Add("o1", 2));
-    Rng rng(seed);
-    ModulePtr m = MakeRandomFunction("m", catalog, in, out, &rng);
-    Relation rel = m->FullRelation();
-    // Hide one input and the domain-3 output: every slot keeps all six
-    // output codes feasible whenever both o1 values occur in its group.
-    Bitset64 visible = Bitset64::All(catalog->size());
-    visible.Reset(in[0]);
-    visible.Reset(out[0]);
-
-    EnumerationOptions sequential;
-    sequential.num_threads = 1;
-    sequential.max_candidates = int64_t{1} << 34;
-    StandaloneWorlds a = EnumerateStandaloneWorlds(rel, m->inputs(),
-                                                   m->outputs(), visible,
-                                                   sequential);
-    for (int threads : {2, 4, 8}) {
-      EnumerationOptions parallel = sequential;
-      parallel.num_threads = threads;
-      parallel.min_parallel_candidates = 0;
-      StandaloneWorlds b = EnumerateStandaloneWorlds(rel, m->inputs(),
-                                                     m->outputs(), visible,
-                                                     parallel);
-      ExpectIdentical(a, b, seed);
-    }
-  }
-}
-
 TEST(PossibleWorldsEquivalenceTest, GammaShortCircuitAgreesWithAlgorithm2) {
   for (uint64_t seed = 300; seed < 320; ++seed) {
     RandomInstance inst = MakeInstance(2, 2, 3, 2, seed);
@@ -169,21 +99,6 @@ TEST(PossibleWorldsEquivalenceTest, GammaShortCircuitAgreesWithAlgorithm2) {
           inst.visible, gamma);
       EXPECT_EQ(alg2, brute) << "seed " << seed << " gamma " << gamma;
     }
-  }
-}
-
-TEST(PossibleWorldsEquivalenceTest, GammaShortCircuitUnderThreads) {
-  for (uint64_t seed = 400; seed < 406; ++seed) {
-    RandomInstance inst = MakeInstance(2, 2, 3, 2, seed);
-    EnumerationOptions opts;
-    opts.num_threads = 4;
-    opts.min_parallel_candidates = 0;
-    bool alg2 = IsStandaloneSafe(inst.relation, inst.module->inputs(),
-                                 inst.module->outputs(), inst.visible, 2);
-    bool brute = IsStandaloneSafeByEnumeration(
-        inst.relation, inst.module->inputs(), inst.module->outputs(),
-        inst.visible, 2, opts);
-    EXPECT_EQ(alg2, brute) << "seed " << seed;
   }
 }
 

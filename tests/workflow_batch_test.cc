@@ -290,11 +290,11 @@ TEST(WorkflowBatchTest, StreamedMemosMatchDefaultThreshold) {
 TEST(WorkflowBatchTest, AuditMasksFieldIdenticalAcrossThreadsAndExecutors) {
   // Every mask the worlds audit certifies — fig1's 32 subsets of a3..a7 and
   // all 64 masks of prop2-chain and example7-chain (built as podsd's
-  // registry builds them) — at Γ = 1, 2, 3. Ground-truth walks shard on the
-  // batch's executor, where the Γ short-circuit fires at a
-  // schedule-dependent point; entries and stats must still equal the
-  // one-thread batch at 2 and 4 threads, with and without a caller-owned
-  // executor, and the verdict must equal the full walk's Γ >= target.
+  // registry builds them) — at Γ = 1, 2, 3. Ground-truth walks run as
+  // concurrent tasks on the batch's executor; entries and stats must equal
+  // the one-thread batch at 2 and 4 threads, with and without a
+  // caller-owned executor, and the verdict must equal the full walk's
+  // Γ >= target.
   struct Target {
     std::string name;
     CatalogPtr catalog;

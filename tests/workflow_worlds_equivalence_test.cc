@@ -1,8 +1,9 @@
-// Equivalence suite for the pruned/sharded workflow possible-worlds engine:
-// on randomized small workflows the optimized enumerator must return
+// Equivalence suite for the pruned workflow possible-worlds engine: on
+// randomized small workflows the optimized enumerator must return
 // byte-identical num_function_choices, num_distinct_relations and out_sets
-// to the retained naive joint odometer, with fixed (public) modules, under
-// thread sharding, and the Γ short-circuit must agree with the full walk.
+// to the retained naive joint odometer, with fixed (public) modules, on
+// tables built at any thread count, and the Γ short-circuit must agree with
+// the full walk.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -13,7 +14,6 @@
 #include "generators/families.h"
 #include "generators/random_workflow.h"
 #include "module/module_library.h"
-#include "privacy/feasible_sets.h"
 #include "privacy/possible_worlds.h"
 #include "workflow/fig1_workflow.h"
 
@@ -114,13 +114,12 @@ TEST(WorkflowWorldsEquivalenceTest, FixedModulesMatchNaive) {
   EXPECT_GE(checked, 6);
 }
 
-TEST(WorkflowWorldsEquivalenceTest, ParallelShardsMatchSequential) {
-  // The walk's first multi-code branch point splits into contiguous
-  // rank-range tasks of one graph, on a private executor or on the
-  // caller's shared one; the tables build
-  // shards its scan the same way. With the size gate off, 2/4/8 threads —
-  // on either executor — must reproduce the one-thread run byte for byte,
-  // and all of them the naive joint odometer.
+TEST(WorkflowWorldsEquivalenceTest, ShardedTableBuildsMatchSequential) {
+  // The tables build shards its scan of the original run into contiguous
+  // execution ranges, on a private executor or on the caller's shared one.
+  // Walks over tables built at 2/4/8 threads — on either executor — must
+  // reproduce the walk over one-thread tables byte for byte, and all of
+  // them the naive joint odometer.
   TaskGraphExecutor shared(3);
   int checked = 0;
   for (uint64_t seed = 200; seed < 220; ++seed) {
@@ -129,11 +128,7 @@ TEST(WorkflowWorldsEquivalenceTest, ParallelShardsMatchSequential) {
         MakeRandomWorkflow(SmallOptions(seed % 2 == 0 ? 2 : 3), &rng);
     if (NaiveJoint(*g.workflow, {}) > (1 << 16)) continue;
     Bitset64 visible = RandomVisible(*g.workflow, &rng, 0.5);
-    WorkflowEnumerationOptions sequential;
-    sequential.num_threads = 1;
-    sequential.min_parallel_candidates = 0;
-    WorkflowWorlds a =
-        EnumerateWorkflowWorlds(*g.workflow, visible, {}, sequential);
+    WorkflowWorlds a = EnumerateWorkflowWorlds(*g.workflow, visible, {});
     ExpectIdentical(EnumerateWorkflowWorldsNaive(*g.workflow, visible, {}),
                     a, seed);
     for (int threads : {2, 4, 8}) {
@@ -143,11 +138,8 @@ TEST(WorkflowWorldsEquivalenceTest, ParallelShardsMatchSequential) {
         topts.num_threads = threads;
         topts.executor = executor;
         topts.chunk_executions = 1;  // one scan shard per thread
-        WorkflowEnumerationOptions parallel = sequential;
-        parallel.num_threads = threads;
-        parallel.executor = executor;
         WorkflowWorlds b = EnumerateWorkflowWorlds(
-            *BuildWorkflowTables(*g.workflow, topts), visible, {}, parallel);
+            *BuildWorkflowTables(*g.workflow, topts), visible, {});
         ExpectIdentical(a, b, seed);
         EXPECT_EQ(a.pruned_candidates, b.pruned_candidates);
         EXPECT_EQ(a.early_stopped, b.early_stopped);
@@ -271,7 +263,6 @@ WorkflowWorlds EnumerateDeep(const Workflow& w, const Bitset64& visible,
   WorkflowEnumerationOptions opts;
   opts.max_candidates = int64_t{1} << 33;
   opts.num_threads = num_threads;
-  opts.min_parallel_candidates = 0;
   return EnumerateWorkflowWorlds(w, visible, fixed, opts);
 }
 
@@ -333,10 +324,10 @@ TEST(WorkflowWorldsEquivalenceTest, DiamondWithFixedSourceMatchesNaive) {
                   0);
 }
 
-TEST(WorkflowWorldsEquivalenceTest, DiamondWithTailShardsAndGammaAgree) {
+TEST(WorkflowWorldsEquivalenceTest, DiamondWithTailThreadsAndGammaAgree) {
   // The all-free E1f diamond (too large for the naive reference): the
   // fixpoint forces the source and both branches and prunes the sink. The
-  // sharded walk must reproduce the sequential one, and the Γ
+  // walk at 4 threads must reproduce the one-thread walk, and the Γ
   // short-circuit its verdict.
   Rng rng(78);
   DiamondWorkflow dia = MakeDiamondWorkflow(1, /*with_tail=*/true, &rng);
@@ -366,9 +357,8 @@ TEST(WorkflowWorldsEquivalenceTest, DiamondWithTailShardsAndGammaAgree) {
 // ---------------------------------------------------------------------
 
 TEST(WorkflowWorldsEquivalenceTest, FullRunsAreThreadInvariant) {
-  // Full runs at 1, 2 and 4 threads, with the size gate off. The deep
-  // chains' first stage is forced, so their walks first reach a singleton
-  // slot and shard a later branch point.
+  // Full runs at 1, 2 and 4 threads: a walk is one walker whatever
+  // num_threads says.
   Rng rng(91);
   Prop2Chain prop2 = MakeProp2Chain(2);
   OneOneChain chain1 = MakeOneOneChain(4, 1, &rng);
@@ -382,25 +372,15 @@ TEST(WorkflowWorldsEquivalenceTest, FullRunsAreThreadInvariant) {
   struct Case {
     const Workflow* workflow;
     Bitset64 visible;
-    bool first_stage_forced;
   };
   const std::vector<Case> cases = {
-      {prop2.workflow.get(), Bitset64::Of(6, {2}).Complement(), false},
-      {chain1.workflow.get(), hide(chain1.catalog, chain1.layer_attrs[3]),
-       true},
-      {chain2.workflow.get(), hide(chain2.catalog, chain2.layer_attrs[3]),
-       true},
-      {dia.workflow.get(), hide(dia.catalog, dia.y), true},
+      {prop2.workflow.get(), Bitset64::Of(6, {2}).Complement()},
+      {chain1.workflow.get(), hide(chain1.catalog, chain1.layer_attrs[3])},
+      {chain2.workflow.get(), hide(chain2.catalog, chain2.layer_attrs[3])},
+      {dia.workflow.get(), hide(dia.catalog, dia.y)},
   };
   for (size_t c = 0; c < cases.size(); ++c) {
     const Workflow& w = *cases[c].workflow;
-    if (cases[c].first_stage_forced) {
-      auto tables = BuildWorkflowTables(w);
-      FeasibleSetAnalysis a =
-          AnalyzeFeasibleSets(*tables, cases[c].visible, {});
-      ASSERT_TRUE(a.forced[static_cast<size_t>(w.topo_order()[0])])
-          << "case " << c;
-    }
     WorkflowWorlds one = EnumerateDeep(w, cases[c].visible, {}, 1);
     EXPECT_GT(one.num_function_choices, 0) << "case " << c;
     for (int threads : {2, 4}) {
@@ -471,7 +451,6 @@ TEST(WorkflowWorldsEquivalenceTest, MinOutSizesMatchOutSetMaps) {
           WorkflowEnumerationOptions opts;
           opts.gamma = gamma;
           opts.num_threads = threads;
-          opts.min_parallel_candidates = 0;
           opts.collect_distinct_relations = false;
           const WorkflowWorlds maps =
               EnumerateWorkflowWorlds(*tables, visible, fixed, opts);
@@ -519,7 +498,6 @@ TEST(WorkflowWorldsEquivalenceTest, ProbeThatGivesUpLeavesNoTrace) {
     auto tables = BuildWorkflowTables(*g.workflow);
     WorkflowEnumerationOptions full_opts;
     full_opts.max_candidates = int64_t{1} << 33;
-    full_opts.min_parallel_candidates = 0;
     const WorkflowWorlds full =
         EnumerateWorkflowWorlds(*tables, visible, {}, full_opts);
     ASSERT_TRUE(full.status.ok()) << "seed " << seed;
@@ -569,11 +547,42 @@ TEST(WorkflowWorldsEquivalenceTest, ProbeCutsFig1AllHiddenWalk) {
   EXPECT_GT(one.num_function_choices, 0);
   EXPECT_LT(one.num_function_choices, 131104);
   opts.num_threads = 4;
-  opts.min_parallel_candidates = 0;
   const WorkflowWorlds four =
       EnumerateWorkflowWorlds(*tables, hidden.Complement(), {}, opts);
   EXPECT_TRUE(four.early_stopped);
   EXPECT_EQ(four.num_function_choices, one.num_function_choices);
+}
+
+TEST(WorkflowWorldsEquivalenceTest, EarlyStoppedWalkIsThreadInvariant) {
+  // prop2-chain (k = 2) with y0 and y1 hidden (mask 12 of the audit's
+  // masks) stops early at Γ = 3. A walk is one walker on the calling
+  // thread, so even a run that stops early, whose counts are lower bounds
+  // and whose OUT sets are partial, repeats every field at any thread
+  // count.
+  Prop2Chain chain = MakeProp2Chain(2);
+  const Bitset64 visible = Bitset64::Of(6, {2, 3}).Complement();
+  auto tables = BuildWorkflowTables(*chain.workflow);
+  WorkflowEnumerationOptions opts;
+  opts.gamma = 3;
+  opts.collect_distinct_relations = false;
+  const WorkflowWorlds first =
+      EnumerateWorkflowWorlds(*tables, visible, {}, opts);
+  ASSERT_TRUE(first.status.ok());
+  ASSERT_TRUE(first.early_stopped);
+  EXPECT_EQ(first.num_function_choices, 9);
+  for (int threads : {1, 2, 4}) {
+    opts.num_threads = threads;
+    for (int run = 0; run < 20; ++run) {
+      const WorkflowWorlds r =
+          EnumerateWorkflowWorlds(*tables, visible, {}, opts);
+      EXPECT_EQ(r.num_function_choices, first.num_function_choices)
+          << "threads " << threads << " run " << run;
+      EXPECT_EQ(r.out_sets, first.out_sets)
+          << "threads " << threads << " run " << run;
+      EXPECT_EQ(r.early_stopped, first.early_stopped)
+          << "threads " << threads << " run " << run;
+    }
+  }
 }
 
 TEST(WorkflowWorldsEquivalenceTest, AllModulesFixedSingleWorld) {
