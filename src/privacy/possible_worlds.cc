@@ -887,8 +887,9 @@ int32_t RowTid(const WfInstance& inst, int64_t e, const int32_t* vals) {
 // With `probe` set this is the Γ-directed probe instead: after each
 // consistent leaf it drops every frame deeper than the shallowest one
 // whose slot holds a Γ-tracked pair still short of Γ, so the backtrack
-// varies that slot next rather than exhausting the subtree beneath it. The probe skips subtrees and so is not a complete
-// walk, but every leaf it records is a consistent world.
+// varies that slot next rather than exhausting the subtree beneath it. The
+// probe skips subtrees and so is not a complete walk, but every leaf it
+// records is a consistent world.
 //
 // A finished execution remembers dep[e], the deepest frame among the slots
 // it read. Only the slots of frames >= k differ when the walk backtracks

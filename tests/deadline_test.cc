@@ -258,14 +258,35 @@ TEST(DeadlineTest, WalkPeakChargeIsThreadInvariant) {
 
 TEST(DeadlineTest, OneThreadBudgetFitsFourThreadWalk) {
   // The one-thread peak covers the tables plus one walk, and so does the
-  // same budget at four threads, with the one-thread verdicts.
+  // same budget at four threads, with the one-thread verdicts. One byte
+  // less still fits the tables, but not the walk's charge, at either count.
   Fig1Workflow fig1 = MakeFig1Workflow();
   const auto requests = Fig1AllHidden(fig1);
   const auto warm = WarmVerdicts(fig1, requests);
-  const int64_t budget =
-      GroundTruthCharges(fig1, requests, 1, int64_t{1} << 30, warm.get()).peak;
+  const Charges unlimited =
+      GroundTruthCharges(fig1, requests, 1, int64_t{1} << 30, warm.get());
+  ASSERT_GT(unlimited.walks(), 0);
+  const int64_t budget = unlimited.peak;
   WorkflowBatchResult runs[2];
   const int threads[2] = {1, 4};
+  for (int t = 0; t < 2; ++t) {
+    ExecControl control;
+    control.set_memory_budget(budget - 1);
+    WorkflowBatchOptions opts;
+    opts.num_threads = threads[t];
+    opts.with_ground_truth = true;
+    opts.control = &control;
+    const WorkflowBatchResult tight =
+        CertifyWorkflowBatch(*fig1.workflow, requests, opts, warm.get());
+    EXPECT_EQ(tight.status.code(), StatusCode::kResourceExhausted)
+        << threads[t] << " threads: " << tight.status.ToString();
+    // The tables were charged in full before the walk's charge failed.
+    EXPECT_GE(control.peak_bytes(), unlimited.tables)
+        << threads[t] << " threads";
+    EXPECT_LE(control.peak_bytes(), budget - 1) << threads[t] << " threads";
+    EXPECT_EQ(control.bytes_in_use(), 0) << threads[t] << " threads";
+    ExpectEntriesReset(tight, requests.size());
+  }
   for (int t = 0; t < 2; ++t) {
     ExecControl control;
     control.set_memory_budget(budget);

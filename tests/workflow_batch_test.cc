@@ -100,7 +100,7 @@ TEST(WorkflowBatchTest, SharesVerdictsAcrossRequests) {
 
 TEST(WorkflowBatchTest, ThreadCountsFieldIdenticalAndMatchOracles) {
   // Randomized determinism check of the task-graph driver (one task per
-  // module + overlapped, sharded ground truth):
+  // module + overlapped ground-truth walks, one task each):
   // at 2/4/8 threads every entry AND the stats must equal the one-thread
   // run (the same graph, run inline), and that run must match the
   // independent oracles — one-at-a-time CertifyWorkflowPrivacy for the

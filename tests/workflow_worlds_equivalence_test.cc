@@ -14,6 +14,7 @@
 #include "generators/families.h"
 #include "generators/random_workflow.h"
 #include "module/module_library.h"
+#include "privacy/feasible_sets.h"
 #include "privacy/possible_worlds.h"
 #include "workflow/fig1_workflow.h"
 
@@ -358,7 +359,8 @@ TEST(WorkflowWorldsEquivalenceTest, DiamondWithTailThreadsAndGammaAgree) {
 
 TEST(WorkflowWorldsEquivalenceTest, FullRunsAreThreadInvariant) {
   // Full runs at 1, 2 and 4 threads: a walk is one walker whatever
-  // num_threads says.
+  // num_threads says. The fixpoint forces the deep chains' and the
+  // diamond's first stage, so their walks start below a singleton slot.
   Rng rng(91);
   Prop2Chain prop2 = MakeProp2Chain(2);
   OneOneChain chain1 = MakeOneOneChain(4, 1, &rng);
@@ -372,15 +374,25 @@ TEST(WorkflowWorldsEquivalenceTest, FullRunsAreThreadInvariant) {
   struct Case {
     const Workflow* workflow;
     Bitset64 visible;
+    bool first_stage_forced;
   };
   const std::vector<Case> cases = {
-      {prop2.workflow.get(), Bitset64::Of(6, {2}).Complement()},
-      {chain1.workflow.get(), hide(chain1.catalog, chain1.layer_attrs[3])},
-      {chain2.workflow.get(), hide(chain2.catalog, chain2.layer_attrs[3])},
-      {dia.workflow.get(), hide(dia.catalog, dia.y)},
+      {prop2.workflow.get(), Bitset64::Of(6, {2}).Complement(), false},
+      {chain1.workflow.get(), hide(chain1.catalog, chain1.layer_attrs[3]),
+       true},
+      {chain2.workflow.get(), hide(chain2.catalog, chain2.layer_attrs[3]),
+       true},
+      {dia.workflow.get(), hide(dia.catalog, dia.y), true},
   };
   for (size_t c = 0; c < cases.size(); ++c) {
     const Workflow& w = *cases[c].workflow;
+    if (cases[c].first_stage_forced) {
+      auto tables = BuildWorkflowTables(w);
+      FeasibleSetAnalysis a =
+          AnalyzeFeasibleSets(*tables, cases[c].visible, {});
+      ASSERT_TRUE(a.forced[static_cast<size_t>(w.topo_order()[0])])
+          << "case " << c;
+    }
     WorkflowWorlds one = EnumerateDeep(w, cases[c].visible, {}, 1);
     EXPECT_GT(one.num_function_choices, 0) << "case " << c;
     for (int threads : {2, 4}) {
